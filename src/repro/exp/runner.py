@@ -484,10 +484,17 @@ class SweepRunner:
     ) -> Iterator[Tuple[int, dict]]:
         retry: List[Tuple[int, SweepCell]] = []
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(_worker, cell.to_payload()): (index, cell)
-                for index, cell in pending
-            }
+            futures = {}
+            for position, (index, cell) in enumerate(pending):
+                try:
+                    future = pool.submit(_worker, cell.to_payload())
+                except BrokenProcessPool:
+                    # a worker crashed the pool while cells were still
+                    # being submitted: the cells not yet submitted get
+                    # their second chance below, like collateral damage.
+                    retry.extend(pending[position:])
+                    break
+                futures[future] = (index, cell)
             remaining = set(futures)
             while remaining:
                 finished, remaining = wait(

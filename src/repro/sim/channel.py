@@ -27,6 +27,20 @@ delivered to a crashed node.  Jitter can reorder deliveries, so the strict
 FIFO invariant is waived in fault mode — the reliable-delivery layer
 (:mod:`repro.sim.reliable`) restores exactly-once FIFO order above it.
 
+The fault path looks a transmission's link state up once (the link
+plan's ``(drop, duplicate, jitter)`` maxima at the send time; both plans
+index their windows, by directed link and by node) and draws in a fixed
+order: global drop, then link drop (skipped after a global drop); for a
+delivered transmission global jitter, then link jitter; then global
+duplicate, then link duplicate (skipped after a global duplicate); and
+jitter again for the duplicate.  A straggler endpoint multiplies each
+delay without a draw.  Faulty deliveries are never cancelled either, so
+they are posted handle-free like the fault-free ones — the bound
+:meth:`Network._deliver_faulty` plus the same ``(msg, channel, seq)``
+tuple, one sequence number per delivery.  A jittered delivery due
+before the lane's tail falls back to the scheduler's heap by itself, so
+the firing order is the one a single heap would give.
+
 Message costs (Section 4.1) are charged at send time through the attached
 :class:`~repro.sim.metrics.Metrics` sink: 1 for a bare token, ``S + 1`` with
 user information, ``P + 1`` with write parameters.
@@ -109,6 +123,12 @@ class Network:
         self.duplicated = 0
         #: sends swallowed because the source node was down
         self.suppressed = 0
+        #: whether :meth:`send` swallows a faulty transmission from a
+        #: crashed source.  A :class:`~repro.sim.reliable.ReliableNetwork`
+        #: screens its sources itself before sending (a retransmission
+        #: from a dead node must not be charged) and turns this off, so
+        #: each transmission asks the crash schedule once.
+        self.screen_sources = True
 
     def attach(self, node_id: int, handler: Callable[[Message], None]) -> None:
         """Register the delivery handler for a node."""
@@ -137,7 +157,7 @@ class Network:
             )
         faulty = ((self.faults is not None or self.partitions is not None)
                   and msg.src != msg.dst)
-        if (faulty and self.faults is not None
+        if (faulty and self.screen_sources and self.faults is not None
                 and self.faults.is_down(msg.src, self.scheduler.now)):
             # the source's interface is dead: nothing leaves the node and
             # nothing is charged (the message was never emitted).
@@ -160,62 +180,71 @@ class Network:
         # ---- fault path: drops, duplicates, jitter, dead receivers ----
         plan = self.faults
         parts = self.partitions
+        src, dst = channel
         now = self.scheduler.now
-
-        def deliver_faulty() -> None:
-            if plan is not None and plan.is_down(msg.dst, self.scheduler.now):
-                # the receiver is crashed: the transmission is lost.
-                self.dropped += 1
-                self._fault_event("down_dst")
-                return
-            # jitter reorders deliveries, so no strict FIFO check here;
-            # track the high-water mark for observability only.
-            last = self._delivered_seq.get(channel, 0)
-            if seq > last:
-                self._delivered_seq[channel] = seq
-            tracer = self.tracer
-            if tracer is not None:
-                token = getattr(msg, "token", None)
-                tracer.op_event(
-                    "deliver", msg.op_id, src=msg.src, dst=msg.dst,
-                    detail=(token.type.value if token is not None
-                            else getattr(msg, "kind", None)),
-                )
-            self._deliver_to[msg.dst](msg)
-
-        def jittered_delay() -> float:
-            delay = self.latency
-            if plan is not None:
-                delay += plan.jitter_for(msg.src, msg.dst)
-            if parts is not None:
-                delay += parts.jitter_for(msg.src, msg.dst, now)
-            if plan is not None and plan.slowdowns:
-                # gray failure: a straggler endpoint stretches the whole
-                # delivery multiplicatively.  Deterministic (no RNG), and
-                # exactly 1.0 without slow windows, so plans predating
-                # the straggler model keep byte-identical delays.
-                delay *= plan.link_slowdown(msg.src, msg.dst, now)
-            return delay
-
+        # the link's (drop, duplicate, jitter) rates, looked up once;
+        # None when no link fault is active (every rate is then 0)
+        link = (parts._link_rates(src, dst, now) if parts is not None
+                else None)
+        item = (msg, channel, seq)
         # the global plan rolls first; a loss there short-circuits the
         # link roll (both streams are private, so this stays deterministic)
-        dropped = ((plan is not None and plan.should_drop(msg.src, msg.dst))
-                   or (parts is not None
-                       and parts.should_drop(msg.src, msg.dst, now)))
-        if dropped:
+        if ((plan is not None and plan.should_drop(src, dst))
+                or (link is not None and parts._roll_drop(link[0]))):
             self.dropped += 1
             self._fault_event("drop")
         else:
-            self.scheduler.schedule(jittered_delay(), deliver_faulty)
-        duplicated = ((plan is not None
-                       and plan.should_duplicate(msg.src, msg.dst))
-                      or (parts is not None
-                          and parts.should_duplicate(msg.src, msg.dst, now)))
-        if duplicated:
+            self.scheduler.post(self._faulty_delay(src, dst, now, link),
+                                self._deliver_faulty, item)
+        if ((plan is not None and plan.should_duplicate(src, dst))
+                or (link is not None and parts._roll_duplicate(link[1]))):
             self.duplicated += 1
             self._fault_event("duplicate")
-            self.scheduler.schedule(jittered_delay(), deliver_faulty)
+            self.scheduler.post(self._faulty_delay(src, dst, now, link),
+                                self._deliver_faulty, item)
         return cost
+
+    def _faulty_delay(self, src: int, dst: int, now: float,
+                      link: Optional[Tuple[float, float, float]]) -> float:
+        """One faulty delivery's delay: latency plus global then link
+        jitter, stretched by a straggler endpoint."""
+        plan = self.faults
+        delay = self.latency
+        if plan is not None:
+            delay += plan.jitter_for(src, dst)
+        if link is not None:
+            delay += self.partitions._roll_jitter(link[2])
+        if plan is not None and plan.slowdowns:
+            # gray failure: a straggler endpoint stretches the whole
+            # delivery multiplicatively.  Deterministic (no RNG), and
+            # exactly 1.0 without slow windows, so plans predating
+            # the straggler model keep byte-identical delays.
+            delay *= plan.link_slowdown(src, dst, now)
+        return delay
+
+    def _deliver_faulty(self, item: Tuple[Message, Tuple[int, int], int]
+                        ) -> None:
+        """Faulty-fabric delivery of one transmission posted by :meth:`send`."""
+        msg, channel, seq = item
+        plan = self.faults
+        if plan is not None and plan.is_down(msg.dst, self.scheduler.now):
+            # the receiver is crashed: the transmission is lost.
+            self.dropped += 1
+            self._fault_event("down_dst")
+            return
+        # jitter reorders deliveries, so no strict FIFO check here;
+        # track the high-water mark for observability only.
+        if seq > self._delivered_seq.get(channel, 0):
+            self._delivered_seq[channel] = seq
+        tracer = self.tracer
+        if tracer is not None:
+            token = getattr(msg, "token", None)
+            tracer.op_event(
+                "deliver", msg.op_id, src=msg.src, dst=msg.dst,
+                detail=(token.type.value if token is not None
+                        else getattr(msg, "kind", None)),
+            )
+        self._deliver_to[msg.dst](msg)
 
     def _deliver(self, item: Tuple[Message, Tuple[int, int], int]) -> None:
         """Fault-free delivery of one message posted by :meth:`send`."""

@@ -22,10 +22,12 @@ front — cancelling is O(1).
 never be cancelled.  It joins the lane's tail whenever its time is
 no earlier than the tail's (its sequence number is the largest yet, so
 the lane stays sorted by ``(time, seq)``); otherwise it falls back to the
-heap.  The fault-free channel posts every delivery: its latency is
-constant and simulated time never runs backwards, so deliveries arrive in
-non-decreasing time order and each one costs a deque append and pop
-instead of a handle plus a heap push and pop.  Workload arrivals are
+heap.  The channel posts every delivery.  On the fault-free fabric its
+latency is constant and simulated time never runs backwards, so
+deliveries arrive in non-decreasing time order and each one costs a deque
+append and pop instead of a handle plus a heap push and pop; on a faulty
+fabric a jittered delivery due before the lane's tail takes the heap
+instead.  Workload arrivals are
 handle-free too: an internal ``_post_at`` puts each one on the heap with
 a sequence number set aside up front by ``_reserve``, so the heap holds
 one pending arrival instead of the whole stream.

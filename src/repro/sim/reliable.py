@@ -138,7 +138,7 @@ class DeliveryViolation:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Frame:
     """Transport envelope carried by the physical fabric.
 
@@ -151,6 +151,12 @@ class Frame:
     the sender's view-change epoch (:meth:`ReliableNetwork.advance_epoch`);
     receivers drop frames from earlier epochs so traffic voided by a crash
     recovery cannot be delivered into the new view.
+
+    A frame is never modified after construction: retransmissions and
+    injected duplicates deliver the same object again.  It is not a
+    frozen dataclass only because building one costs about five times
+    as much (1.7 against 0.35 µs on an x86-64 host); being unfrozen
+    with field equality, it is also unhashable.
     """
 
     kind: str
@@ -171,16 +177,28 @@ class Frame:
 
 
 class _PendingSend:
-    """Sender-side state for one unacknowledged data frame."""
+    """Sender-side state for one unacknowledged data frame or datagram.
 
-    __slots__ = ("frame", "S", "P", "attempts", "timer")
+    The pending send is its own retry-timer callback: calling it hands its
+    ``(channel, seq)`` key to the owner's timeout handler, so arming a
+    timer builds no closure.
+    """
 
-    def __init__(self, frame: Frame, S: float, P: float):
+    __slots__ = ("frame", "S", "P", "attempts", "timer", "key",
+                 "_on_timeout")
+
+    def __init__(self, frame: Frame, S: float, P: float,
+                 on_timeout: Callable[[Tuple[Tuple[int, int], int]], None]):
         self.frame = frame
         self.S = S
         self.P = P
         self.attempts = 0
         self.timer: Optional[TimerHandle] = None
+        self.key = ((frame.src, frame.dst), frame.seq)
+        self._on_timeout = on_timeout
+
+    def __call__(self) -> None:
+        self._on_timeout(self.key)
 
 
 class ReliableNetwork:
@@ -213,6 +231,9 @@ class ReliableNetwork:
             partitions=partitions,
             on_fault=self._on_physical_fault,
         )
+        # :meth:`_transmit` screens every frame's source; acks leave a
+        # node that is receiving, so it is up too.
+        self.physical.screen_sources = False
         self._handlers: Dict[int, Callable[[Message], None]] = {}
         #: structured retry-budget exhaustions (graceful degradation)
         self.violations: List[DeliveryViolation] = []
@@ -235,10 +256,6 @@ class ReliableNetwork:
         self._dgram_pending: Dict[Tuple[Tuple[int, int], int],
                                   _PendingSend] = {}
         self._dgram_seen: Dict[Tuple[int, int], Set[int]] = {}
-
-    def _tracer(self):
-        metrics = self.metrics
-        return metrics.tracer if metrics is not None else None
 
     # ------------------------------------------------------------------
     # Network interface
@@ -268,8 +285,7 @@ class ReliableNetwork:
         """Send ``msg`` reliably; returns the first-attempt cost charged."""
         if msg.src == msg.dst:
             # intra-node: free and trivially reliable; bypass the transport.
-            frame = Frame("loop", msg.src, msg.dst, 0, msg=msg,
-                          op_id=msg.op_id)
+            frame = Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id)
             return self.physical.send(frame, S, P)
         if self.quarantined and msg.dst in self.quarantined:
             # the destination is quarantined out of the cluster view:
@@ -285,10 +301,10 @@ class ReliableNetwork:
         channel = (msg.src, msg.dst)
         seq = self._send_seq.get(channel, 0) + 1
         self._send_seq[channel] = seq
-        frame = Frame("data", msg.src, msg.dst, seq, msg=msg, op_id=msg.op_id,
-                      epoch=self.epoch)
-        pending = _PendingSend(frame, S, P)
-        self._pending[(channel, seq)] = pending
+        frame = Frame("data", msg.src, msg.dst, seq, msg, msg.op_id,
+                      self.epoch)
+        pending = _PendingSend(frame, S, P, self._on_timeout)
+        self._pending[pending.key] = pending
         cost = frame.cost(S, P)
         if self.metrics is not None:
             # first attempt: charged exactly like the fault-free fabric
@@ -317,8 +333,7 @@ class ReliableNetwork:
         comparable to the fault-free runs).
         """
         if msg.src == msg.dst:
-            frame = Frame("loop", msg.src, msg.dst, 0, msg=msg,
-                          op_id=msg.op_id)
+            frame = Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id)
             return self.physical.send(frame, S, P)
         if self.quarantined and msg.dst in self.quarantined:
             if self.metrics is not None:
@@ -331,10 +346,10 @@ class ReliableNetwork:
         channel = (msg.src, msg.dst)
         seq = self._dgram_seq.get(channel, 0) + 1
         self._dgram_seq[channel] = seq
-        frame = Frame("dgram", msg.src, msg.dst, seq, msg=msg,
-                      op_id=msg.op_id, epoch=self.epoch)
-        pending = _PendingSend(frame, S, P)
-        self._dgram_pending[(channel, seq)] = pending
+        frame = Frame("dgram", msg.src, msg.dst, seq, msg, msg.op_id,
+                      self.epoch)
+        pending = _PendingSend(frame, S, P, self._on_dgram_timeout)
+        self._dgram_pending[pending.key] = pending
         cost = frame.cost(S, P)
         if self.metrics is not None:
             if hedge:
@@ -344,7 +359,7 @@ class ReliableNetwork:
             else:
                 self.metrics.record_message(msg, cost)
         self._transmit(pending, charge=False)
-        self._arm_dgram_timer(pending)
+        self._arm_timer(pending)
         return cost
 
     def cancel_dgrams(self, src: int, op_id: int) -> int:
@@ -388,12 +403,12 @@ class ReliableNetwork:
         self.physical.send(frame, pending.S, pending.P)
 
     def _arm_timer(self, pending: _PendingSend) -> None:
-        delay = backoff_delay(self.config.timeout, self.config.backoff,
-                              pending.attempts)
-        key = ((pending.frame.src, pending.frame.dst), pending.frame.seq)
+        """Arm ``pending``'s retry timer for its current attempt (data
+        frames and datagrams alike: the pending send knows its handler)."""
         pending.timer = self.scheduler.schedule(
-            delay, lambda: self._on_timeout(key)
-        )
+            backoff_delay(self.config.timeout, self.config.backoff,
+                          pending.attempts),
+            pending)
 
     def _on_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
         pending = self._pending.get(key)
@@ -446,14 +461,6 @@ class ReliableNetwork:
         self._transmit(pending, charge=True)
         self._arm_timer(pending)
 
-    def _arm_dgram_timer(self, pending: _PendingSend) -> None:
-        delay = backoff_delay(self.config.timeout, self.config.backoff,
-                              pending.attempts)
-        key = ((pending.frame.src, pending.frame.dst), pending.frame.seq)
-        pending.timer = self.scheduler.schedule(
-            delay, lambda: self._on_dgram_timeout(key)
-        )
-
     def _on_dgram_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
         pending = self._dgram_pending.get(key)
         if pending is None:  # pragma: no cover - dacked timers are cancelled
@@ -479,7 +486,7 @@ class ReliableNetwork:
         if self.metrics is not None:
             self.metrics.reliability.retransmissions += 1
         self._transmit(pending, charge=True)
-        self._arm_dgram_timer(pending)
+        self._arm_timer(pending)
 
     # ------------------------------------------------------------------
     # receiver side
@@ -572,15 +579,16 @@ class ReliableNetwork:
         self._expected[channel] = expected
 
     def _deliver(self, dst: int, msg: Message) -> None:
-        tracer = self._tracer()
+        metrics = self.metrics
+        tracer = metrics.tracer if metrics is not None else None
         if tracer is not None:
             tracer.op_event("deliver", msg.op_id, src=msg.src, dst=dst,
                             detail=msg.token.type.value)
         self._handlers[dst](msg)
 
     def _send_ack(self, data: Frame, kind: str = "ack") -> None:
-        ack = Frame(kind, data.dst, data.src, data.seq, op_id=data.op_id,
-                    epoch=self.epoch)
+        ack = Frame(kind, data.dst, data.src, data.seq, None, data.op_id,
+                    self.epoch)
         if self.metrics is not None:
             self.metrics.reliability.acks += 1
             self.metrics.record_reliability_cost(ack.op_id, 1.0, kind="ack")

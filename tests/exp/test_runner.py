@@ -2,6 +2,8 @@
 
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -154,6 +156,29 @@ class TestFailureHandling:
         assert failed and all(r["protocol"] == "write_once" for r in failed)
         assert all("crashed" in r["error"] for r in failed)
         assert ok and all(r["protocol"] == "write_through_v" for r in ok)
+
+    def test_pool_broken_during_submission_retries_the_rest(
+        self, monkeypatch
+    ):
+        """A worker can crash the pool before every cell is submitted;
+        the cells not yet submitted are retried in isolation, not lost."""
+        real_submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit(pool, fn, *args):
+            calls.append(pool._max_workers)
+            if len(calls) == 2 and pool._max_workers == 2:
+                raise BrokenProcessPool("broken during submission")
+            return real_submit(pool, fn, *args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        spec = small_spec()
+        result = run_sweep(spec, workers=2)
+        assert result.failed == 0
+        # one cell went to the shared pool, the rest one pool each
+        assert calls[:2] == [2, 2] and set(calls[2:]) == {1}
+        assert len(calls) == 1 + len(result.rows)
+        assert lines(result) == lines(run_sweep(spec, workers=1))
 
     def test_worker_exception_marks_cell_failed(self, monkeypatch):
         monkeypatch.setattr(runner_mod, "_worker", _raise_on_write_once)

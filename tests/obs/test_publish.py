@@ -170,9 +170,9 @@ class TestProfilerWiring:
     @pytest.mark.parametrize("faulty", [False, True])
     def test_profiler_times_every_event_on_a_reliable_fabric(
             self, monkeypatch, faulty):
-        """Retransmission timers sit in the heap, frames on a fault-free
-        physical fabric are posted to the lane, and faulty deliveries
-        are timers again; every one of them is a timed dispatch."""
+        """Retransmission timers sit in the heap and frames on the
+        physical fabric, faulty or not, are posted handle-free; every one
+        of them is a timed dispatch."""
         from repro.sim import ReliabilityConfig
         from repro.sim.engine import EventScheduler
         posts = []
@@ -192,7 +192,46 @@ class TestProfilerWiring:
             faults=faults, reliability=ReliabilityConfig(),
             profiler=profiler)
         assert system.metrics.reliability.acks > 0  # timers were armed
-        assert bool(posts) is not faulty  # lane events mixed in
+        assert posts  # lane events mixed in
+        assert (profiler.stats()["engine.dispatch"]["calls"]
+                == system.scheduler.executed)
+
+    def test_profiler_times_every_event_on_a_jittered_fabric(
+            self, monkeypatch):
+        """Jitter sends some faulty deliveries to the lane and some, due
+        before the lane's tail, to the heap; with drops, retry timers are
+        armed, cancelled on ack and fired.  Every live event is timed
+        once and no cancelled one is."""
+        from repro.sim import ReliabilityConfig
+        from repro.sim.engine import EventScheduler, TimerHandle
+        lane_posts = []
+        heap_posts = []
+        cancels = []
+        post = EventScheduler.post
+        cancel = TimerHandle.cancel
+
+        def sorting_post(sched, delay, callback, arg):
+            ahead = sched.now + delay < sched._lane_tail
+            (heap_posts if ahead else lane_posts).append(delay)
+            post(sched, delay, callback, arg)
+
+        def counting_cancel(handle):
+            cancelled = cancel(handle)
+            cancels.append(cancelled)
+            return cancelled
+
+        monkeypatch.setattr(EventScheduler, "post", sorting_post)
+        monkeypatch.setattr(TimerHandle, "cancel", counting_cancel)
+        faults = FaultPlan(seed=3, drop_rate=0.05, duplicate_rate=0.05,
+                           jitter=2.0)
+        profiler = Profiler()
+        system = _run_system(
+            RunConfig(ops=300, warmup=30, seed=2, faults=faults),
+            faults=faults, reliability=ReliabilityConfig(),
+            profiler=profiler)
+        assert lane_posts and heap_posts
+        assert any(cancels)  # acked retry timers left in the heap
+        assert system.metrics.reliability.retransmissions > 0
         assert (profiler.stats()["engine.dispatch"]["calls"]
                 == system.scheduler.executed)
 
