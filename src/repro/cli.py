@@ -556,8 +556,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("protocol", help=f"one of: {known}")
     p_sim.add_argument("--M", type=int, default=1,
                        help="number of shared objects")
-    p_sim.add_argument("--capacity", type=int, default=None,
-                       help="finite replica pool per client (Section 6)")
 
     p_trace = sub.add_parser(
         "trace",
@@ -798,8 +796,7 @@ def _export_trace(tracer, chrome_path, jsonl_path, label: str) -> None:
 def _cmd_simulate(args: argparse.Namespace, deviation: Deviation,
                   params: WorkloadParams) -> int:
     config = runconfig_from_args(args)
-    system = DSMSystem.from_config(args.protocol, params, config,
-                                   M=args.M, capacity=args.capacity)
+    system = DSMSystem.from_config(args.protocol, params, config, M=args.M)
     workload = SyntheticWorkload(params, deviation, M=args.M)
     result = system.run_workload(workload, config)
     warmup = config.resolved_warmup
@@ -811,10 +808,10 @@ def _cmd_simulate(args: argparse.Namespace, deviation: Deviation,
     if config.quorum_weights is not None:
         predicted = weighted_quorum_acc(params, deviation,
                                         config.quorum_weights)
-        analytic_note = "(no pool, fault-free, weighted quorums)"
+        analytic_note = "(full replication, fault-free, weighted quorums)"
     else:
         predicted = analytical_acc(args.protocol, params, deviation)
-        analytic_note = "(no pool, fault-free)"
+        analytic_note = "(full replication, fault-free)"
     print(f"simulated acc   = {result.acc:.4f}")
     print(f"analytic acc    = {predicted:.4f} {analytic_note}")
     print(f"messages        = {result.messages}")
@@ -930,13 +927,6 @@ def _cmd_simulate(args: argparse.Namespace, deviation: Deviation,
                   f"cost {rc.transfer_cost:.1f} "
                   f"({rc.transfer_retries} retries, "
                   f"{rc.transfers_failed} failed)")
-    if args.capacity is not None:
-        print(f"data-op cost    = {system.data_cost_rate(warmup):.4f}")
-        evictions = sum(
-            node.pool.evictions
-            for node in system.nodes.values() if node.pool
-        )
-        print(f"pool evictions  = {evictions}")
     _export_trace(system.tracer, args.trace_out, args.trace_jsonl,
                   label=f"simulate {args.protocol}")
     if system.monitor is not None:

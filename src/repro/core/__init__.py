@@ -22,7 +22,6 @@ from .comparison import (
     min_acc_region_map,
     rank_protocols,
 )
-from .ejection import acc_write_through_rd_eject, ejecting_markov_acc
 from .heterogeneous import (
     acc_write_through_rd_hetero,
     heterogeneous_markov_acc,
@@ -51,8 +50,6 @@ from .trace_discovery import TraceClass, discover_traces, format_trace_table
 from .traces import CostExpr, Trace, TraceSet, WRITE_THROUGH_TRACES
 
 __all__ = [
-    "acc_write_through_rd_eject",
-    "ejecting_markov_acc",
     "acc_write_through_rd_hetero",
     "heterogeneous_markov_acc",
     "acc_table",

@@ -37,8 +37,6 @@ class GroupSpec:
     size: int
     read_rate: float
     write_rate: float
-    #: Section 6 extension: per-member eject probability (0 in the paper)
-    eject_rate: float = 0.0
 
 
 def deviation_groups(params: WorkloadParams, deviation: Deviation
@@ -91,8 +89,7 @@ def build_chain(
                 if not c:
                     continue
                 for kind, rate in (("read", spec.read_rate),
-                                   ("write", spec.write_rate),
-                                   ("eject", spec.eject_rate)):
+                                   ("write", spec.write_rate)):
                     if rate <= 0.0:
                         continue
                     cost, nxt = kernel.op(state, g, s, kind, env)

@@ -31,7 +31,6 @@ from .partition import (
     LinkFault,
     PartitionPlan,
 )
-from .pool import ReplicaPool
 from .reconfig import (
     MembershipChange,
     MembershipView,
@@ -56,7 +55,6 @@ __all__ = [
     "RunConfig",
     "LockClient",
     "LockManager",
-    "ReplicaPool",
     "EventScheduler",
     "TimerHandle",
     "CRASH_SEMANTICS",

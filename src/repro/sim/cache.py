@@ -1,8 +1,9 @@
 """Bounded replica caches: partial replication with pluggable eviction.
 
 The paper assumes *full replication*: every client holds a copy of every
-object, so ``acc`` never pays a capacity miss.  This module relaxes that
-(ROADMAP item 4): a :class:`CacheConfig` bounds each client to at most
+object, so ``acc`` never pays a capacity miss.  This module relaxes that,
+answering the paper's Section 6 question of how a finite free-memory pool
+changes ``acc``: a :class:`CacheConfig` bounds each client to at most
 ``capacity`` resident object copies, managed by a seed-deterministic
 eviction policy:
 
@@ -25,11 +26,11 @@ family pays its true price: write-through drops clean copies for free,
 directory protocols send a one-token departure notice, and the
 write-back family (Write-Once / Synapse / Illinois ``DIRTY`` copies)
 flushes the dirty value home with a ``WB`` + user-information message.
-Pinned states (:data:`~repro.sim.pool.PINNED_STATES` — e.g. a Berkeley
-owner) are never selected.  A later access to an evicted object is a
-*capacity miss*: the protocol re-fetches the copy (sequencer snapshot
-for the star family, a majority read round for SC-ABD) and the refetch
-is charged to a dedicated ``cache`` share of
+Pinned states (:data:`PINNED_STATES` — e.g. a Berkeley owner) are never
+selected.  A later access to an evicted object is a *capacity miss*: the
+protocol re-fetches the copy (sequencer snapshot for the star family, a
+majority read round for SC-ABD) and the refetch is charged to a
+dedicated ``cache`` share of
 :meth:`~repro.sim.metrics.Metrics.average_cost_breakdown`.
 
 SC-ABD runs the cache in *overlay* mode: quorum replicas are
@@ -55,16 +56,16 @@ committed baseline stays byte-identical.
 from __future__ import annotations
 
 import hashlib
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
 from ..protocols.base import EJECT, READ, WRITE, Operation
 from ..util import did_you_mean, reject_unknown_keys
-from .pool import PINNED_STATES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import SimNode
 
-__all__ = ["CACHE_POLICIES", "DIRTY_STATES", "CacheConfig", "ReplicaCache"]
+__all__ = ["CACHE_POLICIES", "DIRTY_STATES", "PINNED_STATES",
+           "CacheConfig", "ReplicaCache"]
 
 #: recognized eviction policy names, in documentation order
 CACHE_POLICIES = ("lru", "clock", "cost_aware")
@@ -72,11 +73,18 @@ CACHE_POLICIES = ("lru", "clock", "cost_aware")
 #: client states whose eviction must flush the copy home (``WB`` + user
 #: information): the write-back family's dirty bit.  Berkeley's and
 #: Dragon's dirty states are the object's backing copy — pinned via
-#: :data:`~repro.sim.pool.PINNED_STATES`, never evicted, never flushed.
+#: :data:`PINNED_STATES`, never evicted, never flushed.
 DIRTY_STATES = {
     "write_once": frozenset({"DIRTY"}),
     "synapse": frozenset({"DIRTY"}),
     "illinois": frozenset({"DIRTY"}),
+}
+
+#: client states that are the object's backing store (owner copies):
+#: never selected for eviction
+PINNED_STATES = {
+    "berkeley": frozenset({"DIRTY", "SHARED-DIRTY"}),
+    "dragon": frozenset({"SHARED-DIRTY"}),
 }
 
 #: the one client state every star protocol uses for "no copy resident"

@@ -28,7 +28,7 @@ from .faults import FaultPlan
 from .hedge import HedgeConfig
 from .partition import PartitionPlan
 from .reconfig import ReconfigPlan
-from .reliable import ReliabilityConfig
+from .reliable import ReliabilityConfig, resolve_reliability
 
 __all__ = ["RunConfig"]
 
@@ -82,8 +82,8 @@ class RunConfig:
             (timed, possibly asymmetric cuts and per-link overrides) plus
             the failure-detector knobs; layered over ``faults``.
         reliability: optional :class:`ReliabilityConfig`; defaults are
-            applied when ``faults`` or ``partitions`` is given without
-            one.
+            applied when ``faults``, ``partitions``, ``reconfig`` or
+            ``hedge`` is given without one.
         failover: enable sequencer failover (deterministic standby
             election when the current sequencer crashes); only meaningful
             together with a fault plan containing crash windows.
@@ -176,13 +176,12 @@ class RunConfig:
 
     @property
     def resolved_reliability(self) -> Optional[ReliabilityConfig]:
-        """The effective reliability config (defaults under a fault plan)."""
-        if self.reliability is not None:
-            return self.reliability
-        if (self.faults is not None or self.partitions is not None
-                or self.reconfig is not None):
-            return ReliabilityConfig()
-        return None
+        """The effective reliability config (:func:`resolve_reliability`)."""
+        return resolve_reliability(
+            self.reliability, faults=self.faults,
+            partitions=self.partitions, reconfig=self.reconfig,
+            hedge=self.hedge,
+        )
 
     def with_(self, **changes: Any) -> "RunConfig":
         """Return a copy with the given fields replaced (validates again)."""

@@ -30,7 +30,6 @@ from ..protocols.base import (
     EJECT,
     READ,
     RELEASE,
-    WRITE,
     Operation,
     ProcessContext,
     ProtocolProcess,
@@ -38,7 +37,6 @@ from ..protocols.base import (
 )
 from .cache import CacheConfig, ReplicaCache
 from .locks import LOCK_MESSAGE_TYPES, LockClient, LockManager
-from .pool import ReplicaPool
 from .channel import Network
 from .engine import EventScheduler
 from .metrics import Metrics
@@ -201,7 +199,8 @@ class ObjectPort(ProcessContext):
         self._node.metrics.record_complete(op.op_id, op.complete_time)
         if self._node.observer is not None:
             self._node.observer.on_complete(op)
-        self._node.after_local_op(op)
+        if self._node.cache is not None:
+            self._node.cache.after_op(op)
         if self._node.on_complete is not None:
             self._node.on_complete(op)
         if op.callback is not None:
@@ -310,7 +309,6 @@ class SimNode:
         all_nodes: Tuple[int, ...],
         sequencer_id: "int | ClusterView",
         on_complete: Optional[Callable[[Operation], None]] = None,
-        capacity: Optional[int] = None,
         new_op: Optional[Callable[[str, int, int], Operation]] = None,
         cache: Optional[CacheConfig] = None,
         cache_overlay: bool = False,
@@ -346,13 +344,6 @@ class SimNode:
         self.lock_manager = (
             LockManager(self) if node_id == self.sequencer_id else None
         )
-        # finite replica pool (Section 6 extension); the sequencer node is
-        # the objects' home and keeps every copy.
-        self.pool: Optional[ReplicaPool] = None
-        if capacity is not None and node_id != self.sequencer_id:
-            if new_op is None:
-                raise ValueError("a replica pool needs the new_op factory")
-            self.pool = ReplicaPool(capacity, spec.name, self._request_eject)
         # bounded replica cache (partial replication); built on every node
         # — enforcement no-ops while this node is the current sequencer,
         # so the cache follows the node through failover promotions.
@@ -385,30 +376,13 @@ class SimNode:
             return
         self.ports[op.obj].enqueue_request(op)
 
-    def after_local_op(self, op: Operation) -> None:
-        """Pool / cache bookkeeping after an operation completes here."""
-        if self.cache is not None:
-            self.cache.after_op(op)
-        if self.pool is None:
-            return
-        if op.kind in (READ, WRITE):
-            self.pool.touch(op.obj)
-        self.pool.enforce(
-            {obj: port.process.state for obj, port in self.ports.items()}
-        )
-
-    def _request_eject(self, obj: int) -> None:
-        op = self.new_op(EJECT, self.node_id, obj)
-        self.submit(op)
-
     def request_cache_eject(self, obj: int, trigger_id: int) -> None:
         """Issue a cache eviction's EJECT, charged to its trigger.
 
-        Unlike :meth:`_request_eject` (the legacy replica pool, whose
-        ejects are application-visible operations), a cache eject is
-        internal bookkeeping: it is never registered or counted, and all
-        its traffic is redirected onto the ``cache_cost`` of the data
-        operation whose completion forced the eviction.
+        A cache eject is internal bookkeeping, not an application
+        operation: it is never registered or counted, and all its traffic
+        is redirected onto the ``cache_cost`` of the data operation whose
+        completion forced the eviction.
         """
         op = self.new_op(EJECT, self.node_id, obj)
         op.issue_time = self.scheduler.now

@@ -22,12 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..protocols.base import (
-    READ,
-    WRITE,
-    Operation,
-    ProtocolSpec,
-)
+from ..protocols.base import Operation, ProtocolSpec
 from ..obs.trace import TraceConfig, Tracer
 from ..protocols.registry import get_protocol
 from ..workloads.base import Workload
@@ -43,7 +38,8 @@ from .node import ClusterView, SimNode
 from .partition import FailureDetector, PartitionPlan
 from .reconfig import MembershipView, ReconfigManager, ReconfigPlan
 from .recovery import RecoveryManager, WriteLog
-from .reliable import ReliabilityConfig, ReliableNetwork
+from .reliable import (ReliabilityConfig, ReliableNetwork,
+                       resolve_reliability)
 
 __all__ = ["DSMSystem", "SimulationResult"]
 
@@ -231,9 +227,11 @@ class DSMSystem:
             heals.  A real plan implies the reliable-delivery layer and
             the recovery subsystem.
         reliability: optional :class:`ReliabilityConfig`; defaults are used
-            when a fault plan is given without one.  Passing a config with
-            no fault plan runs the reliable layer over a fault-free fabric
-            (pure acknowledgement overhead).
+            when a fault, partition or reconfiguration plan or a hedge is
+            given without one
+            (:func:`~repro.sim.reliable.resolve_reliability`).  Passing a
+            config with no fault plan runs the reliable layer over a
+            fault-free fabric (pure acknowledgement overhead).
         failover: enable sequencer failover — when the current sequencer
             crashes, a deterministic standby election promotes the live
             node with the lowest index under a new epoch (the failed
@@ -281,8 +279,7 @@ class DSMSystem:
             charged to the ``cache`` cost share; the quorum family runs
             the cache as free-eviction overlay bookkeeping (quorum
             replicas are load-bearing).  ``None`` keeps the paper's full
-            replication bit-identical.  Mutually exclusive with the
-            legacy ``capacity=`` replica pool.
+            replication bit-identical.
     """
 
     def __init__(
@@ -293,7 +290,6 @@ class DSMSystem:
         S: float = 100.0,
         P: float = 30.0,
         latency: float = 1.0,
-        capacity: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
         partitions: Optional[PartitionPlan] = None,
         reliability: Optional[ReliabilityConfig] = None,
@@ -315,15 +311,9 @@ class DSMSystem:
             raise ValueError("need at least one shared object")
         if self.spec.quorum_based:
             # the quorum family has no sequencer: the recovery/failover
-            # subsystems (sequencer-anchored) and the replica pool (which
-            # assumes a home node holding every copy) do not apply, and a
-            # quorum replica must be durable across crashes — refuse the
+            # subsystems (sequencer-anchored) do not apply, and a quorum
+            # replica must be durable across crashes — refuse the
             # combinations loudly rather than mis-simulate.
-            if capacity is not None:
-                raise ValueError(
-                    f"{self.spec.name} replicas are quorum members; a "
-                    "finite replica pool (capacity=) is not supported"
-                )
             if failover:
                 raise ValueError(
                     f"{self.spec.name} has no sequencer to fail over; "
@@ -353,12 +343,6 @@ class DSMSystem:
             raise TypeError(
                 f"cache must be a CacheConfig or None, "
                 f"got {type(cache).__name__}"
-            )
-        if cache is not None and capacity is not None:
-            raise ValueError(
-                "cache= (bounded replica caches) and capacity= (the "
-                "legacy replica pool) are both eviction drivers; "
-                "configure at most one"
             )
         self.cache_config = cache
         if not self.spec.quorum_based:
@@ -418,15 +402,10 @@ class DSMSystem:
             partitions
             if partitions is not None and not partitions.is_none else None
         )
-        if ((self.faults is not None or self.partitions is not None
-                or self.reconfig_plan is not None
-                or self.hedge is not None)
-                and reliability is None):
-            # reconfiguration needs the reliable transport too: the epoch
-            # commit voids the old view's in-flight frames through it —
-            # as does hedging (legs ride the datagram transport and the
-            # losers are cancelled through it).
-            reliability = ReliabilityConfig()
+        reliability = resolve_reliability(
+            reliability, faults=self.faults, partitions=self.partitions,
+            reconfig=self.reconfig_plan, hedge=self.hedge,
+        )
         self.reliability = reliability
         if reliability is not None:
             self.network = ReliableNetwork(
@@ -451,9 +430,6 @@ class DSMSystem:
             self._schedule_crash_markers()
         if self.partitions is not None:
             self.partitions.validate_nodes(universe)
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be at least 1 replica")
-        self.capacity = capacity
         self.latency = float(latency)
         self.failover = bool(failover)
         #: shared, mutable sequencer-role view (reassigned by failover)
@@ -472,7 +448,6 @@ class DSMSystem:
                 self.P,
                 self.all_nodes,
                 self.cluster,
-                capacity=capacity,
                 new_op=self._make_internal_op,
                 cache=cache,
                 cache_overlay=self.spec.quorum_based,
@@ -601,7 +576,6 @@ class DSMSystem:
         config,
         M: int = 1,
         *,
-        capacity: Optional[int] = None,
         profiler=None,
         replay_plans: bool = False,
     ) -> "DSMSystem":
@@ -619,7 +593,6 @@ class DSMSystem:
                 partition, reliability, failover, monitor and tracing
                 settings drive the system.
             M: number of shared objects.
-            capacity: optional finite replica pool per client.
             profiler: optional wall-clock :class:`~repro.obs.Profiler`.
             replay_plans: rebuild the fault/partition plans with rewound
                 RNG streams (``plan.replay()``) instead of consuming the
@@ -639,7 +612,6 @@ class DSMSystem:
             M=M,
             S=params.S,
             P=params.P,
-            capacity=capacity,
             faults=faults,
             partitions=partitions,
             reliability=config.reliability,
@@ -659,7 +631,7 @@ class DSMSystem:
         return self.cluster.sequencer_id
 
     def _make_internal_op(self, kind: str, node: int, obj: int) -> Operation:
-        """Factory for system-generated operations (pool evictions)."""
+        """Factory for system-generated operations (cache evictions)."""
         self._next_op_id += 1
         return Operation(op_id=self._next_op_id, node=node, kind=kind,
                          obj=obj)
@@ -1037,21 +1009,6 @@ class DSMSystem:
             ]
         violations.extend(self.monitor.check(authoritative, replicas))
         return violations
-
-    def data_cost_rate(self, skip: int = 0) -> float:
-        """Total communication cost per *data* operation.
-
-        With a finite replica pool the system issues internal eject
-        operations; this measure charges their traffic (write-backs,
-        directory notices) and the induced re-fetch misses to the
-        application's read/write operations: total cost of every completed
-        operation after ``skip``, divided by the number of reads+writes.
-        """
-        recs = self.metrics.records(skip)
-        data_ops = sum(1 for r in recs if r.kind in (READ, WRITE))
-        if not data_ops:
-            raise ValueError("no data operations in the window")
-        return sum(r.cost for r in recs) / data_ops
 
     def total_attributed_cost(self) -> float:
         """Sum of per-operation costs (must equal total message cost)."""

@@ -7,6 +7,7 @@ from repro.sim import (
     CrashWindow,
     DSMSystem,
     FaultPlan,
+    HedgeConfig,
     ReliabilityConfig,
     RunConfig,
 )
@@ -49,9 +50,17 @@ class TestValidation:
         assert RunConfig(faults=plan).faults is plan
 
     def test_fault_plan_implies_default_reliability(self):
-        config = RunConfig(faults=FaultPlan(seed=1, drop_rate=0.1))
-        assert config.reliability is None
-        assert config.resolved_reliability == ReliabilityConfig()
+        # every knob that rides the reliable transport implies its
+        # defaults, and the system builds exactly what the config reports.
+        for protocol, config in (
+            ("write_through",
+             RunConfig(faults=FaultPlan(seed=1, drop_rate=0.1))),
+            ("sc_abd", RunConfig(hedge=HedgeConfig())),
+        ):
+            assert config.reliability is None
+            assert config.resolved_reliability == ReliabilityConfig()
+            system = DSMSystem.from_config(protocol, PARAMS, config)
+            assert system.reliability == config.resolved_reliability
 
     def test_with_revalidates(self):
         config = RunConfig(ops=1000, warmup=200)

@@ -15,7 +15,7 @@ import pytest
 from repro.core.parameters import WorkloadParams
 from repro.exp import SweepCell, row_line, run_cell
 from repro.sim import CacheConfig, CrashWindow, DSMSystem, FaultPlan, RunConfig
-from repro.sim.cache import CACHE_POLICIES
+from repro.sim.cache import CACHE_POLICIES, PINNED_STATES
 from repro.workloads import read_disturbance_workload
 
 PARAMS = WorkloadParams(N=4, p=0.3, a=3, sigma=0.15, S=100.0, P=30.0,
@@ -77,14 +77,28 @@ class TestCacheConfig:
 
 
 class TestResidency:
-    @pytest.mark.parametrize("protocol", ["write_through", "firefly"])
+    @pytest.mark.parametrize("protocol", ["write_through", "firefly",
+                                          "synapse", "berkeley", "dragon"])
     def test_clients_end_within_capacity(self, protocol):
         system, result = run(protocol, CacheConfig(capacity=3, seed=7))
         assert result.violations == ()
         system.check_coherence()
+        # owner copies (Berkeley, Dragon) are the objects' backing store:
+        # pinned, so only the evictable copies count against the bound.
+        pinned = PINNED_STATES.get(protocol, frozenset()) | {"INVALID"}
         for node_id in range(1, PARAMS.N + 1):
-            cache = system.nodes[node_id].cache
-            assert cache.resident_count() <= 3, node_id
+            states = [port.process.state
+                      for port in system.nodes[node_id].ports.values()]
+            assert sum(st not in pinned for st in states) <= 3, node_id
+        # home copies are the memory of record: the sequencer never
+        # evicts, however many objects it touches.
+        seq = system.sequencer_id
+        evictions = system.metrics.cache.evictions
+        for obj in range(1, M + 1):
+            system.submit(seq, "read", obj=obj)
+            system.settle()
+        assert system.metrics.cache.evictions == evictions
+        assert not system.nodes[seq].cache.evicted
 
     def test_evicted_objects_are_not_resident(self):
         system, _ = run("write_through", CacheConfig(capacity=2, seed=7))
@@ -101,6 +115,16 @@ class TestResidency:
                              ops=800, warmup=100)
         assert result.violations == ()
         assert system.metrics.cache.evictions > 0
+        # a cache holding the whole working set never evicts and costs
+        # exactly what full replication does; the tight one thrashes.
+        roomy, _ = run("write_through",
+                       CacheConfig(capacity=M, policy=policy, seed=7),
+                       ops=800, warmup=100)
+        bare, _ = run("write_through", None, ops=800, warmup=100)
+        assert roomy.metrics.cache.evictions == 0
+        acc = roomy.metrics.average_cost(skip=100)
+        assert acc == bare.metrics.average_cost(skip=100)
+        assert system.metrics.average_cost(skip=100) > acc
 
 
 class TestCounters:

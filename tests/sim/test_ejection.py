@@ -2,11 +2,6 @@
 
 import pytest
 
-from repro.core.ejection import (
-    acc_write_through_rd_eject,
-    ejecting_markov_acc,
-)
-from repro.core.parameters import Deviation, WorkloadParams
 from repro.sim import DSMSystem
 
 from ..protocols.util import assert_equivalent
@@ -114,48 +109,3 @@ class TestEjectCoherence:
                 ops.append((int(rng.integers(1, N + 1)), kind))
             assert_equivalent(protocol, N, ops)
 
-
-class TestAnalyticEjection:
-    def test_write_through_closed_form_matches_markov(self, rng):
-        for _ in range(10):
-            p = float(rng.uniform(0, 0.5))
-            sigma = float(rng.uniform(0, 0.1))
-            e_ac = float(rng.uniform(0, 0.1))
-            e_d = float(rng.uniform(0, 0.1))
-            w = WorkloadParams(N=5, p=p, a=2, sigma=sigma, S=S, P=P)
-            m = ejecting_markov_acc("write_through", w, Deviation.READ,
-                                    eject_ac=e_ac, eject_dist=e_d)
-            c = acc_write_through_rd_eject(p, sigma, 2, e_ac, e_d, S, P, 5)
-            assert m == pytest.approx(c, rel=1e-9)
-
-    def test_zero_eject_reduces_to_plain_model(self):
-        from repro.core.chains import markov_acc
-        w = WorkloadParams(N=5, p=0.3, a=2, sigma=0.1, S=S, P=P)
-        for proto in ALL:
-            plain = markov_acc(proto, w, Deviation.READ)
-            ej = ejecting_markov_acc(proto, w, Deviation.READ)
-            assert ej == pytest.approx(plain, rel=1e-12), proto
-
-    def test_eject_pressure_increases_data_op_cost(self):
-        """More eviction pressure can only add misses and write-backs.
-
-        The per-*slot* average can decrease (eject slots are often free
-        and displace read slots), so the monotone quantity is the cost per
-        data (read/write) operation: acc divided by the data-op fraction
-        of the trial mix.
-        """
-        w = WorkloadParams(N=5, p=0.3, a=2, sigma=0.1, S=S, P=P)
-        for proto in ALL:
-            rates = []
-            for e in (0.01, 0.05, 0.1):
-                acc = ejecting_markov_acc(proto, w, Deviation.READ,
-                                          eject_ac=e, eject_dist=e)
-                data_fraction = 1.0 - e - w.a * e
-                rates.append(acc / data_fraction)
-            assert rates[0] <= rates[1] + 1e-9 <= rates[2] + 2e-9, proto
-
-    def test_infeasible_rates_rejected(self):
-        w = WorkloadParams(N=5, p=0.5, a=2, sigma=0.2, S=S, P=P)
-        with pytest.raises(ValueError):
-            ejecting_markov_acc("write_through", w, Deviation.READ,
-                                eject_ac=0.2)

@@ -70,12 +70,13 @@ class TestSimulate:
         assert code == 0
         assert "simulated acc" in out and "latency" in out
 
-    def test_simulate_with_pool(self, capsys):
+    def test_simulate_with_cache(self, capsys):
         code, out, _ = run(capsys, "simulate", "write_through", "--N", "3",
                            "--p", "0.3", "--a", "2", "--sigma", "0.1",
-                           "--ops", "600", "--M", "5", "--capacity", "2")
+                           "--ops", "600", "--M", "5",
+                           "--cache-capacity", "2")
         assert code == 0
-        assert "pool evictions" in out
+        assert "cache hits/misses" in out
 
 
 class TestSimulateFaults:
