@@ -235,6 +235,57 @@ class TestProfilerWiring:
         assert (profiler.stats()["engine.dispatch"]["calls"]
                 == system.scheduler.executed)
 
+    def test_profiler_parity_on_a_fault_free_quorum_run(self, monkeypatch):
+        """sc_abd on the plain fabric mixes lane posts (deliveries), heap
+        timers (quorum phases) and timers cancelled when a phase
+        completes.  Every live event is one timed dispatch and every
+        delivered message one timed ``on_message``."""
+        from repro.sim.channel import Network
+        from repro.sim.engine import EventScheduler, TimerHandle
+        posts = []
+        timers = []
+        cancels = []
+        delivered = []
+        post = EventScheduler.post
+        schedule = EventScheduler.schedule
+        cancel = TimerHandle.cancel
+        deliver = Network._deliver
+
+        def counting_post(sched, *args):
+            posts.append(args[0])
+            post(sched, *args)
+
+        def counting_schedule(sched, *args):
+            timers.append(args[0])
+            return schedule(sched, *args)
+
+        def counting_cancel(handle):
+            cancelled = cancel(handle)
+            cancels.append(cancelled)
+            return cancelled
+
+        def counting_deliver(net, item):
+            delivered.append(item[2])
+            deliver(net, item)
+
+        monkeypatch.setattr(EventScheduler, "post", counting_post)
+        monkeypatch.setattr(EventScheduler, "schedule", counting_schedule)
+        monkeypatch.setattr(TimerHandle, "cancel", counting_cancel)
+        monkeypatch.setattr(Network, "_deliver", counting_deliver)
+        profiler = Profiler()
+        system = DSMSystem("sc_abd", N=PARAMS.N, M=2, S=PARAMS.S,
+                           P=PARAMS.P, profiler=profiler)
+        result = system.run_workload(
+            read_disturbance_workload(PARAMS, M=2),
+            RunConfig(ops=300, warmup=30, seed=2))
+        assert result.incomplete_ops == 0
+        assert posts and timers and any(cancels)
+        assert len(delivered) == result.messages
+        stats = profiler.stats()
+        assert (stats["engine.dispatch"]["calls"]
+                == system.scheduler.executed)
+        assert stats["protocol.on_message"]["calls"] == len(delivered)
+
     def test_profiler_output_stays_out_of_results(self):
         config = RunConfig(ops=200, warmup=20, seed=1)
         with_prof = _run_system(config, profiler=Profiler())

@@ -9,7 +9,13 @@ before those changes; every protocol's ``(acc, messages, events,
 end_time)`` and steady-state trace histogram must reproduce them exactly,
 on the faulty fabric so must the reliability, partition and recovery
 counters, and traced runs must export byte-identical Chrome and JSONL
-traces.
+traces.  Three larger sc_abd runs pin the quorum paths the N=4 runs never
+reach: initiators outside the core quorum, re-selection and hedging
+around a straggler, and the membership-view predicate.
+
+Under ``frozen_payloads`` a built message and its dict payload are both
+read-only, so a handler that mutated a payload another message shares
+(an sc_abd fan-out sends one payload to every target) fails loudly.
 """
 
 import dataclasses
@@ -25,10 +31,12 @@ from repro.obs import TraceConfig
 from repro.obs.export import events_jsonl, trace_json
 from repro.protocols.registry import all_protocol_names
 from repro.sim import (
-    CrashWindow, DSMSystem, FaultPlan, Frame, LinkFault, PartitionPlan,
-    RunConfig, SlowWindow,
+    CrashWindow, DSMSystem, FaultPlan, Frame, HedgeConfig, LinkFault,
+    MembershipChange, PartitionPlan, ReconfigPlan, RunConfig, SlowWindow,
 )
-from repro.workloads import write_disturbance_workload
+from repro.workloads import (
+    read_disturbance_workload, write_disturbance_workload,
+)
 
 PARAMS = WorkloadParams(N=4, p=0.3, a=2, xi=0.1, S=50.0, P=20.0)
 WARMUP = 200
@@ -297,6 +305,63 @@ FAULTY_STATS = {
 }
 
 
+#: the benchmark's ``quorum`` point: N=8 (core quorum 1..5, so nodes 6
+#: and 7 initiate from outside it), M=4, read disturbance
+QUORUM_PARAMS = WorkloadParams(N=8, p=0.3, a=6, sigma=0.1, S=100.0, P=30.0)
+QUORUM_WARMUP = 200
+
+#: run -> RunConfig of the three sc_abd quorum runs (seed 13, mean gap 10)
+QUORUM_RUNS = {
+    # the plain fabric at the workload's own shape
+    "plain": RunConfig(ops=3000, warmup=QUORUM_WARMUP, seed=13,
+                       mean_gap=10.0),
+    # a 12x straggler (node 3, inside the core) hedged around and
+    # re-selected past
+    "hedge": RunConfig(
+        ops=2000, warmup=QUORUM_WARMUP, seed=13, mean_gap=10.0,
+        faults=FaultPlan(slowdowns=[SlowWindow(3, 2000.0, 12000.0, 12.0)]),
+        hedge=HedgeConfig(budget=8.0, max_legs=2, seed=3)),
+    # node 10 joins, node 2 leaves, node 5 carries three votes: every
+    # phase runs through the membership view
+    "view": RunConfig(
+        ops=2000, warmup=QUORUM_WARMUP, seed=13, mean_gap=10.0,
+        reconfig=ReconfigPlan(seed=3, changes=(
+            MembershipChange(at=3000.0, joins=(10,)),
+            MembershipChange(at=9000.0, leaves=(2,)),
+        )),
+        quorum_weights=((5, 3.0),)),
+}
+
+#: run -> (acc, messages, events executed, end_time, sha256 of the sorted
+#: trace histogram)
+QUORUM_PINNED = {
+    "plain": (
+        350.52785714285716, 38760, 42636, 30230.013161243773,
+        "9f99afa62411e5bd2f6564cb5141bcf0ad8848dd96a93ab3a4bfdf8fded1417f"),
+    "hedge": (
+        551.7366666666667, 57966, 64594, 19734.808193682304,
+        "f4cc5f93a05600fe9bdc3fa87913611ca5d2496be4e96f952188cf95309606b9"),
+    "view": (
+        309.65555555555557, 40332, 42916, 19734.808193682304,
+        "f2d46732948bf216a5cb0174ec936b2b8f87f6c75e47f2f67ad6db091bf7f964"),
+}
+
+_NO_FAULTS = dict(
+    retransmissions=0, acks=0, duplicates_suppressed=0, out_of_order_held=0,
+    drops=0, duplicates_injected=0, sends_suppressed=0, crashes=0,
+    recoveries=0, delivery_failures=0, dgram_abandoned=0,
+    quorum_reselections=0, hedges_launched=0, failed_op_ids=[], cost=0.0)
+
+#: run -> ``ReliabilityStats`` field values after the run
+QUORUM_STATS = {
+    "plain": _NO_FAULTS,
+    "hedge": dict(_NO_FAULTS, retransmissions=3558, acks=26708,
+                  duplicates_suppressed=3558, quorum_reselections=84,
+                  hedges_launched=188, cost=283156.0),
+    "view": dict(_NO_FAULTS, acks=18132, cost=18132.0),
+}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -306,12 +371,29 @@ def _histogram_digest(hist) -> str:
                              for sig, n in sorted(hist.items())))
 
 
-def _make_read_only(monkeypatch, cls):
-    """Make a built ``cls`` instance read-only, as a frozen dataclass is."""
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise; still ``isinstance(dict)``, which
+    ``RecoveryManager._absorb_voided`` checks."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a message payload is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+def _make_read_only(monkeypatch, cls, freeze_payload=False):
+    """Make a built ``cls`` instance read-only, as a frozen dataclass is.
+
+    With ``freeze_payload``, a dict assigned to the ``payload`` field is
+    replaced by a read-only copy.
+    """
     def set_once(obj, name, value):
         try:
             getattr(obj, name)
         except AttributeError:  # an unset slot: ``__init__`` is filling it
+            if freeze_payload and name == "payload" and type(value) is dict:
+                value = _ReadOnlyDict(value)
             object.__setattr__(obj, name, value)
             return
         raise dataclasses.FrozenInstanceError(
@@ -337,6 +419,17 @@ def frozen_messages(monkeypatch):
 
 
 @pytest.fixture
+def frozen_payloads(monkeypatch):
+    """Like ``frozen_messages``, and a dict payload is read-only too.
+
+    A payload may be shared by several messages (every target of an
+    sc_abd fan-out gets the same dict) and by every redelivery of one,
+    so no handler may mutate it.
+    """
+    _make_read_only(monkeypatch, Message, freeze_payload=True)
+
+
+@pytest.fixture
 def frozen_frames(monkeypatch):
     """Make a built transport :class:`Frame` read-only, likewise: the
     reliable layer retransmits the same frame object, and the faulty
@@ -359,6 +452,29 @@ def test_frozen_messages_fixture_rejects_assignment(frozen_messages):
     assert (msg.payload, msg.op_id) == (None, None)
 
 
+def test_frozen_payloads_fixture_rejects_mutation(frozen_payloads):
+    token = MessageToken(MsgType.Q_RD, 1, 1, QueueTag.DISTRIBUTED,
+                         ParamPresence.NONE)
+    shared = {"gen": 1, "retry": False, "hedge": False}
+    msg = Message(token, 1, 2, shared)
+    assert isinstance(msg.payload, dict)
+    assert msg.payload == shared
+    for mutate in (lambda p: p.__setitem__("gen", 2),
+                   lambda p: p.__delitem__("gen"),
+                   lambda p: p.update(gen=2), lambda p: p.pop("gen"),
+                   lambda p: p.popitem(), lambda p: p.clear(),
+                   lambda p: p.setdefault("ts", (0, 0))):
+        with pytest.raises(TypeError):
+            mutate(msg.payload)
+    with pytest.raises(TypeError):
+        payload = msg.payload
+        payload |= {"gen": 2}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        msg.payload = {}
+    assert msg.payload == {"gen": 1, "retry": False, "hedge": False}
+    assert Message(token, 1, 2, (1, 2)).payload == (1, 2)
+
+
 def test_frozen_frames_fixture_rejects_assignment(frozen_frames):
     frame = Frame("ack", 2, 1, 7)
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -379,7 +495,7 @@ def test_frames_are_unhashable():
 
 @pytest.mark.parametrize("protocol", sorted(PINNED))
 def test_no_handler_modifies_a_redelivered_message(protocol,
-                                                   frozen_messages,
+                                                   frozen_payloads,
                                                    frozen_frames):
     """Drops force retransmissions and duplicates redeliver the same
     message and frame objects; no protocol, transport or detector
@@ -395,7 +511,7 @@ def test_no_handler_modifies_a_redelivered_message(protocol,
 
 
 @pytest.mark.parametrize("protocol", sorted(PINNED))
-def test_plain_fabric_outputs_are_unchanged(protocol, frozen_messages):
+def test_plain_fabric_outputs_are_unchanged(protocol, frozen_payloads):
     system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P)
     result = system.run_workload(
         write_disturbance_workload(PARAMS, M=2),
@@ -444,7 +560,7 @@ def test_every_protocol_is_pinned_on_the_faulty_fabric():
 
 
 @pytest.mark.parametrize("protocol", sorted(FAULTY_PINNED))
-def test_faulty_fabric_outputs_are_unchanged(protocol, frozen_messages,
+def test_faulty_fabric_outputs_are_unchanged(protocol, frozen_payloads,
                                             frozen_frames):
     system, result = _faulty_run(protocol)
     acc, messages, events, end_time, hist = FAULTY_PINNED[protocol]
@@ -468,3 +584,26 @@ def test_traced_faulty_run_exports_are_byte_identical():
                                   tracing=TraceConfig(sample_every=3))
     assert _digest(trace_json(system.tracer)) == TRACED_FAULTY_CHROME
     assert _digest(events_jsonl(system.tracer)) == TRACED_FAULTY_JSONL
+
+
+@pytest.mark.parametrize("run", sorted(QUORUM_RUNS))
+def test_quorum_outputs_are_unchanged(run, frozen_payloads, frozen_frames):
+    config = QUORUM_RUNS[run]
+    system = DSMSystem.from_config("sc_abd", QUORUM_PARAMS, config, M=4)
+    result = system.run_workload(
+        read_disturbance_workload(QUORUM_PARAMS, M=4), config)
+    acc, messages, events, end_time, hist = QUORUM_PINNED[run]
+    assert result.incomplete_ops == 0
+    assert result.acc == acc
+    assert result.messages == messages
+    assert system.scheduler.executed == events
+    assert result.end_time == end_time
+    assert _histogram_digest(
+        system.metrics.trace_histogram(skip=QUORUM_WARMUP)) == hist
+    assert (dataclasses.asdict(system.metrics.reliability)
+            == QUORUM_STATS[run])
+    initiators = {r.node for r in system.metrics.records(QUORUM_WARMUP)}
+    assert {1, 7} <= initiators  # inside and outside the core quorum
+    if run == "view":
+        assert system.membership.committed == (1, 3, 4, 5, 6, 7, 8, 9, 10)
+        assert system.metrics.reconfig.commits == 2
