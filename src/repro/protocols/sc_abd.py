@@ -36,6 +36,14 @@ unordered datagram transport
 (:meth:`repro.sim.reliable.ReliableNetwork.send_unordered`), whose
 retry-budget exhaustion degrades into silence rather than delivery
 violations: liveness is owned here, by re-selection, not by the channel.
+
+Every phase fan-out builds **one payload**, shared by the message to each
+target, so payloads are read-only: no handler may mutate one (replicas
+answer with a fresh dict, and the identity tests run every protocol with
+payload mutation made an error).  Every request payload carries ``gen``,
+``retry`` and ``hedge``.  The static majority and core quorum are
+computed once per process; a membership view, when one is attached,
+supplies its own core and quorum predicate.
 """
 
 from __future__ import annotations
@@ -72,6 +80,22 @@ QUORUM_MAX_ATTEMPTS = 60
 
 Timestamp = Tuple[int, int]
 
+# the handlers compare and send these on every message; reading an
+# Enum member through its class goes through the metaclass's attribute
+# hook, several times the cost of reading a module global
+_Q_RD, _Q_RR, _Q_TS, _Q_TR = (MsgType.Q_RD, MsgType.Q_RR, MsgType.Q_TS,
+                              MsgType.Q_TR)
+_Q_UPD, _Q_WB, _Q_ACK = MsgType.Q_UPD, MsgType.Q_WB, MsgType.Q_ACK
+_NONE, _USER_INFO = ParamPresence.NONE, ParamPresence.USER_INFO
+
+#: phase -> (request type, parameter presence) of its fan-out
+_PHASE_MESSAGES = {
+    "read": (_Q_RD, _NONE),
+    "write_ts": (_Q_TS, _NONE),
+    "write_upd": (_Q_UPD, ParamPresence.WRITE),
+    "repair": (_Q_WB, ParamPresence.WRITE),
+}
+
 
 def majority(num_nodes: int) -> int:
     """Majority quorum size ``m`` for an ``n``-node system."""
@@ -98,6 +122,11 @@ class SCABDProcess(ProtocolProcess):
 
     def __init__(self, ctx: ProcessContext):
         super().__init__(ctx, initial_state=REPLICA)
+        # the node set is fixed for the process's life, so the static
+        # majority and core quorum are too (a membership view, attached
+        # later, keeps its own geometry and predicate)
+        self._m = majority(len(ctx.all_nodes))
+        self._static_core = core_quorum(ctx.all_nodes)
         #: logical timestamp of the local copy, ``(number, node_id)``
         self.ts: Timestamp = (0, 0)
         # ---- initiator-side phase machine (one op at a time per port:
@@ -126,10 +155,6 @@ class SCABDProcess(ProtocolProcess):
     # quorum geometry
     # ------------------------------------------------------------------
 
-    @property
-    def _m(self) -> int:
-        return majority(len(self.ctx.all_nodes))
-
     def _view(self):
         """The shared :class:`~repro.sim.reconfig.MembershipView`, if any.
 
@@ -146,7 +171,7 @@ class SCABDProcess(ProtocolProcess):
             return view.core()
         demoted = getattr(self.ctx, "demoted_nodes", None)
         if not demoted:
-            return core_quorum(self.ctx.all_nodes)
+            return self._static_core
         # latency-aware primary selection (static count-majority mode
         # only): demoted stragglers sort behind every healthy node, so
         # the cheapest *responsive* majority is contacted first.  Any
@@ -210,41 +235,24 @@ class SCABDProcess(ProtocolProcess):
         self._arm_hedge_timer()
 
     def _send_phase(self, targets, retry: bool, hedge: bool = False) -> None:
+        # one payload for the whole fan-out: every target's message
+        # carries the same dict, which no handler mutates
+        phase = self._phase
         op = self._op
-        if self._phase == "read":
-            for dst in targets:
-                self.ctx.send_unordered(
-                    dst, MsgType.Q_RD, ParamPresence.NONE, op.op_id,
-                    payload={"gen": self._gen, "retry": retry,
-                             "hedge": hedge},
-                    quorum=retry, hedge=hedge,
-                )
-        elif self._phase == "write_ts":
-            for dst in targets:
-                self.ctx.send_unordered(
-                    dst, MsgType.Q_TS, ParamPresence.NONE, op.op_id,
-                    payload={"gen": self._gen, "retry": retry,
-                             "hedge": hedge},
-                    quorum=retry, hedge=hedge,
-                )
-        elif self._phase == "write_upd":
-            for dst in targets:
-                self.ctx.send_unordered(
-                    dst, MsgType.Q_UPD, ParamPresence.WRITE, op.op_id,
-                    payload={"gen": self._gen, "ts": self._new_ts,
-                             "value": op.params, "retry": retry,
-                             "hedge": hedge},
-                    quorum=retry, hedge=hedge,
-                )
-        elif self._phase == "repair":
-            for dst in targets:
-                self.ctx.send_unordered(
-                    dst, MsgType.Q_WB, ParamPresence.WRITE, op.op_id,
-                    payload={"gen": self._gen, "ts": self._read_ts,
-                             "value": self._read_value, "retry": retry,
-                             "hedge": hedge},
-                    quorum=retry, hedge=hedge,
-                )
+        if phase == "write_upd":
+            payload = {"gen": self._gen, "ts": self._new_ts,
+                       "value": op.params, "retry": retry, "hedge": hedge}
+        elif phase == "repair":
+            payload = {"gen": self._gen, "ts": self._read_ts,
+                       "value": self._read_value, "retry": retry,
+                       "hedge": hedge}
+        else:
+            payload = {"gen": self._gen, "retry": retry, "hedge": hedge}
+        mtype, presence = _PHASE_MESSAGES[phase]
+        op_id = op.op_id
+        send = self.ctx.send_unordered
+        for dst in targets:
+            send(dst, mtype, presence, op_id, payload, None, retry, hedge)
 
     def _arm_timer(self) -> None:
         delay = backoff_delay(QUORUM_TIMEOUT, QUORUM_BACKOFF, self._attempts,
@@ -404,39 +412,33 @@ class SCABDProcess(ProtocolProcess):
         return True
 
     def on_message(self, msg: Message) -> None:
-        mtype = msg.token.type
+        token = msg.token
+        mtype = token.type
         payload = msg.payload
-        if mtype is MsgType.Q_RD:
+        if mtype is _Q_RD:
             self.ctx.send_unordered(
-                msg.src, MsgType.Q_RR, ParamPresence.USER_INFO, msg.op_id,
-                payload={"gen": payload["gen"], "ts": self.ts,
-                         "value": self.value},
-                initiator=msg.token.operation_initiator,
-                quorum=payload["retry"],
-                hedge=payload.get("hedge", False),
-            )
-        elif mtype is MsgType.Q_TS:
+                msg.src, _Q_RR, _USER_INFO, msg.op_id,
+                {"gen": payload["gen"], "ts": self.ts, "value": self.value},
+                token.operation_initiator, payload["retry"],
+                payload["hedge"])
+        elif mtype is _Q_TS:
             self.ctx.send_unordered(
-                msg.src, MsgType.Q_TR, ParamPresence.NONE, msg.op_id,
-                payload={"gen": payload["gen"], "ts": self.ts},
-                initiator=msg.token.operation_initiator,
-                quorum=payload["retry"],
-                hedge=payload.get("hedge", False),
-            )
-        elif mtype in (MsgType.Q_UPD, MsgType.Q_WB):
+                msg.src, _Q_TR, _NONE, msg.op_id,
+                {"gen": payload["gen"], "ts": self.ts},
+                token.operation_initiator, payload["retry"],
+                payload["hedge"])
+        elif mtype is _Q_UPD or mtype is _Q_WB:
             self._install(payload["ts"], payload["value"])
             self.ctx.send_unordered(
-                msg.src, MsgType.Q_ACK, ParamPresence.NONE, msg.op_id,
-                payload={"gen": payload["gen"]},
-                initiator=msg.token.operation_initiator,
-                quorum=payload["retry"],
-                hedge=payload.get("hedge", False),
-            )
-        elif mtype is MsgType.Q_RR:
+                msg.src, _Q_ACK, _NONE, msg.op_id,
+                {"gen": payload["gen"]},
+                token.operation_initiator, payload["retry"],
+                payload["hedge"])
+        elif mtype is _Q_RR:
             self._on_read_reply(msg)
-        elif mtype is MsgType.Q_TR:
+        elif mtype is _Q_TR:
             self._on_ts_reply(msg)
-        elif mtype is MsgType.Q_ACK:
+        elif mtype is _Q_ACK:
             self._on_ack(msg)
         else:  # pragma: no cover - specification error
             raise ValueError(f"sc_abd: unexpected {mtype}")
@@ -450,10 +452,10 @@ class SCABDProcess(ProtocolProcess):
                 and payload["gen"] == self._gen)
 
     def _on_read_reply(self, msg: Message) -> None:
-        if not self._live("read", msg.payload):
+        payload = msg.payload
+        if not self._live("read", payload):
             return
-        self._replies[msg.src] = (tuple(msg.payload["ts"]),
-                                  msg.payload["value"])
+        self._replies[msg.src] = (tuple(payload["ts"]), payload["value"])
         if not self._quorum_reached(self._replies):
             return
         # phase 1 complete: the max timestamp is the read's value.
@@ -474,9 +476,10 @@ class SCABDProcess(ProtocolProcess):
         self._enter_phase("repair", sorted(stale), retry=False)
 
     def _on_ts_reply(self, msg: Message) -> None:
-        if not self._live("write_ts", msg.payload):
+        payload = msg.payload
+        if not self._live("write_ts", payload):
             return
-        self._replies[msg.src] = tuple(msg.payload["ts"])
+        self._replies[msg.src] = tuple(payload["ts"])
         if not self._quorum_reached(self._replies):
             return
         # phase 1 complete: mint a unique, dominating timestamp.

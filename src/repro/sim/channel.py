@@ -150,15 +150,17 @@ class Network:
         Raises:
             RuntimeError: if ``msg.dst`` was never attached to the fabric.
         """
-        if msg.dst not in self._deliver_to:
+        src = msg.src
+        dst = msg.dst
+        if dst not in self._deliver_to:
             raise RuntimeError(
-                f"cannot send {type(msg).__name__} from node {msg.src}: "
-                f"destination node {msg.dst} is not attached to the network"
+                f"cannot send {type(msg).__name__} from node {src}: "
+                f"destination node {dst} is not attached to the network"
             )
         faulty = ((self.faults is not None or self.partitions is not None)
-                  and msg.src != msg.dst)
+                  and src != dst)
         if (faulty and self.screen_sources and self.faults is not None
-                and self.faults.is_down(msg.src, self.scheduler.now)):
+                and self.faults.is_down(src, self.scheduler.now)):
             # the source's interface is dead: nothing leaves the node and
             # nothing is charged (the message was never emitted).
             self.suppressed += 1
@@ -168,9 +170,10 @@ class Network:
         if self.on_cost is not None and cost > 0.0:
             self.on_cost(msg, cost)
         self.messages_sent += 1
-        channel = (msg.src, msg.dst)
-        seq = self._sent_seq.get(channel, 0) + 1
-        self._sent_seq[channel] = seq
+        channel = (src, dst)
+        sent_seq = self._sent_seq
+        seq = sent_seq.get(channel, 0) + 1
+        sent_seq[channel] = seq
 
         if not faulty:
             self.scheduler.post(self.latency, self._deliver,
@@ -180,7 +183,6 @@ class Network:
         # ---- fault path: drops, duplicates, jitter, dead receivers ----
         plan = self.faults
         parts = self.partitions
-        src, dst = channel
         now = self.scheduler.now
         # the link's (drop, duplicate, jitter) rates, looked up once;
         # None when no link fault is active (every rate is then 0)

@@ -34,7 +34,11 @@ one pending arrival instead of the whole stream.
 
 :meth:`EventScheduler.step` fires whichever of the lane head and the heap
 head has the smaller ``(time, seq)``.  Every event therefore fires exactly
-when a single heap holding all of them would fire it.
+when a single heap holding all of them would fire it.  ``step`` dispatches
+the event itself — it sets ``now``, counts the event and calls the
+callback, with no helper call in between; only with a profiler attached
+does the call go through ``_timed``, which times it under the
+``engine.dispatch`` scope.
 """
 
 from __future__ import annotations
@@ -205,32 +209,36 @@ class EventScheduler:
         while heap and not (lane and lane[0] < heap[0]):
             time, _seq, callback, arg = _heappop(heap)
             if callback is not None:  # a posted event
-                self._dispatch(time, callback, arg)
-                return True
+                break
             callback = arg._callback
             if callback is None:  # cancelled: discard silently
                 self._cancelled -= 1
                 continue
             arg._callback = None  # fired: the handle goes inactive
-            self._dispatch(time, callback)
+            self.now = time
+            self.executed += 1
+            if self.profiler is None:
+                callback()
+            else:
+                self._timed(callback)
             return True
-        if not lane:
-            return False
-        time, _seq, callback, arg = lane.popleft()
-        self._dispatch(time, callback, arg)
-        return True
-
-    def _dispatch(self, time: float, callback: Callable[..., None],
-                  *args: Any) -> None:
+        else:  # no heap entry is due first: the lane head fires, if any
+            if not lane:
+                return False
+            time, _seq, callback, arg = lane.popleft()
         self.now = time
         self.executed += 1
-        profiler = self.profiler
-        if profiler is None:
-            callback(*args)
+        if self.profiler is None:
+            callback(arg)
         else:
-            t0 = perf_counter()
-            callback(*args)
-            profiler.add("engine.dispatch", perf_counter() - t0)
+            self._timed(callback, arg)
+        return True
+
+    def _timed(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run one event's callback under the ``engine.dispatch`` scope."""
+        t0 = perf_counter()
+        callback(*args)
+        self.profiler.add("engine.dispatch", perf_counter() - t0)
 
     def run(
         self,
@@ -249,9 +257,12 @@ class EventScheduler:
         """
         start = self.executed
         step = self.step
-        while max_events is None or self.executed - start < max_events:
-            if until is not None and until():
-                break
-            if not step():
-                break
+        if until is None:
+            limit = float("inf") if max_events is None else start + max_events
+            while self.executed < limit and step():
+                pass
+        else:
+            while max_events is None or self.executed - start < max_events:
+                if until() or not step():
+                    break
         return self.executed - start

@@ -16,6 +16,16 @@ Requests and responses to different shared objects are independent — each
 object has its own queues and protocol process, matching the paper's
 "protocol processes associated with the copies of that particular data
 block".
+
+Each :class:`ObjectPort` binds its transport once, at construction: the
+fabric's ``send``, the reliable transport's ``send_unordered`` and
+``cancel_dgrams`` (``None`` on the plain fabric, which has no datagram
+transport), and the scheduler.  A send looks its shared token up in the
+port's cache inline, builds one :class:`Message` and hands it to the
+bound method; a delivery reads the profiler off the bound scheduler.
+Every method the benchmark's layer run wraps stays a class attribute on
+that path (no instance attribute shadows one), so the layer run keeps
+attributing time to it.
 """
 
 from __future__ import annotations
@@ -78,9 +88,15 @@ class ObjectPort(ProcessContext):
         self.node_id = node.node_id
         self.all_nodes = node.all_nodes
         self.obj = obj
-        # the fabric and the cost constants are fixed for the node's life,
-        # so the send path binds them once
-        self._net_send = node.network.send
+        # the fabric, the scheduler and the cost constants are fixed for
+        # the node's life, so the send and deliver paths bind them once.
+        # Only the reliable transport carries unordered datagrams; on the
+        # plain fabric both datagram hooks stay None.
+        network = node.network
+        self._net_send = network.send
+        self._net_send_unordered = getattr(network, "send_unordered", None)
+        self._net_cancel_dgrams = getattr(network, "cancel_dgrams", None)
+        self._scheduler = node.scheduler
         self._S = node.S
         self._P = node.P
         # tokens are frozen, so one per (type, presence, initiator) is
@@ -129,24 +145,26 @@ class ObjectPort(ProcessContext):
         payload: Any = None,
         initiator: Optional[int] = None,
     ) -> None:
-        token = self._token(msg_type, presence, initiator)
-        self._net_send(Message(token, self.node_id, dst, payload, op_id),
-                       self._S, self._P)
-
-    def _token(self, msg_type: MsgType, presence: ParamPresence,
-               initiator: Optional[int]) -> MessageToken:
-        """The shared token for one message header, made on first use."""
         key = (msg_type, presence,
                self.node_id if initiator is None else initiator)
         token = self._tokens.get(key)
         if token is None:
-            token = self._tokens[key] = MessageToken(
-                type=msg_type,
-                operation_initiator=key[2],
-                object_name=self.obj,
-                queue=QueueTag.DISTRIBUTED,
-                parameter_presence=presence,
-            )
+            token = self._token(key)
+        self._net_send(Message(token, self.node_id, dst, payload, op_id),
+                       self._S, self._P)
+
+    def _token(self, key: Tuple[MsgType, ParamPresence, int]
+               ) -> MessageToken:
+        """Make and cache the shared token for a ``(type, presence,
+        initiator)`` header seen for the first time."""
+        msg_type, presence, initiator = key
+        token = self._tokens[key] = MessageToken(
+            type=msg_type,
+            operation_initiator=initiator,
+            object_name=self.obj,
+            queue=QueueTag.DISTRIBUTED,
+            parameter_presence=presence,
+        )
         return token
 
     def send_unordered(
@@ -160,16 +178,19 @@ class ObjectPort(ProcessContext):
         quorum: bool = False,
         hedge: bool = False,
     ) -> None:
-        network = self._node.network
-        if not hasattr(network, "send_unordered"):
+        key = (msg_type, presence,
+               self.node_id if initiator is None else initiator)
+        token = self._tokens.get(key)
+        if token is None:
+            token = self._token(key)
+        msg = Message(token, self.node_id, dst, payload, op_id)
+        send_unordered = self._net_send_unordered
+        if send_unordered is None:
             # fault-free fabric: plain FIFO sends are exact (nothing is
             # ever retried or abandoned, so ordering cannot wedge).
-            self.send(dst, msg_type, presence, op_id, payload, initiator)
-            return
-        token = self._token(msg_type, presence, initiator)
-        msg = Message(token, self.node_id, dst, payload, op_id)
-        network.send_unordered(msg, self._S, self._P,
-                               quorum=quorum, hedge=hedge)
+            self._net_send(msg, self._S, self._P)
+        else:
+            send_unordered(msg, self._S, self._P, quorum, hedge)
 
     def cancel_unordered(self, op_id: int) -> int:
         """Cancel this node's pending datagram retries for ``op_id``.
@@ -177,23 +198,23 @@ class ObjectPort(ProcessContext):
         Hedge-loser cancellation; a no-op (returns 0) on fabrics without
         the datagram transport.
         """
-        network = self._node.network
-        if not hasattr(network, "cancel_dgrams"):
+        cancel_dgrams = self._net_cancel_dgrams
+        if cancel_dgrams is None:
             return 0
-        return network.cancel_dgrams(self.node_id, op_id)
+        return cancel_dgrams(self.node_id, op_id)
 
     def record_hedge_launch(self, legs: int) -> None:
         """Count hedge legs fired by a quorum phase (CLI banner stat)."""
         self._node.metrics.reliability.hedges_launched += legs
 
     def schedule(self, delay: float, callback: Any) -> Any:
-        return self._node.scheduler.schedule(delay, callback)
+        return self._scheduler.schedule(delay, callback)
 
     def record_quorum_reselection(self) -> None:
         self._node.metrics.reliability.quorum_reselections += 1
 
     def complete(self, op: Operation, value: Any = None) -> None:
-        op.complete_time = self._node.scheduler.now
+        op.complete_time = self._scheduler.now
         op.result = value
         self.inflight.pop(op.op_id, None)
         self._node.metrics.record_complete(op.op_id, op.complete_time)
@@ -244,7 +265,7 @@ class ObjectPort(ProcessContext):
             tracer = node.metrics.tracer
             if tracer is not None:
                 tracer.op_event("dispatch", op.op_id)
-            profiler = node.scheduler.profiler
+            profiler = self._scheduler.profiler
             if profiler is None:
                 self.process.on_request(op)
             else:
@@ -280,7 +301,7 @@ class ObjectPort(ProcessContext):
 
     def deliver(self, msg: Message) -> None:
         """A message arrives on the distributed queue."""
-        profiler = self._node.scheduler.profiler
+        profiler = self._scheduler.profiler
         if profiler is None:
             self.process.on_message(msg)
         else:
