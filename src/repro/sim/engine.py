@@ -256,13 +256,11 @@ class EventScheduler:
             The number of events executed by this call.
         """
         start = self.executed
+        limit = float("inf") if max_events is None else start + max_events
         step = self.step
-        if until is None:
-            limit = float("inf") if max_events is None else start + max_events
-            while self.executed < limit and step():
-                pass
-        else:
-            while max_events is None or self.executed - start < max_events:
-                if until() or not step():
-                    break
+        while self.executed < limit:
+            if until is not None and until():
+                break
+            if not step():
+                break
         return self.executed - start
