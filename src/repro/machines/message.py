@@ -159,9 +159,11 @@ class Message:
     dataclass's ``__init__`` (one ``object.__setattr__`` per field) costs
     over three times a plain one.  Equality and hashing still cover every
     field, as for a frozen dataclass.  Retransmissions and duplicates
-    deliver the same object more than once, so no handler may assign to
-    one; ``tests/sim/test_identity.py`` runs every protocol with
-    assignment made an error.
+    deliver the same object more than once, and one dict payload may be
+    shared by several messages (every target of an sc_abd fan-out), so no
+    handler may assign to a message or mutate its dict payload;
+    ``tests/sim/test_identity.py`` runs every protocol with both made an
+    error.
     """
 
     token: MessageToken

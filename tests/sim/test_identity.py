@@ -13,7 +13,7 @@ traces.  Three larger sc_abd runs pin the quorum paths the N=4 runs never
 reach: initiators outside the core quorum, re-selection and hedging
 around a straggler, and the membership-view predicate.
 
-Under ``frozen_payloads`` a built message and its dict payload are both
+Under ``frozen_messages`` a built message and its dict payload are both
 read-only, so a handler that mutated a payload another message shares
 (an sc_abd fan-out sends one payload to every target) fails loudly.
 """
@@ -382,17 +382,16 @@ class _ReadOnlyDict(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
-def _make_read_only(monkeypatch, cls, freeze_payload=False):
+def _make_read_only(monkeypatch, cls):
     """Make a built ``cls`` instance read-only, as a frozen dataclass is.
 
-    With ``freeze_payload``, a dict assigned to the ``payload`` field is
-    replaced by a read-only copy.
+    A dict assigned to a ``payload`` field is replaced by a read-only copy.
     """
     def set_once(obj, name, value):
         try:
             getattr(obj, name)
         except AttributeError:  # an unset slot: ``__init__`` is filling it
-            if freeze_payload and name == "payload" and type(value) is dict:
+            if name == "payload" and type(value) is dict:
                 value = _ReadOnlyDict(value)
             object.__setattr__(obj, name, value)
             return
@@ -408,25 +407,16 @@ def _make_read_only(monkeypatch, cls, freeze_payload=False):
 
 @pytest.fixture
 def frozen_messages(monkeypatch):
-    """Make a built :class:`Message` read-only, as a frozen dataclass is.
+    """Make a built :class:`Message` and its dict payload read-only.
 
     ``Message`` is not frozen (construction speed), yet a delivered
     message may be delivered again — by retransmission or as a
     duplicate — so a handler that assigned to one would corrupt the
-    later delivery.  Under this fixture such an assignment raises.
+    later delivery.  A payload may also be shared by several messages
+    (every target of an sc_abd fan-out gets the same dict), so no
+    handler may mutate it either.  Under this fixture both raise.
     """
     _make_read_only(monkeypatch, Message)
-
-
-@pytest.fixture
-def frozen_payloads(monkeypatch):
-    """Like ``frozen_messages``, and a dict payload is read-only too.
-
-    A payload may be shared by several messages (every target of an
-    sc_abd fan-out gets the same dict) and by every redelivery of one,
-    so no handler may mutate it.
-    """
-    _make_read_only(monkeypatch, Message, freeze_payload=True)
 
 
 @pytest.fixture
@@ -450,11 +440,6 @@ def test_frozen_messages_fixture_rejects_assignment(frozen_messages):
     with pytest.raises(dataclasses.FrozenInstanceError):
         del msg.op_id
     assert (msg.payload, msg.op_id) == (None, None)
-
-
-def test_frozen_payloads_fixture_rejects_mutation(frozen_payloads):
-    token = MessageToken(MsgType.Q_RD, 1, 1, QueueTag.DISTRIBUTED,
-                         ParamPresence.NONE)
     shared = {"gen": 1, "retry": False, "hedge": False}
     msg = Message(token, 1, 2, shared)
     assert isinstance(msg.payload, dict)
@@ -495,7 +480,7 @@ def test_frames_are_unhashable():
 
 @pytest.mark.parametrize("protocol", sorted(PINNED))
 def test_no_handler_modifies_a_redelivered_message(protocol,
-                                                   frozen_payloads,
+                                                   frozen_messages,
                                                    frozen_frames):
     """Drops force retransmissions and duplicates redeliver the same
     message and frame objects; no protocol, transport or detector
@@ -511,7 +496,7 @@ def test_no_handler_modifies_a_redelivered_message(protocol,
 
 
 @pytest.mark.parametrize("protocol", sorted(PINNED))
-def test_plain_fabric_outputs_are_unchanged(protocol, frozen_payloads):
+def test_plain_fabric_outputs_are_unchanged(protocol, frozen_messages):
     system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P)
     result = system.run_workload(
         write_disturbance_workload(PARAMS, M=2),
@@ -560,7 +545,7 @@ def test_every_protocol_is_pinned_on_the_faulty_fabric():
 
 
 @pytest.mark.parametrize("protocol", sorted(FAULTY_PINNED))
-def test_faulty_fabric_outputs_are_unchanged(protocol, frozen_payloads,
+def test_faulty_fabric_outputs_are_unchanged(protocol, frozen_messages,
                                             frozen_frames):
     system, result = _faulty_run(protocol)
     acc, messages, events, end_time, hist = FAULTY_PINNED[protocol]
@@ -587,7 +572,7 @@ def test_traced_faulty_run_exports_are_byte_identical():
 
 
 @pytest.mark.parametrize("run", sorted(QUORUM_RUNS))
-def test_quorum_outputs_are_unchanged(run, frozen_payloads, frozen_frames):
+def test_quorum_outputs_are_unchanged(run, frozen_messages, frozen_frames):
     config = QUORUM_RUNS[run]
     system = DSMSystem.from_config("sc_abd", QUORUM_PARAMS, config, M=4)
     result = system.run_workload(
