@@ -6,11 +6,10 @@ of the computation behavior".  This capstone example runs the full tuning
 loop on one concrete workload:
 
 1. rank the protocols (pick the right one first);
-2. rank the tuning knobs by elasticity (what moves the cost most?);
-3. evaluate the two structural moves the model exposes — relocating the
+2. evaluate the two structural moves the model exposes — relocating the
    activity center to the object's home node, and switching broadcast
    invalidation to directory multicast;
-4. verify the winning configuration on the simulator.
+3. verify the winning configuration on the simulator.
 
 Run:  python examples/tuning_guide.py
 """
@@ -18,7 +17,7 @@ Run:  python examples/tuning_guide.py
 from repro import (
     Deviation, DSMSystem, RunConfig, WorkloadParams, rank_protocols,
 )
-from repro.core import analytical_acc, placement_advantage, tuning_table
+from repro.core import analytical_acc, placement_advantage
 from repro.workloads import read_disturbance_workload
 
 # The workload to tune: a mid-size system with a hot writer, a few
@@ -38,18 +37,8 @@ def step1_pick_protocol() -> str:
     return best
 
 
-def step2_rank_knobs(protocol: str) -> None:
-    print(f"Step 2 — tuning knobs for {protocol} (elasticity = % acc per "
-          "% parameter):")
-    for s in tuning_table(protocol, PARAMS, Deviation.READ):
-        print(f"   {s.parameter:6s} value {s.value:8.2f}   "
-              f"d(acc)/d({s.parameter}) = {s.derivative:10.3f}   "
-              f"elasticity = {s.elasticity:6.3f}")
-    print()
-
-
-def step3_structural_moves(protocol: str) -> None:
-    print("Step 3 — structural moves:")
+def step2_structural_moves(protocol: str) -> None:
+    print("Step 2 — structural moves:")
     client, home, saving = placement_advantage(protocol, PARAMS,
                                                Deviation.READ)
     print(f"   move the activity center to the home node: "
@@ -66,8 +55,8 @@ def step3_structural_moves(protocol: str) -> None:
           f"{analytical_acc(protocol, halved, Deviation.READ):.2f}\n")
 
 
-def step4_verify(protocol: str) -> None:
-    print(f"Step 4 — simulator verification of {protocol}:")
+def step3_verify(protocol: str) -> None:
+    print(f"Step 3 — simulator verification of {protocol}:")
     predicted = analytical_acc(protocol, PARAMS, Deviation.READ)
     system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P)
     result = system.run_workload(
@@ -81,9 +70,8 @@ def step4_verify(protocol: str) -> None:
 
 def main() -> None:
     best = step1_pick_protocol()
-    step2_rank_knobs(best)
-    step3_structural_moves(best)
-    step4_verify(best)
+    step2_structural_moves(best)
+    step3_verify(best)
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ The package provides:
   (Section 3, Tables 1-4);
 * :mod:`repro.protocols` — the eight data-replication coherence protocols;
 * :mod:`repro.sim` — the message-passing distributed-system simulator;
-* :mod:`repro.workloads` — synthetic and trace-replay workload generators;
+* :mod:`repro.workloads` — the synthetic workload generators;
 * :mod:`repro.validation` — analytical-vs-simulation comparison (Table 7);
 * :mod:`repro.exp` — the parallel sweep engine with result caching;
 * :mod:`repro.obs` — observability: structured tracing, a metrics
@@ -20,8 +20,7 @@ The package provides:
   studies as validated JSON/TOML documents with ``extends:`` inheritance;
 * :mod:`repro.api` — the one-stop facade (:func:`~repro.api.acc`,
   :func:`~repro.api.rank`, :func:`~repro.api.simulate`,
-  :func:`~repro.api.load_scenario`, :func:`~repro.api.run_scenario`);
-* :mod:`repro.adaptive` — the self-tuning protocol-selection extension.
+  :func:`~repro.api.load_scenario`, :func:`~repro.api.run_scenario`).
 
 Quickstart (the facade)::
 

@@ -1,9 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine commands cover the library's day-to-day uses:
+Ten commands cover the library's day-to-day uses:
 
 * ``acc`` — evaluate the analytic steady-state cost for one protocol;
-* ``rank`` — rank all protocols for a workload (the classifier's view);
+* ``rank`` — rank all protocols for a workload, cheapest first;
 * ``simulate`` — run the message-passing simulator and report measured
   ``acc`` (optionally against the analytic prediction); ``--trace-out``
   additionally exports a Perfetto-loadable Chrome trace of the run;
@@ -12,13 +12,16 @@ Nine commands cover the library's day-to-day uses:
   style);
 * ``sweep`` — evaluate a whole parameter grid through the parallel sweep
   engine (:mod:`repro.exp`) with result caching and JSONL output;
+* ``chaos`` — fuzz random fault and partition schedules with the
+  consistency monitor on, shrink every violation to a minimal repro JSON,
+  and replay one (``--replay``);
 * ``trace`` — run one simulation with structured tracing on and export
   the Chrome trace (and optionally the JSONL event stream);
 * ``profile`` — run one simulation under the wall-clock profiler and
   print the hot-path table;
 * ``scenarios`` — the declarative scenario catalog
-  (:mod:`repro.scenarios`): ``list`` / ``show`` / ``run`` / ``compare``
-  whole committed studies without writing a benchmark script.
+  (:mod:`repro.scenarios`): ``list`` / ``show`` / ``run`` / ``compare`` /
+  ``report`` whole committed studies without writing a benchmark script.
 
 All commands share the same flag vocabulary through parent parsers: the
 workload group (``--N --p --a --sigma ...``), the run group

@@ -7,7 +7,6 @@ closed forms (eqns. (3)-(5) and Table 6), characteristic surfaces
 """
 
 from .acc import acc_table, analytical_acc
-from .aggregate import ObjectSpec, aggregate_acc, rotated_roles_acc
 from .chains import build_chain, deviation_groups, markov_acc
 from .closed_forms import (
     closed_form_acc,
@@ -21,10 +20,6 @@ from .comparison import (
     best_protocol,
     min_acc_region_map,
     rank_protocols,
-)
-from .heterogeneous import (
-    acc_write_through_rd_hetero,
-    heterogeneous_markov_acc,
 )
 from .crossover import (
     BoundaryComparison,
@@ -44,19 +39,13 @@ from .parameters import (
     parameter_grid,
 )
 from .placement import home_center_acc, placement_advantage
-from .sensitivity import Sensitivity, elasticities, sensitivities, tuning_table
 from .surfaces import FIGURE_PANELS, Surface, acc_surface, figure_surfaces
 from .trace_discovery import TraceClass, discover_traces, format_trace_table
 from .traces import CostExpr, Trace, TraceSet, WRITE_THROUGH_TRACES
 
 __all__ = [
-    "acc_write_through_rd_hetero",
-    "heterogeneous_markov_acc",
     "acc_table",
     "analytical_acc",
-    "ObjectSpec",
-    "aggregate_acc",
-    "rotated_roles_acc",
     "build_chain",
     "deviation_groups",
     "markov_acc",
@@ -87,10 +76,6 @@ __all__ = [
     "parameter_grid",
     "home_center_acc",
     "placement_advantage",
-    "Sensitivity",
-    "elasticities",
-    "sensitivities",
-    "tuning_table",
     "TraceClass",
     "discover_traces",
     "format_trace_table",

@@ -3,8 +3,8 @@
 Supports the qualitative claims of paper Section 5.1 ("Berkeley incurs the
 minimum communication cost in comparison with ...", "Illinois incurs acc
 lower than the Synapse scheme", Figure 5d's Dragon-vs-Berkeley region
-split) and the adaptive-selection extension of Section 6, which needs
-"which protocol is cheapest for these workload parameters?" as a primitive.
+split), and answers "which protocol is cheapest for these workload
+parameters?" for ``repro rank``.
 """
 
 from __future__ import annotations

@@ -69,11 +69,8 @@ class MsgType(Enum):
     ACK = "ACK"      #: completion acknowledgement token (Firefly)
     RETRY = "RETRY"  #: retry token (Synapse read miss on a dirty copy)
 
-    # --- Section 6 extensions: eject and synchronization operations ---
+    # --- Section 6 extension: the eject operation ---
     EJ = "EJ"        #: eject notice (a client dropped its valid copy)
-    LK_REQ = "LK-REQ"  #: lock acquire request (synchronization operation)
-    LK_GNT = "LK-GNT"  #: lock grant
-    UNLK = "UNLK"      #: lock release
 
     # --- SC-ABD quorum family (no sequencer; repro.protocols.sc_abd) ---
     Q_RD = "Q-RD"    #: quorum read query (bare token)

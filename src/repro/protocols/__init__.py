@@ -6,10 +6,8 @@ registry names to specs.
 """
 
 from .base import (
-    ACQUIRE,
     EJECT,
     READ,
-    RELEASE,
     WRITE,
     HoldingMixin,
     Operation,
@@ -27,10 +25,8 @@ from .registry import (
 )
 
 __all__ = [
-    "ACQUIRE",
     "EJECT",
     "READ",
-    "RELEASE",
     "WRITE",
     "HoldingMixin",
     "Operation",

@@ -38,8 +38,6 @@ __all__ = [
     "READ",
     "WRITE",
     "EJECT",
-    "ACQUIRE",
-    "RELEASE",
     "Operation",
     "ProcessContext",
     "ProtocolProcess",
@@ -53,10 +51,6 @@ WRITE = "write"
 #: Section 6 extension: a node voluntarily drops its replica (memory
 #: pressure); never issued by the paper's workloads.
 EJECT = "eject"
-#: Section 6 extension: synchronization operations (lock acquire/release),
-#: handled by :mod:`repro.sim.locks`, not by the coherence protocols.
-ACQUIRE = "acquire"
-RELEASE = "release"
 
 
 @dataclass(slots=True)
@@ -86,8 +80,7 @@ class Operation:
     complete_time: Optional[float] = None
     #: value returned to the application (reads only).
     result: Any = None
-    #: optional completion callback (drives closed-loop applications,
-    #: e.g. lock-protected critical sections in the examples).
+    #: optional completion callback (drives closed-loop applications).
     callback: Optional[Any] = None
 
 

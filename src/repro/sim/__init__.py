@@ -13,7 +13,6 @@ from .config import RunConfig
 from .engine import EventScheduler, TimerHandle
 from .faults import CRASH_SEMANTICS, CrashWindow, FaultPlan, SlowWindow
 from .hedge import HedgeConfig
-from .locks import LockClient, LockManager
 from .metrics import (
     Metrics,
     OpRecord,
@@ -53,8 +52,6 @@ __all__ = [
     "ReplicaCacheStats",
     "Network",
     "RunConfig",
-    "LockClient",
-    "LockManager",
     "EventScheduler",
     "TimerHandle",
     "CRASH_SEMANTICS",

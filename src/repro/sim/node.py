@@ -36,17 +36,14 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..machines.message import Message, MessageToken, MsgType, ParamPresence, QueueTag
 from ..protocols.base import (
-    ACQUIRE,
     EJECT,
     READ,
-    RELEASE,
     Operation,
     ProcessContext,
     ProtocolProcess,
     ProtocolSpec,
 )
 from .cache import CacheConfig, ReplicaCache
-from .locks import LOCK_MESSAGE_TYPES, LockClient, LockManager
 from .channel import Network
 from .engine import EventScheduler
 from .metrics import Metrics
@@ -359,12 +356,6 @@ class SimNode:
             port = ObjectPort(self, obj)
             port.process = spec.make_process(port)
             self.ports[obj] = port
-        # synchronization subsystem (Section 6 extension); the lock manager
-        # is pinned to the initial sequencer (locks do not fail over).
-        self.lock_client = LockClient(self)
-        self.lock_manager = (
-            LockManager(self) if node_id == self.sequencer_id else None
-        )
         # bounded replica cache (partial replication); built on every node
         # — enforcement no-ops while this node is the current sequencer,
         # so the cache follows the node through failover promotions.
@@ -392,9 +383,6 @@ class SimNode:
             return
         if self.observer is not None:
             self.observer.on_submit(op)
-        if op.kind in (ACQUIRE, RELEASE):
-            self.lock_client.on_request(op)
-            return
         self.ports[op.obj].enqueue_request(op)
 
     def request_cache_eject(self, obj: int, trigger_id: int) -> None:
@@ -411,14 +399,7 @@ class SimNode:
         self.ports[obj].enqueue_request(op)
 
     def _on_message(self, msg: Message) -> None:
-        token = msg.token
-        if token.type in LOCK_MESSAGE_TYPES:
-            if token.type is MsgType.LK_GNT:
-                self.lock_client.on_message(msg)
-            else:
-                self.lock_manager.on_message(msg)
-            return
-        self.ports[token.object_name].deliver(msg)
+        self.ports[msg.token.object_name].deliver(msg)
 
     def process_for(self, obj: int) -> ProtocolProcess:
         """The protocol process controlling this node's copy of ``obj``."""

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..protocols.base import Operation, ProtocolSpec
+from ..protocols.base import EJECT, READ, WRITE, Operation, ProtocolSpec
 from ..obs.trace import TraceConfig, Tracer
 from ..protocols.registry import get_protocol
 from ..workloads.base import Workload
@@ -58,6 +58,9 @@ _HIT_STATES: Dict[str, frozenset] = {
     # distributed quorum round), so nothing is checkable as a "hit" copy
     "sc_abd": frozenset(),
 }
+
+#: operation kinds :meth:`DSMSystem.submit` accepts
+_SUBMIT_KINDS = (READ, WRITE, EJECT)
 
 #: owner-role states for authoritative-value lookup
 _OWNER_STATES: Dict[str, frozenset] = {
@@ -745,12 +748,16 @@ class DSMSystem:
                params: Optional[int] = None, callback=None) -> Operation:
         """Submit one operation right now (manual driving, examples/tests).
 
-        ``kind`` may also be ``"eject"`` (drop the node's replica),
-        ``"acquire"`` or ``"release"`` (the per-object lock, Section 6
-        extensions).  ``callback(op)`` fires on completion, which lets
-        examples chain closed-loop sequences such as lock-protected
-        read-modify-write critical sections.
+        ``kind`` is ``"read"``, ``"write"`` or ``"eject"`` (drop the
+        node's replica, a Section 6 extension); any other kind raises
+        :class:`ValueError`.  ``callback(op)`` fires on completion, which
+        lets callers chain closed-loop sequences of operations.
         """
+        if kind not in _SUBMIT_KINDS:
+            raise ValueError(
+                f"unknown operation kind {kind!r}; expected one of "
+                f"{', '.join(_SUBMIT_KINDS)}"
+            )
         self._next_op_id += 1
         op = Operation(
             op_id=self._next_op_id,

@@ -1,7 +1,6 @@
-"""Workload generators (paper Section 4.2): ideal, the three deviations,
-and trace replay over ``M`` shared objects."""
+"""Workload generators (paper Section 4.2): ideal and the three deviations
+over ``M`` shared objects."""
 
-from .apps import hot_cold, migratory, phased_spmd, producer_consumer
 from .base import EventTable, OpTriple, TableWorkload, Workload
 from .synthetic import (
     SyntheticWorkload,
@@ -11,19 +10,8 @@ from .synthetic import (
     read_disturbance_workload,
     write_disturbance_workload,
 )
-from .trace_replay import (
-    TraceRecorder,
-    TraceReplayWorkload,
-    estimate_params,
-    load_trace,
-    save_trace,
-)
 
 __all__ = [
-    "hot_cold",
-    "migratory",
-    "phased_spmd",
-    "producer_consumer",
     "EventTable",
     "OpTriple",
     "TableWorkload",
@@ -34,9 +22,4 @@ __all__ = [
     "multiple_activity_centers_workload",
     "read_disturbance_workload",
     "write_disturbance_workload",
-    "TraceRecorder",
-    "TraceReplayWorkload",
-    "estimate_params",
-    "load_trace",
-    "save_trace",
 ]

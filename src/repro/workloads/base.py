@@ -29,8 +29,7 @@ class EventTable:
     """A discrete event distribution over ``(node, kind)`` pairs.
 
     Used per shared object: the paper assigns the same event probabilities
-    to every object (Section 5.2), so one table serves all objects unless
-    the role layout rotates per object.
+    to every object (Section 5.2), so one table serves all objects.
     """
 
     nodes: Tuple[int, ...]

@@ -1,23 +1,15 @@
 """Synthetic workloads for the paper's three deviations (Section 4.2).
 
-Role layout (configurable; defaults match the paper's evaluation setup):
+Role layout (the paper's evaluation setup):
 
 * the activity center is client 1;
 * the ``a`` disturbing clients are clients ``2 .. a + 1``;
 * the ``beta`` activity centers are clients ``1 .. beta``;
 * the sequencer (node ``N + 1``) never issues operations — in the paper's
   deviations all actors are clients.
-
-With ``rotate_roles=True`` object ``j`` uses roles shifted by ``j`` around
-the client ring, giving every client a share of activity-center work while
-keeping each object's statistics identical — useful for multi-object
-examples, disabled for the paper reproductions.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional, Sequence
-
 
 from ..core.parameters import Deviation, WorkloadParams, object_access_probs
 from ..protocols.base import READ, WRITE
@@ -33,55 +25,30 @@ __all__ = [
 ]
 
 
-def make_event_table(
-    params: WorkloadParams,
-    deviation: Deviation,
-    activity_center: int = 1,
-    disturbers: Optional[Sequence[int]] = None,
-    centers: Optional[Sequence[int]] = None,
-) -> EventTable:
+def make_event_table(params: WorkloadParams,
+                     deviation: Deviation) -> EventTable:
     """Build the per-object event distribution for a deviation.
 
     Args:
         params: workload parameters (must be feasible for ``deviation``).
         deviation: which sample space to build.
-        activity_center: node index of the activity center (client).
-        disturbers: node indices of the ``a`` disturbing clients (defaults
-            to ``2 .. a + 1``).
-        centers: node indices of the ``beta`` activity centers (defaults to
-            ``1 .. beta``).
     """
     if deviation is Deviation.MULTIPLE_ACTIVITY_CENTERS:
-        centers = list(centers) if centers is not None else list(
-            range(1, params.beta + 1)
-        )
-        if len(centers) != params.beta:
-            raise ValueError(
-                f"expected beta={params.beta} centers, got {len(centers)}"
-            )
         nodes, kinds, probs = [], [], []
-        for c in centers:
+        for c in range(1, params.beta + 1):
             nodes += [c, c]
             kinds += [READ, WRITE]
             probs += [params.per_center_read_prob, params.per_center_write_prob]
         return EventTable(tuple(nodes), tuple(kinds), tuple(probs))
 
-    disturbers = list(disturbers) if disturbers is not None else list(
-        range(2, params.a + 2)
-    )
-    if len(disturbers) != params.a:
-        raise ValueError(
-            f"expected a={params.a} disturbers, got {len(disturbers)}"
-        )
-    if activity_center in disturbers:
-        raise ValueError("the activity center cannot also be a disturber")
+    disturbers = list(range(2, params.a + 2))
     if deviation is Deviation.READ:
         ar = params.read_prob_activity_center_rd
         disturb_kind, disturb_p = READ, params.sigma
     else:
         ar = params.read_prob_activity_center_wd
         disturb_kind, disturb_p = WRITE, params.xi
-    nodes = [activity_center, activity_center] + disturbers
+    nodes = [1, 1] + disturbers
     kinds = [READ, WRITE] + [disturb_kind] * len(disturbers)
     probs = [ar, params.p] + [disturb_p] * len(disturbers)
     return EventTable(tuple(nodes), tuple(kinds), tuple(probs))
@@ -90,41 +57,15 @@ def make_event_table(
 class SyntheticWorkload(TableWorkload):
     """The paper's five-parameter synthetic workload over ``M`` objects."""
 
-    def __init__(
-        self,
-        params: WorkloadParams,
-        deviation: Deviation,
-        M: int = 1,
-        rotate_roles: bool = False,
-    ):
+    def __init__(self, params: WorkloadParams, deviation: Deviation,
+                 M: int = 1):
         self.params = params
         self.deviation = deviation
-        self.rotate_roles = rotate_roles
         object_probs = object_access_probs(
             M, params.hot_set, params.hot_fraction
         )
-        if not rotate_roles:
-            table = make_event_table(params, deviation)
-            super().__init__([table] * M, object_probs=object_probs)
-            return
-        tables: List[EventTable] = []
-        for j in range(M):
-            def shift(node: int) -> int:
-                return (node - 1 + j) % params.N + 1
-            if deviation is Deviation.MULTIPLE_ACTIVITY_CENTERS:
-                centers = [shift(c) for c in range(1, params.beta + 1)]
-                tables.append(
-                    make_event_table(params, deviation, centers=centers)
-                )
-            else:
-                ac = shift(1)
-                dist = [shift(d) for d in range(2, params.a + 2)]
-                tables.append(
-                    make_event_table(
-                        params, deviation, activity_center=ac, disturbers=dist
-                    )
-                )
-        super().__init__(tables, object_probs=object_probs)
+        table = make_event_table(params, deviation)
+        super().__init__([table] * M, object_probs=object_probs)
 
     def describe(self) -> str:
         p = self.params
@@ -137,7 +78,7 @@ class SyntheticWorkload(TableWorkload):
                else f", hot_set={p.hot_set}@{p.hot_fraction}")
         return (
             f"{self.deviation.value} (N={p.N}, p={p.p}, {extra}, "
-            f"M={self.M}{hot}{', rotated' if self.rotate_roles else ''})"
+            f"M={self.M}{hot})"
         )
 
 
@@ -151,23 +92,20 @@ def ideal_workload(params: WorkloadParams, M: int = 1) -> SyntheticWorkload:
     )
 
 
-def read_disturbance_workload(params: WorkloadParams, M: int = 1,
-                              rotate_roles: bool = False) -> SyntheticWorkload:
+def read_disturbance_workload(params: WorkloadParams,
+                              M: int = 1) -> SyntheticWorkload:
     """Read-disturbance deviation: ``a`` clients also read the object."""
-    return SyntheticWorkload(params, Deviation.READ, M=M,
-                             rotate_roles=rotate_roles)
+    return SyntheticWorkload(params, Deviation.READ, M=M)
 
 
-def write_disturbance_workload(params: WorkloadParams, M: int = 1,
-                               rotate_roles: bool = False) -> SyntheticWorkload:
+def write_disturbance_workload(params: WorkloadParams,
+                               M: int = 1) -> SyntheticWorkload:
     """Write-disturbance deviation: ``a`` clients also write the object."""
-    return SyntheticWorkload(params, Deviation.WRITE, M=M,
-                             rotate_roles=rotate_roles)
+    return SyntheticWorkload(params, Deviation.WRITE, M=M)
 
 
-def multiple_activity_centers_workload(params: WorkloadParams, M: int = 1,
-                                       rotate_roles: bool = False
-                                       ) -> SyntheticWorkload:
+def multiple_activity_centers_workload(params: WorkloadParams,
+                                       M: int = 1) -> SyntheticWorkload:
     """Multiple-activity-centers deviation: ``beta`` symmetric centers."""
     return SyntheticWorkload(params, Deviation.MULTIPLE_ACTIVITY_CENTERS,
-                             M=M, rotate_roles=rotate_roles)
+                             M=M)

@@ -95,3 +95,12 @@ class TestInspection:
         system.nodes[1].process_for(1).value = "garbage"
         with pytest.raises(AssertionError):
             system.check_coherence()
+
+
+@pytest.mark.parametrize("protocol", ["berkeley", "write_through", "sc_abd"])
+@pytest.mark.parametrize("kind", ["bogus", "acquire"])
+def test_submit_rejects_unknown_kind(protocol, kind):
+    system = DSMSystem(protocol, N=2, M=1, S=100, P=1)
+    with pytest.raises(ValueError, match="read, write, eject"):
+        system.submit(2, kind)
+    assert len(system.scheduler) == 0

@@ -575,6 +575,18 @@ class TestVersion:
         assert cli._version() == repro.__version__
 
 
+def test_module_docstring_lists_every_command():
+    """The module docstring's command list and count match argparse."""
+    import argparse
+    import re
+    from repro import cli
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    listed = re.findall(r"^\* ``(\w+)``", cli.__doc__, re.MULTILINE)
+    assert sorted(listed) == sorted(sub.choices)
+    assert len(listed) == 10 and "Ten commands" in cli.__doc__
+
+
 class TestTraceCommand:
     BASE = ["--N", "4", "--p", "0.2", "--a", "2", "--sigma", "0.1",
             "--ops", "300", "--warmup", "50", "--seed", "3"]

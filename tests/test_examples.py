@@ -29,26 +29,15 @@ def test_quickstart(capsys):
     assert "berkeley" in out
 
 
-def test_critical_sections(capsys):
-    out = run_example("critical_sections.py", capsys)
-    assert "updates lost" in out
-    assert "counter =  40" in out  # the locked run is exact
-
-
 def test_tuning_guide(capsys):
     out = run_example("tuning_guide.py", capsys)
-    assert "Step 4" in out and "measured" in out
+    assert "simulator verification of" in out and "measured" in out
 
 
 def test_protocol_comparison(capsys):
     out = run_example("protocol_comparison.py", capsys)
     assert "region map" in out
     assert "<== best" in out
-
-
-def test_trace_driven_analysis(capsys):
-    out = run_example("trace_driven_analysis.py", capsys)
-    assert "Recommendation" in out and "confirmed by replay" in out
 
 
 def _readme_snippet(marker):

@@ -19,6 +19,15 @@ REPO_PATH = re.compile(
 )
 #: benchmark outputs: generated on demand, never committed
 GENERATED = "benchmarks/results/"
+API_DOC = REPO / "docs" / "api.md"
+#: an api.md section heading naming its module (``## `repro.core` ...``)
+API_SECTION = re.compile(r"^## `(repro(?:\.\w+)*)`", re.MULTILINE)
+#: a backticked span, possibly wrapped across lines
+BACKTICKED = re.compile(r"`([^`]+)`")
+#: a lowercase dotted name at the start of a span (``chains.markov_acc``)
+RELATIVE = re.compile(r"[a-z_]\w*(?:\.\w+)+")
+#: metric and scope names in api.md that look dotted but name no code
+NOT_CODE = {"engine.dispatch", "sweep.cell_wall_clock_s", "span.cost"}
 
 
 def tracked_files():
@@ -96,4 +105,32 @@ def test_doc_paths_exist():
         (doc, path) for doc, path in _doc_references(REPO_PATH)
         if not path.startswith(GENERATED) and not any(REPO.glob(path))
     })
+    assert offenders == []
+
+
+def _api_relative_names():
+    """``(module, name)`` for each dotted name api.md writes relative to
+    the module in its section heading."""
+    text = API_DOC.read_text()
+    sections = [(m.start(), m.group(1)) for m in API_SECTION.finditer(text)]
+    for span in BACKTICKED.finditer(text):
+        module = None
+        for start, name in sections:
+            if start > span.start():
+                break
+            module = name
+        match = RELATIVE.match(span.group(1))
+        if module is None or match is None:
+            continue
+        name = match.group(0)
+        if name.startswith("repro.") or name in NOT_CODE:
+            continue
+        yield module, name
+
+
+def test_api_doc_relative_names_resolve():
+    names = sorted(set(_api_relative_names()))
+    assert len(names) > 40  # the scan still finds the reference entries
+    offenders = [(module, name) for module, name in names
+                 if not _resolves(f"{module}.{name}")]
     assert offenders == []

@@ -41,18 +41,6 @@ class TestEventTable:
         assert set(t.nodes) == {1, 2, 3}
         assert sum(t.probs) == pytest.approx(1.0)
 
-    def test_custom_roles(self):
-        w = WorkloadParams(N=5, p=0.3, a=2, sigma=0.1)
-        t = make_event_table(w, Deviation.READ, activity_center=4,
-                             disturbers=[2, 5])
-        assert t.nodes == (4, 4, 2, 5)
-
-    def test_ac_cannot_be_disturber(self):
-        w = WorkloadParams(N=5, p=0.3, a=2, sigma=0.1)
-        with pytest.raises(ValueError):
-            make_event_table(w, Deviation.READ, activity_center=2,
-                             disturbers=[2, 3])
-
 
 class TestSampling:
     def test_empirical_frequencies_match(self, rng):
@@ -83,13 +71,6 @@ class TestSampling:
         wl = multiple_activity_centers_workload(params, M=1)
         ops = wl.sample(rng, 2000)
         assert {n for n, _k, _o in ops} <= {1, 2, 3}
-
-    def test_rotated_roles_spread_activity(self, rng):
-        params = WorkloadParams(N=4, p=0.5, a=1, sigma=0.1)
-        wl = read_disturbance_workload(params, M=4, rotate_roles=True)
-        ops = wl.sample(rng, 4000)
-        writers = {n for n, k, _o in ops if k == "write"}
-        assert len(writers) == 4  # every client is some object's center
 
     def test_describe_mentions_deviation(self):
         params = WorkloadParams(N=4, p=0.5, a=1, xi=0.1)
