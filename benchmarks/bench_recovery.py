@@ -4,9 +4,11 @@ Not a paper artifact — the paper's nodes never lose state — but the
 question the recovery subsystem (:mod:`repro.sim.recovery`) exists to
 answer: what does ``acc`` cost when nodes suffer amnesia crashes and must
 resynchronize, and the sequencer itself can fail over?  The study sweeps
-all registered protocols over an increasing number of amnesia crash
-windows (the heaviest schedule crashes the sequencer, exercising standby
-election) with the consistency monitor attached.
+every registered sequencer-based protocol over an increasing number of
+amnesia crash windows (the heaviest schedule crashes the sequencer,
+exercising standby election) with the consistency monitor attached.
+Quorum protocols (sc_abd) have no sequencer to fail over, so the system
+rejects them under ``failover=True``; they are not in the grid.
 
 Expectations encoded as assertions: every cell completes with zero
 consistency violations, the recovery share is zero without crashes and
@@ -21,13 +23,17 @@ import pytest
 
 from repro.core.parameters import WorkloadParams
 from repro.exp import SweepCell, SweepSpec, run_sweep
-from repro.protocols.registry import EXTENSION_PROTOCOLS, PROTOCOLS
+from repro.protocols.registry import (
+    EXTENSION_PROTOCOLS, PROTOCOLS, get_protocol,
+)
 from repro.sim import CrashWindow, FaultPlan, RunConfig
 
 from .conftest import emit
 
 PARAMS = WorkloadParams(N=4, p=0.3, a=3, sigma=0.15, S=100.0, P=30.0)
-ALL_PROTOCOLS = list(PROTOCOLS) + list(EXTENSION_PROTOCOLS)
+#: every protocol with a sequencer (failover needs one)
+ALL_PROTOCOLS = [p for p in list(PROTOCOLS) + list(EXTENSION_PROTOCOLS)
+                 if not get_protocol(p).quorum_based]
 WORKERS = int(os.environ.get("REPRO_SWEEP_WORKERS", "2"))
 
 #: crash schedules of increasing severity; the last one includes the

@@ -37,6 +37,12 @@ __all__ = [
     "MessageToken",
     "Message",
     "token_cost",
+    # module-level aliases of every MsgType member ...
+    "R_REQ", "W_REQ", "R_PER", "W_PER", "R_GNT", "W_INV", "W_GNT", "O_PER",
+    "O_GNT", "RCL", "WB", "D_NOT", "D_GNT", "D_NACK", "DGR", "UPD", "ACK",
+    "RETRY", "EJ", "Q_RD", "Q_RR", "Q_TS", "Q_TR", "Q_UPD", "Q_WB", "Q_ACK",
+    # ... and of every ParamPresence member
+    "PP_NONE", "PP_READ", "PP_WRITE", "PP_USER_INFO",
 ]
 
 
@@ -108,6 +114,17 @@ class ParamPresence(Enum):
     __hash__ = object.__hash__  # identity hashing, as for MsgType
 
 
+# Module-level aliases of every member.  Protocol handlers branch on the
+# message type of every delivery; a module global reads about ten times
+# faster than an attribute read through an Enum class, so every handler
+# uses these.  The presence aliases carry a ``PP_`` prefix: plain
+# ``READ``/``WRITE`` are the operation kinds of ``repro.protocols.base``.
+(R_REQ, W_REQ, R_PER, W_PER, R_GNT, W_INV, W_GNT, O_PER, O_GNT, RCL, WB,
+ D_NOT, D_GNT, D_NACK, DGR, UPD, ACK, RETRY, EJ,
+ Q_RD, Q_RR, Q_TS, Q_TR, Q_UPD, Q_WB, Q_ACK) = MsgType
+PP_NONE, PP_READ, PP_WRITE, PP_USER_INFO = ParamPresence
+
+
 @dataclass(frozen=True, slots=True)
 class MessageToken:
     """The five-tuple message token of Section 3."""
@@ -135,9 +152,9 @@ def token_cost(presence: ParamPresence, S: float, P: float) -> float:
     queues in the paper's protocols; if such a message were sent inter-node
     it would cost ``1`` (the parameters select data, they do not carry it).
     """
-    if presence is ParamPresence.USER_INFO:
+    if presence is PP_USER_INFO:
         return S + 1.0
-    if presence is ParamPresence.WRITE:
+    if presence is PP_WRITE:
         return P + 1.0
     return 1.0
 
@@ -168,9 +185,3 @@ class Message:
     dst: int
     payload: Any = None
     op_id: Optional[int] = None
-
-    def cost(self, S: float, P: float) -> float:
-        """Inter-node communication cost of this message."""
-        if self.src == self.dst:
-            return 0.0
-        return token_cost(self.token.parameter_presence, S, P)

@@ -133,12 +133,32 @@ class ProcessContext(abc.ABC):
         payload: Any = None,
         initiator: Optional[int] = None,
     ) -> int:
-        """Send to every node except ``excluded``; returns the fan-out width."""
+        """Send to every node except ``excluded``; returns the fan-out width.
+
+        This is the one definition of who receives a broadcast; the sends
+        themselves go through :meth:`send_many`.
+        """
         excluded_set = set(excluded) | {self.node_id}
         targets = [n for n in self.all_nodes if n not in excluded_set]
+        self.send_many(targets, msg_type, presence, op_id, payload, initiator)
+        return len(targets)
+
+    def send_many(
+        self,
+        targets: Iterable[int],
+        msg_type: MsgType,
+        presence: ParamPresence,
+        op_id: Optional[int],
+        payload: Any = None,
+        initiator: Optional[int] = None,
+    ) -> None:
+        """Send the same message to each of ``targets``, in order.
+
+        The default loops over :meth:`send`; the simulator's port
+        overrides it to look the shared token up once per fan-out.
+        """
         for dst in targets:
             self.send(dst, msg_type, presence, op_id, payload, initiator)
-        return len(targets)
 
     def send_unordered(
         self,

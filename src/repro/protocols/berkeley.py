@@ -36,7 +36,9 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, R_GNT, W_INV, O_PER, O_GNT, EJ, PP_NONE, PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -86,8 +88,8 @@ class BerkeleyProcess(ProtocolProcess):
             # departure so the owner's validity directory stays exact.
             if self.state == VALID:
                 self.state = INVALID
-                self.ctx.send(self.believed_owner, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.believed_owner, EJ,
+                              PP_NONE, op.op_id)
             self.ctx.complete(op)
             return
         if op.kind == READ:
@@ -96,9 +98,7 @@ class BerkeleyProcess(ProtocolProcess):
             else:
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.believed_owner, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.believed_owner, R_PER, PP_NONE, op.op_id)
             return
         # write
         if self.state == DIRTY:
@@ -109,41 +109,35 @@ class BerkeleyProcess(ProtocolProcess):
             self.value = op.params
             self.state = DIRTY
             self.valid_set = {self.ctx.node_id}
-            self.ctx.broadcast_except(
-                [], MsgType.W_INV, ParamPresence.NONE, op.op_id,
-                payload={"owner": self.ctx.node_id},
-            )
+            self.ctx.broadcast_except([], W_INV, PP_NONE, op.op_id,
+                                      payload={"owner": self.ctx.node_id})
             self.ctx.complete(op)
         else:
             # request ownership from the believed owner.
             self._pending = op
             self.ctx.disable_local_queue()
-            self.ctx.send(
-                self.believed_owner, MsgType.O_PER, ParamPresence.NONE, op.op_id
-            )
+            self.ctx.send(self.believed_owner, O_PER, PP_NONE, op.op_id)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype in (MsgType.R_PER, MsgType.O_PER):
+        if mtype in (R_PER, O_PER):
             if not self.is_owner:
                 # stale addressing under racing requests: forward.
-                self.ctx.send(
-                    self.believed_owner, mtype, ParamPresence.NONE, msg.op_id,
-                    initiator=msg.token.operation_initiator,
-                )
+                self.ctx.send(self.believed_owner, mtype, PP_NONE, msg.op_id,
+                              initiator=msg.token.operation_initiator)
                 return
-            if mtype is MsgType.R_PER:
+            if mtype is R_PER:
                 self._serve_read(msg)
             else:
                 self._transfer_ownership(msg)
-        elif mtype is MsgType.R_GNT:
+        elif mtype is R_GNT:
             self.value = msg.payload["value"]
             self.state = VALID
             self.believed_owner = msg.payload["owner"]
             op, self._pending = self._pending, None
             self.ctx.enable_local_queue()
             self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
+        elif mtype is O_GNT:
             op, self._pending = self._pending, None
             if "value" in msg.payload:
                 self.value = msg.payload["value"]
@@ -153,11 +147,11 @@ class BerkeleyProcess(ProtocolProcess):
             self.valid_set = set(msg.payload["valid_set"]) | {self.ctx.node_id}
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif mtype is MsgType.W_INV:
+        elif mtype is W_INV:
             if not self.is_owner:
                 self.state = INVALID
             self.believed_owner = msg.payload["owner"]
-        elif mtype is MsgType.EJ:
+        elif mtype is EJ:
             if self.is_owner:
                 self.valid_set.discard(msg.token.operation_initiator)
             # at a former owner the entry no longer exists: nothing to do.
@@ -175,14 +169,9 @@ class BerkeleyProcess(ProtocolProcess):
         reader = msg.token.operation_initiator
         self.state = SHARED_DIRTY
         self.valid_set.add(reader)
-        self.ctx.send(
-            reader,
-            MsgType.R_GNT,
-            ParamPresence.USER_INFO,
-            msg.op_id,
-            payload={"value": self.value, "owner": self.ctx.node_id},
-            initiator=reader,
-        )
+        self.ctx.send(reader, R_GNT, PP_USER_INFO, msg.op_id,
+                      payload={"value": self.value, "owner": self.ctx.node_id},
+                      initiator=reader)
 
     def _transfer_ownership(self, msg: Message) -> None:
         """Owner hands the object to a writer and invalidates itself."""
@@ -191,20 +180,14 @@ class BerkeleyProcess(ProtocolProcess):
         payload = {"valid_set": []}
         if needs_ui:
             payload["value"] = self.value
-        self.ctx.send(
-            writer,
-            MsgType.O_GNT,
-            ParamPresence.USER_INFO if needs_ui else ParamPresence.NONE,
-            msg.op_id,
-            payload=payload,
-            initiator=msg.token.operation_initiator,
-        )
+        self.ctx.send(writer, O_GNT, PP_USER_INFO if needs_ui else PP_NONE,
+                      msg.op_id, payload=payload,
+                      initiator=msg.token.operation_initiator)
         # announce the new owner to the other N - 1 nodes and invalidate
         # them; invalidate ourselves as well (ownership moved away).
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
-            payload={"owner": writer}, initiator=msg.token.operation_initiator,
-        )
+        self.ctx.broadcast_except([writer], W_INV, PP_NONE, msg.op_id,
+                                  payload={"owner": writer},
+                                  initiator=msg.token.operation_initiator)
         self.state = INVALID
         self.valid_set = set()
         self.believed_owner = writer

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, R_GNT, UPD, PP_NONE, PP_WRITE, PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -77,8 +79,8 @@ class DragonProcess(ProtocolProcess):
             # write then proceeds with its usual broadcast.
             self._pending = op
             self.ctx.disable_local_queue()
-            self.ctx.send(self.believed_owner, MsgType.R_PER,
-                          ParamPresence.NONE, op.op_id)
+            self.ctx.send(self.believed_owner, R_PER,
+                          PP_NONE, op.op_id)
             return
         if op.kind == READ:
             # every resident Dragon copy is valid.
@@ -96,7 +98,7 @@ class DragonProcess(ProtocolProcess):
         self.believed_owner = self.ctx.node_id
         # broadcast the parameters to the other N nodes (cost N*(P+1)).
         self.ctx.broadcast_except(
-            [], MsgType.UPD, ParamPresence.WRITE, op.op_id,
+            [], UPD, PP_WRITE, op.op_id,
             payload={"value": op.params, "owner": self.ctx.node_id,
                      "tag": tag},
         )
@@ -104,7 +106,7 @@ class DragonProcess(ProtocolProcess):
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.UPD:
+        if mtype is UPD:
             if self.state == INVALID:
                 # no resident copy: partial updates cannot apply, but the
                 # ownership announcement keeps the believed owner fresh
@@ -123,21 +125,20 @@ class DragonProcess(ProtocolProcess):
                     # a newer write exists: the SHARED-DIRTY role moved on.
                     self.state = SHARED_CLEAN
             # older updates are superseded; nothing to apply.
-        elif mtype is MsgType.R_PER:
+        elif mtype is R_PER:
             if not self.is_owner:
                 # stale addressing: forward along the ownership chain.
-                self.ctx.send(self.believed_owner, mtype,
-                              ParamPresence.NONE, msg.op_id,
+                self.ctx.send(self.believed_owner, mtype, PP_NONE, msg.op_id,
                               initiator=msg.token.operation_initiator)
                 return
             reader = msg.token.operation_initiator
             self.ctx.send(
-                reader, MsgType.R_GNT, ParamPresence.USER_INFO, msg.op_id,
+                reader, R_GNT, PP_USER_INFO, msg.op_id,
                 payload={"value": self.value, "owner": self.ctx.node_id,
                          "tag": self.tag},
                 initiator=reader,
             )
-        elif mtype is MsgType.R_GNT:
+        elif mtype is R_GNT:
             self.value = msg.payload["value"]
             self.tag = tuple(msg.payload["tag"])
             self.believed_owner = msg.payload["owner"]

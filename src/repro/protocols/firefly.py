@@ -36,7 +36,9 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, R_GNT, UPD, ACK, EJ, PP_NONE, PP_WRITE, PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -66,8 +68,8 @@ class FireflyClient(ProtocolProcess):
             # announce the departure so the sequencer stops sending this
             # copy updates (one token); ejecting an ejected copy is free.
             if self.state == SHARED:
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.ctx.sequencer_id, EJ,
+                              PP_NONE, op.op_id)
             self.state = INVALID
             self.ctx.complete(op)
             return
@@ -78,15 +80,15 @@ class FireflyClient(ProtocolProcess):
                 # re-fetch the copy from the sequencer (S + 2).
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(self.ctx.sequencer_id, MsgType.R_PER,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.ctx.sequencer_id, R_PER,
+                              PP_NONE, op.op_id)
             return
         self._pending = op
         self.ctx.disable_local_queue()
         self.ctx.send(
             self.ctx.sequencer_id,
-            MsgType.UPD,
-            ParamPresence.WRITE,
+            UPD,
+            PP_WRITE,
             op.op_id,
             # an ejected writer needs the whole copy back with the ACK
             payload={"value": op.params,
@@ -95,11 +97,11 @@ class FireflyClient(ProtocolProcess):
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.UPD:
+        if mtype is UPD:
             if self.state == SHARED:
                 self.value = msg.payload["value"]
             # ejected copies ignore partial updates.
-        elif mtype is MsgType.ACK:
+        elif mtype is ACK:
             op, self._pending = self._pending, None
             if msg.payload and "value" in msg.payload:
                 self.value = msg.payload["value"]
@@ -107,7 +109,7 @@ class FireflyClient(ProtocolProcess):
             self.state = SHARED
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif mtype is MsgType.R_GNT:
+        elif mtype is R_GNT:
             self.value = msg.payload["value"]
             self.state = SHARED
             op, self._pending = self._pending, None
@@ -136,49 +138,40 @@ class FireflySequencer(ProtocolProcess):
             return
         self.value = op.params
         self.serialized_writes += 1
-        self.ctx.broadcast_except(
-            sorted(self.departed), MsgType.UPD, ParamPresence.WRITE,
-            op.op_id, payload={"value": op.params},
-        )
+        self.ctx.broadcast_except(sorted(self.departed), UPD, PP_WRITE,
+                                  op.op_id, payload={"value": op.params})
         self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.EJ:
+        if mtype is EJ:
             self.departed.add(msg.src)
             return
-        if mtype is MsgType.R_PER:
+        if mtype is R_PER:
             # an ejected client re-fetches its copy (and rejoins the
             # update fan-out: the grant re-installs a SHARED copy).
             self.departed.discard(msg.src)
-            self.ctx.send(
-                msg.src, MsgType.R_GNT, ParamPresence.USER_INFO, msg.op_id,
-                payload={"value": self.value},
-                initiator=msg.token.operation_initiator,
-            )
+            self.ctx.send(msg.src, R_GNT, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value},
+                          initiator=msg.token.operation_initiator)
             return
-        if mtype is not MsgType.UPD:  # pragma: no cover
+        if mtype is not UPD:  # pragma: no cover
             raise ValueError(f"firefly sequencer: unexpected {mtype}")
         needs_ui = bool(msg.payload.get("needs_ui"))
         self.value = msg.payload["value"]
         self.serialized_writes += 1
         # the writer's ACK re-installs its copy whatever its state was.
         self.departed.discard(msg.src)
-        self.ctx.broadcast_except(
-            sorted(self.departed | {msg.src}), MsgType.UPD,
-            ParamPresence.WRITE, msg.op_id,
-            payload={"value": msg.payload["value"]},
-            initiator=msg.token.operation_initiator,
-        )
+        self.ctx.broadcast_except(sorted(self.departed | {msg.src}), UPD,
+                                  PP_WRITE, msg.op_id,
+                                  payload={"value": msg.payload["value"]},
+                                  initiator=msg.token.operation_initiator)
         # the ACK carries the whole copy back when the writer had ejected
         # (cost S + 1 instead of 1).
-        self.ctx.send(
-            msg.src, MsgType.ACK,
-            ParamPresence.USER_INFO if needs_ui else ParamPresence.NONE,
-            msg.op_id,
-            payload={"value": self.value} if needs_ui else None,
-            initiator=msg.token.operation_initiator,
-        )
+        self.ctx.send(msg.src, ACK, PP_USER_INFO if needs_ui else PP_NONE,
+                      msg.op_id,
+                      payload={"value": self.value} if needs_ui else None,
+                      initiator=msg.token.operation_initiator)
 
 
 SPEC = ProtocolSpec(

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 from typing import Optional, Set
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, R_GNT, W_INV, O_PER, O_GNT, RCL, WB, EJ, PP_NONE,
+    PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -54,14 +57,11 @@ class IllinoisClient(ProtocolProcess):
             # sequencer's validity directory exact (it decides whether
             # ownership grants need the user information).
             if self.state == DIRTY:
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.WB,
-                    ParamPresence.USER_INFO, op.op_id,
-                    payload={"value": self.value},
-                )
+                self.ctx.send(self.ctx.sequencer_id, WB, PP_USER_INFO,
+                              op.op_id, payload={"value": self.value})
             elif self.state == VALID:
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.ctx.sequencer_id, EJ,
+                              PP_NONE, op.op_id)
             self.state = INVALID
             self.ctx.complete(op)
             return
@@ -71,9 +71,7 @@ class IllinoisClient(ProtocolProcess):
             else:
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, R_PER, PP_NONE, op.op_id)
         else:
             if self.state == DIRTY:
                 self.value = op.params
@@ -81,19 +79,17 @@ class IllinoisClient(ProtocolProcess):
             else:
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.O_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, O_PER, PP_NONE, op.op_id)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.R_GNT:
+        if mtype is R_GNT:
             self.value = msg.payload["value"]
             self.state = VALID
             op, self._pending = self._pending, None
             self.ctx.enable_local_queue()
             self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
+        elif mtype is O_GNT:
             op, self._pending = self._pending, None
             if msg.payload and "value" in msg.payload:
                 self.value = msg.payload["value"]
@@ -101,19 +97,14 @@ class IllinoisClient(ProtocolProcess):
             self.state = DIRTY
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif mtype is MsgType.RCL:
+        elif mtype is RCL:
             if self.state != DIRTY:
                 return  # stale recall; a voluntary write-back beat it
             # cache-to-cache supply: write back but stay VALID.
             self.state = VALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.WB,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-            )
-        elif mtype is MsgType.W_INV:
+            self.ctx.send(self.ctx.sequencer_id, WB, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value})
+        elif mtype is W_INV:
             self.state = INVALID
         else:  # pragma: no cover - specification error
             raise ValueError(f"illinois client: unexpected {mtype}")
@@ -151,27 +142,27 @@ class IllinoisSequencer(HoldingMixin, ProtocolProcess):
     def _apply_own_write(self, op: Operation) -> None:
         self.value = op.params
         self.valid_set.clear()
-        self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
+        self.ctx.broadcast_except([], W_INV, PP_NONE, op.op_id)
         self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if self._busy and mtype is not MsgType.WB:
+        if self._busy and mtype is not WB:
             self._hold(msg)
             return
-        if mtype is MsgType.R_PER:
+        if mtype is R_PER:
             if self.state == VALID:
                 self._grant_read(msg.src, msg.op_id, msg.token.operation_initiator)
             else:
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.O_PER:
+        elif mtype is O_PER:
             if self.state == VALID:
                 self._grant_ownership(msg.src, msg.op_id, msg.token.operation_initiator)
             else:
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.EJ:
+        elif mtype is EJ:
             self.valid_set.discard(msg.src)
-        elif mtype is MsgType.WB:
+        elif mtype is WB:
             if self.owner != msg.src:
                 return  # stale write-back
             self.value = msg.payload["value"]
@@ -192,7 +183,7 @@ class IllinoisSequencer(HoldingMixin, ProtocolProcess):
                     self.ctx.complete(trigger, self.value)
                 else:
                     self._apply_own_write(trigger)
-            elif trigger.token.type is MsgType.R_PER:
+            elif trigger.token.type is R_PER:
                 # direct service — no retry (the Illinois difference).
                 self._grant_read(trigger.src, trigger.op_id,
                                  trigger.token.operation_initiator)
@@ -205,25 +196,17 @@ class IllinoisSequencer(HoldingMixin, ProtocolProcess):
 
     def _grant_read(self, reader: int, op_id: int, initiator: int) -> None:
         self.valid_set.add(reader)
-        self.ctx.send(
-            reader, MsgType.R_GNT, ParamPresence.USER_INFO, op_id,
-            payload={"value": self.value}, initiator=initiator,
-        )
+        self.ctx.send(reader, R_GNT, PP_USER_INFO, op_id,
+                      payload={"value": self.value}, initiator=initiator)
 
     def _grant_ownership(self, writer: int, op_id: int, initiator: int) -> None:
         """Grant exclusivity; skip the data transfer for a known-valid writer."""
         needs_ui = writer not in self.valid_set
-        self.ctx.send(
-            writer,
-            MsgType.O_GNT,
-            ParamPresence.USER_INFO if needs_ui else ParamPresence.NONE,
-            op_id,
-            payload={"value": self.value} if needs_ui else {},
-            initiator=initiator,
-        )
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, op_id, initiator=initiator
-        )
+        self.ctx.send(writer, O_GNT, PP_USER_INFO if needs_ui else PP_NONE,
+                      op_id, payload={"value": self.value} if needs_ui else {},
+                      initiator=initiator)
+        self.ctx.broadcast_except([writer], W_INV, PP_NONE, op_id,
+                                  initiator=initiator)
         self.valid_set.clear()
         self.state = INVALID
         self.owner = writer
@@ -231,7 +214,7 @@ class IllinoisSequencer(HoldingMixin, ProtocolProcess):
     def _start_recall(self, trigger, op_id: int) -> None:
         self._busy = True
         self._recall_for = trigger
-        self.ctx.send(self.owner, MsgType.RCL, ParamPresence.NONE, op_id)
+        self.ctx.send(self.owner, RCL, PP_NONE, op_id)
 
 
 SPEC = ProtocolSpec(

@@ -51,7 +51,10 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, Q_RD, Q_RR, Q_TS, Q_TR, Q_UPD, Q_WB, Q_ACK, PP_NONE, PP_WRITE,
+    PP_USER_INFO,
+)
 from ..util import backoff_delay
 from .base import (
     EJECT,
@@ -80,20 +83,12 @@ QUORUM_MAX_ATTEMPTS = 60
 
 Timestamp = Tuple[int, int]
 
-# the handlers compare and send these on every message; reading an
-# Enum member through its class goes through the metaclass's attribute
-# hook, several times the cost of reading a module global
-_Q_RD, _Q_RR, _Q_TS, _Q_TR = (MsgType.Q_RD, MsgType.Q_RR, MsgType.Q_TS,
-                              MsgType.Q_TR)
-_Q_UPD, _Q_WB, _Q_ACK = MsgType.Q_UPD, MsgType.Q_WB, MsgType.Q_ACK
-_NONE, _USER_INFO = ParamPresence.NONE, ParamPresence.USER_INFO
-
 #: phase -> (request type, parameter presence) of its fan-out
 _PHASE_MESSAGES = {
-    "read": (_Q_RD, _NONE),
-    "write_ts": (_Q_TS, _NONE),
-    "write_upd": (_Q_UPD, ParamPresence.WRITE),
-    "repair": (_Q_WB, ParamPresence.WRITE),
+    "read": (Q_RD, PP_NONE),
+    "write_ts": (Q_TS, PP_NONE),
+    "write_upd": (Q_UPD, PP_WRITE),
+    "repair": (Q_WB, PP_WRITE),
 }
 
 
@@ -415,30 +410,28 @@ class SCABDProcess(ProtocolProcess):
         token = msg.token
         mtype = token.type
         payload = msg.payload
-        if mtype is _Q_RD:
+        if mtype is Q_RD:
             self.ctx.send_unordered(
-                msg.src, _Q_RR, _USER_INFO, msg.op_id,
+                msg.src, Q_RR, PP_USER_INFO, msg.op_id,
                 {"gen": payload["gen"], "ts": self.ts, "value": self.value},
                 token.operation_initiator, payload["retry"],
                 payload["hedge"])
-        elif mtype is _Q_TS:
-            self.ctx.send_unordered(
-                msg.src, _Q_TR, _NONE, msg.op_id,
-                {"gen": payload["gen"], "ts": self.ts},
-                token.operation_initiator, payload["retry"],
-                payload["hedge"])
-        elif mtype is _Q_UPD or mtype is _Q_WB:
+        elif mtype is Q_TS:
+            self.ctx.send_unordered(msg.src, Q_TR, PP_NONE, msg.op_id,
+                                    {"gen": payload["gen"], "ts": self.ts},
+                                    token.operation_initiator,
+                                    payload["retry"], payload["hedge"])
+        elif mtype is Q_UPD or mtype is Q_WB:
             self._install(payload["ts"], payload["value"])
-            self.ctx.send_unordered(
-                msg.src, _Q_ACK, _NONE, msg.op_id,
-                {"gen": payload["gen"]},
-                token.operation_initiator, payload["retry"],
-                payload["hedge"])
-        elif mtype is _Q_RR:
+            self.ctx.send_unordered(msg.src, Q_ACK, PP_NONE, msg.op_id,
+                                    {"gen": payload["gen"]},
+                                    token.operation_initiator,
+                                    payload["retry"], payload["hedge"])
+        elif mtype is Q_RR:
             self._on_read_reply(msg)
-        elif mtype is _Q_TR:
+        elif mtype is Q_TR:
             self._on_ts_reply(msg)
-        elif mtype is _Q_ACK:
+        elif mtype is Q_ACK:
             self._on_ack(msg)
         else:  # pragma: no cover - specification error
             raise ValueError(f"sc_abd: unexpected {mtype}")

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, R_GNT, W_INV, O_PER, O_GNT, RCL, WB, RETRY, PP_NONE,
+    PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -56,11 +59,8 @@ class SynapseClient(ProtocolProcess):
             # (Synapse grants always carry the user information, so the
             # sequencer needs no validity directory).
             if self.state == DIRTY:
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.WB,
-                    ParamPresence.USER_INFO, op.op_id,
-                    payload={"value": self.value},
-                )
+                self.ctx.send(self.ctx.sequencer_id, WB, PP_USER_INFO,
+                              op.op_id, payload={"value": self.value})
             self.state = INVALID
             self.ctx.complete(op)
             return
@@ -70,9 +70,7 @@ class SynapseClient(ProtocolProcess):
             else:
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, R_PER, PP_NONE, op.op_id)
         else:
             if self.state == DIRTY:
                 self.value = op.params
@@ -81,47 +79,38 @@ class SynapseClient(ProtocolProcess):
                 # write hit or miss: acquire exclusive ownership with data.
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.O_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, O_PER, PP_NONE, op.op_id)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.R_GNT:
+        if mtype is R_GNT:
             self.value = msg.payload["value"]
             self.state = VALID
             op, self._pending = self._pending, None
             self.ctx.enable_local_queue()
             self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
+        elif mtype is O_GNT:
             op, self._pending = self._pending, None
             self.value = msg.payload["value"]
             self.value = op.params
             self.state = DIRTY
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif mtype is MsgType.RETRY:
+        elif mtype is RETRY:
             # memory write-back finished; re-issue the pending request.
             op = self._pending
-            retry_type = MsgType.R_PER if op.kind == READ else MsgType.O_PER
-            self.ctx.send(
-                self.ctx.sequencer_id, retry_type, ParamPresence.NONE, op.op_id
-            )
-        elif mtype is MsgType.RCL:
+            retry_type = R_PER if op.kind == READ else O_PER
+            self.ctx.send(self.ctx.sequencer_id, retry_type, PP_NONE, op.op_id)
+        elif mtype is RCL:
             if self.state != DIRTY:
                 # stale recall: a voluntary (eject) write-back already
                 # satisfied the sequencer; nothing to supply.
                 return
             # we hold the only valid copy: write back and self-invalidate.
             self.state = INVALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.WB,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-            )
-        elif mtype is MsgType.W_INV:
+            self.ctx.send(self.ctx.sequencer_id, WB, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value})
+        elif mtype is W_INV:
             self.state = INVALID
         else:  # pragma: no cover - specification error
             raise ValueError(f"synapse client: unexpected {mtype}")
@@ -159,34 +148,29 @@ class SynapseSequencer(HoldingMixin, ProtocolProcess):
     def _apply_own_write(self, op: Operation) -> None:
         """Sequencer write with a VALID copy: invalidate all N clients."""
         self.value = op.params
-        self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
+        self.ctx.broadcast_except([], W_INV, PP_NONE, op.op_id)
         self.ctx.complete(op)
 
     # -- protocol messages ---------------------------------------------
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if self._busy and mtype is not MsgType.WB:
+        if self._busy and mtype is not WB:
             self._hold(msg)
             return
-        if mtype is MsgType.R_PER:
+        if mtype is R_PER:
             if self.state == VALID:
-                self.ctx.send(
-                    msg.src,
-                    MsgType.R_GNT,
-                    ParamPresence.USER_INFO,
-                    msg.op_id,
-                    payload={"value": self.value},
-                    initiator=msg.token.operation_initiator,
-                )
+                self.ctx.send(msg.src, R_GNT, PP_USER_INFO, msg.op_id,
+                              payload={"value": self.value},
+                              initiator=msg.token.operation_initiator)
             else:
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.O_PER:
+        elif mtype is O_PER:
             if self.state == VALID:
                 self._grant_ownership(msg.src, msg.op_id, msg.token.operation_initiator)
             else:
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.WB:
+        elif mtype is WB:
             if self.owner != msg.src:
                 # stale write-back (ownership already moved on): ignore.
                 return
@@ -208,10 +192,8 @@ class SynapseSequencer(HoldingMixin, ProtocolProcess):
                     self._apply_own_write(trigger)
             else:
                 # bus-Synapse semantics: tell the requester to retry.
-                self.ctx.send(
-                    trigger.src, MsgType.RETRY, ParamPresence.NONE, trigger.op_id,
-                    initiator=trigger.token.operation_initiator,
-                )
+                self.ctx.send(trigger.src, RETRY, PP_NONE, trigger.op_id,
+                              initiator=trigger.token.operation_initiator)
             self._release_held()
         else:  # pragma: no cover - specification error
             raise ValueError(f"synapse sequencer: unexpected {mtype}")
@@ -220,17 +202,10 @@ class SynapseSequencer(HoldingMixin, ProtocolProcess):
 
     def _grant_ownership(self, writer: int, op_id: int, initiator: int) -> None:
         """Ownership grant with data; invalidate the other N-1 clients."""
-        self.ctx.send(
-            writer,
-            MsgType.O_GNT,
-            ParamPresence.USER_INFO,
-            op_id,
-            payload={"value": self.value},
-            initiator=initiator,
-        )
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, op_id, initiator=initiator
-        )
+        self.ctx.send(writer, O_GNT, PP_USER_INFO, op_id,
+                      payload={"value": self.value}, initiator=initiator)
+        self.ctx.broadcast_except([writer], W_INV, PP_NONE, op_id,
+                                  initiator=initiator)
         self.state = INVALID
         self.owner = writer
 
@@ -238,7 +213,7 @@ class SynapseSequencer(HoldingMixin, ProtocolProcess):
         """Ask the dirty owner to write back; hold all other work."""
         self._busy = True
         self._recall_for = trigger
-        self.ctx.send(self.owner, MsgType.RCL, ParamPresence.NONE, op_id)
+        self.ctx.send(self.owner, RCL, PP_NONE, op_id)
 
 
 SPEC = ProtocolSpec(

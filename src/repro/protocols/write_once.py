@@ -36,7 +36,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, W_PER, R_GNT, W_INV, O_PER, O_GNT, RCL, WB, D_NOT, D_GNT,
+    D_NACK, DGR, EJ, PP_NONE, PP_WRITE, PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -68,14 +71,11 @@ class WriteOnceClient(ProtocolProcess):
             # already home (written through), but the sequencer's
             # reserved-client entry must clear (one token).  VALID: silent.
             if self.state == DIRTY:
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.WB,
-                    ParamPresence.USER_INFO, op.op_id,
-                    payload={"value": self.value},
-                )
+                self.ctx.send(self.ctx.sequencer_id, WB, PP_USER_INFO,
+                              op.op_id, payload={"value": self.value})
             elif self.state == RESERVED:
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.ctx.sequencer_id, EJ,
+                              PP_NONE, op.op_id)
             self.state = INVALID
             self.ctx.complete(op)
             return
@@ -85,9 +85,7 @@ class WriteOnceClient(ProtocolProcess):
             else:
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, R_PER, PP_NONE, op.op_id)
             return
         # write
         if self.state == DIRTY:
@@ -97,75 +95,61 @@ class WriteOnceClient(ProtocolProcess):
             # serialized local upgrade: ask before going DIRTY.
             self._pending = op
             self.ctx.disable_local_queue()
-            self.ctx.send(
-                self.ctx.sequencer_id, MsgType.D_NOT, ParamPresence.NONE, op.op_id
-            )
+            self.ctx.send(self.ctx.sequencer_id, D_NOT, PP_NONE, op.op_id)
         elif self.state == VALID:
             # first write: write through, keep the copy in RESERVED.
             self.value = op.params
             self.state = RESERVED
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.W_PER,
-                ParamPresence.WRITE,
-                op.op_id,
-                payload={"value": op.params},
-            )
+            self.ctx.send(self.ctx.sequencer_id, W_PER, PP_WRITE, op.op_id,
+                          payload={"value": op.params})
             self.ctx.complete(op)
         else:
             # INVALID: read-with-intent-to-modify.
             self._pending = op
             self.ctx.disable_local_queue()
-            self.ctx.send(
-                self.ctx.sequencer_id, MsgType.O_PER, ParamPresence.NONE, op.op_id
-            )
+            self.ctx.send(self.ctx.sequencer_id, O_PER, PP_NONE, op.op_id)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if mtype is MsgType.R_GNT:
+        if mtype is R_GNT:
             self.value = msg.payload["value"]
             self.state = VALID
             op, self._pending = self._pending, None
             self.ctx.enable_local_queue()
             self.ctx.complete(op, self.value)
-        elif mtype is MsgType.O_GNT:
+        elif mtype is O_GNT:
             op, self._pending = self._pending, None
             self.value = msg.payload["value"]
             self.value = op.params
             self.state = DIRTY
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif mtype is MsgType.D_GNT:
+        elif mtype is D_GNT:
             # upgrade granted: apply the write locally.
             op, self._pending = self._pending, None
             self.value = op.params
             self.state = DIRTY
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif mtype is MsgType.D_NACK:
+        elif mtype is D_NACK:
             # reserved status lost in flight (an invalidation or downgrade
             # is ahead of this NACK on the FIFO channel, so our state is
             # already VALID or INVALID): redo the write from the real state.
             op, self._pending = self._pending, None
             self.ctx.enable_local_queue()
             self.on_request(op)
-        elif mtype is MsgType.DGR:
+        elif mtype is DGR:
             # another node read the object: a write is no longer "once".
             if self.state == RESERVED:
                 self.state = VALID
-        elif mtype is MsgType.RCL:
+        elif mtype is RCL:
             if self.state != DIRTY:
                 return  # stale recall; a voluntary write-back beat it
             # supply the copy; stay VALID (memory is updated by the WB).
             self.state = VALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.WB,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-            )
-        elif mtype is MsgType.W_INV:
+            self.ctx.send(self.ctx.sequencer_id, WB, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value})
+        elif mtype is W_INV:
             self.state = INVALID
         else:  # pragma: no cover - specification error
             raise ValueError(f"write_once client: unexpected {mtype}")
@@ -204,56 +188,52 @@ class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
     def _apply_own_write(self, op: Operation) -> None:
         self.value = op.params
         self.reserved_client = None
-        self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
+        self.ctx.broadcast_except([], W_INV, PP_NONE, op.op_id)
         self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
         mtype = msg.token.type
-        if self._busy and mtype is not MsgType.WB:
+        if self._busy and mtype is not WB:
             self._hold(msg)
             return
-        if mtype is MsgType.R_PER:
+        if mtype is R_PER:
             if self.state == VALID:
                 self._grant_read(msg.src, msg.op_id, msg.token.operation_initiator)
             else:
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.O_PER:
+        elif mtype is O_PER:
             if self.state == VALID:
                 self._grant_ownership(msg.src, msg.op_id, msg.token.operation_initiator)
             else:
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.W_PER:
+        elif mtype is W_PER:
             if self.state == VALID:
                 # write-through from a VALID client: apply, invalidate others.
                 self.value = msg.payload["value"]
                 self.reserved_client = msg.src
                 self.ctx.broadcast_except(
-                    [msg.src], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
+                    [msg.src], W_INV, PP_NONE, msg.op_id,
                     initiator=msg.token.operation_initiator,
                 )
             else:
                 # the writer was invalidated in flight; recall the dirty
                 # owner first, then apply the write-through on top.
                 self._start_recall(msg, msg.op_id)
-        elif mtype is MsgType.D_NOT:
+        elif mtype is D_NOT:
             if msg.src == self.reserved_client and self.state == VALID:
                 self.state = INVALID
                 self.owner = msg.src
                 self.reserved_client = None
-                self.ctx.send(
-                    msg.src, MsgType.D_GNT, ParamPresence.NONE, msg.op_id,
-                    initiator=msg.token.operation_initiator,
-                )
+                self.ctx.send(msg.src, D_GNT, PP_NONE, msg.op_id,
+                              initiator=msg.token.operation_initiator)
             else:
                 # overtaken by another serialized operation.
-                self.ctx.send(
-                    msg.src, MsgType.D_NACK, ParamPresence.NONE, msg.op_id,
-                    initiator=msg.token.operation_initiator,
-                )
-        elif mtype is MsgType.EJ:
+                self.ctx.send(msg.src, D_NACK, PP_NONE, msg.op_id,
+                              initiator=msg.token.operation_initiator)
+        elif mtype is EJ:
             if self.reserved_client == msg.src:
                 self.reserved_client = None
-        elif mtype is MsgType.WB:
+        elif mtype is WB:
             if self.owner != msg.src:
                 return  # stale write-back
             self.value = msg.payload["value"]
@@ -269,14 +249,14 @@ class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
                     self.ctx.complete(trigger, self.value)
                 else:
                     self._apply_own_write(trigger)
-            elif trigger.token.type is MsgType.R_PER:
+            elif trigger.token.type is R_PER:
                 self._grant_read(trigger.src, trigger.op_id,
                                  trigger.token.operation_initiator)
-            elif trigger.token.type is MsgType.W_PER:
+            elif trigger.token.type is W_PER:
                 self.value = trigger.payload["value"]
                 self.reserved_client = trigger.src
                 self.ctx.broadcast_except(
-                    [trigger.src], MsgType.W_INV, ParamPresence.NONE,
+                    [trigger.src], W_INV, PP_NONE,
                     trigger.op_id, initiator=trigger.token.operation_initiator,
                 )
             else:
@@ -289,26 +269,19 @@ class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
     def _downgrade_reserved(self, op_id: int) -> None:
         """Replace the bus's snooped-read downgrade with a DGR token."""
         if self.reserved_client is not None:
-            self.ctx.send(
-                self.reserved_client, MsgType.DGR, ParamPresence.NONE, op_id
-            )
+            self.ctx.send(self.reserved_client, DGR, PP_NONE, op_id)
             self.reserved_client = None
 
     def _grant_read(self, reader: int, op_id: int, initiator: int) -> None:
         self._downgrade_reserved(op_id)
-        self.ctx.send(
-            reader, MsgType.R_GNT, ParamPresence.USER_INFO, op_id,
-            payload={"value": self.value}, initiator=initiator,
-        )
+        self.ctx.send(reader, R_GNT, PP_USER_INFO, op_id,
+                      payload={"value": self.value}, initiator=initiator)
 
     def _grant_ownership(self, writer: int, op_id: int, initiator: int) -> None:
-        self.ctx.send(
-            writer, MsgType.O_GNT, ParamPresence.USER_INFO, op_id,
-            payload={"value": self.value}, initiator=initiator,
-        )
-        self.ctx.broadcast_except(
-            [writer], MsgType.W_INV, ParamPresence.NONE, op_id, initiator=initiator
-        )
+        self.ctx.send(writer, O_GNT, PP_USER_INFO, op_id,
+                      payload={"value": self.value}, initiator=initiator)
+        self.ctx.broadcast_except([writer], W_INV, PP_NONE, op_id,
+                                  initiator=initiator)
         self.state = INVALID
         self.owner = writer
         self.reserved_client = None
@@ -316,7 +289,7 @@ class WriteOnceSequencer(HoldingMixin, ProtocolProcess):
     def _start_recall(self, trigger, op_id: int) -> None:
         self._busy = True
         self._recall_for = trigger
-        self.ctx.send(self.owner, MsgType.RCL, ParamPresence.NONE, op_id)
+        self.ctx.send(self.owner, RCL, PP_NONE, op_id)
 
 
 SPEC = ProtocolSpec(

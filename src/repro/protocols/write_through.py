@@ -28,7 +28,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, W_PER, R_GNT, W_INV, PP_NONE, PP_WRITE, PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -71,30 +73,23 @@ class WriteThroughClient(ProtocolProcess):
                 # trace tr2: ask the sequencer; block the local queue.
                 self._pending_read = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, R_PER, PP_NONE, op.op_id)
         else:
             # traces tr3/tr4: forward the write parameters, drop the copy.
             self.state = INVALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.W_PER,
-                ParamPresence.WRITE,
-                op.op_id,
-                payload={"value": op.params},
-            )
+            self.ctx.send(self.ctx.sequencer_id, W_PER, PP_WRITE, op.op_id,
+                          payload={"value": op.params})
             self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
-        if msg.token.type is MsgType.R_GNT:
+        if msg.token.type is R_GNT:
             # trace tr2 completion: install the granted user information.
             self.value = msg.payload["value"]
             self.state = VALID
             op, self._pending_read = self._pending_read, None
             self.ctx.enable_local_queue()
             self.ctx.complete(op, self.value)
-        elif msg.token.type is MsgType.W_INV:
+        elif msg.token.type is W_INV:
             self.state = INVALID
         else:  # pragma: no cover - specification error
             raise ValueError(f"write_through client: unexpected {msg.token.type}")
@@ -120,28 +115,21 @@ class WriteThroughSequencer(ProtocolProcess):
             # trace tr6: apply locally and invalidate all N clients.
             self.value = op.params
             self.serialized_writes += 1
-            self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
+            self.ctx.broadcast_except([], W_INV, PP_NONE, op.op_id)
             self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
-        if msg.token.type is MsgType.R_PER:
+        if msg.token.type is R_PER:
             # routine 103: grant with user information.
-            self.ctx.send(
-                msg.src,
-                MsgType.R_GNT,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-                initiator=msg.token.operation_initiator,
-            )
-        elif msg.token.type is MsgType.W_PER:
+            self.ctx.send(msg.src, R_GNT, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value},
+                          initiator=msg.token.operation_initiator)
+        elif msg.token.type is W_PER:
             # routine 104: apply and invalidate everyone but the writer.
             self.value = msg.payload["value"]
             self.serialized_writes += 1
-            self.ctx.broadcast_except(
-                [msg.src], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
-                initiator=msg.token.operation_initiator,
-            )
+            self.ctx.broadcast_except([msg.src], W_INV, PP_NONE, msg.op_id,
+                                      initiator=msg.token.operation_initiator)
         else:  # pragma: no cover - specification error
             raise ValueError(f"write_through sequencer: unexpected {msg.token.type}")
 

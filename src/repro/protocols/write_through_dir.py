@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from typing import Set
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, W_PER, R_GNT, W_INV, EJ, PP_NONE, PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -49,8 +51,8 @@ class DirectoryWriteThroughClient(WriteThroughClient):
         if op.kind == EJECT:
             if self.state == VALID:
                 self.state = INVALID
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.ctx.sequencer_id, EJ,
+                              PP_NONE, op.op_id)
             self.ctx.complete(op)
             return
         super().on_request(op)
@@ -77,29 +79,26 @@ class DirectoryWriteThroughSequencer(ProtocolProcess):
             self.value = op.params
             self.serialized_writes += 1
             for dst in sorted(self.copyset):
-                self.ctx.send(dst, MsgType.W_INV, ParamPresence.NONE,
+                self.ctx.send(dst, W_INV, PP_NONE,
                               op.op_id)
             self.copyset.clear()
             self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
-        if msg.token.type is MsgType.R_PER:
+        if msg.token.type is R_PER:
             self.copyset.add(msg.src)
-            self.ctx.send(
-                msg.src, MsgType.R_GNT, ParamPresence.USER_INFO, msg.op_id,
-                payload={"value": self.value},
-                initiator=msg.token.operation_initiator,
-            )
-        elif msg.token.type is MsgType.W_PER:
+            self.ctx.send(msg.src, R_GNT, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value},
+                          initiator=msg.token.operation_initiator)
+        elif msg.token.type is W_PER:
             self.value = msg.payload["value"]
             self.serialized_writes += 1
             # multicast to the copyset only; the writer self-invalidated.
             for dst in sorted(self.copyset - {msg.src}):
-                self.ctx.send(dst, MsgType.W_INV, ParamPresence.NONE,
-                              msg.op_id,
+                self.ctx.send(dst, W_INV, PP_NONE, msg.op_id,
                               initiator=msg.token.operation_initiator)
             self.copyset.clear()
-        elif msg.token.type is MsgType.EJ:
+        elif msg.token.type is EJ:
             self.copyset.discard(msg.src)
         else:  # pragma: no cover - specification error
             raise ValueError(

@@ -33,7 +33,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import (
+    Message, R_PER, W_PER, R_GNT, W_INV, W_GNT, UPD, EJ, PP_NONE, PP_WRITE,
+    PP_USER_INFO,
+)
 from .base import (
     EJECT,
     READ,
@@ -63,8 +66,8 @@ class WriteThroughVClient(ProtocolProcess):
             # departure (one token); ejecting an invalid copy is free.
             if self.state == VALID:
                 self.state = INVALID
-                self.ctx.send(self.ctx.sequencer_id, MsgType.EJ,
-                              ParamPresence.NONE, op.op_id)
+                self.ctx.send(self.ctx.sequencer_id, EJ,
+                              PP_NONE, op.op_id)
             self.ctx.complete(op)
             return
         if op.kind == READ:
@@ -73,25 +76,21 @@ class WriteThroughVClient(ProtocolProcess):
             else:
                 self._pending = op
                 self.ctx.disable_local_queue()
-                self.ctx.send(
-                    self.ctx.sequencer_id, MsgType.R_PER, ParamPresence.NONE, op.op_id
-                )
+                self.ctx.send(self.ctx.sequencer_id, R_PER, PP_NONE, op.op_id)
         else:
             # two-phase write: ask for the serialization point first.
             self._pending = op
             self.ctx.disable_local_queue()
-            self.ctx.send(
-                self.ctx.sequencer_id, MsgType.W_PER, ParamPresence.NONE, op.op_id
-            )
+            self.ctx.send(self.ctx.sequencer_id, W_PER, PP_NONE, op.op_id)
 
     def on_message(self, msg: Message) -> None:
-        if msg.token.type is MsgType.R_GNT:
+        if msg.token.type is R_GNT:
             self.value = msg.payload["value"]
             self.state = VALID
             op, self._pending = self._pending, None
             self.ctx.enable_local_queue()
             self.ctx.complete(op, self.value)
-        elif msg.token.type is MsgType.W_GNT:
+        elif msg.token.type is W_GNT:
             op, self._pending = self._pending, None
             if msg.payload and "value" in msg.payload:
                 # the grant carried the user information: refresh first.
@@ -99,16 +98,11 @@ class WriteThroughVClient(ProtocolProcess):
             # apply our own parameters and push them to the sequencer.
             self.value = op.params
             self.state = VALID
-            self.ctx.send(
-                self.ctx.sequencer_id,
-                MsgType.UPD,
-                ParamPresence.WRITE,
-                op.op_id,
-                payload={"value": op.params},
-            )
+            self.ctx.send(self.ctx.sequencer_id, UPD, PP_WRITE, op.op_id,
+                          payload={"value": op.params})
             self.ctx.enable_local_queue()
             self.ctx.complete(op)
-        elif msg.token.type is MsgType.W_INV:
+        elif msg.token.type is W_INV:
             self.state = INVALID
         else:  # pragma: no cover - specification error
             raise ValueError(f"write_through_v client: unexpected {msg.token.type}")
@@ -141,7 +135,7 @@ class WriteThroughVSequencer(ProtocolProcess):
             self.value = op.params
             self.serialized_writes += 1
             self.valid_set.clear()
-            self.ctx.broadcast_except([], MsgType.W_INV, ParamPresence.NONE, op.op_id)
+            self.ctx.broadcast_except([], W_INV, PP_NONE, op.op_id)
             self.ctx.complete(op)
 
     def on_message(self, msg: Message) -> None:
@@ -151,39 +145,28 @@ class WriteThroughVSequencer(ProtocolProcess):
             self._held.append(msg)
             return
         mtype = msg.token.type
-        if mtype is MsgType.R_PER:
+        if mtype is R_PER:
             self.valid_set.add(msg.src)
-            self.ctx.send(
-                msg.src,
-                MsgType.R_GNT,
-                ParamPresence.USER_INFO,
-                msg.op_id,
-                payload={"value": self.value},
-                initiator=msg.token.operation_initiator,
-            )
-        elif mtype is MsgType.W_PER:
+            self.ctx.send(msg.src, R_GNT, PP_USER_INFO, msg.op_id,
+                          payload={"value": self.value},
+                          initiator=msg.token.operation_initiator)
+        elif mtype is W_PER:
             needs_ui = msg.src not in self.valid_set
             self._granted_writer = msg.src
-            self.ctx.send(
-                msg.src,
-                MsgType.W_GNT,
-                ParamPresence.USER_INFO if needs_ui else ParamPresence.NONE,
-                msg.op_id,
-                payload={"value": self.value} if needs_ui else {},
-                initiator=msg.token.operation_initiator,
-            )
-        elif mtype is MsgType.EJ:
+            self.ctx.send(msg.src, W_GNT,
+                          PP_USER_INFO if needs_ui else PP_NONE, msg.op_id,
+                          payload={"value": self.value} if needs_ui else {},
+                          initiator=msg.token.operation_initiator)
+        elif mtype is EJ:
             self.valid_set.discard(msg.src)
-        elif mtype is MsgType.UPD:
+        elif mtype is UPD:
             writer = msg.src
             self.value = msg.payload["value"]
             self.serialized_writes += 1
             self.valid_set = {writer}
             self._granted_writer = None
-            self.ctx.broadcast_except(
-                [writer], MsgType.W_INV, ParamPresence.NONE, msg.op_id,
-                initiator=msg.token.operation_initiator,
-            )
+            self.ctx.broadcast_except([writer], W_INV, PP_NONE, msg.op_id,
+                                      initiator=msg.token.operation_initiator)
             self._release_held()
         else:  # pragma: no cover - specification error
             raise ValueError(f"write_through_v sequencer: unexpected {mtype}")

@@ -41,9 +41,13 @@ tuple, one sequence number per delivery.  A jittered delivery due
 before the lane's tail falls back to the scheduler's heap by itself, so
 the firing order is the one a single heap would give.
 
-Message costs (Section 4.1) are charged at send time through the attached
-:class:`~repro.sim.metrics.Metrics` sink: 1 for a bare token, ``S + 1`` with
-user information, ``P + 1`` with write parameters.
+Message costs (Section 4.1) are priced by the sender and charged at send
+time through the attached :class:`~repro.sim.metrics.Metrics` sink: 1 for
+a bare token, ``S + 1`` with user information, ``P + 1`` with write
+parameters, and 0 for a self-send.  The fabric never prices a message
+itself: the sending port prices each token once, with
+:func:`~repro.machines.message.token_cost`, and passes the cost along
+with the message (:class:`~repro.sim.node.ObjectPort`).
 """
 
 from __future__ import annotations
@@ -140,12 +144,13 @@ class Network:
         if self.tracer is not None:
             self.tracer.system_event("fault." + kind)
 
-    def send(self, msg: Message, S: float, P: float) -> float:
-        """Send ``msg``; charge its cost; schedule delivery.
+    def send(self, msg: Message, cost: float) -> float:
+        """Send ``msg``; charge ``cost``; schedule delivery.
 
-        Returns the communication cost charged (0 for self-sends, which the
-        paper counts as intra-node actions, and 0 for sends suppressed
-        because the source node is crashed).
+        ``cost`` is the sender's price for the message (0 for self-sends,
+        which the paper counts as intra-node actions).  Returns the cost
+        charged: ``cost``, or 0 for a send suppressed because the source
+        node is crashed.
 
         Raises:
             RuntimeError: if ``msg.dst`` was never attached to the fabric.
@@ -166,7 +171,6 @@ class Network:
             self.suppressed += 1
             self._fault_event("down_src")
             return 0.0
-        cost = msg.cost(S, P)
         if self.on_cost is not None and cost > 0.0:
             self.on_cost(msg, cost)
         self.messages_sent += 1

@@ -20,21 +20,29 @@ block".
 Each :class:`ObjectPort` binds its transport once, at construction: the
 fabric's ``send``, the reliable transport's ``send_unordered`` and
 ``cancel_dgrams`` (``None`` on the plain fabric, which has no datagram
-transport), and the scheduler.  A send looks its shared token up in the
-port's cache inline, builds one :class:`Message` and hands it to the
-bound method; a delivery reads the profiler off the bound scheduler.
-Every method the benchmark's layer run wraps stays a class attribute on
-that path (no instance attribute shadows one), so the layer run keeps
-attributing time to it.
+transport), and the scheduler.  The port prices each token once: its
+cache maps a ``(type, presence, initiator)`` header to the shared token
+and that token's Section 4.1 cost (:func:`token_cost` of the presence
+at the system's fixed ``S`` and ``P``), so a send builds one
+:class:`Message` and hands it, with its cost, to the bound method.  A
+self-send costs 0 (an intra-node action).  A broadcast
+(:meth:`ProcessContext.broadcast_except`) reaches the port's
+:meth:`ObjectPort.send_many` hook, which looks the token up once and
+calls the bound ``send`` once per target.  A delivery reads the profiler
+off the bound scheduler.  Every method the benchmark's layer run wraps
+stays a class attribute on that path (no instance attribute shadows
+one), so the layer run keeps attributing time to it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Any, Callable, Deque, Dict, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
 
-from ..machines.message import Message, MessageToken, MsgType, ParamPresence, QueueTag
+from ..machines.message import (
+    Message, MessageToken, MsgType, ParamPresence, QueueTag, token_cost,
+)
 from ..protocols.base import (
     EJECT,
     READ,
@@ -94,12 +102,11 @@ class ObjectPort(ProcessContext):
         self._net_send_unordered = getattr(network, "send_unordered", None)
         self._net_cancel_dgrams = getattr(network, "cancel_dgrams", None)
         self._scheduler = node.scheduler
-        self._S = node.S
-        self._P = node.P
         # tokens are frozen, so one per (type, presence, initiator) is
-        # shared by every message this port sends with that header
+        # shared, with its inter-node cost, by every message this port
+        # sends with that header
         self._tokens: Dict[Tuple[MsgType, ParamPresence, int],
-                           MessageToken] = {}
+                           Tuple[MessageToken, float]] = {}
         #: the protocol process bound to this port (set by SimNode)
         self.process: Optional[ProtocolProcess] = None
         #: local request queue and its gate
@@ -142,27 +149,53 @@ class ObjectPort(ProcessContext):
         payload: Any = None,
         initiator: Optional[int] = None,
     ) -> None:
-        key = (msg_type, presence,
-               self.node_id if initiator is None else initiator)
-        token = self._tokens.get(key)
-        if token is None:
-            token = self._token(key)
-        self._net_send(Message(token, self.node_id, dst, payload, op_id),
-                       self._S, self._P)
+        src = self.node_id
+        key = (msg_type, presence, src if initiator is None else initiator)
+        entry = self._tokens.get(key)
+        if entry is None:
+            entry = self._token(key)
+        token, cost = entry
+        self._net_send(Message(token, src, dst, payload, op_id),
+                       0.0 if dst == src else cost)
+
+    def send_many(
+        self,
+        targets: Iterable[int],
+        msg_type: MsgType,
+        presence: ParamPresence,
+        op_id: Optional[int],
+        payload: Any = None,
+        initiator: Optional[int] = None,
+    ) -> None:
+        # the cache lookup is inlined in each send method, as in send:
+        # these run once per message, and a helper call would cost more
+        # than the lookup
+        src = self.node_id
+        key = (msg_type, presence, src if initiator is None else initiator)
+        entry = self._tokens.get(key)
+        if entry is None:
+            entry = self._token(key)
+        token, cost = entry
+        net_send = self._net_send
+        for dst in targets:
+            net_send(Message(token, src, dst, payload, op_id),
+                     0.0 if dst == src else cost)
 
     def _token(self, key: Tuple[MsgType, ParamPresence, int]
-               ) -> MessageToken:
-        """Make and cache the shared token for a ``(type, presence,
-        initiator)`` header seen for the first time."""
+               ) -> Tuple[MessageToken, float]:
+        """Make, price and cache the shared token for a ``(type,
+        presence, initiator)`` header seen for the first time."""
         msg_type, presence, initiator = key
-        token = self._tokens[key] = MessageToken(
+        token = MessageToken(
             type=msg_type,
             operation_initiator=initiator,
             object_name=self.obj,
             queue=QueueTag.DISTRIBUTED,
             parameter_presence=presence,
         )
-        return token
+        entry = self._tokens[key] = (
+            token, token_cost(presence, self._node.S, self._node.P))
+        return entry
 
     def send_unordered(
         self,
@@ -175,19 +208,22 @@ class ObjectPort(ProcessContext):
         quorum: bool = False,
         hedge: bool = False,
     ) -> None:
-        key = (msg_type, presence,
-               self.node_id if initiator is None else initiator)
-        token = self._tokens.get(key)
-        if token is None:
-            token = self._token(key)
-        msg = Message(token, self.node_id, dst, payload, op_id)
+        src = self.node_id
+        key = (msg_type, presence, src if initiator is None else initiator)
+        entry = self._tokens.get(key)
+        if entry is None:
+            entry = self._token(key)
+        token, cost = entry
+        msg = Message(token, src, dst, payload, op_id)
+        if dst == src:
+            cost = 0.0
         send_unordered = self._net_send_unordered
         if send_unordered is None:
             # fault-free fabric: plain FIFO sends are exact (nothing is
             # ever retried or abandoned, so ordering cannot wedge).
-            self._net_send(msg, self._S, self._P)
+            self._net_send(msg, cost)
         else:
-            send_unordered(msg, self._S, self._P, quorum, hedge)
+            send_unordered(msg, cost, quorum, hedge)
 
     def cancel_unordered(self, op_id: int) -> int:
         """Cancel this node's pending datagram retries for ``op_id``.

@@ -26,8 +26,10 @@ message), and :meth:`DSMSystem.run_workload` reports the affected
 operations as incomplete rather than deadlocking.
 
 Cost accounting: the *first* transmission of a protocol message is charged
-exactly as on the fault-free fabric (same cost class, same trace-signature
-entry).  Retransmissions and acks are charged through
+exactly as on the fault-free fabric, at the cost its sender priced (same
+cost class, same trace-signature entry).  Each retransmission charges that
+same cost again, and an ack costs 1 (a bare token).  Retransmissions and
+acks are charged through
 :meth:`Metrics.record_reliability_cost` — they inflate ``acc`` but are
 tracked separately, so the reliability overhead can be broken out
 (``Metrics.average_cost_breakdown``) and trace signatures stay comparable
@@ -167,12 +169,12 @@ class Frame:
     ``kind`` is ``"data"`` (wraps a protocol :class:`Message`), ``"ack"``
     (bare acknowledgement token), ``"dgram"`` / ``"dack"`` (the unordered
     datagram mode used by quorum protocols) or ``"loop"`` (intra-node
-    bypass).  The
-    ``cost``/``src``/``dst`` surface lets a frame travel through
-    :class:`~repro.sim.channel.Network` like any message.  ``epoch`` is
-    the sender's view-change epoch (:meth:`ReliableNetwork.advance_epoch`);
-    receivers drop frames from earlier epochs so traffic voided by a crash
-    recovery cannot be delivered into the new view.
+    bypass).  The ``src``/``dst``/``op_id`` surface lets a frame travel
+    through :class:`~repro.sim.channel.Network` like any message, at the
+    cost the transport hands it.  ``epoch`` is the sender's view-change
+    epoch (:meth:`ReliableNetwork.advance_epoch`); receivers drop frames
+    from earlier epochs so traffic voided by a crash recovery cannot be
+    delivered into the new view.
 
     A frame is never modified after construction: retransmissions and
     injected duplicates deliver the same object again.  It is not a
@@ -189,31 +191,23 @@ class Frame:
     op_id: Optional[int] = None
     epoch: int = 0
 
-    def cost(self, S: float, P: float) -> float:
-        """Inter-node communication cost of this frame."""
-        if self.src == self.dst:
-            return 0.0
-        if self.kind == "ack" or self.kind == "dack":
-            return 1.0  # a bare token (no parameters ride along)
-        return self.msg.cost(S, P)
-
 
 class _PendingSend:
     """Sender-side state for one unacknowledged data frame or datagram.
 
     The pending send is its own retry-timer callback: calling it hands its
     ``(channel, seq)`` key to the owner's timeout handler, so arming a
-    timer builds no closure.
+    timer builds no closure.  It keeps the first attempt's cost, which
+    every retransmission charges again.
     """
 
-    __slots__ = ("frame", "S", "P", "attempts", "timer", "key",
+    __slots__ = ("frame", "cost", "attempts", "timer", "key",
                  "_on_timeout")
 
-    def __init__(self, frame: Frame, S: float, P: float,
+    def __init__(self, frame: Frame, cost: float,
                  on_timeout: Callable[[Tuple[Tuple[int, int], int]], None]):
         self.frame = frame
-        self.S = S
-        self.P = P
+        self.cost = cost
         self.attempts = 0
         self.timer: Optional[TimerHandle] = None
         self.key = ((frame.src, frame.dst), frame.seq)
@@ -303,12 +297,13 @@ class ReliableNetwork:
         self._handlers[node_id] = handler
         self.physical.attach(node_id, self._on_frame)
 
-    def send(self, msg: Message, S: float, P: float) -> float:
-        """Send ``msg`` reliably; returns the first-attempt cost charged."""
+    def send(self, msg: Message, cost: float) -> float:
+        """Send ``msg`` reliably at the sender-priced ``cost``; returns
+        the first-attempt cost charged."""
         if msg.src == msg.dst:
             # intra-node: free and trivially reliable; bypass the transport.
             frame = Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id)
-            return self.physical.send(frame, S, P)
+            return self.physical.send(frame, 0.0)
         if self.quarantined and msg.dst in self.quarantined:
             # the destination is quarantined out of the cluster view:
             # absorbing the send (no cost, no retries) is the whole point
@@ -325,9 +320,8 @@ class ReliableNetwork:
         self._send_seq[channel] = seq
         frame = Frame("data", msg.src, msg.dst, seq, msg, msg.op_id,
                       self.epoch)
-        pending = _PendingSend(frame, S, P, self._on_timeout)
+        pending = _PendingSend(frame, cost, self._on_timeout)
         self._pending[pending.key] = pending
-        cost = frame.cost(S, P)
         if self.metrics is not None:
             # first attempt: charged exactly like the fault-free fabric
             # (cost class + trace-signature entry).
@@ -336,7 +330,7 @@ class ReliableNetwork:
         self._arm_timer(pending)
         return cost
 
-    def send_unordered(self, msg: Message, S: float, P: float,
+    def send_unordered(self, msg: Message, cost: float,
                        quorum: bool = False, hedge: bool = False) -> float:
         """Send ``msg`` as an at-least-once *unordered* datagram.
 
@@ -356,7 +350,7 @@ class ReliableNetwork:
         """
         if msg.src == msg.dst:
             frame = Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id)
-            return self.physical.send(frame, S, P)
+            return self.physical.send(frame, 0.0)
         if self.quarantined and msg.dst in self.quarantined:
             if self.metrics is not None:
                 self.metrics.partition.sends_absorbed += 1
@@ -370,9 +364,8 @@ class ReliableNetwork:
         self._dgram_seq[channel] = seq
         frame = Frame("dgram", msg.src, msg.dst, seq, msg, msg.op_id,
                       self.epoch)
-        pending = _PendingSend(frame, S, P, self._on_dgram_timeout)
+        pending = _PendingSend(frame, cost, self._on_dgram_timeout)
         self._dgram_pending[pending.key] = pending
-        cost = frame.cost(S, P)
         if self.metrics is not None:
             if hedge:
                 self.metrics.record_hedge_cost(msg.op_id, cost)
@@ -419,10 +412,9 @@ class ReliableNetwork:
             return
         if charge and self.metrics is not None:
             self.metrics.record_reliability_cost(
-                frame.op_id, frame.cost(pending.S, pending.P),
-                kind="retransmit",
+                frame.op_id, pending.cost, kind="retransmit",
             )
-        self.physical.send(frame, pending.S, pending.P)
+        self.physical.send(frame, pending.cost)
 
     def _arm_timer(self, pending: _PendingSend) -> None:
         """Arm ``pending``'s retry timer for its current attempt (data
@@ -614,8 +606,8 @@ class ReliableNetwork:
         if self.metrics is not None:
             self.metrics.reliability.acks += 1
             self.metrics.record_reliability_cost(ack.op_id, 1.0, kind="ack")
-        # ack cost is presence-independent (a bare token), so S/P are moot.
-        self.physical.send(ack, 0.0, 0.0)
+        # an ack is a bare token: cost 1
+        self.physical.send(ack, 1.0)
 
     # ------------------------------------------------------------------
     # bookkeeping

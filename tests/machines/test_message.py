@@ -1,9 +1,11 @@
-"""Unit tests for message tokens and cost classes (paper Sections 3, 4.1)."""
+"""Unit tests for message tokens and cost classes (paper Sections 3, 4.1).
+
+Pricing a sent message is the port's job: tests/sim/test_send_path.py."""
 
 import pytest
 
+from repro.machines import message
 from repro.machines.message import (
-    Message,
     MessageToken,
     MsgType,
     ParamPresence,
@@ -34,15 +36,6 @@ class TestTokenCost:
 
 
 class TestMessage:
-    def test_inter_node_cost(self):
-        msg = Message(make_token(presence=ParamPresence.USER_INFO),
-                      src=4, dst=1)
-        assert msg.cost(100, 30) == 101.0
-
-    def test_intra_node_cost_zero(self):
-        msg = Message(make_token(), src=2, dst=2)
-        assert msg.cost(100, 30) == 0.0
-
     def test_token_is_frozen(self):
         token = make_token()
         with pytest.raises(AttributeError):
@@ -59,6 +52,15 @@ class TestAlphabet:
         """The six Write-Through message types of Section 3."""
         for name in ("R_REQ", "W_REQ", "R_PER", "W_PER", "R_GNT", "W_INV"):
             assert hasattr(MsgType, name)
+
+    def test_every_alias_is_the_member_of_its_name(self):
+        """``machines.message`` aliases every member at module level
+        (``PP_`` prefixes the presences); the unpacking follows member
+        order, so a reordered enum would misname them."""
+        for member in MsgType:
+            assert getattr(message, member.name) is member
+        for member in ParamPresence:
+            assert getattr(message, "PP_" + member.name) is member
 
     def test_values_unique(self):
         values = [m.value for m in MsgType]

@@ -32,7 +32,7 @@ class TestDelivery:
         got = []
         net.attach(2, got.append)
         for _ in range(5):
-            net.send(msg(1, 2), 100, 30)
+            net.send(msg(1, 2), 1.0)
         sched.run()
         assert len(got) == 5
 
@@ -41,7 +41,7 @@ class TestDelivery:
         got = []
         net.attach(2, lambda m: got.append(m.payload))
         for i in range(20):
-            net.send(msg(1, 2, payload=i), 100, 30)
+            net.send(msg(1, 2, payload=i), 1.0)
         sched.run()
         assert got == list(range(20))
 
@@ -55,7 +55,7 @@ class TestDelivery:
         net.attach(9, lambda m: got.append((m.src, m.payload)))
         seq = {s: 0 for s in order}
         for s in order:
-            net.send(msg(s, 9, payload=seq[s]), 100, 30)
+            net.send(msg(s, 9, payload=seq[s]), 1.0)
             seq[s] += 1
         sched.run()
         per_src = {}
@@ -68,7 +68,7 @@ class TestDelivery:
         sched, net = make_network(latency=3.0)
         times = []
         net.attach(2, lambda m: times.append(sched.now))
-        net.send(msg(1, 2), 100, 30)
+        net.send(msg(1, 2), 1.0)
         sched.run()
         assert times == [3.0]
 
@@ -84,7 +84,7 @@ class TestSendErrors:
         sched, net = make_network()
         net.attach(1, lambda m: None)
         with pytest.raises(RuntimeError, match="node 7 is not attached"):
-            net.send(msg(1, 7), 100, 30)
+            net.send(msg(1, 7), 1.0)
         # nothing was charged or scheduled for the failed send
         assert net.messages_sent == 0
         assert len(sched) == 0
@@ -99,10 +99,10 @@ class TestPerChannelSequencing:
             net.attach(node, lambda m: None)
         net.attach(1, lambda m: None)
         for _ in range(3):
-            net.send(msg(1, 2), 100, 30)
+            net.send(msg(1, 2), 1.0)
         for _ in range(2):
-            net.send(msg(1, 3), 100, 30)
-        net.send(msg(2, 3), 100, 30)
+            net.send(msg(1, 3), 1.0)
+        net.send(msg(2, 3), 1.0)
         assert net._sent_seq == {(1, 2): 3, (1, 3): 2, (2, 3): 1}
         sched.run()
         assert net._delivered_seq == {(1, 2): 3, (1, 3): 2, (2, 3): 1}
@@ -124,7 +124,7 @@ class TestFaultyFabric:
         got = []
         net.attach(2, got.append)
         for _ in range(5):
-            net.send(msg(1, 2), 100, 30)
+            net.send(msg(1, 2), 1.0)
         sched.run()
         assert got == []
         assert net.dropped == 5
@@ -136,7 +136,7 @@ class TestFaultyFabric:
         net = Network(sched, faults=FaultPlan(seed=0, duplicate_rate=1.0))
         got = []
         net.attach(2, lambda m: got.append(m.payload))
-        net.send(msg(1, 2, payload="x"), 100, 30)
+        net.send(msg(1, 2, payload="x"), 1.0)
         sched.run()
         assert got == ["x", "x"]
         assert net.duplicated == 1
@@ -149,7 +149,7 @@ class TestFaultyFabric:
         times = []
         net.attach(2, lambda m: times.append(sched.now))
         for _ in range(20):
-            net.send(msg(1, 2), 100, 30)
+            net.send(msg(1, 2), 1.0)
         sched.run()
         assert all(1.0 <= t <= 3.0 for t in times)
         assert any(t > 1.0 for t in times)
@@ -162,7 +162,7 @@ class TestFaultyFabric:
                       faults=FaultPlan(crashes=[CrashWindow(1, 0.0, 10.0)]))
         got = []
         net.attach(2, got.append)
-        assert net.send(msg(1, 2), 100, 30) == 0.0
+        assert net.send(msg(1, 2), 1.0) == 0.0
         sched.run()
         assert got == [] and charged == []
         assert net.suppressed == 1
@@ -174,7 +174,7 @@ class TestFaultyFabric:
                       faults=FaultPlan(crashes=[CrashWindow(2, 0.0, 10.0)]))
         got = []
         net.attach(2, got.append)
-        net.send(msg(1, 2), 100, 30)
+        net.send(msg(1, 2), 1.0)
         sched.run()
         assert got == [] and net.dropped == 1
 
@@ -184,7 +184,7 @@ class TestFaultyFabric:
         net = Network(sched, faults=FaultPlan(seed=0, drop_rate=1.0))
         got = []
         net.attach(1, got.append)
-        net.send(msg(1, 1), 100, 30)
+        net.send(msg(1, 1), 0.0)
         sched.run()
         assert len(got) == 1
 
@@ -195,25 +195,27 @@ class TestFaultyFabric:
         net = Network(sched, faults=FaultPlan(seed=0, drop_rate=1.0),
                       on_fault=events.append)
         net.attach(2, lambda m: None)
-        net.send(msg(1, 2), 100, 30)
+        net.send(msg(1, 2), 1.0)
         assert events == ["drop"]
 
 
 class TestCostAccounting:
     def test_costs_by_presence(self):
+        """The fabric charges what the sender priced and returns it;
+        pricing itself is the port's (tests/sim/test_send_path.py)."""
         charged = []
         sched, net = make_network(on_cost=lambda m, c: charged.append(c))
         net.attach(2, lambda m: None)
-        net.send(msg(1, 2, ParamPresence.NONE), 100, 30)
-        net.send(msg(1, 2, ParamPresence.USER_INFO), 100, 30)
-        net.send(msg(1, 2, ParamPresence.WRITE), 100, 30)
+        assert net.send(msg(1, 2, ParamPresence.NONE), 1.0) == 1.0
+        assert net.send(msg(1, 2, ParamPresence.USER_INFO), 101.0) == 101.0
+        assert net.send(msg(1, 2, ParamPresence.WRITE), 31.0) == 31.0
         assert charged == [1.0, 101.0, 31.0]
 
     def test_self_send_free(self):
         charged = []
         sched, net = make_network(on_cost=lambda m, c: charged.append(c))
         net.attach(1, lambda m: None)
-        cost = net.send(msg(1, 1), 100, 30)
+        cost = net.send(msg(1, 1), 0.0)
         assert cost == 0.0
         assert charged == []  # intra-node actions are not charged
 
@@ -221,5 +223,5 @@ class TestCostAccounting:
         sched, net = make_network()
         net.attach(2, lambda m: None)
         for _ in range(7):
-            net.send(msg(1, 2), 100, 30)
+            net.send(msg(1, 2), 1.0)
         assert net.messages_sent == 7

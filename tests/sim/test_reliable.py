@@ -9,11 +9,12 @@ from repro.machines.message import (
     MsgType,
     ParamPresence,
     QueueTag,
+    token_cost,
 )
 from repro.sim.engine import EventScheduler
 from repro.sim.faults import CrashWindow, FaultPlan
 from repro.sim.metrics import Metrics
-from repro.sim.reliable import Frame, ReliabilityConfig, ReliableNetwork
+from repro.sim.reliable import ReliabilityConfig, ReliableNetwork
 
 
 def msg(src, dst, payload=None, op_id=1, presence=ParamPresence.NONE):
@@ -47,24 +48,51 @@ class TestConfig:
 
 
 class TestFrameCost:
+    """Each frame reaches the physical fabric at the cost its sender
+    priced: data at the message's price, acks as bare tokens, loops free."""
+
+    @staticmethod
+    def sent_frames(net):
+        sent = []
+        physical_send = net.physical.send
+
+        def record(frame, cost):
+            sent.append((frame.kind, cost))
+            return physical_send(frame, cost)
+
+        net.physical.send = record
+        return sent
+
     def test_data_frame_cost_mirrors_message(self):
+        sched, net, _ = make()
+        sent = self.sent_frames(net)
+        cost = token_cost(ParamPresence.USER_INFO, 100, 30)
+        assert cost == 101.0
         m = msg(1, 2, presence=ParamPresence.USER_INFO)
-        frame = Frame("data", 1, 2, 1, msg=m, op_id=1)
-        assert frame.cost(100, 30) == 101.0
+        assert net.send(m, cost) == cost
+        sched.run()
+        assert sent[0] == ("data", 101.0)
 
     def test_ack_is_a_bare_token(self):
-        assert Frame("ack", 2, 1, 1).cost(100, 30) == 1.0
+        sched, net, _ = make()
+        sent = self.sent_frames(net)
+        net.send(msg(1, 2), 1.0)
+        sched.run()
+        assert [c for kind, c in sent if kind == "ack"] == [1.0]
 
     def test_intra_node_free(self):
-        m = msg(1, 1)
-        assert Frame("loop", 1, 1, 0, msg=m).cost(100, 30) == 0.0
+        sched, net, _ = make()
+        sent = self.sent_frames(net)
+        assert net.send(msg(1, 1), 0.0) == 0.0
+        sched.run()
+        assert sent == [("loop", 0.0)]
 
 
 class TestFaultFreeTransport:
     def test_delivers_in_fifo_order(self):
         sched, net, inboxes = make()
         for i in range(10):
-            net.send(msg(1, 2, payload=i), 100, 30)
+            net.send(msg(1, 2, payload=i), 1.0)
         sched.run()
         assert [m.payload for m in inboxes[2]] == list(range(10))
 
@@ -72,7 +100,7 @@ class TestFaultFreeTransport:
         metrics = Metrics()
         metrics.register_op(1, 1, "read", 1, 0.0)
         sched, net, inboxes = make(metrics=metrics)
-        net.send(msg(1, 2), 100, 30)
+        net.send(msg(1, 2), 1.0)
         sched.run()
         assert metrics.reliability.acks == 1
         assert metrics.reliability.retransmissions == 0
@@ -82,7 +110,7 @@ class TestFaultFreeTransport:
     def test_self_send_bypasses_transport(self):
         metrics = Metrics()
         sched, net, inboxes = make(metrics=metrics)
-        net.send(msg(1, 1, payload="home"), 100, 30)
+        net.send(msg(1, 1, payload="home"), 0.0)
         sched.run()
         assert [m.payload for m in inboxes[1]] == ["home"]
         assert metrics.reliability.acks == 0
@@ -90,7 +118,7 @@ class TestFaultFreeTransport:
     def test_unattached_destination_raises(self):
         sched, net, _ = make()
         with pytest.raises(RuntimeError, match="not attached"):
-            net.send(msg(1, 9), 100, 30)
+            net.send(msg(1, 9), 1.0)
 
 
 class TestRetryAndSuppression:
@@ -106,7 +134,7 @@ class TestRetryAndSuppression:
             config=ReliabilityConfig(timeout=4.0, max_retries=50),
         )
         for i in range(20):
-            net.send(msg(1, 2, payload=i), 100, 30)
+            net.send(msg(1, 2, payload=i), 1.0)
         sched.run()
         assert [m.payload for m in inboxes[2]] == list(range(20))
         assert metrics.reliability.retransmissions > 0
@@ -117,7 +145,7 @@ class TestRetryAndSuppression:
         plan = FaultPlan(seed=0, duplicate_rate=1.0)
         sched, net, inboxes = make(faults=plan, metrics=metrics)
         for i in range(5):
-            net.send(msg(1, 2, payload=i), 100, 30)
+            net.send(msg(1, 2, payload=i), 1.0)
         sched.run()
         assert [m.payload for m in inboxes[2]] == list(range(5))
         assert metrics.reliability.duplicates_suppressed >= 5
@@ -130,7 +158,7 @@ class TestRetryAndSuppression:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=3),
         )
-        net.send(msg(1, 2, op_id=77), 100, 30)
+        net.send(msg(1, 2, op_id=77), 1.0)
         executed = sched.run(max_events=10_000)
         # the run drains instead of hanging, and the loss is surfaced
         assert len(sched) == 0
@@ -148,7 +176,7 @@ class TestRetryAndSuppression:
             config=ReliabilityConfig(timeout=2.0, backoff=2.0,
                                      max_retries=3),
         )
-        net.send(msg(1, 2), 100, 30)
+        net.send(msg(1, 2), 1.0)
         sched.run()
         # timer fires at 2, 2+4, 2+4+8, give-up at 2+4+8+16 = 30
         assert sched.now == 30.0
@@ -164,13 +192,13 @@ class TestRetryAndSuppression:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=0),
         )
-        net.send(msg(1, 2, payload="lost"), 100, 30)
+        net.send(msg(1, 2, payload="lost"), 1.0)
         sched.run()
         assert metrics.reliability.delivery_failures == 1
         # heal the network; the next message still cannot be delivered
         # because seq 1 never arrived.
         net.physical.faults = None
-        net.send(msg(1, 2, payload="stuck"), 100, 30)
+        net.send(msg(1, 2, payload="stuck"), 1.0)
         sched.run(max_events=10_000)
         assert inboxes[2] == []
         assert metrics.reliability.out_of_order_held == 1
@@ -184,7 +212,7 @@ class TestCrashRecovery:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=4.0, max_retries=10),
         )
-        net.send(msg(1, 2, payload="hello"), 100, 30)
+        net.send(msg(1, 2, payload="hello"), 1.0)
         sched.run()
         assert [m.payload for m in inboxes[2]] == ["hello"]
         assert metrics.reliability.retransmissions > 0
@@ -197,9 +225,9 @@ class TestCrashRecovery:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=4.0, max_retries=10),
         )
-        net.send(msg(1, 2, payload="pre-crash"), 100, 30)  # leaves at t=0
+        net.send(msg(1, 2, payload="pre-crash"), 1.0)  # leaves at t=0
         sched.run(until=lambda: sched.now >= 0.4)
-        net.send(msg(1, 2, payload="during"), 100, 30)  # swallowed: down
+        net.send(msg(1, 2, payload="during"), 1.0)  # swallowed: down
         sched.run()
         assert [m.payload for m in inboxes[2]] == ["pre-crash", "during"]
         assert metrics.reliability.sends_suppressed >= 1
@@ -214,7 +242,7 @@ class TestDeliveryViolations:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=3),
         )
-        net.send(msg(1, 2, op_id=5), 100, 30)
+        net.send(msg(1, 2, op_id=5), 1.0)
         sched.run()
         assert len(net.violations) == 1
         v = net.violations[0]
@@ -233,7 +261,7 @@ class TestDeliveryViolations:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=2),
         )
-        net.send(msg(1, 2), 100, 30)
+        net.send(msg(1, 2), 1.0)
         sched.run()
         assert metrics.reliability.delivery_failures == 1
         assert net.violations == []
@@ -272,7 +300,7 @@ class TestSuppressedViolations:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=2),
         )
-        net.send(msg(1, 2), 100, 30)  # in flight...
+        net.send(msg(1, 2), 1.0)  # in flight...
         net.quarantined = {2}         # ...then the view ejects the dst
         sched.run()
         return net
@@ -307,7 +335,7 @@ class TestUnorderedDatagrams:
         plan = FaultPlan(seed=0, duplicate_rate=1.0)
         sched, net, inboxes = make(faults=plan, metrics=metrics)
         for i in range(5):
-            net.send_unordered(msg(1, 2, payload=i), 100, 30)
+            net.send_unordered(msg(1, 2, payload=i), 1.0)
         sched.run()
         assert sorted(m.payload for m in inboxes[2]) == list(range(5))
         assert metrics.reliability.duplicates_suppressed >= 5
@@ -320,7 +348,7 @@ class TestUnorderedDatagrams:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=3),
         )
-        net.send_unordered(msg(1, 2, op_id=9), 100, 30)
+        net.send_unordered(msg(1, 2, op_id=9), 1.0)
         sched.run()
         # no violation, no delivery failure, no failed op — only the
         # dgram_abandoned counter moves.
@@ -331,14 +359,14 @@ class TestUnorderedDatagrams:
         # and the channel is NOT wedged: after healing, later datagrams
         # deliver immediately (no FIFO hole to close).
         net.physical.faults = None
-        net.send_unordered(msg(1, 2, payload="after"), 100, 30)
+        net.send_unordered(msg(1, 2, payload="after"), 1.0)
         sched.run()
         assert [m.payload for m in inboxes[2]] == ["after"]
 
     def test_self_send_bypasses_transport(self):
         metrics = Metrics()
         sched, net, inboxes = make(metrics=metrics)
-        net.send_unordered(msg(1, 1, payload="loop"), 100, 30)
+        net.send_unordered(msg(1, 1, payload="loop"), 0.0)
         sched.run()
         assert [m.payload for m in inboxes[1]] == ["loop"]
         assert metrics.reliability.acks == 0
@@ -354,9 +382,9 @@ class TestUnorderedDatagrams:
             faults=plan, metrics=metrics,
             config=ReliabilityConfig(timeout=2.0, max_retries=3),
         )
-        net.send_unordered(msg(1, 2, op_id=9), 100, 30)
-        net.send_unordered(msg(1, 3, op_id=9), 100, 30)
-        net.send_unordered(msg(1, 2, op_id=10), 100, 30)
+        net.send_unordered(msg(1, 2, op_id=9), 1.0)
+        net.send_unordered(msg(1, 3, op_id=9), 1.0)
+        net.send_unordered(msg(1, 2, op_id=10), 1.0)
         assert net.cancel_dgrams(1, 9) == 2
         # cancelling again is a no-op; op 10's retry loop is untouched.
         assert net.cancel_dgrams(1, 9) == 0
@@ -367,7 +395,7 @@ class TestUnorderedDatagrams:
         metrics = Metrics()
         metrics.register_op(9, 1, "read", 1, 0.0)
         sched, net, inboxes = make(metrics=metrics)
-        net.send_unordered(msg(1, 2, op_id=9), 100, 30, hedge=True)
+        net.send_unordered(msg(1, 2, op_id=9), 1.0, hedge=True)
         sched.run()
         assert [m.op_id for m in inboxes[2]] == [9]
         rec = metrics._ops[9]
@@ -397,7 +425,7 @@ class TestExactlyOnceFifoProperty:
         sent = {(1, 3): 12, (2, 3): 9, (3, 1): 5}
         for (src, dst), count in sent.items():
             for i in range(count):
-                net.send(msg(src, dst, payload=(src, i)), 100, 30)
+                net.send(msg(src, dst, payload=(src, i)), 1.0)
         sched.run(max_events=200_000)
         assert metrics.reliability.delivery_failures == 0
         per_channel = {}

@@ -1,6 +1,8 @@
-"""Repo hygiene: no compiled/binary artifacts may be checked in, and the
-docs name only code and files that exist."""
+"""Repo hygiene: no compiled/binary artifacts may be checked in, the
+docs name only code and files that exist, and protocol handlers read
+message types through module-level aliases."""
 
+import ast
 import importlib
 import re
 import subprocess
@@ -28,6 +30,10 @@ BACKTICKED = re.compile(r"`([^`]+)`")
 RELATIVE = re.compile(r"[a-z_]\w*(?:\.\w+)+")
 #: metric and scope names in api.md that look dotted but name no code
 NOT_CODE = {"engine.dispatch", "sweep.cell_wall_clock_s", "span.cost"}
+PROTOCOLS = REPO / "src" / "repro" / "protocols"
+#: enums whose members handlers read through ``repro.machines.message``'s
+#: module-level aliases, never through the class
+ALIASED_ENUMS = {"MsgType", "ParamPresence"}
 
 
 def tracked_files():
@@ -134,3 +140,42 @@ def test_api_doc_relative_names_resolve():
     offenders = [(module, name) for module, name in names
                  if not _resolves(f"{module}.{name}")]
     assert offenders == []
+
+
+def _enum_reads_in_functions(tree):
+    """``(line, "Enum.MEMBER")`` for every aliased-enum attribute read
+    inside a function body; module-level tables and aliases are fine."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in ALIASED_ENUMS):
+                yield node.lineno, f"{node.value.id}.{node.attr}"
+
+
+def test_protocol_handlers_read_enum_members_through_aliases():
+    """A class attribute read on an Enum costs ~10x a module global, and
+    the handlers branch on every delivered message's type."""
+    offenders = sorted({
+        (path.name, line, name)
+        for path in PROTOCOLS.glob("*.py")
+        for line, name in _enum_reads_in_functions(
+            ast.parse(path.read_text(), filename=str(path)))
+    })
+    assert offenders == []
+
+
+def test_enum_read_check_sees_function_bodies_only():
+    tree = ast.parse(
+        "X = MsgType.R_PER\n"
+        "T = {1: ParamPresence.NONE}\n"
+        "def f(msg):\n"
+        "    return msg.token.type is MsgType.W_INV\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return lambda: ParamPresence.WRITE\n")
+    assert set(_enum_reads_in_functions(tree)) == {
+        (4, "MsgType.W_INV"), (7, "ParamPresence.WRITE")}
