@@ -19,12 +19,12 @@ def test_simulator_throughput(benchmark):
     """Operations per second through the full message-passing stack."""
     workload = read_disturbance_workload(PARAMS, M=4)
 
+    config = RunConfig(ops=3000, warmup=500, seed=1, mean_gap=10.0)
+
     def run():
         system = DSMSystem("berkeley", N=PARAMS.N, M=4, S=PARAMS.S,
-                           P=PARAMS.P)
-        return system.run_workload(
-            workload, RunConfig(ops=3000, warmup=500, seed=1,
-                                mean_gap=10.0))
+                           P=PARAMS.P, config=config)
+        return system.run_workload(workload)
 
     result = benchmark(run)
     assert result.measured == 2500

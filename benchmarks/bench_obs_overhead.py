@@ -59,9 +59,9 @@ def run_mode(tracing, ops: int, repeats: int) -> dict:
     events = spans = 0
     for _ in range(repeats):
         system = DSMSystem("berkeley", N=PARAMS.N, M=4, S=PARAMS.S,
-                           P=PARAMS.P, tracing=tracing)
+                           P=PARAMS.P, config=config)
         start = perf_counter()
-        result = system.run_workload(workload, config)
+        result = system.run_workload(workload)
         best = min(best, perf_counter() - start)
         events = system.scheduler.executed
         if result.tracer is not None:

@@ -158,12 +158,10 @@ def _minority_plan() -> PartitionPlan:
 def measure_availability(protocol):
     """Run the workload across the minority partition and score the
     fraction of in-window operations served before the heal."""
-    system = DSMSystem(protocol, N=PARAMS.N, M=2, monitor=True,
-                       partitions=_minority_plan())
     config = RunConfig(ops=max(400, OPS // 2), warmup=0, seed=7,
                        partitions=_minority_plan(), monitor=True)
-    result = system.run_workload(
-        read_disturbance_workload(PARAMS, M=2), config)
+    system = DSMSystem(protocol, N=PARAMS.N, M=2, config=config)
+    result = system.run_workload(read_disturbance_workload(PARAMS, M=2))
     assert result.incomplete_ops == 0, (protocol, result.incomplete_ops)
     assert not result.violations, (protocol, result.violations)
 

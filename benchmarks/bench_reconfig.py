@@ -193,13 +193,10 @@ def test_acc_across_transitions(benchmark, results_dir):
 def measure_availability(scenario):
     """Run one transition scenario and score the fraction of operations
     issued inside the transition window that complete within it."""
-    plan = _plan(scenario)
     config = RunConfig(ops=max(400, OPS // 2), warmup=0, seed=7,
-                       reconfig=plan, monitor=True)
-    system = DSMSystem("sc_abd", N=PARAMS.N, M=2, monitor=True,
-                       reconfig=plan.replay())
-    result = system.run_workload(
-        read_disturbance_workload(PARAMS, M=2), config)
+                       reconfig=_plan(scenario), monitor=True)
+    system = DSMSystem("sc_abd", N=PARAMS.N, M=2, config=config)
+    result = system.run_workload(read_disturbance_workload(PARAMS, M=2))
     assert result.incomplete_ops == 0, (scenario, result.incomplete_ops)
     assert not result.violations, (scenario, result.violations)
 

@@ -128,9 +128,9 @@ def simulate(
 ) -> SimulationResult:
     """One discrete-event simulation run of ``protocol`` at one point.
 
-    Builds the :class:`DSMSystem` from the run configuration (fault and
-    partition plans, reliability, failover, monitor and tracing all
-    apply) and drives it with the synthetic workload of ``deviation``.
+    Builds the :class:`DSMSystem` from the run configuration (every
+    fabric knob applies) and drives it with the synthetic workload of
+    ``deviation``.
 
     Args:
         run: a :class:`RunConfig`, a plain dict of its fields, or
@@ -140,9 +140,11 @@ def simulate(
     spec = get_protocol(protocol)
     workload_params = _params(params)
     config = _run_config(run)
-    system = DSMSystem.from_config(spec.name, workload_params, config, M=M)
+    system = DSMSystem(spec.name, N=workload_params.N, M=M,
+                       S=workload_params.S, P=workload_params.P,
+                       config=config)
     workload = SyntheticWorkload(workload_params, _deviation(deviation), M=M)
-    return system.run_workload(workload, config)
+    return system.run_workload(workload)
 
 
 def list_scenarios(catalog=None) -> List[str]:

@@ -799,9 +799,10 @@ def _export_trace(tracer, chrome_path, jsonl_path, label: str) -> None:
 def _cmd_simulate(args: argparse.Namespace, deviation: Deviation,
                   params: WorkloadParams) -> int:
     config = runconfig_from_args(args)
-    system = DSMSystem.from_config(args.protocol, params, config, M=args.M)
+    system = DSMSystem(args.protocol, N=params.N, M=args.M, S=params.S,
+                       P=params.P, config=config)
     workload = SyntheticWorkload(params, deviation, M=args.M)
-    result = system.run_workload(workload, config)
+    result = system.run_workload(workload)
     warmup = config.resolved_warmup
     stats = system.metrics.reliability
     if stats.delivery_failures == 0:
@@ -951,9 +952,10 @@ def _cmd_trace(args: argparse.Namespace, deviation: Deviation,
     config = runconfig_from_args(args).with_(
         tracing=TraceConfig(sample_every=args.sample)
     )
-    system = DSMSystem.from_config(args.protocol, params, config, M=args.M)
+    system = DSMSystem(args.protocol, N=params.N, M=args.M, S=params.S,
+                       P=params.P, config=config)
     workload = SyntheticWorkload(params, deviation, M=args.M)
-    result = system.run_workload(workload, config)
+    result = system.run_workload(workload)
     print(f"simulated acc   = {result.acc:.4f}")
     print(f"messages        = {result.messages}")
     _export_trace(system.tracer, args.out, args.jsonl,
@@ -965,10 +967,10 @@ def _cmd_profile(args: argparse.Namespace, deviation: Deviation,
                  params: WorkloadParams) -> int:
     config = runconfig_from_args(args)
     profiler = Profiler()
-    system = DSMSystem.from_config(args.protocol, params, config,
-                                   M=args.M, profiler=profiler)
+    system = DSMSystem(args.protocol, N=params.N, M=args.M, S=params.S,
+                       P=params.P, config=config, profiler=profiler)
     workload = SyntheticWorkload(params, deviation, M=args.M)
-    result = system.run_workload(workload, config)
+    result = system.run_workload(workload)
     print(f"simulated acc   = {result.acc:.4f}")
     print(f"events executed = {system.scheduler.executed}")
     print()

@@ -110,13 +110,11 @@ def run_cell(cell: SweepCell, on_system: Optional[Callable] = None) -> dict:
             row["quorum_weights"] = [
                 [int(n), float(w)] for n, w in config.quorum_weights
             ]
-        system = DSMSystem.from_config(
-            cell.protocol, cell.params, config, M=cell.M,
-            replay_plans=True,
-        )
+        system = DSMSystem(cell.protocol, N=cell.params.N, M=cell.M,
+                           S=cell.params.S, P=cell.params.P, config=config)
         workload = SyntheticWorkload(cell.params, cell.deviation, M=cell.M)
         try:
-            result = system.run_workload(workload, config)
+            result = system.run_workload(workload)
         finally:
             if on_system is not None:
                 on_system(system)

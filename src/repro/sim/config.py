@@ -5,9 +5,11 @@ workload": ``DSMSystem.run_workload(num_ops=..., warmup=..., seed=...)``,
 ``validation.compare_cell(total_ops=..., warmup=..., seed=...)`` and
 per-script argument plumbing in the benchmarks and the CLI.
 :class:`RunConfig` collapses them into one keyword-only value object that
-every consumer — :meth:`repro.sim.system.DSMSystem.run_workload`,
+every consumer — :class:`repro.sim.system.DSMSystem` (which builds its
+fabric and subsystems from it) and its ``run_workload``,
 :func:`repro.validation.compare.compare_cell`, ``python -m repro`` and the
-sweep engine (:mod:`repro.exp`) — accepts verbatim.
+sweep engine (:mod:`repro.exp`) — accepts verbatim; it is the only
+declaration of each run knob.
 
 A :class:`RunConfig` is immutable, hashable-by-content through
 :meth:`to_dict` (the sweep engine's result cache keys on it), and fully

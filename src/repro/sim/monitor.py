@@ -1,6 +1,6 @@
 """Runtime consistency monitor: convergence and sequential consistency.
 
-An opt-in observer (``DSMSystem(monitor=True)``) that records every
+An opt-in observer (``RunConfig(monitor=True)``) that records every
 node's completed read/write history and, at quiescence, checks the two
 guarantees the replicated-memory model promises even across crashes and
 failovers:
@@ -70,7 +70,7 @@ class _BudgetExhausted(Exception):
 class ConsistencyMonitor:
     """Records completed operation histories and checks them at quiescence.
 
-    Attach through ``DSMSystem(monitor=True)``; the monitor only ever
+    Attach through ``RunConfig(monitor=True)``; the monitor only ever
     *observes* (submit/complete/install hooks) — it cannot perturb the
     simulation, and all checking happens after the run.
     """

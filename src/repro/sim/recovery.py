@@ -12,7 +12,7 @@ failure modes:
   rejoin the node is **quarantined** — its local queues stay closed while
   it resynchronizes against the sequencer's durable ordered write log —
   before it re-enters the protocol;
-* **sequencer failover** (``DSMSystem(failover=True)``): when the current
+* **sequencer failover** (``RunConfig(failover=True)``): when the current
   sequencer crashes, the live node with the lowest index is elected the
   new sequencer under a bumped *epoch* number; the failed sequencer, if it
   ever returns, rejoins as an ordinary client (no failback).

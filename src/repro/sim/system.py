@@ -16,30 +16,26 @@ serialized value) and conservation of cost attribution.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..protocols.base import EJECT, READ, WRITE, Operation, ProtocolSpec
-from ..obs.trace import TraceConfig, Tracer
+from ..obs.trace import Tracer
 from ..protocols.registry import get_protocol
 from ..workloads.base import Workload
-from .cache import CacheConfig
 from .channel import Network
 from .config import RunConfig
 from .engine import EventScheduler
 from .faults import FaultPlan
-from .hedge import HedgeConfig
 from .metrics import Metrics
 from .monitor import ConsistencyMonitor, ConsistencyViolation
 from .node import ClusterView, SimNode
 from .partition import FailureDetector, PartitionPlan
-from .reconfig import MembershipView, ReconfigManager, ReconfigPlan
+from .reconfig import MembershipView, ReconfigManager
 from .recovery import RecoveryManager, WriteLog
-from .reliable import (ReliabilityConfig, ReliableNetwork,
-                       resolve_reliability)
+from .reliable import ReliableNetwork
 
 __all__ = ["DSMSystem", "SimulationResult"]
 
@@ -68,33 +64,39 @@ _OWNER_STATES: Dict[str, frozenset] = {
     "dragon": frozenset({"SHARED-DIRTY"}),
 }
 
+#: the protocol family each run knob needs, and the error naming the
+#: conflict: ``knob: (family, is the knob set in a RunConfig, error)``.
+#: The sequencer-anchored recovery subsystems do not apply to the quorum
+#: family (whose replicas must also be durable across crashes); the
+#: membership, vote-weight and hedge knobs act on quorums only.
+_FAMILY_RULES = {
+    "failover": (
+        "sequencer", lambda c: c.failover,
+        "has no sequencer to fail over; drop failover=True (a majority "
+        "of replicas is sufficient for liveness)"),
+    "amnesia": (
+        "sequencer",
+        lambda c: c.faults is not None and c.faults.has_amnesia,
+        "requires durable replicas: amnesia crash semantics would forget "
+        "quorum-acknowledged state; use crash_semantics='durable'"),
+    "reconfig": (
+        "quorum", lambda c: c.reconfig is not None,
+        "has a fixed star membership; online reconfiguration (reconfig=) "
+        "needs a quorum protocol"),
+    "quorum_weights": (
+        "quorum", lambda c: c.quorum_weights is not None,
+        "has no quorums to weight; quorum_weights= needs a quorum "
+        "protocol"),
+    "hedge": (
+        "quorum", lambda c: c.hedge is not None,
+        "has no quorum phases to hedge; hedge= needs a quorum protocol"),
+}
 
-def _normalize_weights(weights) -> Optional[Dict[int, float]]:
-    """Canonicalize quorum vote weights to ``{node: weight}`` (or ``None``).
-
-    Accepts a mapping or ``(node, weight)`` pairs.  All-default weights
-    (every named node weighing 1) normalize to ``None`` — they *are* the
-    unweighted count majority, and collapsing them keeps such runs
-    bit-identical to systems built without the argument.
-    """
-    if weights is None:
-        return None
-    items = weights.items() if hasattr(weights, "items") else weights
-    out: Dict[int, float] = {}
-    for node, weight in items:
-        node = int(node)
-        weight = float(weight)
-        if node in out:
-            raise ValueError(f"duplicate quorum weight for node {node}")
-        if not (weight > 0 and math.isfinite(weight)):
-            raise ValueError(
-                f"quorum weight for node {node} must be a positive "
-                f"finite number, got {weight}"
-            )
-        out[node] = weight
-    if not out or all(w == 1.0 for w in out.values()):
-        return None
-    return out
+#: the RunConfig fields that parameterize one run; every other field
+#: builds the fabric and is fixed when the system is constructed
+_RUN_FIELDS = frozenset({"ops", "warmup", "seed", "mean_gap", "max_events"})
+_FABRIC_FIELDS = tuple(f.name for f in fields(RunConfig)
+                       if f.name not in _RUN_FIELDS)
 
 
 @dataclass
@@ -119,12 +121,12 @@ class SimulationResult:
     incomplete_ops: int = 0
     #: structured findings: every retry-budget exhaustion as a
     #: :class:`~repro.sim.reliable.DeliveryViolation`, plus — when the
-    #: system was built with ``monitor=True`` and the run had no delivery
+    #: system's config has ``monitor=True`` and the run had no delivery
     #: failures — the consistency monitor's
     #: :class:`ConsistencyViolation` records; empty on a clean run
     violations: Tuple = field(default=())
-    #: the structured tracer (``None`` unless the system was built with
-    #: ``tracing=``); export with :func:`repro.obs.write_chrome_trace`
+    #: the structured tracer (``None`` unless the system's config sets
+    #: ``tracing``); export with :func:`repro.obs.write_chrome_trace`
     tracer: Optional[Tracer] = None
 
 
@@ -219,70 +221,16 @@ class DSMSystem:
         S: user-information transfer cost parameter.
         P: write-parameter transfer cost parameter.
         latency: channel latency (time units per hop).
-        faults: optional :class:`FaultPlan`; ``None`` (or
-            ``FaultPlan.none()``) keeps the paper-faithful fault-free
-            fabric, bit-identical to a system built without the argument.
-            A real plan implies the reliable-delivery layer.
-        partitions: optional :class:`PartitionPlan` of link-level faults
-            layered over ``faults``, plus the sequencer-side heartbeat
-            failure detector that quarantines unreachable clients through
-            the recovery subsystem and rejoins them when the partition
-            heals.  A real plan implies the reliable-delivery layer and
-            the recovery subsystem.
-        reliability: optional :class:`ReliabilityConfig`; defaults are used
-            when a fault, partition or reconfiguration plan or a hedge is
-            given without one
-            (:func:`~repro.sim.reliable.resolve_reliability`).  Passing a
-            config with no fault plan runs the reliable layer over a
-            fault-free fabric (pure acknowledgement overhead).
-        failover: enable sequencer failover — when the current sequencer
-            crashes, a deterministic standby election promotes the live
-            node with the lowest index under a new epoch (the failed
-            sequencer rejoins as a client; no failback).  Requires a
-            fault plan to have any effect.
-        monitor: attach the runtime consistency monitor
-            (:mod:`repro.sim.monitor`); :meth:`run_workload` then checks
-            replica convergence and per-object sequential consistency at
-            quiescence and reports findings on
-            :attr:`SimulationResult.violations`.
-        tracing: optional :class:`~repro.obs.TraceConfig`; attaches a
-            structured :class:`~repro.obs.Tracer` recording per-operation
-            spans and system events in simulated time.  Tracing observes
-            but never perturbs the run: with ``tracing=None`` every hook
-            point is a single ``is not None`` check.
+        config: the :class:`~repro.sim.config.RunConfig` whose fault,
+            partition, reliability, failover, monitor, tracing,
+            reconfiguration, vote-weight, hedge and cache settings build
+            the fabric and subsystems (see its field docs); ``None``
+            means ``RunConfig()``, the paper's fault-free fabric.  The
+            plans are replayed (``plan.replay()``), so one config builds
+            any number of identical systems.
         profiler: optional :class:`~repro.obs.Profiler`; times simulator
             hot paths (event dispatch, protocol transitions,
             reliable-delivery bookkeeping) in wall-clock time.
-        reconfig: optional :class:`~repro.sim.reconfig.ReconfigPlan`
-            scheduling online replica-set membership changes (quorum
-            protocols only).  ``None`` (or a plan with no changes) keeps
-            the static membership, bit-identical to a system built
-            without the argument.  A real plan implies the
-            reliable-delivery layer (epoch commits void the old view's
-            in-flight frames through the transport).
-        quorum_weights: optional per-node vote weights for the quorum
-            family (``{node: weight}`` or ``(node, weight)`` pairs;
-            unnamed nodes weigh 1).  Quorums are then *weight*
-            majorities: any responder set carrying more than half the
-            membership's total weight.  ``None`` (or all-equal weights
-            of 1) keeps the classic count majority bit-identical.
-        hedge: optional :class:`~repro.sim.hedge.HedgeConfig` enabling
-            hedged quorum requests (quorum protocols only): phases that
-            miss the latency budget launch extra legs to backup
-            replicas, charged to the ``hedge`` cost share.  Implies the
-            reliable-delivery layer (hedge legs ride the unordered
-            datagram transport and losers are cancelled through it).
-            ``None`` keeps the unhedged phase machine bit-identical.
-        cache: optional :class:`~repro.sim.cache.CacheConfig` bounding
-            each client to ``capacity`` resident replica copies under a
-            pluggable eviction policy (partial replication).  Star
-            protocols evict through their own ``EJECT`` operations
-            (write-backs and directory notices priced per protocol) and
-            capacity-missed reads are re-fetched at protocol price,
-            charged to the ``cache`` cost share; the quorum family runs
-            the cache as free-eviction overlay bookkeeping (quorum
-            replicas are load-bearing).  ``None`` keeps the paper's full
-            replication bit-identical.
     """
 
     def __init__(
@@ -293,18 +241,17 @@ class DSMSystem:
         S: float = 100.0,
         P: float = 30.0,
         latency: float = 1.0,
-        faults: Optional[FaultPlan] = None,
-        partitions: Optional[PartitionPlan] = None,
-        reliability: Optional[ReliabilityConfig] = None,
-        failover: bool = False,
-        monitor: bool = False,
-        tracing: Optional[TraceConfig] = None,
+        config: Optional[RunConfig] = None,
         profiler=None,
-        reconfig: Optional[ReconfigPlan] = None,
-        quorum_weights=None,
-        hedge: Optional[HedgeConfig] = None,
-        cache: Optional[CacheConfig] = None,
     ):
+        if config is None:
+            config = RunConfig()
+        elif not isinstance(config, RunConfig):
+            raise TypeError(
+                f"config must be a RunConfig or None, got "
+                f"{type(config).__name__}"
+            )
+        self.config = config
         self.spec: ProtocolSpec = (
             protocol if isinstance(protocol, ProtocolSpec) else get_protocol(protocol)
         )
@@ -312,67 +259,27 @@ class DSMSystem:
             raise ValueError("need at least one client")
         if M < 1:
             raise ValueError("need at least one shared object")
-        if self.spec.quorum_based:
-            # the quorum family has no sequencer: the recovery/failover
-            # subsystems (sequencer-anchored) do not apply, and a quorum
-            # replica must be durable across crashes — refuse the
-            # combinations loudly rather than mis-simulate.
-            if failover:
-                raise ValueError(
-                    f"{self.spec.name} has no sequencer to fail over; "
-                    "drop failover=True (a majority of replicas is "
-                    "sufficient for liveness)"
-                )
-            if faults is not None and faults.has_amnesia:
-                raise ValueError(
-                    f"{self.spec.name} requires durable replicas: "
-                    "amnesia crash semantics would forget quorum-"
-                    "acknowledged state; use crash_semantics='durable'"
-                )
-        # a no-change plan is treated exactly like no plan (pay-for-what-
-        # you-use: static-membership runs stay bit-identical).
-        self.reconfig_plan: Optional[ReconfigPlan] = (
-            reconfig if reconfig is not None and not reconfig.is_none
-            else None
-        )
-        self.quorum_weights = _normalize_weights(quorum_weights)
-        if hedge is not None and not isinstance(hedge, HedgeConfig):
-            raise TypeError(
-                f"hedge must be a HedgeConfig or None, "
-                f"got {type(hedge).__name__}"
-            )
-        self.hedge = hedge
-        if cache is not None and not isinstance(cache, CacheConfig):
-            raise TypeError(
-                f"cache must be a CacheConfig or None, "
-                f"got {type(cache).__name__}"
-            )
-        self.cache_config = cache
-        if not self.spec.quorum_based:
-            if self.reconfig_plan is not None:
-                raise ValueError(
-                    f"{self.spec.name} has a fixed star membership; online "
-                    "reconfiguration (reconfig=) needs a quorum protocol"
-                )
-            if self.quorum_weights is not None:
-                raise ValueError(
-                    f"{self.spec.name} has no quorums to weight; "
-                    "quorum_weights= needs a quorum protocol"
-                )
-            if self.hedge is not None:
-                raise ValueError(
-                    f"{self.spec.name} has no quorum phases to hedge; "
-                    "hedge= needs a quorum protocol"
-                )
+        for family, is_set, error in _FAMILY_RULES.values():
+            if is_set(config) and self.spec.quorum_based != (
+                    family == "quorum"):
+                raise ValueError(f"{self.spec.name} {error}")
+        # each system replays the config's plans from their seeds, so one
+        # config builds any number of identical systems
+        self.faults = (None if config.faults is None
+                       else config.faults.replay())
+        self.partitions = (None if config.partitions is None
+                           else config.partitions.replay())
+        reconfig_plan = (None if config.reconfig is None
+                         else config.reconfig.replay())
         # the node universe: the initial members 1..N+1 plus any nodes the
         # reconfiguration plan will join later (they exist from the start
         # as empty replicas, but are not members until their epoch commits).
         universe = N + 1
-        if self.reconfig_plan is not None:
-            self.reconfig_plan.validate_membership(N + 1)
-            universe = max(universe, self.reconfig_plan.max_node())
-        if self.quorum_weights is not None:
-            bad = sorted(n for n in self.quorum_weights
+        if reconfig_plan is not None:
+            reconfig_plan.validate_membership(N + 1)
+            universe = max(universe, reconfig_plan.max_node())
+        if config.quorum_weights is not None:
+            bad = sorted(n for n, _ in config.quorum_weights
                          if not 1 <= n <= universe)
             if bad:
                 raise ValueError(
@@ -387,28 +294,15 @@ class DSMSystem:
         self.metrics = Metrics()
         #: structured tracer (pay-for-what-you-use: None keeps every hook
         #: point a single attribute check)
-        self.tracing = tracing
         self.tracer: Optional[Tracer] = (
-            Tracer(tracing, clock=self.scheduler) if tracing is not None
-            else None
+            Tracer(config.tracing, clock=self.scheduler)
+            if config.tracing is not None else None
         )
         self.metrics.tracer = self.tracer
         #: wall-clock profiler for simulator hot paths
         self.profiler = profiler
         self.scheduler.profiler = profiler
-        # a no-fault plan is treated exactly like no plan (pay-for-what-
-        # you-use: fault-free runs use the paper's fabric unchanged).
-        self.faults = (
-            faults if faults is not None and not faults.is_none else None
-        )
-        self.partitions = (
-            partitions
-            if partitions is not None and not partitions.is_none else None
-        )
-        reliability = resolve_reliability(
-            reliability, faults=self.faults, partitions=self.partitions,
-            reconfig=self.reconfig_plan, hedge=self.hedge,
-        )
+        reliability = config.resolved_reliability
         self.reliability = reliability
         if reliability is not None:
             self.network = ReliableNetwork(
@@ -434,7 +328,6 @@ class DSMSystem:
         if self.partitions is not None:
             self.partitions.validate_nodes(universe)
         self.latency = float(latency)
-        self.failover = bool(failover)
         #: shared, mutable sequencer-role view (reassigned by failover)
         self.cluster = ClusterView(N + 1)
         self.all_nodes: Tuple[int, ...] = tuple(range(1, universe + 1))
@@ -452,7 +345,7 @@ class DSMSystem:
                 self.all_nodes,
                 self.cluster,
                 new_op=self._make_internal_op,
-                cache=cache,
+                cache=config.cache,
                 cache_overlay=self.spec.quorum_based,
             )
             for node_id in self.all_nodes
@@ -461,21 +354,21 @@ class DSMSystem:
         # without a plan or weights the view stays None and every quorum
         # phase takes the static fixed-majority fast path).
         self.membership: Optional[MembershipView] = None
-        if self.reconfig_plan is not None or self.quorum_weights is not None:
+        if reconfig_plan is not None or config.quorum_weights is not None:
             self.membership = MembershipView(
-                tuple(range(1, N + 2)), self.quorum_weights
+                tuple(range(1, N + 2)), config.quorum_weights
             )
             for node in self.nodes.values():
                 for port in node.ports.values():
                     port.membership = self.membership
-        if self.hedge is not None:
+        if config.hedge is not None:
             for node in self.nodes.values():
                 for port in node.ports.values():
-                    port.hedge = self.hedge
+                    port.hedge = config.hedge
         self.reconfig: Optional[ReconfigManager] = None
-        if self.reconfig_plan is not None:
+        if reconfig_plan is not None:
             self.reconfig = ReconfigManager(
-                plan=self.reconfig_plan,
+                plan=reconfig_plan,
                 view=self.membership,
                 nodes=self.nodes,
                 cluster=self.cluster,
@@ -492,14 +385,15 @@ class DSMSystem:
         # them the hooks stay None and runs are bit-identical to a system
         # built before these subsystems existed).
         self.monitor: Optional[ConsistencyMonitor] = (
-            ConsistencyMonitor() if monitor else None
+            ConsistencyMonitor() if config.monitor else None
         )
         self.write_log: Optional[WriteLog] = None
         self.recovery: Optional[RecoveryManager] = None
         if (not self.spec.quorum_based
                 and (self.partitions is not None
                      or (self.faults is not None
-                         and (self.failover or self.faults.has_amnesia)))):
+                         and (config.failover
+                              or self.faults.has_amnesia)))):
             self.write_log = WriteLog()
             self.recovery = RecoveryManager(
                 nodes=self.nodes,
@@ -515,7 +409,7 @@ class DSMSystem:
                 S=self.S,
                 P=self.P,
                 latency=self.latency,
-                failover=self.failover,
+                failover=config.failover,
             )
         #: sequencer-side heartbeat failure detector (partition plans only;
         #: the quorum family needs no detector or quarantine for *liveness*
@@ -543,7 +437,7 @@ class DSMSystem:
                 )
                 self.detector.start()
         elif (self.spec.quorum_based
-                and (self.hedge is not None
+                and (config.hedge is not None
                      or (self.faults is not None
                          and self.faults.has_slowdowns))):
             # knobs come from the partition plan when one is present;
@@ -570,63 +464,6 @@ class DSMSystem:
             for node in self.nodes.values():
                 node.observer = observer
                 node.recovery = self.recovery
-
-    @classmethod
-    def from_config(
-        cls,
-        protocol,
-        params,
-        config,
-        M: int = 1,
-        *,
-        profiler=None,
-        replay_plans: bool = False,
-    ) -> "DSMSystem":
-        """Build a system for a workload point from a :class:`RunConfig`.
-
-        The one construction path shared by the CLI, the sweep engine and
-        the scenario runner — historically each copied the same
-        eight-argument ``DSMSystem(...)`` block.
-
-        Args:
-            protocol: registry name or :class:`ProtocolSpec`.
-            params: a :class:`~repro.core.parameters.WorkloadParams`
-                (supplies ``N``, ``S`` and ``P``).
-            config: the :class:`~repro.sim.config.RunConfig` whose fault,
-                partition, reliability, failover, monitor and tracing
-                settings drive the system.
-            M: number of shared objects.
-            profiler: optional wall-clock :class:`~repro.obs.Profiler`.
-            replay_plans: rebuild the fault/partition plans with rewound
-                RNG streams (``plan.replay()``) instead of consuming the
-                config's own instances — what a sweep worker needs when a
-                plan object may already have been driven once.
-        """
-        faults = config.faults
-        partitions = config.partitions
-        reconfig = config.reconfig
-        if replay_plans:
-            faults = None if faults is None else faults.replay()
-            partitions = None if partitions is None else partitions.replay()
-            reconfig = None if reconfig is None else reconfig.replay()
-        return cls(
-            protocol,
-            N=params.N,
-            M=M,
-            S=params.S,
-            P=params.P,
-            faults=faults,
-            partitions=partitions,
-            reliability=config.reliability,
-            failover=config.failover,
-            monitor=config.monitor,
-            tracing=config.tracing,
-            profiler=profiler,
-            reconfig=reconfig,
-            quorum_weights=config.quorum_weights,
-            hedge=config.hedge,
-            cache=config.cache,
-        )
 
     @property
     def sequencer_id(self) -> int:
@@ -664,80 +501,21 @@ class DSMSystem:
             )
 
     def _check_run_config_fabric(self, config: RunConfig) -> None:
-        """Reject a :class:`RunConfig` whose fault/reliability settings
-        contradict the fabric this system was built with.
+        """Reject a run config whose fabric differs from this system's.
 
-        The network (fault injection, reliable delivery) is assembled in
-        ``__init__`` and cannot be swapped per run; silently ignoring the
-        config's settings would mis-measure, so mismatches are errors.
-        ``None`` in the config means "inherit the system's fabric" and is
-        always accepted.
+        The fabric and subsystems are built from :attr:`config` at
+        construction and cannot be swapped per run; silently ignoring a
+        different setting would mis-measure, so every fabric field of the
+        run config must equal the system's.
         """
-        if config.faults is not None and config.faults != self.faults:
+        mismatched = [name for name in _FABRIC_FIELDS
+                      if getattr(config, name) != getattr(self.config, name)]
+        if mismatched:
             raise ValueError(
-                "RunConfig.faults does not match the FaultPlan this "
-                "DSMSystem was constructed with; pass faults= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.partitions is not None
-                and config.partitions != self.partitions):
-            raise ValueError(
-                "RunConfig.partitions does not match the PartitionPlan "
-                "this DSMSystem was constructed with; pass partitions= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.reliability is not None
-                and config.reliability != self.reliability):
-            raise ValueError(
-                "RunConfig.reliability does not match the "
-                "ReliabilityConfig this DSMSystem was constructed with; "
-                "pass reliability= to DSMSystem(...) or use repro.exp"
-            )
-        if config.failover != self.failover:
-            raise ValueError(
-                "RunConfig.failover does not match this DSMSystem "
-                "(failover is wired at construction); pass failover= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if config.monitor != (self.monitor is not None):
-            raise ValueError(
-                "RunConfig.monitor does not match this DSMSystem "
-                "(the monitor is attached at construction); pass "
-                "monitor= to DSMSystem(...) or run the cell through "
-                "repro.exp"
-            )
-        if config.tracing is not None and config.tracing != self.tracing:
-            raise ValueError(
-                "RunConfig.tracing does not match the TraceConfig this "
-                "DSMSystem was constructed with; pass tracing= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.reconfig is not None
-                and config.reconfig != self.reconfig_plan):
-            raise ValueError(
-                "RunConfig.reconfig does not match the ReconfigPlan this "
-                "DSMSystem was constructed with; pass reconfig= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if (config.quorum_weights is not None
-                and _normalize_weights(config.quorum_weights)
-                != self.quorum_weights):
-            raise ValueError(
-                "RunConfig.quorum_weights does not match the vote weights "
-                "this DSMSystem was constructed with; pass quorum_weights= "
-                "to DSMSystem(...) or run the cell through repro.exp"
-            )
-        if config.hedge is not None and config.hedge != self.hedge:
-            raise ValueError(
-                "RunConfig.hedge does not match the HedgeConfig this "
-                "DSMSystem was constructed with; pass hedge= to "
-                "DSMSystem(...) or run the cell through repro.exp"
-            )
-        if config.cache is not None and config.cache != self.cache_config:
-            raise ValueError(
-                "RunConfig.cache does not match the CacheConfig this "
-                "DSMSystem was constructed with; pass cache= to "
-                "DSMSystem(...) or run the cell through repro.exp"
+                f"RunConfig {', '.join(mismatched)} does not match the "
+                "config this DSMSystem was built with; run it with the "
+                "system's config or build a DSMSystem(config=...) from "
+                "this one"
             )
 
     # ------------------------------------------------------------------
@@ -793,18 +571,17 @@ class DSMSystem:
         Args:
             workload: the operation source.
             config: a :class:`~repro.sim.config.RunConfig` carrying
-                ops/warmup/seed/mean_gap/max_events.  Fault, reliability,
-                failover and monitor settings in the config must match
-                the ones this system was constructed with (the fabric is
-                fixed at construction); pass them to :class:`DSMSystem`
-                or use :mod:`repro.exp`, which builds the system from the
-                config for you.
+                ops/warmup/seed/mean_gap/max_events; ``None`` runs the
+                system's own :attr:`config`.  Every other field must equal
+                the system's (the fabric is fixed at construction).
 
         The pre-1.2 positional forms (``run_workload(w, 4000, 500)``,
         ``run_workload(w, num_ops=4000)``) were removed; they now raise
         :class:`TypeError`.
         """
-        if not isinstance(config, RunConfig):
+        if config is None:
+            config = self.config
+        elif not isinstance(config, RunConfig):
             raise TypeError(
                 "run_workload takes a RunConfig, got "
                 f"{type(config).__name__}; the pre-1.2 "
@@ -984,13 +761,13 @@ class DSMSystem:
 
         Returns all findings (empty on a clean run); never raises on a
         violation — degraded runs produce structured reports.  Requires
-        the system to have been built with ``monitor=True`` and to be
+        the system's config to have ``monitor=True`` and the system to be
         quiescent (:meth:`settle` or a finished :meth:`run_workload`).
         """
         if self.monitor is None:
             raise ValueError(
-                "consistency monitoring is off; build "
-                "DSMSystem(..., monitor=True)"
+                "consistency monitoring is off; build the system with "
+                "config=RunConfig(monitor=True)"
             )
         hit_states = _HIT_STATES[self.spec.name]
         excluded = self._excluded_nodes()

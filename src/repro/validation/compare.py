@@ -84,30 +84,19 @@ def compare_cell(
         params: the workload parameters of the cell.
         deviation: workload deviation.
         M: number of shared objects in the simulated system.
-        config: a :class:`~repro.sim.config.RunConfig`; its fault,
-            reliability, failover and monitor settings (if any) are
-            applied to the simulated system, so the validation harness
-            can also compare degraded runs against the fault-free model.
+        config: a :class:`~repro.sim.config.RunConfig`; the simulated
+            system is built from it (faults, reliability, caches and the
+            rest apply), so the validation harness can also compare
+            degraded runs against the fault-free model.
             Defaults to the paper's Table 7 budget (``ops=2000,
             warmup=500, seed=0``).
     """
     config = _resolve_config("compare_cell", config)
     acc_a = analytical_acc(protocol, params, deviation)
     workload = SyntheticWorkload(params, deviation, M=M)
-    system = DSMSystem(
-        protocol, N=params.N, M=M, S=params.S, P=params.P,
-        faults=None if config.faults is None else config.faults.replay(),
-        partitions=(None if config.partitions is None
-                    else config.partitions.replay()),
-        reliability=config.reliability,
-        failover=config.failover,
-        monitor=config.monitor,
-        tracing=config.tracing,
-        reconfig=(None if config.reconfig is None
-                  else config.reconfig.replay()),
-        quorum_weights=config.quorum_weights,
-    )
-    result = system.run_workload(workload, config)
+    system = DSMSystem(protocol, N=params.N, M=M, S=params.S, P=params.P,
+                       config=config)
+    result = system.run_workload(workload)
     disturb = params.sigma if deviation is Deviation.READ else params.xi
     return CellResult(params.p, disturb, acc_a, result.acc)
 

@@ -1,13 +1,23 @@
 """RunConfig semantics; the pre-1.2 call forms must raise TypeError."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro import api
 from repro.core.parameters import WorkloadParams
+from repro.obs import TraceConfig
 from repro.sim import (
+    CacheConfig,
     CrashWindow,
     DSMSystem,
     FaultPlan,
     HedgeConfig,
+    LinkFault,
+    MembershipChange,
+    PartitionPlan,
+    ReconfigPlan,
     ReliabilityConfig,
     RunConfig,
 )
@@ -15,6 +25,24 @@ from repro.validation import compare_cell
 from repro.workloads import read_disturbance_workload
 
 PARAMS = WorkloadParams(N=3, p=0.3, a=2, sigma=0.1, S=100.0, P=30.0)
+#: the RunConfig fields that parameterize a run rather than the fabric
+RUN_FIELDS = {"ops", "warmup", "seed", "mean_gap", "max_events"}
+FABRIC_FIELDS = [f.name for f in dataclasses.fields(RunConfig)
+                 if f.name not in RUN_FIELDS]
+#: a non-default value for every fabric field
+FABRIC_VALUES = {
+    "faults": FaultPlan(seed=1, drop_rate=0.2),
+    "partitions": PartitionPlan(links=[LinkFault(1, 2, 10.0, 20.0)]),
+    "reliability": ReliabilityConfig(timeout=4.0),
+    "failover": True,
+    "monitor": True,
+    "tracing": TraceConfig(),
+    "reconfig": ReconfigPlan(changes=[MembershipChange(at=50.0,
+                                                       joins=(5,))]),
+    "quorum_weights": {1: 2.0},
+    "hedge": HedgeConfig(),
+    "cache": CacheConfig(capacity=1),
+}
 
 
 def _workload():
@@ -59,7 +87,7 @@ class TestValidation:
         ):
             assert config.reliability is None
             assert config.resolved_reliability == ReliabilityConfig()
-            system = DSMSystem.from_config(protocol, PARAMS, config)
+            system = DSMSystem(protocol, N=PARAMS.N, config=config)
             assert system.reliability == config.resolved_reliability
 
     def test_with_revalidates(self):
@@ -110,32 +138,67 @@ class TestRemovedRunWorkloadForms:
         with pytest.raises(TypeError, match="RunConfig"):
             system.run_workload(_workload(), 800)
 
-    def test_fabric_mismatch_rejected(self):
+    @pytest.mark.parametrize("field", FABRIC_FIELDS)
+    def test_each_fabric_field_must_match(self, field):
         system = DSMSystem("write_through", N=3, S=100, P=30)
-        config = RunConfig(ops=400, faults=FaultPlan(seed=1, drop_rate=0.2))
-        with pytest.raises(ValueError, match="fault"):
+        config = RunConfig(ops=400, **{field: FABRIC_VALUES[field]})
+        with pytest.raises(ValueError,
+                           match=rf"RunConfig {field} does not match"):
             system.run_workload(_workload(), config)
 
-    def test_failover_mismatch_rejected(self):
-        system = DSMSystem("write_through", N=3, S=100, P=30)
-        with pytest.raises(ValueError, match="failover"):
-            system.run_workload(_workload(), RunConfig(ops=400,
-                                                       failover=True))
-
-    def test_monitor_mismatch_rejected(self):
-        system = DSMSystem("write_through", N=3, S=100, P=30)
-        with pytest.raises(ValueError, match="monitor"):
-            system.run_workload(_workload(), RunConfig(ops=400,
-                                                       monitor=True))
+    def test_fabric_is_not_inherited_from_the_system(self):
+        config = RunConfig(ops=400, faults=FaultPlan(seed=1, drop_rate=0.1))
+        system = DSMSystem("write_through", N=3, S=100, P=30, config=config)
+        with pytest.raises(ValueError, match="RunConfig faults does not"):
+            system.run_workload(_workload(), RunConfig(ops=400))
 
     def test_matching_fabric_accepted(self):
-        plan = FaultPlan(seed=1, drop_rate=0.1)
-        system = DSMSystem("write_through", N=3, S=100, P=30,
-                           faults=plan.replay())
+        system = DSMSystem(
+            "write_through", N=3, S=100, P=30,
+            config=RunConfig(faults=FaultPlan(seed=1, drop_rate=0.1)))
         config = RunConfig(ops=400, seed=2,
                            faults=FaultPlan(seed=1, drop_rate=0.1))
         result = system.run_workload(_workload(), config)
         assert result.measured > 0
+
+    def test_no_config_runs_the_system_config(self):
+        config = RunConfig(ops=300, warmup=50, seed=4, monitor=True)
+        system = DSMSystem("write_through", N=3, S=100, P=30, config=config)
+        result = system.run_workload(_workload())
+        again = DSMSystem("write_through", N=3, S=100, P=30, config=config)
+        expected = again.run_workload(_workload(), config)
+        assert (result.total_ops, result.warmup) == (300, 50)
+        assert (result.acc, result.messages, result.end_time) == (
+            expected.acc, expected.messages, expected.end_time)
+
+    def test_constructor_rejects_a_non_runconfig(self):
+        with pytest.raises(TypeError, match="RunConfig"):
+            DSMSystem("write_through", N=3, config={"monitor": True})
+
+
+class TestOneConfigManySystems:
+    """A RunConfig is a value: every system built from it runs alike."""
+
+    POINT = WorkloadParams(N=4, p=0.3, a=2, sigma=0.1, S=100, P=30)
+
+    @pytest.mark.parametrize("protocol,M,config", [
+        ("write_through", 2,
+         RunConfig(ops=400, seed=1, cache=CacheConfig(capacity=1))),
+        ("sc_abd", 1, RunConfig(ops=400, seed=1, hedge=HedgeConfig())),
+    ], ids=["cache", "hedge"])
+    def test_compare_cell_builds_every_knob(self, protocol, M, config):
+        cell = compare_cell(protocol, self.POINT, M=M, config=config)
+        assert math.isfinite(cell.acc_sim)
+
+    def test_two_simulations_of_one_config_agree(self):
+        run = RunConfig(ops=400, seed=1,
+                        faults=FaultPlan(seed=3, drop_rate=0.1))
+        first = api.simulate("write_through", self.POINT, "read", run=run)
+        second = api.simulate("write_through", self.POINT, "read", run=run)
+        assert first.messages == 1756
+        assert first.acc == pytest.approx(57.893, abs=5e-4)
+        assert (first.acc, first.messages, first.end_time) == (
+            second.acc, second.messages, second.end_time)
 
 
 class TestRemovedCompareCellForms:

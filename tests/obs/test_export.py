@@ -49,17 +49,9 @@ def _chaotic_config(sample_every=1):
 
 def _run(config):
     """Build a fresh system for ``config`` and run the workload."""
-    system = DSMSystem(
-        "berkeley", N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
-        faults=None if config.faults is None else config.faults.replay(),
-        partitions=(None if config.partitions is None
-                    else config.partitions.replay()),
-        reliability=config.reliability,
-        failover=config.failover, monitor=config.monitor,
-        tracing=config.tracing,
-    )
-    workload = read_disturbance_workload(PARAMS, M=2)
-    system.run_workload(workload, config)
+    system = DSMSystem("berkeley", N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
+                       config=config)
+    system.run_workload(read_disturbance_workload(PARAMS, M=2))
     return system
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import DSMSystem, ReliabilityConfig
+from repro.sim import DSMSystem, ReliabilityConfig, RunConfig
 
 LAYERS = Path(__file__).resolve().parents[2] / "benchmarks/perf/layers.py"
 
@@ -36,8 +36,9 @@ def test_every_wrapped_method_exists_on_its_class():
 @pytest.mark.parametrize("protocol", ["berkeley", "sc_abd"])
 @pytest.mark.parametrize("reliable", [False, True])
 def test_no_wrapped_method_is_shadowed_on_an_instance(protocol, reliable):
-    system = DSMSystem(protocol, N=3, M=2,
-                       reliability=ReliabilityConfig() if reliable else None)
+    config = RunConfig(
+        reliability=ReliabilityConfig() if reliable else None)
+    system = DSMSystem(protocol, N=3, M=2, config=config)
     objects = [system.scheduler, system.network]
     physical = getattr(system.network, "physical", None)
     if physical is not None:

@@ -13,10 +13,10 @@ from repro.workloads import read_disturbance_workload
 PARAMS = WorkloadParams(N=4, p=0.2, a=2, sigma=0.1, S=50.0, P=20.0)
 
 
-def _run_system(config, **kwargs):
+def _run_system(config, profiler=None):
     system = DSMSystem("berkeley", N=PARAMS.N, M=2, S=PARAMS.S,
-                       P=PARAMS.P, **kwargs)
-    system.run_workload(read_disturbance_workload(PARAMS, M=2), config)
+                       P=PARAMS.P, config=config, profiler=profiler)
+    system.run_workload(read_disturbance_workload(PARAMS, M=2))
     return system
 
 
@@ -49,9 +49,7 @@ class TestPublish:
             faults=FaultPlan(seed=1, drop_rate=0.05,
                              crashes=[CrashWindow(2, 300.0, 600.0)]),
         )
-        system = _run_system(
-            config, faults=config.faults.replay(),
-            reliability=config.resolved_reliability)
+        system = _run_system(config)
         reg = MetricsRegistry()
         system.publish_metrics(reg, skip=30)
         assert "sim.reliability.retransmissions" in reg
@@ -188,8 +186,8 @@ class TestProfilerWiring:
                   if faulty else None)
         profiler = Profiler()
         system = _run_system(
-            RunConfig(ops=300, warmup=30, seed=2, faults=faults),
-            faults=faults, reliability=ReliabilityConfig(),
+            RunConfig(ops=300, warmup=30, seed=2, faults=faults,
+                      reliability=ReliabilityConfig()),
             profiler=profiler)
         assert system.metrics.reliability.acks > 0  # timers were armed
         assert posts  # lane events mixed in
@@ -226,8 +224,8 @@ class TestProfilerWiring:
                            jitter=2.0)
         profiler = Profiler()
         system = _run_system(
-            RunConfig(ops=300, warmup=30, seed=2, faults=faults),
-            faults=faults, reliability=ReliabilityConfig(),
+            RunConfig(ops=300, warmup=30, seed=2, faults=faults,
+                      reliability=ReliabilityConfig()),
             profiler=profiler)
         assert lane_posts and heap_posts
         assert any(cancels)  # acked retry timers left in the heap

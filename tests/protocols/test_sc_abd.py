@@ -150,18 +150,9 @@ class TestReadRepair:
 
 
 class TestGuards:
-    def test_failover_rejected(self):
-        with pytest.raises(ValueError, match="no sequencer"):
-            DSMSystem("sc_abd", N=4, failover=True)
-
-    def test_amnesia_crashes_rejected(self):
-        plan = FaultPlan(crashes=[CrashWindow(2, 0.0, 50.0, "amnesia")])
-        with pytest.raises(ValueError, match="durable replicas"):
-            DSMSystem("sc_abd", N=4, faults=plan)
-
     def test_durable_crashes_accepted(self):
         plan = FaultPlan(crashes=[CrashWindow(2, 0.0, 50.0, "durable")])
-        DSMSystem("sc_abd", N=4, faults=plan)
+        DSMSystem("sc_abd", N=4, config=RunConfig(faults=plan))
 
 
 class TestWorkloadValidation:
@@ -187,10 +178,10 @@ class TestWorkloadValidation:
     def test_monitored_run_is_sequentially_consistent(self):
         params = WorkloadParams(N=4, p=0.3, a=2, sigma=0.1,
                                 S=100.0, P=30.0)
-        system = DSMSystem("sc_abd", N=4, M=2, monitor=True)
+        system = DSMSystem("sc_abd", N=4, M=2,
+                           config=self.CONFIG.with_(ops=800, warmup=200))
         from repro.workloads import read_disturbance_workload
-        result = system.run_workload(read_disturbance_workload(params, M=2),
-                                     self.CONFIG.with_(ops=800, warmup=200))
+        result = system.run_workload(read_disturbance_workload(params, M=2))
         assert not result.violations
         breakdown = system.metrics.average_cost_breakdown(skip=200)
         assert breakdown["quorum"] == 0.0  # fault-free: no re-selection
@@ -202,8 +193,8 @@ class TestMinorityPartitionParking:
         majority parks the operation: stalled and visible, never lost,
         never a violation."""
         links = (isolate(1, [3, 4, 5]) + isolate(2, [3, 4, 5]))
-        system = DSMSystem("sc_abd", N=4,
-                           partitions=PartitionPlan(links=links))
+        system = DSMSystem("sc_abd", N=4, config=RunConfig(
+            partitions=PartitionPlan(links=links)))
         op = system.submit(1, "write", params=5)
         system.settle()
         proc = system.nodes[1].process_for(1)

@@ -27,12 +27,12 @@ def run(protocol, cache, ops=1500, warmup=200, seed=21, faults=None,
         sabotage=False):
     config = RunConfig(ops=ops, warmup=warmup, seed=seed, monitor=True,
                       cache=cache, faults=faults)
-    system = DSMSystem.from_config(protocol, PARAMS, config, M=M)
+    system = DSMSystem(protocol, N=PARAMS.N, M=M, S=PARAMS.S, P=PARAMS.P,
+                       config=config)
     if sabotage:
         for node_id in range(1, PARAMS.N + 1):
             system.nodes[node_id].cache.sabotage_writeback = True
-    result = system.run_workload(read_disturbance_workload(PARAMS, M=M),
-                                 config)
+    result = system.run_workload(read_disturbance_workload(PARAMS, M=M))
     return system, result
 
 

@@ -41,24 +41,26 @@ def workload():
 
 
 def run(protocol, faults=None, reliability=None, num_ops=1200, warmup=200,
-        seed=3, **kwargs):
-    system = DSMSystem(protocol, N=PARAMS.N, S=PARAMS.S, P=PARAMS.P,
-                       faults=faults, reliability=reliability, **kwargs)
+        seed=3):
     config = RunConfig(ops=num_ops, warmup=warmup, seed=seed,
                        faults=faults, reliability=reliability)
-    result = system.run_workload(workload(), config)
+    system = DSMSystem(protocol, N=PARAMS.N, S=PARAMS.S, P=PARAMS.P,
+                       config=config)
+    result = system.run_workload(workload())
     return system, result
 
 
 class TestPayForWhatYouUse:
     def test_none_plan_uses_plain_network(self):
-        system = DSMSystem("write_through", N=2, faults=FaultPlan.none())
+        system = DSMSystem("write_through", N=2,
+                           config=RunConfig(faults=FaultPlan.none()))
         assert isinstance(system.network, Network)
         assert system.faults is None and system.reliability is None
 
     def test_fault_plan_implies_reliable_network(self):
-        system = DSMSystem("write_through", N=2,
-                           faults=FaultPlan(drop_rate=0.1))
+        system = DSMSystem(
+            "write_through", N=2,
+            config=RunConfig(faults=FaultPlan(drop_rate=0.1)))
         assert isinstance(system.network, ReliableNetwork)
         assert system.reliability == ReliabilityConfig()
 

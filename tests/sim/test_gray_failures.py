@@ -200,8 +200,9 @@ class TestSlowdownRuns:
         faults = FaultPlan(slowdowns=[SlowWindow(2, 100.0, factor=10.0)])
         config = RunConfig(ops=300, warmup=0, seed=21, faults=faults,
                            monitor=True)
-        system = DSMSystem.from_config("sc_abd", PARAMS, config, M=2)
-        result = system.run_workload(ideal_workload(PARAMS, M=2), config)
+        system = DSMSystem("sc_abd", N=PARAMS.N, M=2, S=PARAMS.S,
+                           P=PARAMS.P, config=config)
+        result = system.run_workload(ideal_workload(PARAMS, M=2))
         assert not result.violations
         assert result.incomplete_ops == 0
         part = system.metrics.partition
@@ -218,8 +219,9 @@ class TestSlowdownRuns:
         faults = FaultPlan(slowdowns=_flapping(until=2000.0))
         config = RunConfig(ops=300, warmup=0, seed=21, faults=faults,
                            monitor=True)
-        system = DSMSystem.from_config("sc_abd", PARAMS, config, M=2)
-        result = system.run_workload(ideal_workload(PARAMS, M=2), config)
+        system = DSMSystem("sc_abd", N=PARAMS.N, M=2, S=PARAMS.S,
+                           P=PARAMS.P, config=config)
+        result = system.run_workload(ideal_workload(PARAMS, M=2))
         assert not result.violations
         part = system.metrics.partition
         assert part.demotions > 1
@@ -231,8 +233,9 @@ class TestSlowdownRuns:
         faults = FaultPlan(slowdowns=[SlowWindow(2, 100.0, factor=4.0)])
         config = RunConfig(ops=200, warmup=0, seed=21, faults=faults,
                            monitor=True)
-        system = DSMSystem.from_config("write_through", PARAMS, config, M=2)
-        result = system.run_workload(ideal_workload(PARAMS, M=2), config)
+        system = DSMSystem("write_through", N=PARAMS.N, M=2, S=PARAMS.S,
+                           P=PARAMS.P, config=config)
+        result = system.run_workload(ideal_workload(PARAMS, M=2))
         assert not result.violations
         assert system.detector is None
 
@@ -241,14 +244,10 @@ class TestHedgedRuns:
     def _run(self, hedge, faults=None):
         config = RunConfig(ops=400, warmup=0, seed=21, faults=faults,
                            monitor=True, hedge=hedge)
-        system = DSMSystem.from_config("sc_abd", PARAMS, config, M=2)
-        result = system.run_workload(ideal_workload(PARAMS, M=2), config)
+        system = DSMSystem("sc_abd", N=PARAMS.N, M=2, S=PARAMS.S,
+                           P=PARAMS.P, config=config)
+        result = system.run_workload(ideal_workload(PARAMS, M=2))
         return system, result
-
-    def test_hedge_requires_quorum_protocol(self):
-        with pytest.raises(ValueError, match="quorum"):
-            DSMSystem("write_through", N=4, M=2,
-                      hedge=HedgeConfig(budget=8.0))
 
     def test_hedged_flapping_run_is_consistent_and_priced(self):
         faults = FaultPlan(slowdowns=_flapping(until=4000.0))

@@ -485,12 +485,12 @@ def test_no_handler_modifies_a_redelivered_message(protocol,
     """Drops force retransmissions and duplicates redeliver the same
     message and frame objects; no protocol, transport or detector
     handler assigns to either."""
-    faults = FaultPlan(seed=4, drop_rate=0.05, duplicate_rate=0.05)
+    config = RunConfig(
+        ops=400, warmup=40, seed=11,
+        faults=FaultPlan(seed=4, drop_rate=0.05, duplicate_rate=0.05))
     system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
-                       faults=faults)
-    result = system.run_workload(
-        write_disturbance_workload(PARAMS, M=2),
-        RunConfig(ops=400, warmup=40, seed=11, faults=faults))
+                       config=config)
+    result = system.run_workload(write_disturbance_workload(PARAMS, M=2))
     assert result.incomplete_ops == 0
     assert system.metrics.reliability.retransmissions > 0
 
@@ -512,12 +512,11 @@ def test_plain_fabric_outputs_are_unchanged(protocol, frozen_messages):
 
 
 def test_traced_run_exports_are_byte_identical():
-    tracing = TraceConfig(sample_every=3)
+    config = RunConfig(ops=600, warmup=60, seed=5,
+                       tracing=TraceConfig(sample_every=3))
     system = DSMSystem("berkeley", N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
-                       tracing=tracing)
-    system.run_workload(write_disturbance_workload(PARAMS, M=2),
-                        RunConfig(ops=600, warmup=60, seed=5,
-                                  tracing=tracing))
+                       config=config)
+    system.run_workload(write_disturbance_workload(PARAMS, M=2))
     assert _digest(trace_json(system.tracer)) == TRACED_CHROME
     assert _digest(events_jsonl(system.tracer)) == TRACED_JSONL
 
@@ -529,13 +528,12 @@ def _faulty_run(protocol, ops=FAULTY_OPS, seed=11, tracing=None):
     partitions = PartitionPlan(
         seed=8, links=[LinkFault(1, 5, 2000.0, 12000.0, drop_rate=0.3,
                                  duplicate_rate=0.1, jitter=2.5)])
-    system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
+    config = RunConfig(ops=ops, warmup=FAULTY_WARMUP, seed=seed,
                        faults=faults, partitions=partitions, monitor=True,
                        tracing=tracing)
-    result = system.run_workload(
-        write_disturbance_workload(PARAMS, M=2),
-        RunConfig(ops=ops, warmup=FAULTY_WARMUP, seed=seed, faults=faults,
-                  partitions=partitions, monitor=True, tracing=tracing))
+    system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
+                       config=config)
+    result = system.run_workload(write_disturbance_workload(PARAMS, M=2))
     return system, result
 
 
@@ -574,9 +572,10 @@ def test_traced_faulty_run_exports_are_byte_identical():
 @pytest.mark.parametrize("run", sorted(QUORUM_RUNS))
 def test_quorum_outputs_are_unchanged(run, frozen_messages, frozen_frames):
     config = QUORUM_RUNS[run]
-    system = DSMSystem.from_config("sc_abd", QUORUM_PARAMS, config, M=4)
+    system = DSMSystem("sc_abd", N=QUORUM_PARAMS.N, M=4, S=QUORUM_PARAMS.S,
+                       P=QUORUM_PARAMS.P, config=config)
     result = system.run_workload(
-        read_disturbance_workload(QUORUM_PARAMS, M=4), config)
+        read_disturbance_workload(QUORUM_PARAMS, M=4))
     acc, messages, events, end_time, hist = QUORUM_PINNED[run]
     assert result.incomplete_ops == 0
     assert result.acc == acc

@@ -40,13 +40,12 @@ def workload():
 
 
 def run(protocol, partitions=None, num_ops=1200, warmup=200, seed=3,
-        **kwargs):
-    system = DSMSystem(protocol, N=PARAMS.N, S=PARAMS.S, P=PARAMS.P,
-                       partitions=partitions, **kwargs)
+        monitor=False):
     config = RunConfig(ops=num_ops, warmup=warmup, seed=seed,
-                       partitions=partitions,
-                       monitor=kwargs.get("monitor", False))
-    result = system.run_workload(workload(), config)
+                       partitions=partitions, monitor=monitor)
+    system = DSMSystem(protocol, N=PARAMS.N, S=PARAMS.S, P=PARAMS.P,
+                       config=config)
+    result = system.run_workload(workload())
     return system, result
 
 
@@ -144,14 +143,16 @@ class TestPartitionPlan:
 
 class TestPayForWhatYouUse:
     def test_none_plan_uses_plain_network(self):
-        system = DSMSystem("write_through", N=2,
-                           partitions=PartitionPlan.none())
+        system = DSMSystem(
+            "write_through", N=2,
+            config=RunConfig(partitions=PartitionPlan.none()))
         assert isinstance(system.network, Network)
         assert system.partitions is None and system.detector is None
 
     def test_partition_plan_implies_reliable_network(self):
-        system = DSMSystem("write_through", N=2,
-                           partitions=PartitionPlan(links=cut(1, 3)))
+        system = DSMSystem(
+            "write_through", N=2,
+            config=RunConfig(partitions=PartitionPlan(links=cut(1, 3))))
         assert isinstance(system.network, ReliableNetwork)
         assert system.detector is not None
 

@@ -27,8 +27,8 @@ def _minority_plan():
 
 class TestMinorityPartitionAvailability:
     def test_sc_abd_serves_reads_and_writes_during_partition(self):
-        system = DSMSystem("sc_abd", N=4, monitor=True,
-                           partitions=_minority_plan())
+        system = DSMSystem("sc_abd", N=4, config=RunConfig(
+            monitor=True, partitions=_minority_plan()))
         chained = {}
         write = system.submit(
             1, "write", params=7,
@@ -51,7 +51,8 @@ class TestMinorityPartitionAvailability:
         completes the operation against a fresh majority during the
         partition, charged to the quorum cost share."""
         plan = PartitionPlan(links=isolate(3, [1, 2, 4, 5], 0.0, HEAL))
-        system = DSMSystem("sc_abd", N=4, monitor=True, partitions=plan)
+        system = DSMSystem("sc_abd", N=4, config=RunConfig(
+            monitor=True, partitions=plan))
         write = system.submit(1, "write", params=9)
         system.settle()
         rec = system.metrics.op(write.op_id)
@@ -63,8 +64,8 @@ class TestMinorityPartitionAvailability:
     def test_write_through_read_waits_for_the_heal(self):
         """The star baseline: a cache-miss read must reach the sequencer
         stranded in the minority, so it cannot complete before the heal."""
-        system = DSMSystem("write_through", N=4,
-                           partitions=_minority_plan())
+        system = DSMSystem("write_through", N=4, config=RunConfig(
+            partitions=_minority_plan()))
         read = system.submit(1, "read")
         system.settle()
         rec = system.metrics.op(read.op_id)
@@ -78,10 +79,8 @@ class TestMinorityPartitionAvailability:
                                 S=100.0, P=30.0)
         config = RunConfig(ops=400, warmup=0, seed=3,
                            partitions=_minority_plan(), monitor=True)
-        system = DSMSystem("sc_abd", N=4, M=2, monitor=True,
-                           partitions=_minority_plan())
-        result = system.run_workload(
-            read_disturbance_workload(params, M=2), config)
+        system = DSMSystem("sc_abd", N=4, M=2, config=config)
+        result = system.run_workload(read_disturbance_workload(params, M=2))
         assert result.measured == 400
         assert result.incomplete_ops == 0
         assert not result.violations

@@ -38,13 +38,8 @@ def _run(plan, seed, ops=300, faults=None, mean_gap=4.0):
     ``(system, result)``."""
     config = RunConfig(ops=ops, warmup=0, seed=seed, mean_gap=mean_gap,
                        reconfig=plan, faults=faults, monitor=True)
-    system = DSMSystem(
-        "sc_abd", N=PARAMS.N, M=2, monitor=True,
-        reconfig=plan.replay() if plan is not None else None,
-        faults=faults.replay() if faults is not None else None,
-    )
-    result = system.run_workload(
-        read_disturbance_workload(PARAMS, M=2), config)
+    system = DSMSystem("sc_abd", N=PARAMS.N, M=2, config=config)
+    result = system.run_workload(read_disturbance_workload(PARAMS, M=2))
     return system, result
 
 
@@ -317,7 +312,8 @@ class TestPayForWhatYouUse:
         assert with_none.reconfig is None
 
     def test_system_drops_a_none_plan(self):
-        system = DSMSystem("sc_abd", N=4, reconfig=ReconfigPlan.none())
+        system = DSMSystem("sc_abd", N=4,
+                           config=RunConfig(reconfig=ReconfigPlan.none()))
         assert system.reconfig is None
 
     def test_rows_identical_with_and_without_none_plan(self):
@@ -388,8 +384,6 @@ class TestWeightedQuorums:
         pairs = tuple(weights.items())
         config = RunConfig(ops=2000, warmup=500, seed=0,
                            quorum_weights=pairs)
-        system = DSMSystem("sc_abd", N=params.N, M=5,
-                           quorum_weights=pairs)
-        result = system.run_workload(
-            read_disturbance_workload(params, M=5), config)
+        system = DSMSystem("sc_abd", N=params.N, M=5, config=config)
+        result = system.run_workload(read_disturbance_workload(params, M=5))
         assert abs(result.acc - analytic) / analytic < 0.08

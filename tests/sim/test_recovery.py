@@ -28,35 +28,35 @@ ALL_PROTOCOLS = [name for name, spec
 
 def run(protocol, crashes, failover=False, monitor=True, ops=1200,
         warmup=200, seed=3, mean_gap=25.0):
-    plan = FaultPlan(seed=1, crashes=crashes)
-    system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
-                       faults=plan.replay(), failover=failover,
-                       monitor=monitor)
     config = RunConfig(ops=ops, warmup=warmup, seed=seed,
-                       mean_gap=mean_gap, faults=plan.replay(),
+                       mean_gap=mean_gap,
+                       faults=FaultPlan(seed=1, crashes=crashes),
                        failover=failover, monitor=monitor)
-    workload = read_disturbance_workload(PARAMS, M=2)
-    return system, system.run_workload(workload, config)
+    system = DSMSystem(protocol, N=PARAMS.N, M=2, S=PARAMS.S, P=PARAMS.P,
+                       config=config)
+    return system, system.run_workload(read_disturbance_workload(PARAMS, M=2))
 
 
 class TestPayForWhatYouUse:
     def test_durable_only_plan_builds_no_recovery_manager(self):
         plan = FaultPlan(crashes=[(2, 100.0, 200.0)])
-        system = DSMSystem("write_through", N=4, faults=plan)
+        system = DSMSystem("write_through", N=4,
+                           config=RunConfig(faults=plan))
         assert system.recovery is None
         assert system.write_log is None
         assert system.monitor is None
 
     def test_amnesia_window_builds_recovery_manager(self):
         plan = FaultPlan(crashes=[(2, 100.0, 200.0, "amnesia")])
-        system = DSMSystem("write_through", N=4, faults=plan)
+        system = DSMSystem("write_through", N=4,
+                           config=RunConfig(faults=plan))
         assert system.recovery is not None
         assert system.write_log is not None
 
     def test_failover_flag_builds_recovery_manager(self):
         plan = FaultPlan(crashes=[(5, 100.0, 200.0)])
-        system = DSMSystem("write_through", N=4, faults=plan,
-                           failover=True)
+        system = DSMSystem("write_through", N=4,
+                           config=RunConfig(faults=plan, failover=True))
         assert system.recovery is not None
 
     def test_failover_without_faults_rejected_by_config_check(self):

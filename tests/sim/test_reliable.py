@@ -279,10 +279,8 @@ class TestDeliveryViolations:
             reliability=ReliabilityConfig(timeout=4.0, max_retries=2),
         )
         system = DSMSystem("write_through", N=params.N, S=params.S,
-                           P=params.P, faults=config.faults,
-                           reliability=config.reliability)
-        result = system.run_workload(
-            read_disturbance_workload(params, M=1), config)
+                           P=params.P, config=config)
+        result = system.run_workload(read_disturbance_workload(params, M=1))
         delivery = [v for v in result.violations if v.kind == "delivery"]
         assert delivery
         assert len(delivery) == len(system.network.violations)

@@ -1,10 +1,25 @@
 """Unit tests for the DSMSystem facade."""
 
+import re
+
 import pytest
 
 from repro.core.parameters import WorkloadParams
-from repro.sim import DSMSystem, RunConfig
+from repro.sim import (CrashWindow, DSMSystem, FaultPlan, HedgeConfig,
+                       MembershipChange, ReconfigPlan, RunConfig)
+from repro.sim.system import _FAMILY_RULES
 from repro.workloads import read_disturbance_workload
+
+#: a 50-op run config setting each protocol-family rule's knob
+FAMILY_CASES = {
+    "failover": RunConfig(ops=50, seed=1, failover=True),
+    "amnesia": RunConfig(ops=50, seed=1, faults=FaultPlan(
+        crashes=[CrashWindow(2, 0.0, 50.0, "amnesia")])),
+    "reconfig": RunConfig(ops=50, seed=1, reconfig=ReconfigPlan(
+        changes=[MembershipChange(at=100.0, joins=(6,))])),
+    "quorum_weights": RunConfig(ops=50, seed=1, quorum_weights={1: 2.0}),
+    "hedge": RunConfig(ops=50, seed=1, hedge=HedgeConfig()),
+}
 
 
 class TestConstruction:
@@ -26,6 +41,28 @@ class TestConstruction:
         assert system.sequencer_id == 5
         assert system.all_nodes == (1, 2, 3, 4, 5)
         assert len(system.nodes) == 5
+
+
+class TestProtocolFamilyRules:
+    """Every run knob either composes with a protocol family or is
+    rejected with the rule's named error."""
+
+    @pytest.mark.parametrize("protocol", ["write_through", "sc_abd"])
+    @pytest.mark.parametrize("knob", sorted(_FAMILY_RULES))
+    def test_knob_builds_or_names_its_family(self, knob, protocol):
+        family, is_set, error = _FAMILY_RULES[knob]
+        config = FAMILY_CASES[knob]
+        assert is_set(config)
+        if (protocol == "sc_abd") != (family == "quorum"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"{protocol} {error}")):
+                DSMSystem(protocol, N=4, config=config)
+            return
+        params = WorkloadParams(N=4, p=0.3, a=2, sigma=0.1, S=100, P=30)
+        system = DSMSystem(protocol, N=4, config=config)
+        result = system.run_workload(read_disturbance_workload(params, M=1))
+        assert result.total_ops == 50
+        assert result.measured > 0
 
 
 class TestRunWorkload:

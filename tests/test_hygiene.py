@@ -3,7 +3,9 @@ docs name only code and files that exist, and protocol handlers read
 message types through module-level aliases."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 import subprocess
 from pathlib import Path
@@ -179,3 +181,14 @@ def test_enum_read_check_sees_function_bodies_only():
         "        return lambda: ParamPresence.WRITE\n")
     assert set(_enum_reads_in_functions(tree)) == {
         (4, "MsgType.W_INV"), (7, "ParamPresence.WRITE")}
+
+
+def test_each_run_knob_is_declared_once():
+    """``RunConfig`` is the only declaration of a run knob: the system
+    constructor takes the config, never a copy of one of its fields."""
+    from repro.sim import DSMSystem, RunConfig
+
+    params = set(inspect.signature(DSMSystem.__init__).parameters)
+    knobs = {f.name for f in dataclasses.fields(RunConfig)}
+    assert params & knobs == set()
+    assert not hasattr(DSMSystem, "from_config")
