@@ -1,13 +1,20 @@
 """The analytic performance model — the paper's primary contribution.
 
 Workload parameters (Section 4.2), trace/cost calculus (Section 4.1), the
-exact steady-state Markov engine and per-protocol kernels (Section 4.3),
-closed forms (eqns. (3)-(5) and Table 6), characteristic surfaces
-(Figures 5-6), crossover lines and protocol comparison (Section 5.1).
+exact steady-state Markov engine over chains extracted from the running
+protocols (Section 4.3), closed forms (eqns. (3)-(5) and Table 6),
+characteristic surfaces (Figures 5-6), crossover lines and protocol
+comparison (Section 5.1).
 """
 
 from .acc import acc_table, analytical_acc
-from .chains import build_chain, deviation_groups, markov_acc
+from .chains import (
+    Extraction,
+    build_chain,
+    deviation_groups,
+    extract_transitions,
+    markov_acc,
+)
 from .closed_forms import (
     closed_form_acc,
     has_closed_form,
@@ -30,7 +37,6 @@ from .crossover import (
     paper_line_synapse_vs_wtv,
     paper_line_wtv_vs_wt,
 )
-from .kernels import KERNELS, Env, ProtocolKernel, get_kernel
 from .parameters import (
     Deviation,
     WorkloadParams,
@@ -46,8 +52,10 @@ from .traces import CostExpr, Trace, TraceSet, WRITE_THROUGH_TRACES
 __all__ = [
     "acc_table",
     "analytical_acc",
+    "Extraction",
     "build_chain",
     "deviation_groups",
+    "extract_transitions",
     "markov_acc",
     "closed_form_acc",
     "has_closed_form",
@@ -65,10 +73,6 @@ __all__ = [
     "paper_line_dragon_vs_berkeley",
     "paper_line_synapse_vs_wtv",
     "paper_line_wtv_vs_wt",
-    "KERNELS",
-    "Env",
-    "ProtocolKernel",
-    "get_kernel",
     "Deviation",
     "WorkloadParams",
     "feasible_sigma_max",

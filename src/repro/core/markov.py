@@ -48,7 +48,7 @@ def enumerate_chain(
     Returns the state list (index order = discovery order) and the inverse
     index map.  Raises ``RuntimeError`` if the reduced chain exceeds
     ``max_states`` — reduced chains are small by construction, so hitting
-    the cap indicates a kernel bug (e.g. unbounded counters).
+    the cap indicates a bug in the chain (e.g. unbounded counters).
     """
     states: List[Hashable] = [initial]
     index: Dict[Hashable, int] = {initial: 0}
@@ -61,7 +61,7 @@ def enumerate_chain(
                     if len(states) >= max_states:
                         raise RuntimeError(
                             f"chain exceeded {max_states} states; "
-                            "kernel state space is not properly reduced"
+                            "the state space is not properly reduced"
                         )
                     index[t] = len(states)
                     states.append(t)
@@ -88,7 +88,7 @@ def _transition_matrix(
         if abs(row_sum - 1.0) > 1e-7:
             raise ValueError(
                 f"transition probabilities from {s!r} sum to {row_sum}, "
-                "expected 1 (kernel must enumerate the full sample space)"
+                "expected 1 (the chain must enumerate the full sample space)"
             )
     return P
 
@@ -99,10 +99,11 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     The reduced chains driven by an ergodic trial process are unichain
     (one recurrent class, possibly with transient start-up states), so the
     linear system ``(P^T - I) pi = 0`` with the normalization row has a
-    unique solution.  A least-squares fallback covers the measure-zero
-    parameter corners (e.g. ``p = 0``) where the chain decomposes; any
-    stationary distribution then yields the correct cost because absorbing
-    subclasses at those corners are cost-equivalent.
+    unique solution.  Where that solve is singular or ill-conditioned —
+    the measure-zero parameter corners (e.g. ``p = 0``) where the chain
+    decomposes, or a transient start-up state that drains at a rate of
+    the order of round-off — the long-run distribution from the initial
+    state is computed class by class instead.
     """
     n = P.shape[0]
     A = P.T - np.eye(n)
@@ -117,7 +118,7 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         pi = None
     if pi is None:
-        pi = _cesaro_limit(P)
+        pi = _limit_from(P)
     # clean tiny negative round-off and renormalize.
     pi = np.where(pi < 0, 0.0, pi)
     total = pi.sum()
@@ -126,28 +127,48 @@ def stationary_distribution(P: np.ndarray) -> np.ndarray:
     return pi / total
 
 
-def _cesaro_limit(P: np.ndarray, start: int = 0, iters: int = 20_000,
-                  tol: float = 1e-13) -> np.ndarray:
-    """Cesàro-averaged power iteration from a start state.
+def _limit_from(P: np.ndarray, start: int = 0) -> np.ndarray:
+    """The long-run distribution of the chain started in ``start``.
 
-    Used when the direct solve is singular (degenerate parameter corners
-    can split the chain into several closed classes): the Cesàro average
-    from the *initial* state weighs exactly the classes the system can
-    actually reach, and converges for periodic chains as well.
+    Used when the direct solve is singular or ill-conditioned: degenerate
+    parameter corners split the chain into several closed classes, or
+    leave transient states whose escape probability is of the order of
+    round-off.  Each closed class gets its own stationary distribution,
+    weighted by the probability of absorption into it from ``start``;
+    transient states get no mass, however slowly they drain.
     """
     n = P.shape[0]
-    v = np.zeros(n)
-    v[start] = 1.0
-    avg = np.zeros(n)
-    prev = None
-    for k in range(1, iters + 1):
-        v = v @ P
-        avg += (v - avg) / k
-        if k % 64 == 0:
-            if prev is not None and np.abs(avg - prev).max() < tol:
-                break
-            prev = avg.copy()
-    return avg
+    # reach[i, j]: j is reachable from i (transitive closure by squaring)
+    reach = (P > 0) | np.eye(n, dtype=bool)
+    while True:
+        wider = (reach.astype(np.int64) @ reach.astype(np.int64)) > 0
+        if (wider == reach).all():
+            break
+        reach = wider
+    # i is recurrent iff everything it reaches reaches back
+    recurrent = ~(reach & ~reach.T).any(axis=1)
+    classes = []
+    for i in np.flatnonzero(recurrent):
+        if not any(reach[i, c[0]] for c in classes):
+            classes.append(np.flatnonzero(reach[i]))
+    transient = np.flatnonzero(~recurrent)
+    if recurrent[start]:
+        weights = [float(reach[start, c[0]]) for c in classes]
+    else:
+        # absorption probabilities: (I - Q) X = R over transient states
+        Q = P[np.ix_(transient, transient)]
+        R = np.stack([P[np.ix_(transient, c)].sum(axis=1)
+                      for c in classes], axis=1)
+        X = np.linalg.solve(np.eye(len(transient)) - Q, R)
+        weights = list(X[np.searchsorted(transient, start)])
+    pi = np.zeros(n)
+    for c, w in zip(classes, weights):
+        A = P[np.ix_(c, c)].T - np.eye(len(c))
+        A[-1, :] = 1.0
+        b = np.zeros(len(c))
+        b[-1] = 1.0
+        pi[c] += w * np.linalg.solve(A, b)
+    return pi
 
 
 def expected_cost(

@@ -8,9 +8,10 @@ is the home/sequencer node itself?*  (In a real DSM the placement of the
 hot writer relative to an object's home is a first-order tuning decision.)
 
 :func:`home_center_acc` evaluates the read/write-disturbance deviations
-with the activity center executing *home-node* operations (the kernels'
-``home_op``), disturbers remaining clients; :func:`placement_advantage`
-reports the saving over the standard client placement.
+with the activity center executing *home-node* operations (the
+sequencer's own read and write paths, run on the simulator), disturbers
+remaining clients; :func:`placement_advantage` reports the saving over
+the standard client placement.
 
 For Write-Through this recovers the tr5/tr6 calculus exactly: the home
 center's writes cost ``N`` instead of ``P + N`` and its reads are always
@@ -20,11 +21,10 @@ under read disturbance.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Tuple
+from typing import Tuple
 
 from .acc import analytical_acc
-from .chains import GroupSpec
-from .kernels import Env, get_kernel
+from .chains import GroupSpec, chain_from, extract_transitions
 from .markov import solve_chain
 from .parameters import Deviation, WorkloadParams
 
@@ -52,39 +52,17 @@ def home_center_acc(
     r = 1.0 - params.p - params.a * disturb
     if r < -1e-12:
         raise ValueError("infeasible workload")
-    kernel = get_kernel(protocol)
-    env = Env(S=params.S, P=params.P, N=params.N)
-    groups: List[GroupSpec] = []
+    groups = [GroupSpec("home", 1, max(r, 0.0), params.p)]
     if params.a:
         if deviation is Deviation.READ:
             groups.append(GroupSpec("dist", params.a, disturb, 0.0))
         else:
             groups.append(GroupSpec("dist", params.a, 0.0, disturb))
-    home_rates = (("read", max(r, 0.0)), ("write", params.p))
-    initial = kernel.initial_state(tuple(g.size for g in groups))
-    member_states = kernel.member_states
-
-    def transitions(state: Hashable):
-        out: List[Tuple[float, float, Hashable]] = []
-        for kind, rate in home_rates:
-            if rate <= 0.0:
-                continue
-            cost, nxt = kernel.home_op(state, kind, env)
-            out.append((rate, cost, nxt))
-        for g, spec in enumerate(groups):
-            counts = state[0][g]
-            for si, s in enumerate(member_states):
-                if not counts[si]:
-                    continue
-                for kind, krate in (("read", spec.read_rate),
-                                    ("write", spec.write_rate)):
-                    if krate <= 0.0:
-                        continue
-                    cost, nxt = kernel.op(state, g, s, kind, env)
-                    out.append((counts[si] * krate, cost, nxt))
-        return out
-
-    return solve_chain(initial, transitions)
+    extraction = extract_transitions(
+        protocol, params.N, tuple((g.size, g.kinds) for g in groups),
+        home=True)
+    return solve_chain(*chain_from(extraction, tuple(groups), params.S,
+                                   params.P))
 
 
 def placement_advantage(

@@ -5,44 +5,31 @@ TR is finite [8] and that every operation execution results in exactly one
 trace from the set TR.  The set of traces has to be determined by a
 thorough analysis of the applied coherence protocol."
 
-This module performs that thorough analysis mechanically: it enumerates
-the reachable reduced state space of a protocol's kernel under a workload
-shape, evaluates every (state, actor, operation) cost at several
-``(S, P, N)`` base points, and fits each cost to the symbolic basis
+This module performs that thorough analysis mechanically: it takes the
+reachable reduced state space extracted from the running protocol
+(:func:`repro.core.chains.extract_transitions`) under a workload shape
+and writes every (state, actor, operation) cost in the symbolic basis
 
 ``cost = u + s·S + p·(P) + n·N + np·(N·P)``
 
-with small integer coefficients (every protocol cost in this system lives
-in that lattice — e.g. Write-Through's ``S + 2`` is ``(u=2, s=1)``,
-Dragon's ``N (P + 1)`` is ``(n=1, np=1)``).  Identical fits collapse into
-one *trace class*, yielding the protocol's finite trace set with symbolic
-costs — Table-4.1-style summaries for all protocols, not just
-Write-Through.
+with integer coefficients.  The extraction counts messages per cost
+class (``1``, ``S + 1``, ``P + 1``), and the counts are affine in ``N``,
+so the coefficients follow exactly — e.g. Write-Through's ``S + 2`` is
+``(u=2, s=1)``, Dragon's ``N (P + 1)`` is ``(n=1, np=1)``.  Identical
+costs collapse into one *trace class*, yielding the protocol's finite
+trace set with symbolic costs — Table-4.1-style summaries for all
+protocols, not just Write-Through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List
 
-import numpy as np
-
-from .chains import deviation_groups
-from .kernels import Env, get_kernel
-from .markov import enumerate_chain
+from .chains import deviation_groups, extract_transitions
 from .parameters import Deviation, WorkloadParams
 
 __all__ = ["TraceClass", "discover_traces", "format_trace_table"]
-
-#: (S, P, N) base points; chosen pairwise coprime so the basis
-#: [1, S, P, N, N*P] is well conditioned.
-_BASE_POINTS = (
-    (2.0, 3.0, 5),
-    (7.0, 11.0, 13),
-    (17.0, 19.0, 23),
-    (29.0, 31.0, 37),
-    (41.0, 43.0, 47),
-)
 
 
 @dataclass(frozen=True)
@@ -79,19 +66,6 @@ class TraceClass:
         return " + ".join(parts)
 
 
-def _fit_symbolic(costs: Sequence[float]) -> Optional[Tuple[int, ...]]:
-    """Fit costs at the base points to the integer basis; None if no fit."""
-    A = np.array(
-        [[1.0, S, P, float(N), float(N) * P] for S, P, N in _BASE_POINTS]
-    )
-    x, residuals, _rank, _sv = np.linalg.lstsq(A, np.asarray(costs),
-                                               rcond=None)
-    rounded = np.rint(x)
-    if np.abs(A @ rounded - np.asarray(costs)).max() > 1e-6:
-        return None
-    return tuple(int(v) for v in rounded)
-
-
 def discover_traces(
     protocol: str,
     deviation: Deviation = Deviation.READ,
@@ -115,65 +89,34 @@ def discover_traces(
         role here (any positive rate reaches the same closure), so nominal
         rates are used internally.
     """
-    kernel = get_kernel(protocol)
     # nominal rates only shape which (actor, kind) pairs are possible.
     params = WorkloadParams(N=5, p=0.2, a=a, sigma=0.1 if a else 0.0,
                             xi=0.1 if a else 0.0, beta=beta,
                             S=100.0, P=30.0)
-    groups = deviation_groups(params, deviation)
-    kinds_per_group: List[List[str]] = []
-    for g in groups:
-        kinds = []
-        if g.read_rate > 0:
-            kinds.append("read")
-        if g.write_rate > 0:
-            kinds.append("write")
-        if include_ejects:
-            kinds.append("eject")
-        kinds_per_group.append(kinds)
-
-    envs = [Env(S=S, P=P, N=N) for S, P, N in _BASE_POINTS]
-    member_states = kernel.member_states
-    initial = kernel.initial_state(tuple(g.size for g in groups))
-
-    def transitions(state):
-        out = []
-        for g, kinds in enumerate(kinds_per_group):
-            counts = state[0][g]
-            for si, s in enumerate(member_states):
-                if not counts[si]:
-                    continue
-                for kind in kinds:
-                    _cost, nxt = kernel.op(state, g, s, kind, envs[0])
-                    out.append((1.0, 0.0, nxt))
-        return out
-
-    # normalize probabilities for the enumerator's row check.
-    def normalized(state):
-        raw = transitions(state)
-        w = 1.0 / len(raw)
-        return [(w, c, t) for _p, c, t in raw]
-
-    states, _index = enumerate_chain(initial, normalized,
-                                     max_states=max_states)
+    layout = tuple(
+        (g.size, g.kinds + (("eject",) if include_ejects else ()))
+        for g in deviation_groups(params, deviation)
+    )
+    # the message counts are affine in N: read them at two sizes
+    low, high = (extract_transitions(protocol, n, layout) for n in (5, 6))
+    if len(low.table) > max_states:
+        raise RuntimeError(
+            f"{protocol}: chain exceeded {max_states} states"
+        )
 
     classes: set = set()
-    for state in states:
-        for g, kinds in enumerate(kinds_per_group):
-            counts = state[0][g]
-            for si, s in enumerate(member_states):
-                if not counts[si]:
-                    continue
-                for kind in kinds:
-                    costs = [kernel.op(state, g, s, kind, env)[0]
-                             for env in envs]
-                    fit = _fit_symbolic(costs)
-                    if fit is None:
-                        raise RuntimeError(
-                            f"{protocol}: cost {costs} for {kind} in "
-                            f"state {state} is outside the symbolic basis"
-                        )
-                    classes.add(TraceClass(kind, *fit))
+    for state, steps in low.table.items():
+        for step, upper in zip(steps, high.table[state]):
+            kind, units = step[3], step[4]
+            slope = [b - a for a, b in zip(units, upper[4])]
+            ones, ui, params = (u - 5 * d for u, d in zip(units, slope))
+            if slope[1]:
+                raise RuntimeError(
+                    f"{protocol}: {kind} in state {state} moves a copy "
+                    "per client, outside the symbolic basis"
+                )
+            classes.add(TraceClass(kind, ones + ui + params, ui, params,
+                                   sum(slope), slope[2]))
     return frozenset(classes)
 
 

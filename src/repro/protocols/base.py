@@ -23,14 +23,14 @@ Design (paper Section 2):
 
 Every concrete protocol provides a :class:`ProtocolSpec` with factories for
 the client-side and sequencer-side processes plus the protocol's metadata
-(state sets, trace set, cost table used by the analytic kernels).
+(state sets, the states that serve local reads, the owner states).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..machines.message import Message, MsgType, ParamPresence
 
@@ -336,6 +336,11 @@ class ProtocolSpec:
             family (SC-ABD): every node is a symmetric replica, liveness
             needs only a majority, and the recovery/failover subsystems
             (which assume a sequencer) do not apply.
+        hit_states: the copy states (client or sequencer side) in which
+            a local read hits; empty for the quorum family, whose reads
+            are all distributed rounds.
+        owner_states: the states of a migrating owner's copy, which holds
+            the authoritative value; empty for fixed-home protocols.
     """
 
     name: str
@@ -348,6 +353,8 @@ class ProtocolSpec:
     sequencer_factory: Any
     notes: str = ""
     quorum_based: bool = False
+    hit_states: FrozenSet[str] = frozenset()
+    owner_states: FrozenSet[str] = frozenset()
 
     def make_process(self, ctx: ProcessContext) -> ProtocolProcess:
         """Instantiate the right process for ``ctx.node_id``'s role."""

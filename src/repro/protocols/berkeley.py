@@ -212,6 +212,8 @@ SPEC = ProtocolSpec(
     migrating_owner=True,
     client_factory=make_client,
     sequencer_factory=make_sequencer,
+    hit_states=frozenset({VALID, DIRTY, SHARED_DIRTY}),
+    owner_states=frozenset(OWNER_STATES),
     notes=(
         "Reconstructed: ownership migrates to every writer (N+1 / S+N+1); "
         "owner writes cost 0 (DIRTY) or N (SHARED-DIRTY); read misses S+2."

@@ -172,6 +172,8 @@ SPEC = ProtocolSpec(
     migrating_owner=True,
     client_factory=make_client,
     sequencer_factory=make_sequencer,
+    hit_states=frozenset({SHARED_CLEAN, SHARED_DIRTY}),
+    owner_states=frozenset({SHARED_DIRTY}),
     notes=(
         "Reconstructed update protocol: the writer broadcasts parameters "
         "directly to the other N nodes (cost N*(P+1)) and takes the "

@@ -183,6 +183,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=FireflyClient,
     sequencer_factory=FireflySequencer,
+    hit_states=frozenset({SHARED, VALID}),
     notes=(
         "Reconstructed update protocol with a fixed sequencer: client "
         "writes cost N*(P+1)+1 (parameters in, N-1 update broadcasts, ACK); "

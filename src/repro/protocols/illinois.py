@@ -226,6 +226,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=IllinoisClient,
     sequencer_factory=IllinoisSequencer,
+    hit_states=frozenset({VALID, DIRTY}),
     notes=(
         "Reconstructed: data-less upgrade writes (N+1), direct remote-dirty "
         "service with the supplier staying VALID (2S+4 read, 2S+N+3 write)."

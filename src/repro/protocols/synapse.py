@@ -225,6 +225,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=SynapseClient,
     sequencer_factory=SynapseSequencer,
+    hit_states=frozenset({VALID, DIRTY}),
     notes=(
         "Reconstructed: ownership writes always transfer data (S+N+1); "
         "remote-dirty requests pay write-back plus retry (2S+6 read, "

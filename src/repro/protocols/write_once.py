@@ -301,6 +301,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=WriteOnceClient,
     sequencer_factory=WriteOnceSequencer,
+    hit_states=frozenset({VALID, RESERVED, DIRTY}),
     notes=(
         "Reconstructed: first write is written through (P+N, -> RESERVED); "
         "second write is a 2-token serialized upgrade; DGR token replaces "

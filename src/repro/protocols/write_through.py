@@ -143,6 +143,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=WriteThroughClient,
     sequencer_factory=WriteThroughSequencer,
+    hit_states=frozenset({VALID}),
     notes=(
         "Paper-exact (Tables 1-3). Client writes are fire-and-forget and "
         "self-invalidate; read misses block the local queue until R-GNT."

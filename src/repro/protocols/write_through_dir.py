@@ -115,6 +115,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=DirectoryWriteThroughClient,
     sequencer_factory=DirectoryWriteThroughSequencer,
+    hit_states=frozenset({VALID}),
     notes=(
         "Extension: exact-copyset multicast invalidation; write cost "
         "P + 1 + |copyset \\ {writer}| instead of P + N."

@@ -193,6 +193,7 @@ SPEC = ProtocolSpec(
     migrating_owner=False,
     client_factory=WriteThroughVClient,
     sequencer_factory=WriteThroughVSequencer,
+    hit_states=frozenset({VALID}),
     notes=(
         "Reconstructed: blocking two-phase write keeps the writer's copy "
         "valid; write cost P+N+2 from VALID (matches the paper's WTV-vs-WT "

@@ -64,7 +64,7 @@ replication beats full replication under churn.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..machines.message import ParamPresence
 from ..protocols.base import Operation, ProtocolSpec
@@ -152,7 +152,6 @@ class RecoveryManager:
         spec: ProtocolSpec,
         plan: FaultPlan,
         log: WriteLog,
-        hit_states: FrozenSet[str],
         S: float,
         P: float,
         latency: float,
@@ -166,7 +165,7 @@ class RecoveryManager:
         self.spec = spec
         self.plan = plan
         self.log = log
-        self.hit_states = hit_states
+        self.hit_states = spec.hit_states
         self.S = S
         self.P = P
         self.latency = latency

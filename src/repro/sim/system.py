@@ -39,30 +39,8 @@ from .reliable import ReliableNetwork
 
 __all__ = ["DSMSystem", "SimulationResult"]
 
-#: per-protocol states in which a local read hits (client or owner side)
-_HIT_STATES: Dict[str, frozenset] = {
-    "write_through": frozenset({"VALID"}),
-    "write_through_dir": frozenset({"VALID"}),
-    "write_through_v": frozenset({"VALID"}),
-    "write_once": frozenset({"VALID", "RESERVED", "DIRTY"}),
-    "synapse": frozenset({"VALID", "DIRTY"}),
-    "illinois": frozenset({"VALID", "DIRTY"}),
-    "berkeley": frozenset({"VALID", "DIRTY", "SHARED-DIRTY"}),
-    "dragon": frozenset({"SHARED-CLEAN", "SHARED-DIRTY"}),
-    "firefly": frozenset({"SHARED", "VALID"}),
-    # quorum family: no state ever serves a local read (every read is a
-    # distributed quorum round), so nothing is checkable as a "hit" copy
-    "sc_abd": frozenset(),
-}
-
 #: operation kinds :meth:`DSMSystem.submit` accepts
 _SUBMIT_KINDS = (READ, WRITE, EJECT)
-
-#: owner-role states for authoritative-value lookup
-_OWNER_STATES: Dict[str, frozenset] = {
-    "berkeley": frozenset({"DIRTY", "SHARED-DIRTY"}),
-    "dragon": frozenset({"SHARED-DIRTY"}),
-}
 
 #: the protocol family each run knob needs, and the error naming the
 #: conflict: ``knob: (family, is the knob set in a RunConfig, error)``.
@@ -405,7 +383,6 @@ class DSMSystem:
                 plan=(self.faults if self.faults is not None
                       else FaultPlan.none()),
                 log=self.write_log,
-                hit_states=_HIT_STATES[self.spec.name],
                 S=self.S,
                 P=self.P,
                 latency=self.latency,
@@ -679,6 +656,7 @@ class DSMSystem:
         migrating-owner protocols it is the owner's copy.
         """
         name = self.spec.name
+        owner_states = self.spec.owner_states
         if self.spec.quorum_based:
             # the serialization point is the logical timestamp order: the
             # authoritative value is the one held with the maximum
@@ -689,7 +667,7 @@ class DSMSystem:
                 key=lambda proc: proc.ts,
             )
             return best.value
-        if name in _OWNER_STATES:
+        if owner_states:
             # a partition-quarantined node keeps its (stale) replica for
             # degraded serving, so it may still look like an owner; the
             # epoch reset at quarantine re-canonicalized ownership among
@@ -698,7 +676,7 @@ class DSMSystem:
             owners = [
                 n for n in self.all_nodes
                 if n not in quarantined
-                and self.copy_state(n, obj) in _OWNER_STATES[name]
+                and self.copy_state(n, obj) in owner_states
             ]
             if len(owners) != 1:
                 raise AssertionError(
@@ -742,7 +720,7 @@ class DSMSystem:
         window are skipped: a dead replica cannot serve reads, and its
         pending invalidations are legitimately undelivered.
         """
-        hit_states = _HIT_STATES[self.spec.name]
+        hit_states = self.spec.hit_states
         excluded = self._excluded_nodes()
         for obj in range(1, self.M + 1):
             truth = self.authoritative_value(obj)
@@ -769,7 +747,7 @@ class DSMSystem:
                 "consistency monitoring is off; build the system with "
                 "config=RunConfig(monitor=True)"
             )
-        hit_states = _HIT_STATES[self.spec.name]
+        hit_states = self.spec.hit_states
         excluded = self._excluded_nodes()
         violations: List[ConsistencyViolation] = []
         authoritative: Dict[int, object] = {}

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.chains import build_chain, deviation_groups, markov_acc
-from repro.core.kernels import get_kernel
 from repro.core.parameters import Deviation, WorkloadParams
 
 ALL = ["write_through", "write_through_v", "write_once", "synapse",
@@ -40,9 +39,7 @@ class TestChainStructure:
     def test_transition_probabilities_sum_to_one(self):
         w = WorkloadParams(N=4, p=0.25, a=3, sigma=0.15)
         for name in ALL:
-            initial, transitions = build_chain(
-                get_kernel(name), w, Deviation.READ
-            )
+            initial, transitions = build_chain(name, w, Deviation.READ)
             # walk a few states and check each row is a distribution
             seen = {initial}
             frontier = [initial]
@@ -64,7 +61,7 @@ class TestChainStructure:
                            S=5000, P=30)
         for name in ALL:
             for dev in Deviation:
-                initial, transitions = build_chain(get_kernel(name), w, dev)
+                initial, transitions = build_chain(name, w, dev)
                 states, _ = enumerate_chain(initial, transitions)
                 assert len(states) < 2000, (name, dev, len(states))
 
@@ -118,6 +115,19 @@ class TestMarkovAcc:
         assert markov_acc("write_through", w, Deviation.READ) == pytest.approx(
             paper, rel=1e-12
         )
+
+    def test_disturbance_cap_at_p0_costs_nothing(self):
+        """One ulp below the cap the activity center keeps a read rate of
+        ~1e-16; once every copy is VALID nothing costs anything."""
+        w = WorkloadParams(N=4, p=0.0, a=4, sigma=0.25 * (1 - 2.0 ** -53))
+        assert 1.0 - w.p - w.a * w.sigma > 0.0
+        for name in ALL:
+            assert markov_acc(name, w, Deviation.READ) == 0.0, name
+
+    def test_quorum_protocol_has_no_chain(self):
+        w = WorkloadParams(N=3, p=0.3, a=1, sigma=0.1)
+        with pytest.raises(KeyError):
+            markov_acc("sc_abd", w, Deviation.READ)
 
     def test_monotone_in_sigma_for_berkeley(self):
         """More read disturbance cannot reduce Berkeley's cost."""

@@ -2,8 +2,9 @@
 
 These pin the exact analytic ``acc`` of every protocol under every
 deviation at three parameter points (including the paper's Table 7 and
-Figure 5 configurations).  Any change to a kernel's choreography constants,
-a closed form, or the Markov engine that shifts a steady-state cost breaks
+Figure 5 configurations).  Any change to a protocol's message
+choreography (the chains are extracted from the running protocols), a
+closed form, or the Markov engine that shifts a steady-state cost breaks
 these tests on purpose: a reconstruction decision must be changed
 consciously, with DESIGN.md/EXPERIMENTS.md updated alongside.
 

@@ -1,28 +1,34 @@
-"""Property-based invariants of the analytic kernels (hypothesis).
+"""Property-based invariants of the extracted chains (hypothesis).
 
-Random operation walks through every kernel must preserve the structural
-invariants the protocols guarantee: member conservation, single ownership,
-home/owner consistency, cost bounds, and agreement between repeated
-evaluation (purity).
+Random operation walks through every protocol's extracted transitions
+must preserve the structural invariants the protocols guarantee: member
+conservation, single ownership, home/owner consistency, cost bounds, and
+agreement between repeated extraction (purity).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.kernels import Env, KERNELS, StateView, get_kernel
+from repro.core import chains
+from repro.core.chains import KINDS, extract_transitions, price
+from repro.protocols import PROTOCOLS
 
-ALL = list(KERNELS) + ["write_through_dir"]
-ENV = Env(S=100.0, P=30.0, N=6)
+ALL = list(PROTOCOLS) + ["write_through_dir"]
+S, P, N = 100.0, 30.0, 6
 GROUP_SIZES = (1, 3)
+LAYOUT = tuple((n, KINDS) for n in GROUP_SIZES)
 
 #: states that mark the (unique) client-side owner of the object
 OWNER_STATES = {
-    "write_once": {"D"},
-    "synapse": {"D"},
-    "illinois": {"D"},
-    "berkeley": {"D", "SD"},
-    "dragon": {"SD"},
+    "write_once": {"DIRTY"},
+    "synapse": {"DIRTY"},
+    "illinois": {"DIRTY"},
+    "berkeley": {"DIRTY", "SHARED-DIRTY"},
+    "dragon": {"SHARED-DIRTY"},
 }
+
+#: a second, uncached extraction per protocol (built on first use)
+_REEXTRACTED = {}
 
 
 def walk_strategy():
@@ -34,58 +40,53 @@ def walk_strategy():
     return st.lists(step, min_size=1, max_size=40)
 
 
-def apply_walk(kernel, walk):
+def apply_walk(extraction, walk):
     """Execute a walk; returns visited (cost, state) pairs."""
-    state = kernel.initial_state(GROUP_SIZES)
+    state = extraction.initial
     visited = []
     for g, kind in walk:
-        counts = state[0][g]
         # act through the first populated member state (deterministic)
-        member = next(
-            s for s, c in zip(kernel.member_states, counts) if c > 0
-        )
-        cost, state = kernel.op(state, g, member, kind, ENV)
-        visited.append((cost, state))
+        member = state[0][g][0][0]
+        units, state = extraction.step(state, g, member, kind)
+        visited.append((price(units, S, P), state))
     return visited
+
+
+def count(state, states):
+    """Actors whose copy state is in ``states``."""
+    return sum(c for counts in state[0][:len(GROUP_SIZES)]
+               for s, c in counts if s in states)
 
 
 @pytest.mark.parametrize("protocol", ALL)
 @settings(max_examples=30, deadline=None)
 @given(walk=walk_strategy())
 def test_property_kernel_invariants(protocol, walk):
-    kernel = get_kernel(protocol)
-    visited = apply_walk(kernel, walk)
-    max_cost = 2 * ENV.S + ENV.N + 5  # the most expensive trace anywhere
-    dragon_bound = ENV.N * (ENV.P + 1) + ENV.S + 2
+    visited = apply_walk(extract_transitions(protocol, N, LAYOUT), walk)
+    max_cost = 2 * S + N + 5  # the most expensive trace anywhere
+    dragon_bound = N * (P + 1) + S + 2
     for cost, state in visited:
         groups, home = state
         # (1) members are conserved per group
-        for g, counts in enumerate(groups):
-            assert sum(counts) == GROUP_SIZES[g]
-            assert all(c >= 0 for c in counts)
+        for g, size in enumerate(GROUP_SIZES):
+            assert sum(c for _s, c in groups[g]) == size
+            assert all(c > 0 for _s, c in groups[g])
         # (2) costs are bounded by the protocol's worst trace
         assert 0.0 <= cost <= max(max_cost, dragon_bound) + 1e-9
         # (3) at most one client-side owner copy
         own = OWNER_STATES.get(protocol)
         if own:
-            view = StateView(state, kernel.member_states)
-            owners = sum(view.count(s) for s in own)
-            assert owners <= 1
+            assert count(state, own) <= 1
         # (4) home/owner consistency
         if protocol in ("synapse", "illinois", "write_once"):
-            view = StateView(state, kernel.member_states)
-            dirty = view.count("D")
-            if home == "I":
+            dirty = count(state, {"DIRTY"})
+            if home == "INVALID":
                 assert dirty == 1  # sequencer invalid <=> a dirty owner
             else:
                 assert dirty == 0
         if protocol in ("berkeley", "dragon"):
-            view = StateView(state, kernel.member_states)
-            client_owner = sum(
-                view.count(s) for s in OWNER_STATES[protocol]
-            )
-            home_owner = (home in ("D", "SD") if protocol == "berkeley"
-                          else bool(home))
+            client_owner = count(state, OWNER_STATES[protocol])
+            home_owner = home in OWNER_STATES[protocol]
             if home_owner:  # the initial owner still owns: no client owner
                 assert client_owner == 0
             elif protocol == "berkeley":
@@ -96,9 +97,14 @@ def test_property_kernel_invariants(protocol, walk):
 @settings(max_examples=15, deadline=None)
 @given(walk=walk_strategy())
 def test_property_kernel_is_pure(protocol, walk):
-    """Replaying the same walk yields identical costs and states."""
-    kernel = get_kernel(protocol)
-    assert apply_walk(kernel, walk) == apply_walk(kernel, walk)
+    """A second, independent extraction yields identical costs and states."""
+    cached = extract_transitions(protocol, N, LAYOUT)
+    if protocol not in _REEXTRACTED:
+        chains._explore.cache_clear()  # explore the protocol afresh
+        _REEXTRACTED[protocol] = extract_transitions.__wrapped__(
+            protocol, N, LAYOUT)
+    assert apply_walk(cached, walk) == apply_walk(_REEXTRACTED[protocol],
+                                                  walk)
 
 
 @pytest.mark.parametrize("protocol", ALL)
@@ -106,19 +112,12 @@ def test_property_kernel_is_pure(protocol, walk):
 @given(walk=walk_strategy())
 def test_property_reads_after_read_are_free(protocol, walk):
     """Two consecutive reads by the same actor: the second is free."""
-    kernel = get_kernel(protocol)
-    state = kernel.initial_state(GROUP_SIZES)
+    extraction = extract_transitions(protocol, N, LAYOUT)
+    state = extraction.initial
     for g, kind in walk:
-        counts = state[0][g]
-        member = next(
-            s for s, c in zip(kernel.member_states, counts) if c > 0
-        )
-        _cost, state = kernel.op(state, g, member, kind, ENV)
+        member = state[0][g][0][0]
+        _units, state = extraction.step(state, g, member, kind)
     # after any history: read twice from group 0
-    counts = state[0][0]
-    member = next(s for s, c in zip(kernel.member_states, counts) if c > 0)
-    _c1, state = kernel.op(state, 0, member, "read", ENV)
-    counts = state[0][0]
-    member = next(s for s, c in zip(kernel.member_states, counts) if c > 0)
-    c2, _ = kernel.op(state, 0, member, "read", ENV)
-    assert c2 == 0.0
+    _u1, state = extraction.step(state, 0, state[0][0][0][0], "read")
+    u2, _ = extraction.step(state, 0, state[0][0][0][0], "read")
+    assert price(u2, S, P) == 0.0

@@ -1,230 +1,233 @@
-"""Unit tests for the per-protocol atomic-semantics kernels."""
+"""Pinned per-operation costs of the transitions extracted for the chains.
+
+The analytic chains are extracted from the running protocols
+(:func:`repro.core.chains.extract_transitions`).  The expected costs
+below are written by hand from the protocol descriptions (paper
+appendix, DESIGN.md); they are the independent reference every
+extraction is checked against.
+"""
 
 import pytest
 
-from repro.core.kernels import KERNELS, Env, StateView, get_kernel
+from repro.core.chains import KINDS, extract_transitions, price
+from repro.protocols import PROTOCOLS
 
-ENV = Env(S=100.0, P=30.0, N=5)
+S, P, N = 100.0, 30.0, 5
+
+#: short state names used by the cases below
+SHORT = {
+    "I": "INVALID", "V": "VALID", "R": "RESERVED", "D": "DIRTY",
+    "SD": "SHARED-DIRTY", "SC": "SHARED-CLEAN", "S": "SHARED",
+}
 
 
-def fresh(kernel, sizes=(1, 2)):
-    return kernel.initial_state(sizes)
+class Chain:
+    """One protocol's extracted transitions for actor groups of ``sizes``."""
 
+    def __init__(self, protocol, sizes=(1, 2)):
+        self.ex = extract_transitions(
+            protocol, N, tuple((n, KINDS) for n in sizes))
+        self.groups = len(sizes)
 
-class TestStateView:
-    def test_move_and_freeze(self):
-        k = get_kernel("write_through")
-        st = k.initial_state((1, 2))  # all INVALID
-        v = StateView(st, k.member_states)
-        v.move(1, "I", "V")
-        groups, home = v.freeze()
-        assert groups[1] == (1, 1)  # one I, one V
-        assert home is None
+    def fresh(self):
+        return self.ex.initial
 
-    def test_move_more_than_available_raises(self):
-        k = get_kernel("write_through")
-        v = StateView(k.initial_state((1,)), k.member_states)
-        with pytest.raises(ValueError):
-            v.move(0, "V", "I")
+    def op(self, state, g, s, kind):
+        """``(cost, next state)`` of one ``kind`` by a group-``g`` member
+        in state ``s``."""
+        units, nxt = self.ex.step(state, g, SHORT[s], kind)
+        return price(units, S, P), nxt
 
-    def test_set_all_preserves_totals(self):
-        k = get_kernel("write_once")
-        v = StateView(k.initial_state((1, 3)), k.member_states)
-        v.move(1, "I", "V", 2)
-        v.set_all("I")
-        groups, _ = v.freeze()
-        assert sum(groups[0]) == 1 and sum(groups[1]) == 3
-        assert v.count("V") == 0
-
-    def test_count_across_groups(self):
-        k = get_kernel("write_through")
-        v = StateView(k.initial_state((2, 3)), k.member_states)
-        assert v.count("I") == 5
-        assert v.count("I", group=0) == 2
+    def count(self, state, s, group=None):
+        """Actors in state ``s`` (in one group or across all groups)."""
+        groups = (state[0][:self.groups] if group is None
+                  else (state[0][group],))
+        return sum(dict(counts).get(SHORT[s], 0) for counts in groups)
 
 
 class TestWriteThroughKernel:
-    k = get_kernel("write_through")
+    k = Chain("write_through")
 
     def test_read_miss_cost_and_state(self):
-        cost, nxt = self.k.op(fresh(self.k), 0, "I", "read", ENV)
-        assert cost == ENV.S + 2
-        assert nxt[0][0] == (0, 1)  # the AC is now VALID
+        cost, nxt = self.k.op(self.k.fresh(), 0, "I", "read")
+        assert cost == S + 2
+        assert nxt[0][0] == (("VALID", 1),)  # the AC is now VALID
 
     def test_read_hit_free(self):
-        _, st = self.k.op(fresh(self.k), 0, "I", "read", ENV)
-        cost, _ = self.k.op(st, 0, "V", "read", ENV)
+        _, st = self.k.op(self.k.fresh(), 0, "I", "read")
+        cost, _ = self.k.op(st, 0, "V", "read")
         assert cost == 0.0
 
     def test_write_invalidates_everyone_including_writer(self):
-        _, st = self.k.op(fresh(self.k), 0, "I", "read", ENV)
-        cost, nxt = self.k.op(st, 0, "V", "write", ENV)
-        assert cost == ENV.P + ENV.N
-        assert nxt[0][0] == (1, 0)  # the writer dropped its copy
+        _, st = self.k.op(self.k.fresh(), 0, "I", "read")
+        cost, nxt = self.k.op(st, 0, "V", "write")
+        assert cost == P + N
+        assert nxt[0][0] == (("INVALID", 1),)  # the writer dropped its copy
 
 
 class TestWriteThroughVKernel:
-    k = get_kernel("write_through_v")
+    k = Chain("write_through_v")
 
     def test_write_keeps_writer_valid(self):
-        cost, nxt = self.k.op(fresh(self.k), 0, "I", "write", ENV)
-        assert cost == ENV.P + ENV.S + ENV.N + 2  # invalid writer needs ui
-        assert nxt[0][0] == (0, 1)
+        cost, nxt = self.k.op(self.k.fresh(), 0, "I", "write")
+        assert cost == P + S + N + 2  # invalid writer needs ui
+        assert nxt[0][0] == (("VALID", 1),)
 
     def test_write_from_valid_costs_two_more_than_wt(self):
-        _, st = self.k.op(fresh(self.k), 0, "I", "read", ENV)
-        cost, _ = self.k.op(st, 0, "V", "write", ENV)
-        assert cost == ENV.P + ENV.N + 2
+        _, st = self.k.op(self.k.fresh(), 0, "I", "read")
+        cost, _ = self.k.op(st, 0, "V", "write")
+        assert cost == P + N + 2
 
 
 class TestWriteOnceKernel:
-    k = get_kernel("write_once")
+    k = Chain("write_once")
 
     def test_write_sequence_v_r_d(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "read", ENV)           # fetch
-        c1, st = self.k.op(st, 0, "V", "write", ENV)         # write-through
-        assert c1 == ENV.P + ENV.N
-        assert st[1] == "V"  # sequencer still current
-        c2, st = self.k.op(st, 0, "R", "write", ENV)         # upgrade
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "read")           # fetch
+        c1, st = self.k.op(st, 0, "V", "write")         # write-through
+        assert c1 == P + N
+        assert st[1] == "VALID"  # sequencer still current
+        c2, st = self.k.op(st, 0, "R", "write")         # upgrade
         assert c2 == 2.0
-        assert st[1] == "I"
-        c3, st = self.k.op(st, 0, "D", "write", ENV)
+        assert st[1] == "INVALID"
+        c3, st = self.k.op(st, 0, "D", "write")
         assert c3 == 0.0
 
     def test_read_miss_pays_dgr_when_reserved_exists(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "read", ENV)
-        _, st = self.k.op(st, 0, "V", "write", ENV)  # AC now RESERVED
-        cost, nxt = self.k.op(st, 1, "I", "read", ENV)
-        assert cost == ENV.S + 3  # S + 2 plus the DGR token
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "read")
+        _, st = self.k.op(st, 0, "V", "write")  # AC now RESERVED
+        cost, nxt = self.k.op(st, 1, "I", "read")
+        assert cost == S + 3  # S + 2 plus the DGR token
         # the reserved copy downgraded to VALID
-        v = StateView(nxt, self.k.member_states)
-        assert v.count("R") == 0 and v.count("V") == 2
+        assert self.k.count(nxt, "R") == 0 and self.k.count(nxt, "V") == 2
 
     def test_remote_dirty_read_recall(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "write", ENV)  # RWITM -> DIRTY
-        cost, nxt = self.k.op(st, 1, "I", "read", ENV)
-        assert cost == 2 * ENV.S + 4
-        assert nxt[1] == "V"
-        v = StateView(nxt, self.k.member_states)
-        assert v.count("D") == 0  # the owner supplied and became VALID
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "write")  # RWITM -> DIRTY
+        cost, nxt = self.k.op(st, 1, "I", "read")
+        assert cost == 2 * S + 4
+        assert nxt[1] == "VALID"
+        assert self.k.count(nxt, "D") == 0  # the owner supplied, now VALID
 
     def test_rwitm_costs(self):
-        st = fresh(self.k)
-        cost, st = self.k.op(st, 0, "I", "write", ENV)
-        assert cost == ENV.S + ENV.N + 1  # sequencer VALID
-        cost2, _ = self.k.op(st, 1, "I", "write", ENV)
-        assert cost2 == 2 * ENV.S + ENV.N + 3  # recall path
+        st = self.k.fresh()
+        cost, st = self.k.op(st, 0, "I", "write")
+        assert cost == S + N + 1  # sequencer VALID
+        cost2, _ = self.k.op(st, 1, "I", "write")
+        assert cost2 == 2 * S + N + 3  # recall path
 
 
 class TestSynapseKernel:
-    k = get_kernel("synapse")
+    k = Chain("synapse")
 
     def test_write_always_transfers_data(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "read", ENV)
-        cost, st = self.k.op(st, 0, "V", "write", ENV)
-        assert cost == ENV.S + ENV.N + 1  # no data-less upgrade in Synapse
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "read")
+        cost, st = self.k.op(st, 0, "V", "write")
+        assert cost == S + N + 1  # no data-less upgrade in Synapse
 
     def test_remote_dirty_read_includes_retry(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "write", ENV)
-        cost, nxt = self.k.op(st, 1, "I", "read", ENV)
-        assert cost == 2 * ENV.S + 6
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "write")
+        cost, nxt = self.k.op(st, 1, "I", "read")
+        assert cost == 2 * S + 6
         # the recalled owner self-invalidated (Synapse signature)
-        v = StateView(nxt, self.k.member_states)
-        assert v.count("D") == 0 and v.count("I", group=0) == 1
+        assert self.k.count(nxt, "D") == 0
+        assert self.k.count(nxt, "I", group=0) == 1
 
     def test_remote_dirty_write(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "write", ENV)
-        cost, _ = self.k.op(st, 1, "I", "write", ENV)
-        assert cost == 2 * ENV.S + ENV.N + 5
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "write")
+        cost, _ = self.k.op(st, 1, "I", "write")
+        assert cost == 2 * S + N + 5
 
 
 class TestIllinoisKernel:
-    k = get_kernel("illinois")
+    k = Chain("illinois")
 
     def test_upgrade_write_is_data_less(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "read", ENV)
-        cost, _ = self.k.op(st, 0, "V", "write", ENV)
-        assert cost == ENV.N + 1
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "read")
+        cost, _ = self.k.op(st, 0, "V", "write")
+        assert cost == N + 1
 
     def test_remote_dirty_read_keeps_supplier_valid(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "write", ENV)
-        cost, nxt = self.k.op(st, 1, "I", "read", ENV)
-        assert cost == 2 * ENV.S + 4
-        v = StateView(nxt, self.k.member_states)
-        assert v.count("V", group=0) == 1  # the supplier stays VALID
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "write")
+        cost, nxt = self.k.op(st, 1, "I", "read")
+        assert cost == 2 * S + 4
+        assert self.k.count(nxt, "V", group=0) == 1  # supplier stays VALID
 
 
 class TestBerkeleyKernel:
-    k = get_kernel("berkeley")
+    k = Chain("berkeley")
 
     def test_first_write_takes_ownership(self):
-        cost, nxt = self.k.op(fresh(self.k), 0, "I", "write", ENV)
-        assert cost == ENV.S + ENV.N + 1
-        assert nxt[1] == "I"  # the home copy was invalidated with the rest
-        v = StateView(nxt, self.k.member_states)
-        assert v.count("D", group=0) == 1
+        cost, nxt = self.k.op(self.k.fresh(), 0, "I", "write")
+        assert cost == S + N + 1
+        assert nxt[1] == "INVALID"  # the home copy was invalidated too
+        assert self.k.count(nxt, "D", group=0) == 1
 
     def test_owner_write_free_then_shared_dirty_write_costs_N(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "write", ENV)
-        cost, st = self.k.op(st, 0, "D", "write", ENV)
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "write")
+        cost, st = self.k.op(st, 0, "D", "write")
         assert cost == 0.0
-        _, st = self.k.op(st, 1, "I", "read", ENV)  # downgrades owner to SD
-        v = StateView(st, self.k.member_states)
-        assert v.count("SD", group=0) == 1
-        cost, _ = self.k.op(st, 0, "SD", "write", ENV)
-        assert cost == ENV.N
+        _, st = self.k.op(st, 1, "I", "read")  # downgrades owner to SD
+        assert self.k.count(st, "SD", group=0) == 1
+        cost, _ = self.k.op(st, 0, "SD", "write")
+        assert cost == N
 
     def test_valid_writer_pays_no_data_transfer(self):
-        st = fresh(self.k)
-        _, st = self.k.op(st, 0, "I", "write", ENV)
-        _, st = self.k.op(st, 1, "I", "read", ENV)
-        cost, _ = self.k.op(st, 1, "V", "write", ENV)
-        assert cost == ENV.N + 1
+        st = self.k.fresh()
+        _, st = self.k.op(st, 0, "I", "write")
+        _, st = self.k.op(st, 1, "I", "read")
+        cost, _ = self.k.op(st, 1, "V", "write")
+        assert cost == N + 1
 
 
 class TestUpdateKernels:
     def test_dragon_write_cost(self):
-        k = get_kernel("dragon")
-        cost, nxt = k.op(fresh(k), 0, "SC", "write", ENV)
-        assert cost == ENV.N * (ENV.P + 1)
-        v = StateView(nxt, k.member_states)
-        assert v.count("SD") == 1 and nxt[1] is False
+        k = Chain("dragon")
+        cost, nxt = k.op(k.fresh(), 0, "SC", "write")
+        assert cost == N * (P + 1)
+        # the writer took the SHARED-DIRTY role from the home node
+        assert k.count(nxt, "SD") == 1 and nxt[1] == "SHARED-CLEAN"
 
     def test_dragon_reads_free(self):
-        k = get_kernel("dragon")
-        cost, _ = k.op(fresh(k), 1, "SC", "read", ENV)
+        k = Chain("dragon")
+        cost, _ = k.op(k.fresh(), 1, "SC", "read")
         assert cost == 0.0
 
     def test_firefly_write_cost(self):
-        k = get_kernel("firefly")
-        cost, _ = k.op(fresh(k), 0, "S", "write", ENV)
-        assert cost == ENV.N * (ENV.P + 1) + 1
+        k = Chain("firefly")
+        cost, _ = k.op(k.fresh(), 0, "S", "write")
+        assert cost == N * (P + 1) + 1
 
     def test_firefly_stateless(self):
-        k = get_kernel("firefly")
-        st = fresh(k)
-        _, nxt = k.op(st, 0, "S", "write", ENV)
+        k = Chain("firefly")
+        st = k.fresh()
+        _, nxt = k.op(st, 0, "S", "write")
         assert nxt == st
 
 
 class TestRegistry:
     def test_all_eight_kernels(self):
-        assert len(KERNELS) == 8
+        """Every paper protocol yields a chain from the running code."""
+        assert len(PROTOCOLS) == 8
+        for name in PROTOCOLS:
+            assert Chain(name).ex.table
 
     def test_unknown_kernel(self):
         with pytest.raises(KeyError):
-            get_kernel("mesi")
+            extract_transitions("mesi", N, ((1, KINDS),))
 
     def test_initial_states_match_protocol_start(self):
-        assert get_kernel("write_through").initial_member == "I"
-        assert get_kernel("dragon").initial_member == "SC"
-        assert get_kernel("firefly").initial_member == "S"
+        def start(name):
+            return Chain(name).fresh()[0][0]
+
+        assert start("write_through") == (("INVALID", 1),)
+        assert start("dragon") == (("SHARED-CLEAN", 1),)
+        assert start("firefly") == (("SHARED", 1),)

@@ -63,6 +63,15 @@ class TestStationary:
 
         assert solve_chain(0, tr) == pytest.approx(2.0)
 
+    def test_split_chain_weights_classes_reached_from_start(self):
+        # 0 -> {1} or {2, 3}: two closed classes, reached 1/4 and 3/4
+        P = np.array([[0.0, 0.25, 0.75, 0.0],
+                      [0.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 0.0, 1.0],
+                      [0.0, 0.0, 1.0, 0.0]])
+        assert stationary_distribution(P) == pytest.approx(
+            [0.0, 0.25, 0.375, 0.375])
+
     def test_bad_row_sum_rejected(self):
         def tr(s):
             return [(0.5, 0.0, s)]

@@ -3,17 +3,17 @@
 ``run_scripted`` executes a scripted operation sequence on a fresh
 :class:`DSMSystem`, settling the network between operations so every
 operation is an atomic trial — exactly the analytic model's execution
-model.  ``kernel_costs`` replays the same sequence through the protocol's
-analytic kernel (one singleton group per acting client), so the two cost
-sequences must agree constant-for-constant; ``assert_equivalent`` runs
-both and compares.
+model.  ``kernel_costs`` replays the same sequence through the transitions
+extracted for the analytic chains (one singleton group per acting client,
+mapped onto clients ``1 ..`` in node order), so the two cost sequences
+must agree; ``assert_equivalent`` runs both and compares.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.core.kernels import Env, get_kernel
+from repro.core.chains import KINDS, extract_transitions, price
 from repro.sim import DSMSystem
 
 S_DEFAULT = 100.0
@@ -34,33 +34,32 @@ def run_scripted(protocol: str, N: int, ops: Sequence[Tuple[int, str]],
 
 def kernel_costs(protocol: str, N: int, ops: Sequence[Tuple[int, str]],
                  S: float = S_DEFAULT, P: float = P_DEFAULT) -> List[float]:
-    """Replay the same script through the analytic kernel.
+    """Replay the same script through the extracted transition table.
 
     Each acting client becomes its own singleton group, so arbitrary
     (asymmetric) scripts can be replayed exactly.
     """
-    kernel = get_kernel(protocol)
     actors = sorted({node for node, _ in ops})
     group_of = {node: i for i, node in enumerate(actors)}
-    env = Env(S=S, P=P, N=N)
-    state = kernel.initial_state((1,) * len(actors))
+    extraction = extract_transitions(protocol, N,
+                                     ((1, KINDS),) * len(actors))
+    state = extraction.initial
     costs: List[float] = []
     for node, kind in ops:
         g = group_of[node]
-        counts = state[0][g]
-        member_state = kernel.member_states[counts.index(1)]
-        cost, state = kernel.op(state, g, member_state, kind, env)
-        costs.append(cost)
+        ((member_state, _one),) = state[0][g]
+        units, state = extraction.step(state, g, member_state, kind)
+        costs.append(price(units, S, P))
     return costs
 
 
 def assert_equivalent(protocol: str, N: int, ops: Sequence[Tuple[int, str]],
                       S: float = S_DEFAULT, P: float = P_DEFAULT):
-    """Simulator and kernel must charge identical per-operation costs."""
+    """Simulator and extracted chain charge identical per-operation costs."""
     system, sim_costs = run_scripted(protocol, N, ops, S, P)
     system.check_coherence()
     analytic = kernel_costs(protocol, N, ops, S, P)
     assert sim_costs == analytic, (
-        f"{protocol}: sim={sim_costs} kernel={analytic} ops={list(ops)}"
+        f"{protocol}: sim={sim_costs} chain={analytic} ops={list(ops)}"
     )
     return system

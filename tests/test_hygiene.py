@@ -192,3 +192,14 @@ def test_each_run_knob_is_declared_once():
     knobs = {f.name for f in dataclasses.fields(RunConfig)}
     assert params & knobs == set()
     assert not hasattr(DSMSystem, "from_config")
+
+
+def test_protocol_hit_and_owner_states_are_declared_states():
+    """Each protocol's read-hit and owner states are states it declares."""
+    from repro.protocols import all_protocol_names, get_protocol
+
+    for name in all_protocol_names():
+        spec = get_protocol(name)
+        states = set(spec.client_states) | set(spec.sequencer_states)
+        assert spec.hit_states <= states, name
+        assert spec.owner_states <= states, name
