@@ -5,10 +5,10 @@ Model".
 The package provides:
 
 * :mod:`repro.core` — the analytic model: five-parameter workloads, trace
-  cost calculus, exact Markov evaluation, closed forms, characteristic
+  discovery, exact Markov evaluation, closed forms, characteristic
   surfaces, crossover lines (the paper's primary contribution);
-* :mod:`repro.machines` — the formal Mealy-machine protocol model
-  (Section 3, Tables 1-4);
+* :mod:`repro.machines` — the message vocabulary of the protocols
+  (Section 3 message tokens and their costs);
 * :mod:`repro.protocols` — the eight data-replication coherence protocols;
 * :mod:`repro.sim` — the message-passing distributed-system simulator;
 * :mod:`repro.workloads` — the synthetic workload generators;

@@ -1,6 +1,6 @@
 """The analytic performance model — the paper's primary contribution.
 
-Workload parameters (Section 4.2), trace/cost calculus (Section 4.1), the
+Workload parameters (Section 4.2), trace discovery (Section 4.1), the
 exact steady-state Markov engine over chains extracted from the running
 protocols (Section 4.3), closed forms (eqns. (3)-(5) and Table 6),
 characteristic surfaces (Figures 5-6), crossover lines and protocol
@@ -47,7 +47,6 @@ from .parameters import (
 from .placement import home_center_acc, placement_advantage
 from .surfaces import FIGURE_PANELS, Surface, acc_surface, figure_surfaces
 from .trace_discovery import TraceClass, discover_traces, format_trace_table
-from .traces import CostExpr, Trace, TraceSet, WRITE_THROUGH_TRACES
 
 __all__ = [
     "acc_table",
@@ -87,8 +86,4 @@ __all__ = [
     "Surface",
     "acc_surface",
     "figure_surfaces",
-    "CostExpr",
-    "Trace",
-    "TraceSet",
-    "WRITE_THROUGH_TRACES",
 ]

@@ -282,50 +282,26 @@ def acc_firefly(p: ArrayLike, disturb: ArrayLike, a: int, S: float, P: float,
 # ---------------------------------------------------------------------------
 
 
-def _quorum_core(N: int, weights=None) -> frozenset:
-    """The cheapest (settled-path) quorum over nodes ``1 .. N+1``.
+def _fanout(N: int, weights=None) -> Callable[[int], int]:
+    """Inter-node messages per SC-ABD phase leg, by node, fault-free.
 
-    Unweighted, that is the count-majority prefix ``{1 .. m}`` with
-    ``m = (N + 1) // 2 + 1``.  With per-node vote ``weights`` (a mapping;
-    unnamed nodes weigh 1) it is the shortest prefix of the nodes ranked
-    by ``(-weight, id)`` whose weight sum exceeds half the total —
-    mirroring :meth:`repro.sim.reconfig.MembershipView.quorum_prefix`,
-    which the simulator's weighted quorum selection uses (a unit test
-    pins the two together).
+    Read off the simulator's quorum geometry over nodes ``1 .. N+1``:
+    unweighted, :func:`repro.protocols.sc_abd.quorum_fanout`; with vote
+    ``weights`` (a mapping or ``(node, weight)`` pairs; unnamed nodes
+    weigh 1), the core of a :class:`repro.sim.reconfig.MembershipView`,
+    whose members send one leg fewer (their own leg is a free intra-node
+    loop).
     """
+    # deferred: repro.core loads without the protocol layer, and the
+    # simulator's workloads import repro.core.parameters
     if weights is None:
-        return frozenset(range(1, (N + 1) // 2 + 2))
+        from ..protocols.sc_abd import quorum_fanout
+        return lambda node: quorum_fanout(node, N + 1)
+    from ..sim.reconfig import MembershipView
     wmap = {int(n): float(w) for n, w in
             (weights.items() if hasattr(weights, "items") else weights)}
-    nodes = sorted(range(1, N + 2),
-                   key=lambda n: (-wmap.get(n, 1.0), n))
-    total = sum(wmap.get(n, 1.0) for n in range(1, N + 2))
-    gathered, core = 0.0, []
-    for n in nodes:
-        core.append(n)
-        gathered += wmap.get(n, 1.0)
-        if gathered > total / 2.0:
-            break
-    return frozenset(core)
-
-
-def _quorum_fanout(node: int, N: int, weights=None) -> int:
-    """Inter-node messages per SC-ABD phase leg for ``node``.
-
-    Mirrors :func:`repro.protocols.sc_abd.quorum_fanout` (kept local so
-    :mod:`repro.core` stays independent of the protocol layer; a unit
-    test pins the two together): with ``n = N + 1`` nodes and majority
-    ``m = n // 2 + 1``, a node inside the core quorum ``{1 .. m}`` sends
-    ``m - 1`` remote messages per leg (its own leg is a free intra-node
-    loop), a node outside sends ``m``.  With vote ``weights`` the core is
-    the weighted-majority prefix (see :func:`_quorum_core`) and the same
-    inside/outside rule applies to its size.
-    """
-    if weights is None:
-        m = (N + 1) // 2 + 1
-        return m - 1 if node <= m else m
-    core = _quorum_core(N, weights)
-    return len(core) - 1 if node in core else len(core)
+    core = MembershipView(range(1, N + 2), wmap).core()
+    return lambda node: len(core) - (node in core)
 
 
 def _sc_abd_costs(N: int, S: float, P: float) -> Tuple[float, float]:
@@ -350,15 +326,15 @@ def acc_sc_abd_rd(p: ArrayLike, sigma: ArrayLike, a: int,
     activity center (node 1, inside the core) pays ``q1`` legs per
     operation and each disturber ``j`` pays ``q_j``.  Optional per-node
     vote ``weights`` reshape every fan-out through the weighted-majority
-    core (see :func:`_quorum_core`); ``None`` is the count majority.
+    core (see :func:`_fanout`); ``None`` is the count majority.
     """
     read_cost, write_cost = _sc_abd_costs(N, S, P)
-    q1 = _quorum_fanout(1, N, weights)
+    fanout = _fanout(N, weights)
     r = 1.0 - p - a * np.asarray(sigma, dtype=float)
-    acc = q1 * (np.asarray(p, dtype=float) * write_cost + r * read_cost)
+    acc = fanout(1) * (np.asarray(p, dtype=float) * write_cost
+                       + r * read_cost)
     for j in range(2, a + 2):
-        acc = acc + (_quorum_fanout(j, N, weights)
-                     * np.asarray(sigma, float) * read_cost)
+        acc = acc + fanout(j) * np.asarray(sigma, float) * read_cost
     if np.ndim(acc) == 0:
         return float(acc)
     return acc
@@ -368,12 +344,12 @@ def acc_sc_abd_wd(p: ArrayLike, xi: ArrayLike, a: int,
                   S: float, P: float, N: int, weights=None) -> ArrayLike:
     """SC-ABD under write disturbance (disturbers write instead of read)."""
     read_cost, write_cost = _sc_abd_costs(N, S, P)
-    q1 = _quorum_fanout(1, N, weights)
+    fanout = _fanout(N, weights)
     r = 1.0 - p - a * np.asarray(xi, dtype=float)
-    acc = q1 * (np.asarray(p, dtype=float) * write_cost + r * read_cost)
+    acc = fanout(1) * (np.asarray(p, dtype=float) * write_cost
+                       + r * read_cost)
     for j in range(2, a + 2):
-        acc = acc + (_quorum_fanout(j, N, weights)
-                     * np.asarray(xi, float) * write_cost)
+        acc = acc + fanout(j) * np.asarray(xi, float) * write_cost
     if np.ndim(acc) == 0:
         return float(acc)
     return acc
@@ -383,11 +359,11 @@ def acc_sc_abd_mac(p: ArrayLike, beta: int,
                    S: float, P: float, N: int, weights=None) -> ArrayLike:
     """SC-ABD, multiple activity centers (centers ``1 .. beta``)."""
     read_cost, write_cost = _sc_abd_costs(N, S, P)
+    fanout = _fanout(N, weights)
     p = np.asarray(p, dtype=float)
     acc = np.zeros_like(p)
     for c in range(1, beta + 1):
-        q = _quorum_fanout(c, N, weights)
-        acc = acc + q * ((1.0 - p) / beta * read_cost
+        acc = acc + fanout(c) * ((1.0 - p) / beta * read_cost
                          + p / beta * write_cost)
     if np.ndim(acc) == 0:
         return float(acc)
@@ -424,7 +400,7 @@ def ideal_acc(protocol: str, p: ArrayLike, S: float, P: float,
         # only the activity center acts; it sits inside the core quorum
         # and pays full quorum rounds for every operation (no hits).
         read_cost, write_cost = _sc_abd_costs(N, S, P)
-        out = _quorum_fanout(1, N) * ((1.0 - p) * read_cost + p * write_cost)
+        out = _fanout(N)(1) * ((1.0 - p) * read_cost + p * write_cost)
         return float(out) if np.ndim(out) == 0 else out
     raise KeyError(f"unknown protocol {protocol!r}")
 
@@ -498,7 +474,7 @@ def weighted_quorum_acc(params: WorkloadParams, deviation: Deviation,
     """The SC-ABD closed form under per-node vote ``weights``.
 
     The weighted-majority extension reshapes every quorum fan-out (see
-    :func:`_quorum_fanout`), so the weighted prediction lives outside the
+    :func:`_fanout`), so the weighted prediction lives outside the
     unweighted :data:`_FORMS` dispatch; ``weights`` is a mapping or an
     iterable of ``(node, weight)`` pairs.
     """

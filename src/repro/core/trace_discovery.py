@@ -72,7 +72,6 @@ def discover_traces(
     a: int = 2,
     beta: int = 2,
     include_ejects: bool = False,
-    max_states: int = 50_000,
 ) -> FrozenSet[TraceClass]:
     """Enumerate the protocol's finite trace set under a workload shape.
 
@@ -99,10 +98,6 @@ def discover_traces(
     )
     # the message counts are affine in N: read them at two sizes
     low, high = (extract_transitions(protocol, n, layout) for n in (5, 6))
-    if len(low.table) > max_states:
-        raise RuntimeError(
-            f"{protocol}: chain exceeded {max_states} states"
-        )
 
     classes: set = set()
     for state, steps in low.table.items():

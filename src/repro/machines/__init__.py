@@ -1,11 +1,12 @@
-"""Formal model of data-replication coherence protocols (paper Section 3).
+"""Message vocabulary of the coherence protocols (paper Section 3).
 
-Exposes the message-token five-tuple, the seven primitive output routines,
-the generic Mealy machine with output, and the literal Write-Through
-transition tables (Tables 1-3).
+Exposes the message-token five-tuple, the message types and parameter
+presences, and the per-message communication cost of Section 4.1.  The
+protocols' Mealy machines are the running classes of
+:mod:`repro.protocols`; the tests read their transition tables off the
+simulator and check them against the paper's Tables 1-3.
 """
 
-from .mealy import MachineInstance, MealyMachine, TransitionRule, UndefinedTransition
 from .message import (
     Message,
     MessageToken,
@@ -14,44 +15,12 @@ from .message import (
     QueueTag,
     token_cost,
 )
-from .routines import (
-    Change,
-    Destination,
-    Disable,
-    Enable,
-    ExceptNodes,
-    Pop,
-    Push,
-    RecordingContext,
-    Return,
-    Routine,
-    RoutineContext,
-    Seq,
-    ToNode,
-)
 
 __all__ = [
-    "MachineInstance",
-    "MealyMachine",
-    "TransitionRule",
-    "UndefinedTransition",
     "Message",
     "MessageToken",
     "MsgType",
     "ParamPresence",
     "QueueTag",
     "token_cost",
-    "Change",
-    "Destination",
-    "Disable",
-    "Enable",
-    "ExceptNodes",
-    "Pop",
-    "Push",
-    "RecordingContext",
-    "Return",
-    "Routine",
-    "RoutineContext",
-    "Seq",
-    "ToNode",
 ]

@@ -1,9 +1,10 @@
 """Operational protocol layer shared by all eight coherence protocols.
 
-The formal Mealy layer (:mod:`repro.machines`) specifies protocols as
-transition tables; this module provides the *operational* counterpart the
-discrete-event simulator executes: per-node, per-object protocol processes
-with explicit message handlers.
+Paper Section 3 specifies each protocol process as a Mealy machine; the
+classes built on this module *are* those machines, the one definition the
+discrete-event simulator executes and the analytic chains are extracted
+from: per-node, per-object protocol processes with explicit message
+handlers.
 
 Design (paper Section 2):
 

@@ -1,144 +1,158 @@
-"""The literal Write-Through Mealy tables (paper Tables 1-3, Figures 1-4).
+"""The Write-Through Mealy tables (paper Tables 1-3, Figures 1-4).
 
-These tests execute the formal transition tables on the scenarios of the
-paper's figures and assert the exact message sequences, and then check that
-the *operational* Write-Through implementation used by the simulator emits
-the same wire traffic (formal model == implementation).
+The tables are transcribed here as plain literals and checked against the
+running protocol: every delivery of the analytic explorer's runs is
+recorded as a table cell (``tests/machines/util.py``), each transcribed
+cell must be reached with exactly its transcribed next state, local-queue
+gate and emitted tokens, and no other cell may occur (the paper's *error*
+cells).  Table 2's output routines reduce to the emitted tokens: ``pop``,
+``change`` and ``return`` move no message.
 """
 
 import pytest
 
-from repro.machines.mealy import UndefinedTransition
-from repro.machines.message import MessageToken, MsgType, ParamPresence, QueueTag
-from repro.machines.routines import RecordingContext
-from repro.machines.write_through_tables import (
-    INVALID,
-    VALID,
-    client_machine,
-    sequencer_machine,
+from repro.machines.message import (
+    PP_NONE,
+    PP_READ,
+    PP_USER_INFO,
+    PP_WRITE,
+    R_GNT,
+    R_PER,
+    R_REQ,
+    W_INV,
+    W_PER,
+    W_REQ,
 )
+from repro.sim import DSMSystem
+
+from .util import record_cells, role_table
 
 N = 3
 SEQ = N + 1
-NODES = [1, 2, 3, 4]
+INVALID, VALID = "INVALID", "VALID"
+
+#: Table 1, the client machine (q0 = INVALID):
+#: (state, input, initiator is local, presence)
+#:     -> (next state, local-queue gate, emitted tokens)
+TABLE_1 = {
+    # tr1: local read hit
+    (VALID, R_REQ, True, PP_READ): (VALID, None, ()),
+    # tr2: read miss, ask the sequencer, block the local queue
+    (INVALID, R_REQ, True, PP_READ): (
+        INVALID, "disable", (("sequencer", R_PER, PP_NONE),)),
+    # tr3: write-through, give up the local copy
+    (VALID, W_REQ, True, PP_WRITE): (
+        INVALID, None, (("sequencer", W_PER, PP_WRITE),)),
+    # tr4: write-through from INVALID
+    (INVALID, W_REQ, True, PP_WRITE): (
+        INVALID, None, (("sequencer", W_PER, PP_WRITE),)),
+    # tr2 end: the grant installs the copy and re-enables the queue
+    (INVALID, R_GNT, True, PP_USER_INFO): (VALID, "enable", ()),
+    # a remote write invalidates the copy
+    (VALID, W_INV, False, PP_NONE): (INVALID, None, ()),
+    (INVALID, W_INV, False, PP_NONE): (INVALID, None, ()),
+}
+
+#: Table 3, the sequencer machine (the single state VALID), with the
+#: Table 2 routine numbers
+TABLE_3 = {
+    # 101 / tr5: own read
+    (VALID, R_REQ, True, PP_READ): (VALID, None, ()),
+    # 102 / tr6: own write, push(except(N+1), W-INV)
+    (VALID, W_REQ, True, PP_WRITE): (
+        VALID, None, (("except(N+1)", W_INV, PP_NONE),)),
+    # 103: push(k, R-GNT, ui)
+    (VALID, R_PER, False, PP_NONE): (
+        VALID, None, (("initiator", R_GNT, PP_USER_INFO),)),
+    # 104: change; push(except(k, N+1), W-INV)
+    (VALID, W_PER, False, PP_WRITE): (
+        VALID, None, (("except(k, N+1)", W_INV, PP_NONE),)),
+}
 
 
-def tok(mtype, initiator, presence=ParamPresence.NONE,
-        queue=QueueTag.DISTRIBUTED):
-    return MessageToken(mtype, initiator, 1, queue, presence)
+@pytest.fixture(scope="module")
+def cells():
+    with pytest.MonkeyPatch.context() as mp:
+        return record_cells(mp, "write_through")
 
 
-def client(node):
-    m = client_machine().instantiate()
-    ctx = RecordingContext(node, SEQ, node, NODES)
-    return m, ctx
-
-
-def sequencer(initiator):
-    m = sequencer_machine().instantiate()
-    ctx = RecordingContext(SEQ, SEQ, initiator, NODES)
-    return m, ctx
+def assert_cell(cells, role, table, cell):
+    """The running protocol's only outcome for ``cell`` is the table's."""
+    assert role_table(cells, role)[cell] == {table[cell]}
 
 
 class TestClientTable:
     """Table 1: the client machine, states {INVALID, VALID}, q0 = INVALID."""
 
     def test_starting_state_invalid(self):
-        m, _ = client(1)
-        assert m.state == INVALID  # Figure 1
+        system = DSMSystem("write_through", N=N, M=1)
+        assert system.copy_state(1) == INVALID  # Figure 1
 
-    def test_tr1_read_hit_local_only(self):
-        m, ctx = client(1)
-        m.state = VALID
-        m.step(tok(MsgType.R_REQ, 1, ParamPresence.READ, QueueTag.LOCAL),
-               ctx, self_node=1)
-        assert m.state == VALID
-        assert ctx.sends() == []  # cc1 = 0
-        assert ("return",) in ctx.log
+    def test_tr1_read_hit_local_only(self, cells):
+        assert_cell(cells, "client", TABLE_1,
+                    (VALID, R_REQ, True, PP_READ))
 
-    def test_tr2_read_miss_asks_sequencer_and_disables(self):
-        m, ctx = client(1)
-        m.step(tok(MsgType.R_REQ, 1, ParamPresence.READ, QueueTag.LOCAL),
-               ctx, self_node=1)
-        assert m.state == INVALID  # still waiting
-        assert ctx.sends() == [
-            ("send", SEQ, MsgType.R_PER, ParamPresence.NONE)
-        ]
-        assert ("disable",) in ctx.log
+    def test_tr2_read_miss_asks_sequencer_and_disables(self, cells):
+        assert_cell(cells, "client", TABLE_1,
+                    (INVALID, R_REQ, True, PP_READ))
 
-    def test_tr2_grant_validates_and_enables(self):
-        m, ctx = client(1)
-        m.step(tok(MsgType.R_GNT, 1, ParamPresence.USER_INFO), ctx,
-               self_node=1)
-        assert m.state == VALID
-        assert ("enable",) in ctx.log and ("return",) in ctx.log
+    def test_tr2_grant_validates_and_enables(self, cells):
+        assert_cell(cells, "client", TABLE_1,
+                    (INVALID, R_GNT, True, PP_USER_INFO))
 
     @pytest.mark.parametrize("start", [VALID, INVALID])
-    def test_tr3_tr4_write_forwards_params_and_self_invalidates(self, start):
-        m, ctx = client(1)
-        m.state = start
-        m.step(tok(MsgType.W_REQ, 1, ParamPresence.WRITE, QueueTag.LOCAL),
-               ctx, self_node=1)
-        assert m.state == INVALID  # the paper's distributed WT signature
-        assert ctx.sends() == [
-            ("send", SEQ, MsgType.W_PER, ParamPresence.WRITE)
-        ]
+    def test_tr3_tr4_write_forwards_params_and_self_invalidates(
+            self, cells, start):
+        # the paper's distributed Write-Through signature: the writer
+        # ends INVALID
+        assert_cell(cells, "client", TABLE_1, (start, W_REQ, True, PP_WRITE))
 
-    def test_remote_invalidation(self):
-        m, ctx = client(1)
-        m.state = VALID
-        m.step(tok(MsgType.W_INV, 2), ctx, self_node=1)
-        assert m.state == INVALID
-        assert ctx.sends() == []
+    def test_remote_invalidation(self, cells):
+        for start in (VALID, INVALID):
+            assert_cell(cells, "client", TABLE_1,
+                        (start, W_INV, False, PP_NONE))
 
-    def test_error_cell(self):
-        m, ctx = client(1)
-        with pytest.raises(UndefinedTransition):
-            m.step(tok(MsgType.W_PER, 2), ctx, self_node=1)
+    def test_error_cell(self, cells):
+        """Every Table 1 cell is reached, and no delivery falls outside
+        the table."""
+        client = role_table(cells, "client")
+        assert client == {cell: {out} for cell, out in TABLE_1.items()}
 
 
 class TestSequencerTable:
     """Table 3: the sequencer machine, single state VALID."""
 
     def test_starting_state_valid(self):
-        m, _ = sequencer(SEQ)
-        assert m.state == VALID
+        system = DSMSystem("write_through", N=N, M=1)
+        assert system.copy_state(SEQ) == VALID
 
-    def test_routine_101_tr5_local_read(self):
-        m, ctx = sequencer(SEQ)
-        m.step(tok(MsgType.R_REQ, SEQ, ParamPresence.READ), ctx,
-               self_node=SEQ)
-        assert ctx.sends() == []  # cc5 = 0
-        assert ("return",) in ctx.log
+    def test_routine_101_tr5_local_read(self, cells):
+        assert_cell(cells, "sequencer", TABLE_3,
+                    (VALID, R_REQ, True, PP_READ))
 
-    def test_routine_102_tr6_own_write_invalidates_all_N(self):
-        m, ctx = sequencer(SEQ)
-        m.step(tok(MsgType.W_REQ, SEQ, ParamPresence.WRITE), ctx,
-               self_node=SEQ)
-        targets = [e[1] for e in ctx.sends()]
-        assert targets == [1, 2, 3]  # cc6 = N token messages
-        assert all(e[2] is MsgType.W_INV for e in ctx.sends())
+    def test_routine_102_tr6_own_write_invalidates_all_N(self, cells):
+        assert_cell(cells, "sequencer", TABLE_3,
+                    (VALID, W_REQ, True, PP_WRITE))
 
-    def test_routine_103_read_grant_with_ui(self):
-        m, ctx = sequencer(2)
-        m.step(tok(MsgType.R_PER, 2), ctx, self_node=SEQ)
-        assert ctx.sends() == [
-            ("send", 2, MsgType.R_GNT, ParamPresence.USER_INFO)
-        ]  # 1 + (S+1) completes cc2 = S + 2
+    def test_routine_103_read_grant_with_ui(self, cells):
+        assert_cell(cells, "sequencer", TABLE_3,
+                    (VALID, R_PER, False, PP_NONE))
 
-    def test_routine_104_write_invalidates_N_minus_1(self):
-        m, ctx = sequencer(2)
-        m.step(tok(MsgType.W_PER, 2, ParamPresence.WRITE), ctx, self_node=SEQ)
-        targets = [e[1] for e in ctx.sends()]
-        assert targets == [1, 3]  # all clients except the writer
-        assert ("change",) in ctx.log  # the write is applied
+    def test_routine_104_write_invalidates_N_minus_1(self, cells):
+        assert_cell(cells, "sequencer", TABLE_3,
+                    (VALID, W_PER, False, PP_WRITE))
+
+    def test_error_cell(self, cells):
+        """Every Table 3 cell is reached, and no delivery falls outside
+        the table."""
+        sequencer = role_table(cells, "sequencer")
+        assert sequencer == {cell: {out} for cell, out in TABLE_3.items()}
 
 
 class TestFormalEqualsOperational:
-    """The Mealy tables and the simulator protocol emit identical traffic."""
+    """The transcribed traces and the simulator emit identical traffic."""
 
     def _operational_signature(self, scenario):
-        from repro.sim import DSMSystem
         system = DSMSystem("write_through", N=N, M=1, S=100, P=30)
         ops = [system.submit(node, kind) for node, kind in scenario]
         system.settle()

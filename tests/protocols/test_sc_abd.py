@@ -11,7 +11,6 @@ outside — and the stochastic runs against
 import pytest
 
 from repro.core import Deviation, WorkloadParams, analytical_acc
-from repro.core.closed_forms import _quorum_fanout
 from repro.protocols.sc_abd import (
     QUORUM_MAX_ATTEMPTS,
     core_quorum,
@@ -41,13 +40,6 @@ class TestQuorumGeometry:
     def test_core_is_lowest_numbered_majority(self):
         assert core_quorum((1, 2, 3, 4, 5)) == (1, 2, 3)
         assert core_quorum((1, 2, 3, 4, 5, 6)) == (1, 2, 3, 4)
-
-    def test_closed_form_fanout_pins_protocol_fanout(self):
-        """``repro.core`` duplicates the fan-out to stay import-cycle
-        free; this test pins the two definitions together."""
-        for N in range(2, 10):
-            for node in range(1, N + 2):
-                assert _quorum_fanout(node, N) == quorum_fanout(node, N + 1)
 
 
 class TestScriptedCosts:

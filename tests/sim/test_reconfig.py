@@ -3,7 +3,7 @@
 Covers the epoch-based membership-change subsystem end to end: the
 ``ReconfigPlan`` value object (validation, serialization, identity), the
 ``MembershipView`` joint-quorum geometry (including weighted votes, pinned
-against the closed-form core), live join/leave transitions under the
+against the static core quorum), live join/leave transitions under the
 consistency monitor, transfer retry and abort under crashes, the
 exactly-once re-drive across an epoch boundary — including the mutation
 test that sabotages the re-drive and asserts the monitor catches the
@@ -14,11 +14,15 @@ generator's quorum-only reconfiguration draws.
 import pytest
 
 from repro.chaos.generate import ChaosOptions, generate_cell
-from repro.core.closed_forms import _quorum_core, acc_sc_abd_rd
-from repro.core.parameters import WorkloadParams
+from repro.core.closed_forms import (
+    acc_sc_abd_rd,
+    closed_form_acc,
+    weighted_quorum_acc,
+)
+from repro.core.parameters import Deviation, WorkloadParams
 from repro.exp.runner import run_cell
 from repro.exp.spec import SweepCell
-from repro.protocols.sc_abd import SCABDProcess
+from repro.protocols.sc_abd import SCABDProcess, core_quorum
 from repro.sim import (
     CrashWindow,
     DSMSystem,
@@ -150,16 +154,16 @@ class TestReconfigPlan:
 
 class TestMembershipViewGeometry:
     def test_unweighted_core_matches_closed_form(self):
+        """The view's core is the static fast path's, bit for bit."""
         for n_members in (2, 3, 4, 5, 6, 7):
-            view = MembershipView(range(1, n_members + 1))
-            assert set(view.core()) == set(_quorum_core(n_members - 1))
+            nodes = tuple(range(1, n_members + 1))
+            assert MembershipView(nodes).core() == core_quorum(nodes)
 
     def test_weighted_core_matches_closed_form(self):
-        weights = {5: 3.0}
-        view = MembershipView(range(1, 6), weights=weights)
-        assert set(view.core()) == set(_quorum_core(4, weights))
-        # a 3-vote node plus any second voter is already a majority of 7
-        assert len(view.core()) == 2 and 5 in view.core()
+        # a 3-vote node plus the heaviest-ranked 1-vote node is already a
+        # majority of 7 votes
+        view = MembershipView(range(1, 6), weights={5: 3.0})
+        assert view.core() == (1, 5)
 
     def test_joint_satisfaction_needs_both_majorities(self):
         view = MembershipView((1, 3, 4, 5, 6))
@@ -364,9 +368,15 @@ class TestChaosGeneratorReconfig:
 
 class TestWeightedQuorums:
     def test_all_ones_weights_match_unweighted_closed_form(self):
+        """The weighted geometry (the membership view's core) prices
+        all-ones votes exactly as the count majority."""
         for n in (2, 3, 4, 5, 8):
             ones = {node: 1.0 for node in range(1, n + 2)}
-            assert _quorum_core(n, ones) == _quorum_core(n)
+            params = WorkloadParams(N=n, p=0.3, a=1, sigma=0.1, xi=0.1,
+                                    beta=2, S=100.0, P=30.0)
+            for deviation in Deviation:
+                assert (weighted_quorum_acc(params, deviation, ones)
+                        == closed_form_acc("sc_abd", params, deviation))
 
     def test_weighted_closed_form_tracks_the_simulator(self):
         """The weighted-majority acc update stays within the paper's

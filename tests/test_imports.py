@@ -9,6 +9,7 @@ import repro
 SURFACES = [
     "repro",
     "repro.core",
+    "repro.machines",
     "repro.sim",
     "repro.exp",
     "repro.obs",
