@@ -148,7 +148,7 @@ def test_acc_across_transitions(benchmark, results_dir):
     # canonicalizes identically, so the cell (and its cache key and its
     # row) is byte-identical to a run that never heard of reconfiguration.
     with_none = RunConfig(ops=OPS, warmup=OPS // 8, seed=21, monitor=True,
-                          reconfig=ReconfigPlan.none())
+                          reconfig=ReconfigPlan())
     without = RunConfig(ops=OPS, warmup=OPS // 8, seed=21, monitor=True)
     assert with_none.to_dict() == without.to_dict()
     assert "reconfig" not in table["none"]

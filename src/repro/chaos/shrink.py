@@ -25,14 +25,13 @@ of the current cell — so shrinking is exactly reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 from ..exp.runner import run_cell
 from ..exp.spec import SweepCell
 from ..sim.faults import FaultPlan
 from ..sim.partition import PartitionPlan
-from ..sim.reconfig import ReconfigPlan
 
 __all__ = ["ShrinkResult", "fault_window_count", "shrink"]
 
@@ -67,23 +66,6 @@ def _with_partitions(cell: SweepCell,
     return cell.with_(config=cell.config.with_(partitions=partitions))
 
 
-def _faults_with(plan: FaultPlan, **changes) -> FaultPlan:
-    kwargs = dict(seed=plan.seed, drop_rate=plan.drop_rate,
-                  duplicate_rate=plan.duplicate_rate, jitter=plan.jitter,
-                  crashes=plan.crashes)
-    kwargs.update(changes)
-    return FaultPlan(**kwargs)
-
-
-def _partitions_with(plan: PartitionPlan, **changes) -> PartitionPlan:
-    kwargs = dict(seed=plan.seed, links=plan.links,
-                  heartbeat_interval=plan.heartbeat_interval,
-                  suspect_after=plan.suspect_after, policy=plan.policy,
-                  detect=plan.detect)
-    kwargs.update(changes)
-    return PartitionPlan(**kwargs)
-
-
 def _candidates(cell: SweepCell) -> Iterator[SweepCell]:
     """Strictly-simpler variants of ``cell``, most aggressive first."""
     config = cell.config
@@ -94,14 +76,13 @@ def _candidates(cell: SweepCell) -> Iterator[SweepCell]:
     if faults is not None:
         for index in range(len(faults.crashes)):
             kept = faults.crashes[:index] + faults.crashes[index + 1:]
-            yield _with_faults(cell, _faults_with(faults, crashes=kept))
+            yield _with_faults(cell, replace(faults, crashes=kept))
 
     # 2. remove one link fault
     if partitions is not None:
         for index in range(len(partitions.links)):
             kept = partitions.links[:index] + partitions.links[index + 1:]
-            yield _with_partitions(cell,
-                                   _partitions_with(partitions, links=kept))
+            yield _with_partitions(cell, replace(partitions, links=kept))
 
     # 2b. drop one membership change (a candidate whose remaining chain
     # is inconsistent — e.g. a later change leaving a node an earlier,
@@ -110,7 +91,7 @@ def _candidates(cell: SweepCell) -> Iterator[SweepCell]:
         plan = config.reconfig
         for index in range(len(plan.changes)):
             kept = plan.changes[:index] + plan.changes[index + 1:]
-            candidate = ReconfigPlan(seed=plan.seed, changes=kept)
+            candidate = replace(plan, changes=kept)
             try:
                 candidate.validate_membership(cell.params.N + 1)
             except ValueError:
@@ -123,8 +104,7 @@ def _candidates(cell: SweepCell) -> Iterator[SweepCell]:
     if faults is not None:
         for change in ("drop_rate", "duplicate_rate", "jitter"):
             if getattr(faults, change):
-                yield _with_faults(cell,
-                                   _faults_with(faults, **{change: 0.0}))
+                yield _with_faults(cell, replace(faults, **{change: 0.0}))
 
     # 4. drop the failover dimension
     if config.failover:
@@ -132,38 +112,28 @@ def _candidates(cell: SweepCell) -> Iterator[SweepCell]:
 
     # 5. simplify the degraded-mode policy
     if partitions is not None and partitions.policy != "stall":
-        yield _with_partitions(cell,
-                               _partitions_with(partitions, policy="stall"))
+        yield _with_partitions(cell, replace(partitions, policy="stall"))
 
     # 6. halve one crash window's duration
     if faults is not None:
         for index, w in enumerate(faults.crashes):
             duration = w.end - w.start
             if duration > _MIN_DURATION:
-                halved = type(w)(w.node, w.start,
-                                 w.start + duration / 2.0, w.semantics)
+                halved = replace(w, end=w.start + duration / 2.0)
                 crashes = (faults.crashes[:index] + (halved,)
                            + faults.crashes[index + 1:])
-                yield _with_faults(cell,
-                                   _faults_with(faults, crashes=crashes))
+                yield _with_faults(cell, replace(faults, crashes=crashes))
 
     # 7. halve one link fault's duration
     if partitions is not None:
         for index, link in enumerate(partitions.links):
             duration = link.end - link.start
             if duration > _MIN_DURATION:
-                halved = type(link)(
-                    link.src, link.dst, link.start,
-                    link.start + duration / 2.0,
-                    drop_rate=link.drop_rate,
-                    duplicate_rate=link.duplicate_rate,
-                    jitter=link.jitter,
-                )
+                halved = replace(link, end=link.start + duration / 2.0)
                 links = (partitions.links[:index] + (halved,)
                          + partitions.links[index + 1:])
-                yield _with_partitions(
-                    cell, _partitions_with(partitions, links=links)
-                )
+                yield _with_partitions(cell,
+                                       replace(partitions, links=links))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .chaos.generate import ChaosOptions
 from .core.acc import analytical_acc
 from .core.closed_forms import weighted_quorum_acc
 from .core.comparison import ALL_PROTOCOLS, rank_protocols
@@ -64,7 +65,7 @@ from .obs.profile import Profiler
 from .obs.trace import TraceConfig
 from .protocols.registry import all_protocol_names, protocol_names
 from .sim.config import RunConfig
-from .sim.faults import CrashWindow, FaultPlan, SlowWindow
+from .sim.faults import CRASH_SEMANTICS, CrashWindow, FaultPlan, SlowWindow
 from .sim.cache import CACHE_POLICIES, CacheConfig
 from .sim.hedge import HedgeConfig
 from .sim.partition import PARTITION_POLICIES, LinkFault, PartitionPlan, cut
@@ -82,6 +83,15 @@ _DEVIATIONS = {
     "write": Deviation.WRITE,
     "mac": Deviation.MULTIPLE_ACTIVITY_CENTERS,
 }
+
+
+def _default(cls: type, name: str):
+    """The default declared on dataclass field ``name`` of ``cls``.
+
+    Flags take their defaults from the fields they fill, so each default
+    is written once, on its field.
+    """
+    return cls.__dataclass_fields__[name].default
 
 
 def _version() -> str:
@@ -104,21 +114,27 @@ def _system_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("workload parameters")
     group.add_argument("--N", type=int, required=True,
                        help="number of clients")
-    group.add_argument("--a", type=int, default=0,
+    group.add_argument("--a", type=int,
+                       default=_default(WorkloadParams, "a"),
                        help="number of disturbing clients")
-    group.add_argument("--beta", type=int, default=1,
+    group.add_argument("--beta", type=int,
+                       default=_default(WorkloadParams, "beta"),
                        help="number of activity centers (mac deviation)")
-    group.add_argument("--S", type=float, default=100.0,
+    group.add_argument("--S", type=float,
+                       default=_default(WorkloadParams, "S"),
                        help="whole-copy transfer cost parameter")
-    group.add_argument("--P", type=float, default=30.0,
+    group.add_argument("--P", type=float,
+                       default=_default(WorkloadParams, "P"),
                        help="write-parameter transfer cost parameter")
     group.add_argument("--deviation", choices=sorted(_DEVIATIONS),
                        default="read", help="workload deviation")
-    group.add_argument("--hot-set", type=int, default=None,
+    group.add_argument("--hot-set", type=int,
+                       default=_default(WorkloadParams, "hot_set"),
                        help="working-set size: the first HOT_SET objects "
                             "receive --hot-fraction of the accesses "
                             "(both flags together; default: uniform)")
-    group.add_argument("--hot-fraction", type=float, default=None,
+    group.add_argument("--hot-fraction", type=float,
+                       default=_default(WorkloadParams, "hot_fraction"),
                        help="probability mass on the hot set, in (0, 1]")
     return parent
 
@@ -129,9 +145,11 @@ def _point_parent() -> argparse.ArgumentParser:
     group = parent.add_argument_group("workload point")
     group.add_argument("--p", type=float, required=True,
                        help="activity-center write probability")
-    group.add_argument("--sigma", type=float, default=0.0,
+    group.add_argument("--sigma", type=float,
+                       default=_default(WorkloadParams, "sigma"),
                        help="per-client read-disturbance probability")
-    group.add_argument("--xi", type=float, default=0.0,
+    group.add_argument("--xi", type=float,
+                       default=_default(WorkloadParams, "xi"),
                        help="per-client write-disturbance probability")
     return parent
 
@@ -140,14 +158,16 @@ def _run_parent() -> argparse.ArgumentParser:
     """``--ops --warmup --seed --mean-gap``: the run configuration."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("run configuration")
-    group.add_argument("--ops", type=int, default=4000,
+    group.add_argument("--ops", type=int, default=_default(RunConfig, "ops"),
                        help="operations to run (including warm-up)")
-    group.add_argument("--warmup", type=int, default=None,
+    group.add_argument("--warmup", type=int,
+                       default=_default(RunConfig, "warmup"),
                        help="warm-up operations (default: ops // 4)")
-    group.add_argument("--seed", type=int, default=0,
+    group.add_argument("--seed", type=int, default=_default(RunConfig, "seed"),
                        help="workload/arrival RNG seed "
                             "(sweep: the base seed cells derive from)")
-    group.add_argument("--mean-gap", type=float, default=25.0,
+    group.add_argument("--mean-gap", type=float,
+                       default=_default(RunConfig, "mean_gap"),
                        help="mean Poisson inter-arrival gap")
     return parent
 
@@ -156,18 +176,21 @@ def _fault_parent() -> argparse.ArgumentParser:
     """``--drop-rate --dup-rate --jitter --crash-at --fault-seed``."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("fault injection")
-    group.add_argument("--drop-rate", type=float, default=0.0,
+    group.add_argument("--drop-rate", type=float,
+                       default=_default(FaultPlan, "drop_rate"),
                        help="per-transmission message loss probability")
-    group.add_argument("--dup-rate", type=float, default=0.0,
+    group.add_argument("--dup-rate", type=float,
+                       default=_default(FaultPlan, "duplicate_rate"),
                        help="per-transmission duplication probability")
-    group.add_argument("--jitter", type=float, default=0.0,
+    group.add_argument("--jitter", type=float,
+                       default=_default(FaultPlan, "jitter"),
                        help="max extra delivery delay (uniform jitter)")
     group.add_argument("--crash-at", action="append", default=[],
                        metavar="NODE:START[:END]",
                        help="crash a node for [START, END) sim time "
                             "(END omitted: never recovers); repeatable")
-    group.add_argument("--crash-semantics", choices=["durable", "amnesia"],
-                       default="durable",
+    group.add_argument("--crash-semantics", choices=CRASH_SEMANTICS,
+                       default=_default(CrashWindow, "semantics"),
                        help="what --crash-at windows destroy: 'durable' "
                             "keeps protocol state across the outage, "
                             "'amnesia' wipes it (the node resynchronizes "
@@ -180,12 +203,14 @@ def _fault_parent() -> argparse.ArgumentParser:
                        help="attach the runtime consistency monitor and "
                             "report convergence/sequential-consistency "
                             "violations at quiescence")
-    group.add_argument("--fault-seed", type=int, default=0,
+    group.add_argument("--fault-seed", type=int,
+                       default=_default(FaultPlan, "seed"),
                        help="seed of the fault plan's RNG stream")
     group.add_argument("--slow-at", action="append", default=[],
                        metavar="NODE:START:END[:FACTOR]",
                        help="gray failure: multiply every message delay "
-                            "to/from NODE by FACTOR (default 10) for "
+                            "to/from NODE by FACTOR (default "
+                            f"{_default(SlowWindow, 'factor'):g}) for "
                             "[START, END) sim time (END of 'inf': never "
                             "recovers); repeatable")
     return parent
@@ -204,13 +229,15 @@ def _partition_parent() -> argparse.ArgumentParser:
                        metavar="SRC:DST:START[:END]",
                        help="cut only the SRC->DST direction "
                             "(asymmetric partition); repeatable")
-    group.add_argument("--heartbeat-interval", type=float, default=40.0,
+    group.add_argument("--heartbeat-interval", type=float,
+                       default=_default(PartitionPlan, "heartbeat_interval"),
                        help="failure-detector probe period (sim time)")
-    group.add_argument("--suspect-after", type=int, default=3,
+    group.add_argument("--suspect-after", type=int,
+                       default=_default(PartitionPlan, "suspect_after"),
                        help="missed heartbeats before a node is "
                             "suspected and quarantined")
     group.add_argument("--partition-policy", choices=PARTITION_POLICIES,
-                       default="stall",
+                       default=_default(PartitionPlan, "policy"),
                        help="degraded mode of a quarantined client: "
                             "'stall' holds its operations, "
                             "'serve_local_reads' answers queue-head "
@@ -220,7 +247,8 @@ def _partition_parent() -> argparse.ArgumentParser:
     group.add_argument("--no-detector", action="store_true",
                        help="disable the heartbeat failure detector "
                             "(partitioned traffic just retries)")
-    group.add_argument("--partition-seed", type=int, default=0,
+    group.add_argument("--partition-seed", type=int,
+                       default=_default(PartitionPlan, "seed"),
                        help="seed of the partition plan's RNG stream")
     return parent
 
@@ -235,9 +263,11 @@ def _trace_parent() -> argparse.ArgumentParser:
     group.add_argument("--trace-jsonl", default=None, metavar="PATH",
                        help="export the trace as a JSONL event stream "
                             "to PATH (enables tracing)")
-    group.add_argument("--trace-sample", type=int, default=1, metavar="K",
+    group.add_argument("--trace-sample", type=int,
+                       default=_default(TraceConfig, "sample_every"),
+                       metavar="K",
                        help="record every K-th operation span "
-                            "(default: 1, every span)")
+                            "(default: %(default)s, every span)")
     return parent
 
 
@@ -245,11 +275,14 @@ def _reliability_parent() -> argparse.ArgumentParser:
     """``--retry-timeout --retry-backoff --max-retries``."""
     parent = argparse.ArgumentParser(add_help=False)
     group = parent.add_argument_group("reliable delivery")
-    group.add_argument("--retry-timeout", type=float, default=8.0,
+    group.add_argument("--retry-timeout", type=float,
+                       default=_default(ReliabilityConfig, "timeout"),
                        help="base ack timeout of the reliable layer")
-    group.add_argument("--retry-backoff", type=float, default=2.0,
+    group.add_argument("--retry-backoff", type=float,
+                       default=_default(ReliabilityConfig, "backoff"),
                        help="exponential backoff multiplier per retry")
-    group.add_argument("--max-retries", type=int, default=10,
+    group.add_argument("--max-retries", type=int,
+                       default=_default(ReliabilityConfig, "max_retries"),
                        help="retry budget before a send is abandoned")
     group = parent.add_argument_group("hedged quorum requests")
     group.add_argument("--hedge-budget", type=float, default=None,
@@ -258,10 +291,12 @@ def _reliability_parent() -> argparse.ArgumentParser:
                             "quorum phase is still short T sim-time "
                             "units after it started (quorum protocols "
                             "only; unset: no hedging)")
-    group.add_argument("--hedge-legs", type=int, default=1,
+    group.add_argument("--hedge-legs", type=int,
+                       default=_default(HedgeConfig, "max_legs"),
                        help="max extra replicas contacted per phase "
                             "when the hedge budget expires")
-    group.add_argument("--hedge-seed", type=int, default=0,
+    group.add_argument("--hedge-seed", type=int,
+                       default=_default(HedgeConfig, "seed"),
                        help="seed of the hedge target-selection stream")
     return parent
 
@@ -282,7 +317,8 @@ def _reconfig_parent() -> argparse.ArgumentParser:
                        metavar="NODE:TIME",
                        help="remove NODE from the replica set at sim "
                             "TIME; repeatable")
-    group.add_argument("--reconfig-seed", type=int, default=0,
+    group.add_argument("--reconfig-seed", type=int,
+                       default=_default(ReconfigPlan, "seed"),
                        help="seed of the reconfiguration plan's RNG "
                             "stream (reserved for randomized schedules)")
     group.add_argument("--quorum-weight", action="append", default=[],
@@ -305,15 +341,14 @@ def workload_from_args(args: argparse.Namespace) -> WorkloadParams:
     subcommand does not take a workload point (e.g. ``sweep``, whose grid
     supplies them per cell).
     """
-    return WorkloadParams(N=args.N, p=getattr(args, "p", 0.0),
-                          a=args.a, sigma=getattr(args, "sigma", 0.0),
-                          xi=getattr(args, "xi", 0.0), beta=args.beta,
-                          S=args.S, P=args.P,
-                          hot_set=getattr(args, "hot_set", None),
-                          hot_fraction=getattr(args, "hot_fraction", None))
+    kwargs = {name: getattr(args, name)
+              for name in WorkloadParams.__dataclass_fields__
+              if hasattr(args, name)}
+    kwargs.setdefault("p", 0.0)
+    return WorkloadParams(**kwargs)
 
 
-def _parse_crash(spec: str, semantics: str = "durable") -> CrashWindow:
+def _parse_crash(spec: str, semantics: str) -> CrashWindow:
     """Parse a ``NODE:START[:END]`` crash-window argument."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
@@ -344,8 +379,7 @@ def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     """Build the fault plan from the fault flags (None when fault-free)."""
     crashes = [_parse_crash(spec, args.crash_semantics)
                for spec in args.crash_at]
-    slowdowns = [_parse_slow(spec)
-                 for spec in getattr(args, "slow_at", [])]
+    slowdowns = [_parse_slow(spec) for spec in args.slow_at]
     plan = FaultPlan(seed=args.fault_seed, drop_rate=args.drop_rate,
                      duplicate_rate=args.dup_rate, jitter=args.jitter,
                      crashes=crashes, slowdowns=slowdowns)
@@ -371,11 +405,11 @@ def _parse_link(spec: str, flag: str) -> tuple:
 def _partition_plan(args: argparse.Namespace) -> Optional[PartitionPlan]:
     """Build the partition plan from the partition flags (or None)."""
     links: List[LinkFault] = []
-    for spec in getattr(args, "cut", []):
+    for spec in args.cut:
         a, b, start, end = _parse_link(spec, "--cut")
         links.extend(cut(a, b, start, end)
                      if end is not None else cut(a, b, start))
-    for spec in getattr(args, "cut_one_way", []):
+    for spec in args.cut_one_way:
         a, b, start, end = _parse_link(spec, "--cut-one-way")
         links.append(LinkFault(a, b, start, end)
                      if end is not None else LinkFault(a, b, start))
@@ -423,8 +457,7 @@ def _reconfig_plan(args: argparse.Namespace) -> Optional[ReconfigPlan]:
         MembershipChange(at=at, joins=tuple(joins), leaves=tuple(leaves))
         for at, (joins, leaves) in sorted(events.items())
     ]
-    plan = ReconfigPlan(seed=getattr(args, "reconfig_seed", 0),
-                        changes=tuple(changes))
+    plan = ReconfigPlan(seed=args.reconfig_seed, changes=tuple(changes))
     # fail loudly on an inconsistent membership chain before any system
     # is built (e.g. leaving a node that never joined)
     plan.validate_membership(args.N + 1)
@@ -450,17 +483,15 @@ def _trace_config(args: argparse.Namespace) -> Optional[TraceConfig]:
                    or getattr(args, "trace_jsonl", None) is not None)
     if not wants_trace:
         return None
-    return TraceConfig(sample_every=getattr(args, "trace_sample", 1))
+    return TraceConfig(sample_every=args.trace_sample)
 
 
 def _hedge_config(args: argparse.Namespace) -> Optional[HedgeConfig]:
     """The hedging config implied by ``--hedge-budget`` (or None)."""
-    budget = getattr(args, "hedge_budget", None)
-    if budget is None:
+    if args.hedge_budget is None:
         return None
-    return HedgeConfig(budget=budget,
-                       max_legs=getattr(args, "hedge_legs", 1),
-                       seed=getattr(args, "hedge_seed", 0))
+    return HedgeConfig(budget=args.hedge_budget, max_legs=args.hedge_legs,
+                       seed=args.hedge_seed)
 
 
 def _cache_parent() -> argparse.ArgumentParser:
@@ -473,9 +504,10 @@ def _cache_parent() -> argparse.ArgumentParser:
                             "copies (partial replication; unset: the "
                             "paper's full replication)")
     group.add_argument("--cache-policy", choices=CACHE_POLICIES,
-                       default="lru",
+                       default=_default(CacheConfig, "policy"),
                        help="eviction policy of the bounded cache")
-    group.add_argument("--cache-seed", type=int, default=0,
+    group.add_argument("--cache-seed", type=int,
+                       default=_default(CacheConfig, "seed"),
                        help="seed of the eviction tie-break stream")
     return parent
 
@@ -485,9 +517,8 @@ def _cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
     capacity = getattr(args, "cache_capacity", None)
     if capacity is None:
         return None
-    return CacheConfig(capacity=capacity,
-                       policy=getattr(args, "cache_policy", "lru"),
-                       seed=getattr(args, "cache_seed", 0))
+    return CacheConfig(capacity=capacity, policy=args.cache_policy,
+                       seed=args.cache_seed)
 
 
 def runconfig_from_args(args: argparse.Namespace) -> RunConfig:
@@ -573,7 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "or chrome://tracing)")
     p_trace.add_argument("--jsonl", default=None,
                          help="optional JSONL event-stream output path")
-    p_trace.add_argument("--sample", type=int, default=1, metavar="K",
+    p_trace.add_argument("--sample", type=int,
+                         default=_default(TraceConfig, "sample_every"),
+                         metavar="K",
                          help="record every K-th operation span")
 
     p_prof = sub.add_parser(
@@ -644,27 +677,34 @@ def build_parser() -> argparse.ArgumentParser:
                     "violating schedule is shrunk to a minimal "
                     "reproducing cell and written as a repro JSON.",
     )
-    p_chaos.add_argument("--seeds", type=int, default=25,
+    p_chaos.add_argument("--seeds", type=int,
+                         default=_default(ChaosOptions, "seeds"),
                          help="fuzz seeds per protocol")
-    p_chaos.add_argument("--base-seed", type=int, default=0,
+    p_chaos.add_argument("--base-seed", type=int,
+                         default=_default(ChaosOptions, "base_seed"),
                          help="campaign base seed (same base seed -> "
                               "byte-identical findings)")
     p_chaos.add_argument("--protocols", type=_csv_protocols,
-                         default=[], metavar="NAME[,NAME...]",
+                         default=_default(ChaosOptions, "protocols"),
+                         metavar="NAME[,NAME...]",
                          help="comma-separated protocols or 'all' "
                               "(default: every protocol incl. extensions; "
                               f"known: {known})")
-    p_chaos.add_argument("--N", type=int, default=4,
+    p_chaos.add_argument("--N", type=int, default=_default(ChaosOptions, "N"),
                          help="clients per fuzzed system")
-    p_chaos.add_argument("--M", type=int, default=2,
+    p_chaos.add_argument("--M", type=int, default=_default(ChaosOptions, "M"),
                          help="shared objects per fuzzed system")
-    p_chaos.add_argument("--ops", type=int, default=300,
+    p_chaos.add_argument("--ops", type=int,
+                         default=_default(ChaosOptions, "ops"),
                          help="operations per fuzzed run")
-    p_chaos.add_argument("--mean-gap", type=float, default=25.0,
+    p_chaos.add_argument("--mean-gap", type=float,
+                         default=_default(ChaosOptions, "mean_gap"),
                          help="mean Poisson inter-arrival gap")
-    p_chaos.add_argument("--shrink-budget", type=int, default=64,
+    p_chaos.add_argument("--shrink-budget", type=int,
+                         default=_default(ChaosOptions, "shrink_budget"),
                          help="max simulator runs per finding's shrink")
-    p_chaos.add_argument("--workers", type=int, default=1,
+    p_chaos.add_argument("--workers", type=int,
+                         default=_default(ChaosOptions, "workers"),
                          help="worker processes for the fuzzing sweep")
     p_chaos.add_argument("--out", default=None,
                          help="optional JSONL path for every fuzzed row")
@@ -676,7 +716,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--trace-out", metavar="PATH", default=None,
                          help="with --replay: export a Chrome trace of "
                               "the replayed schedule to PATH")
-    p_chaos.add_argument("--trace-sample", type=int, default=1,
+    p_chaos.add_argument("--trace-sample", type=int,
+                         default=_default(TraceConfig, "sample_every"),
                          metavar="K",
                          help="with --replay --trace-out: record every "
                               "K-th operation span")
@@ -978,6 +1019,31 @@ def _cmd_profile(args: argparse.Namespace, deviation: Deviation,
     return 0
 
 
+def _cell_progress(done: int, total: int, row: dict) -> None:
+    """Per-cell progress line of ``sweep`` and ``scenarios run/compare``."""
+    tag = row["status"]
+    detail = ""
+    if tag == "ok" and row.get("discrepancy_pct") is not None:
+        detail = f" disc={row['discrepancy_pct']:+.2f}%"
+    elif tag == "failed":
+        detail = f" ({row['error']})"
+    print(f"[{done}/{total}] {row['protocol']} p={row['p']:g} "
+          f"disturb={row['disturb']:g} {tag}{detail}", file=sys.stderr)
+
+
+def _print_sweep_summary(result, compare: bool) -> None:
+    """The cells / cache / ``max |disc|`` lines of a finished sweep."""
+    print(f"cells     = {result.total} "
+          f"({result.computed} computed, {result.cached} cached, "
+          f"{result.failed} failed)")
+    if result.cache_stats is not None:
+        print(f"cache     = {result.cache_stats.hits} hits / "
+              f"{result.cache_stats.lookups} lookups "
+              f"({100 * result.cache_stats.hit_rate:.0f}%)")
+    if compare:
+        print(f"max |disc| = {result.max_abs_discrepancy_pct():.2f}%")
+
+
 def _cmd_sweep(args: argparse.Namespace, deviation: Deviation) -> int:
     base = workload_from_args(args)  # the point flags default to 0 here
     config = runconfig_from_args(args)
@@ -996,35 +1062,15 @@ def _cmd_sweep(args: argparse.Namespace, deviation: Deviation) -> int:
     if not len(spec):
         print("error: the grid has no feasible cells", file=sys.stderr)
         return 2
-
-    def progress(done: int, total: int, row: dict) -> None:
-        tag = row["status"]
-        detail = ""
-        if tag == "ok" and row.get("discrepancy_pct") is not None:
-            detail = f" disc={row['discrepancy_pct']:+.2f}%"
-        elif tag == "failed":
-            detail = f" ({row['error']})"
-        print(f"[{done}/{total}] {row['protocol']} p={row['p']:g} "
-              f"disturb={row['disturb']:g} {tag}{detail}",
-              file=sys.stderr)
-
     runner = SweepRunner(
         spec,
         workers=args.workers,
         cache=None if args.no_cache else args.cache_dir,
         out_path=args.out,
-        progress=None if args.quiet else progress,
+        progress=None if args.quiet else _cell_progress,
     )
     result = runner.run()
-    print(f"cells     = {result.total} "
-          f"({result.computed} computed, {result.cached} cached, "
-          f"{result.failed} failed)")
-    if result.cache_stats is not None:
-        print(f"cache     = {result.cache_stats.hits} hits / "
-              f"{result.cache_stats.lookups} lookups "
-              f"({100 * result.cache_stats.hit_rate:.0f}%)")
-    if args.kind == "compare":
-        print(f"max |disc| = {result.max_abs_discrepancy_pct():.2f}%")
+    _print_sweep_summary(result, compare=args.kind == "compare")
     print(f"results   -> {result.out_path}")
     violations = sum(row.get("violations", 0) for row in result.rows
                      if row.get("status") == "ok")
@@ -1034,9 +1080,26 @@ def _cmd_sweep(args: argparse.Namespace, deviation: Deviation) -> int:
     return 1 if result.failed else 0
 
 
+def _chaos_options(args: argparse.Namespace) -> ChaosOptions:
+    """The fuzzing campaign described by the ``chaos`` flags."""
+    return ChaosOptions(
+        base_seed=args.base_seed,
+        seeds=args.seeds,
+        protocols=tuple(args.protocols),
+        N=args.N,
+        M=args.M,
+        ops=args.ops,
+        mean_gap=args.mean_gap,
+        shrink_budget=args.shrink_budget,
+        workers=args.workers,
+        slow_windows=args.slow_windows,
+        bounded_caches=args.bounded_caches,
+    )
+
+
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from .chaos import (ChaosOptions, load_repro, replay_repro, run_chaos,
-                        violates, write_repros)
+    from .chaos import (load_repro, replay_repro, run_chaos, violates,
+                        write_repros)
 
     if args.replay is not None:
         cell = load_repro(args.replay)
@@ -1060,20 +1123,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print("did NOT reproduce (row is clean)")
         return 0
 
-    options = ChaosOptions(
-        base_seed=args.base_seed,
-        seeds=args.seeds,
-        protocols=tuple(args.protocols),
-        N=args.N,
-        M=args.M,
-        ops=args.ops,
-        mean_gap=args.mean_gap,
-        shrink_budget=args.shrink_budget,
-        workers=args.workers,
-        slow_windows=args.slow_windows,
-        bounded_caches=args.bounded_caches,
-    )
-
     def progress(done: int, total: int, row: dict) -> None:
         flag = " VIOLATION" if violates(row) else ""
         print(f"[{done}/{total}] {row['protocol']} "
@@ -1086,7 +1135,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               f"{finding.shrink_runs} run(s)", file=sys.stderr)
 
     report = run_chaos(
-        options,
+        _chaos_options(args),
         out_path=args.out,
         progress=None if args.quiet else progress,
         shrink_progress=None if args.quiet else shrink_progress,
@@ -1100,17 +1149,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(finding.describe())
         print(f"  repro:      {path}")
     return 1
-
-
-def _scenario_progress(done: int, total: int, row: dict) -> None:
-    tag = row["status"]
-    detail = ""
-    if tag == "ok" and row.get("discrepancy_pct") is not None:
-        detail = f" disc={row['discrepancy_pct']:+.2f}%"
-    elif tag == "failed":
-        detail = f" ({row['error']})"
-    print(f"[{done}/{total}] {row['protocol']} p={row['p']:g} "
-          f"disturb={row['disturb']:g} {tag}{detail}", file=sys.stderr)
 
 
 def _cmd_scenarios(args: argparse.Namespace) -> int:
@@ -1196,18 +1234,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache=None if args.no_cache else args.cache_dir,
         out_path=out_path,
-        progress=None if args.quiet else _scenario_progress,
+        progress=None if args.quiet else _cell_progress,
     )
     print(f"scenario  = {scenario.name}")
-    print(f"cells     = {result.total} "
-          f"({result.computed} computed, {result.cached} cached, "
-          f"{result.failed} failed)")
-    if result.cache_stats is not None:
-        print(f"cache     = {result.cache_stats.hits} hits / "
-              f"{result.cache_stats.lookups} lookups "
-              f"({100 * result.cache_stats.hit_rate:.0f}%)")
-    if scenario.kind == "compare":
-        print(f"max |disc| = {result.max_abs_discrepancy_pct():.2f}%")
+    _print_sweep_summary(result, compare=scenario.kind == "compare")
     if args.scenarios_command == "compare":
         baseline = args.baseline
         if baseline is None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from ..util import reject_unknown_keys
+from ..util import field_kwargs
 
 
 __all__ = [
@@ -249,23 +249,8 @@ class WorkloadParams:
         Unknown keys raise ``ValueError`` instead of being silently
         dropped.
         """
-        reject_unknown_keys(
-            data,
-            ("N", "p", "a", "sigma", "xi", "beta", "S", "P",
-             "hot_set", "hot_fraction"),
-            "WorkloadParams",
-        )
-        hot_set = data.get("hot_set")
-        hot_fraction = data.get("hot_fraction")
-        return cls(
-            N=int(data["N"]), p=float(data["p"]), a=int(data.get("a", 0)),
-            sigma=float(data.get("sigma", 0.0)),
-            xi=float(data.get("xi", 0.0)), beta=int(data.get("beta", 1)),
-            S=float(data.get("S", 100.0)), P=float(data.get("P", 30.0)),
-            hot_set=(None if hot_set is None else int(hot_set)),
-            hot_fraction=(None if hot_fraction is None
-                          else float(hot_fraction)),
-        )
+        return cls(**field_kwargs(cls, data, "WorkloadParams",
+                                  hot_set=int, hot_fraction=float))
 
     def event_probabilities(self, deviation: Deviation) -> dict:
         """Map event labels to probabilities for ``deviation``.

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..util import reject_unknown_keys
+from ..util import field_kwargs
 
 __all__ = ["TraceConfig", "TraceEvent", "Span", "Tracer"]
 
@@ -57,8 +57,7 @@ class TraceConfig:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TraceConfig":
-        reject_unknown_keys(data, ("sample_every",), "TraceConfig")
-        return cls(sample_every=int(data.get("sample_every", 1)))
+        return cls(**field_kwargs(cls, data, "TraceConfig"))
 
 
 @dataclass

@@ -56,10 +56,11 @@ committed baseline stays byte-identical.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Sequence, Set
 
 from ..protocols.base import EJECT, READ, WRITE, Operation
-from ..util import did_you_mean, reject_unknown_keys
+from ..util import did_you_mean, field_kwargs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import SimNode
@@ -97,6 +98,7 @@ def _tie_rank(seed: int, obj: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@dataclass(frozen=True)
 class CacheConfig:
     """Configuration of bounded per-client replica caches.
 
@@ -108,39 +110,21 @@ class CacheConfig:
             part of the configuration identity like every plan seed.
     """
 
-    def __init__(self, capacity: int = 4, policy: str = "lru",
-                 seed: int = 0) -> None:
-        if capacity < 1:
+    capacity: int = 4
+    policy: str = "lru"
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.capacity < 1:
             raise ValueError(
-                f"cache capacity must be at least 1, got {capacity}"
+                f"cache capacity must be at least 1, got {self.capacity}"
             )
-        if policy not in CACHE_POLICIES:
+        if self.policy not in CACHE_POLICIES:
             raise ValueError(
-                f"unknown cache policy {policy!r}"
-                f"{did_you_mean(str(policy), CACHE_POLICIES)}; "
+                f"unknown cache policy {self.policy!r}"
+                f"{did_you_mean(str(self.policy), CACHE_POLICIES)}; "
                 f"choose from: {', '.join(CACHE_POLICIES)}"
             )
-        self.capacity = int(capacity)
-        self.policy = str(policy)
-        self.seed = int(seed)
-
-    # ------------------------------------------------------------------
-    # configuration identity and serialization
-    # ------------------------------------------------------------------
-
-    def config_key(self) -> tuple:
-        return (self.capacity, self.policy, self.seed)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CacheConfig):
-            return NotImplemented
-        return self.config_key() == other.config_key()
-
-    def __hash__(self) -> int:
-        return hash(self.config_key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CacheConfig({self.describe()})"
 
     def to_dict(self) -> dict:
         return {
@@ -151,13 +135,7 @@ class CacheConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CacheConfig":
-        reject_unknown_keys(data, ("capacity", "policy", "seed"),
-                            "CacheConfig")
-        return cls(
-            capacity=int(data.get("capacity", 4)),
-            policy=str(data.get("policy", "lru")),
-            seed=int(data.get("seed", 0)),
-        )
+        return cls(**field_kwargs(cls, data, "CacheConfig"))
 
     def describe(self) -> str:
         """One-line human-readable summary (used by the CLI)."""

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 from ..obs.trace import TraceConfig
-from ..util import reject_unknown_keys
+from ..util import field_kwargs
 from .cache import CacheConfig
 from .faults import FaultPlan
 from .hedge import HedgeConfig
@@ -290,53 +290,13 @@ class RunConfig:
         silently dropped, so a stale scenario file or payload cannot
         half-apply.  Missing keys take the dataclass defaults.
         """
-        reject_unknown_keys(
-            data,
-            ("ops", "warmup", "seed", "mean_gap", "max_events", "faults",
-             "partitions", "reliability", "failover", "monitor", "tracing",
-             "reconfig", "quorum_weights", "hedge", "cache"),
-            "RunConfig",
-        )
-        faults = data.get("faults")
-        partitions = data.get("partitions")
-        reliability = data.get("reliability")
-        tracing = data.get("tracing")
-        reconfig = data.get("reconfig")
-        quorum_weights = data.get("quorum_weights")
-        hedge = data.get("hedge")
-        cache = data.get("cache")
-        return cls(
-            ops=int(data.get("ops", 4000)),
-            warmup=data.get("warmup"),
-            seed=data.get("seed", 0),
-            mean_gap=float(data.get("mean_gap", 25.0)),
-            max_events=int(data.get("max_events", 50_000_000)),
-            faults=None if faults is None else FaultPlan.from_dict(faults),
-            partitions=(
-                None if partitions is None
-                else PartitionPlan.from_dict(partitions)
-            ),
-            reliability=(
-                None if reliability is None
-                else ReliabilityConfig.from_dict(reliability)
-            ),
-            failover=bool(data.get("failover", False)),
-            monitor=bool(data.get("monitor", False)),
-            tracing=(
-                None if tracing is None else TraceConfig.from_dict(tracing)
-            ),
-            reconfig=(
-                None if reconfig is None
-                else ReconfigPlan.from_dict(reconfig)
-            ),
-            quorum_weights=(
-                None if quorum_weights is None
-                else tuple((int(n), float(w)) for n, w in quorum_weights)
-            ),
-            hedge=(
-                None if hedge is None else HedgeConfig.from_dict(hedge)
-            ),
-            cache=(
-                None if cache is None else CacheConfig.from_dict(cache)
-            ),
-        )
+        return cls(**field_kwargs(
+            cls, data, "RunConfig",
+            faults=FaultPlan.from_dict,
+            partitions=PartitionPlan.from_dict,
+            reliability=ReliabilityConfig.from_dict,
+            tracing=TraceConfig.from_dict,
+            reconfig=ReconfigPlan.from_dict,
+            hedge=HedgeConfig.from_dict,
+            cache=CacheConfig.from_dict,
+        ))

@@ -33,8 +33,9 @@ A plan injects, reproducibly from a single seed:
 Determinism: every drop/duplicate/jitter decision consumes the plan's own
 ``random.Random(seed)`` stream in simulation order, so two runs with the
 same workload seed and the same plan seed make identical decisions.  A plan
-is therefore single-use — build a fresh one per run (``replay()`` returns an
-identically-configured fresh plan).
+is therefore single-use — build a fresh one per run
+(``dataclasses.replace(plan)`` returns an identically-configured plan with a
+rewound stream, which is what :class:`~repro.sim.system.DSMSystem` runs).
 
 Lookups: the channel asks :meth:`FaultPlan.is_down` for every faulty
 transmission's source and receiver and :meth:`~FaultPlan.link_slowdown`
@@ -43,7 +44,7 @@ at construction, so each lookup scans only that node's windows (usually
 none).  The windows are immutable tuples, so the index never goes stale,
 and each answer is the one a scan over every window would give.
 
-``FaultPlan.none()`` is the explicit no-fault plan; the system treats it
+``FaultPlan()`` is the explicit no-fault plan; the system treats it
 exactly like "no plan at all", so fault-free runs stay bit-identical to the
 paper-faithful fabric (pay-for-what-you-use).
 """
@@ -52,16 +53,26 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..util import reject_unknown_keys
+from ..util import field_kwargs
 
 __all__ = ["CRASH_SEMANTICS", "CrashWindow", "FaultPlan", "SlowWindow"]
 
 
 #: legal values of :attr:`CrashWindow.semantics`
 CRASH_SEMANTICS = ("durable", "amnesia")
+
+
+def decode_windows(entries: Sequence) -> Tuple[tuple, ...]:
+    """Serialized window entries as constructor tuples (``None`` → ``inf``).
+
+    ``to_dict`` writes an open-ended window's end as ``None``; the other
+    positions pass through to the window class's constructor.
+    """
+    return tuple(tuple(math.inf if x is None else x for x in entry)
+                 for entry in entries)
 
 
 def _by_node(windows: Sequence) -> Dict[int, list]:
@@ -141,6 +152,7 @@ class CrashWindow:
         return self.start <= time < self.end
 
 
+@dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic schedule of communication faults.
 
@@ -155,42 +167,46 @@ class FaultPlan:
         slowdowns: gray-failure windows (:class:`SlowWindow` instances or
             ``(node, start[, end[, factor]])`` tuples).  Windows on the
             same node must not overlap.
+
+    Equality, hashing and ``repr`` cover the configuration fields only;
+    the RNG stream and the per-node window indexes are run state.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        drop_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        jitter: float = 0.0,
-        crashes: Sequence = (),
-        slowdowns: Sequence = (),
-    ) -> None:
-        if not 0.0 <= drop_rate <= 1.0:
-            raise ValueError(f"drop_rate must be in [0, 1], got {drop_rate}")
-        if not 0.0 <= duplicate_rate <= 1.0:
+    seed: int = 0
+    drop_rate: float = 0.0
+    duplicate_rate: float = 0.0
+    jitter: float = 0.0
+    crashes: Tuple[CrashWindow, ...] = ()
+    slowdowns: Tuple[SlowWindow, ...] = ()
+    _rng: random.Random = field(init=False, compare=False, repr=False)
+    _crashes_by_node: Dict[int, list] = field(init=False, compare=False,
+                                              repr=False)
+    _slowdowns_by_node: Dict[int, list] = field(init=False, compare=False,
+                                                repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError(
-                f"duplicate_rate must be in [0, 1], got {duplicate_rate}"
+                f"drop_rate must be in [0, 1], got {self.drop_rate}"
             )
-        if jitter < 0.0:
-            raise ValueError(f"jitter must be >= 0, got {jitter}")
-        self.seed = seed
-        self.drop_rate = drop_rate
-        self.duplicate_rate = duplicate_rate
-        self.jitter = jitter
-        self.crashes: Tuple[CrashWindow, ...] = tuple(
-            w if isinstance(w, CrashWindow) else CrashWindow(*w)
-            for w in crashes
-        )
-        self.slowdowns: Tuple[SlowWindow, ...] = tuple(
-            w if isinstance(w, SlowWindow) else SlowWindow(*w)
-            for w in slowdowns
-        )
-        self._check_window_overlap(self.crashes, "crash")
-        self._check_window_overlap(self.slowdowns, "slow")
-        self._crashes_by_node = _by_node(self.crashes)
-        self._slowdowns_by_node = _by_node(self.slowdowns)
-        self._rng = random.Random(seed)
+        if not 0.0 <= self.duplicate_rate <= 1.0:
+            raise ValueError(
+                f"duplicate_rate must be in [0, 1], got {self.duplicate_rate}"
+            )
+        if self.jitter < 0.0:
+            raise ValueError(f"jitter must be >= 0, got {self.jitter}")
+        crashes = tuple(w if isinstance(w, CrashWindow) else CrashWindow(*w)
+                        for w in self.crashes)
+        slowdowns = tuple(w if isinstance(w, SlowWindow) else SlowWindow(*w)
+                          for w in self.slowdowns)
+        self._check_window_overlap(crashes, "crash")
+        self._check_window_overlap(slowdowns, "slow")
+        set_ = object.__setattr__
+        set_(self, "crashes", crashes)
+        set_(self, "slowdowns", slowdowns)
+        set_(self, "_crashes_by_node", _by_node(crashes))
+        set_(self, "_slowdowns_by_node", _by_node(slowdowns))
+        set_(self, "_rng", random.Random(self.seed))
 
     @staticmethod
     def _check_window_overlap(windows: Sequence, label: str) -> None:
@@ -231,26 +247,6 @@ class FaultPlan:
                         f"{num_nodes - 1}, sequencer {num_nodes})"
                     )
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "FaultPlan":
-        """The explicit no-fault plan (identical to running without one)."""
-        return cls()
-
-    def replay(self) -> "FaultPlan":
-        """A fresh plan with the same configuration and a rewound RNG."""
-        return FaultPlan(
-            seed=self.seed,
-            drop_rate=self.drop_rate,
-            duplicate_rate=self.duplicate_rate,
-            jitter=self.jitter,
-            crashes=self.crashes,
-            slowdowns=self.slowdowns,
-        )
-
     @property
     def is_none(self) -> bool:
         """Whether this plan injects no faults at all."""
@@ -273,37 +269,8 @@ class FaultPlan:
         return bool(self.slowdowns)
 
     # ------------------------------------------------------------------
-    # configuration identity and serialization
+    # serialization
     # ------------------------------------------------------------------
-
-    def config_key(self) -> tuple:
-        """The plan's configuration (RNG state excluded).
-
-        Two plans with the same key make identical fault decisions when
-        driven from a fresh state; this is the identity used by
-        :meth:`__eq__` and by the sweep engine's result cache.
-        """
-        return (
-            self.seed,
-            self.drop_rate,
-            self.duplicate_rate,
-            self.jitter,
-            tuple((w.node, w.start, w.end, w.semantics)
-                  for w in self.crashes),
-            tuple((w.node, w.start, w.end, w.factor)
-                  for w in self.slowdowns),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FaultPlan):
-            return NotImplemented
-        return self.config_key() == other.config_key()
-
-    def __hash__(self) -> int:
-        return hash(self.config_key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan({self.describe()})"
 
     def to_dict(self) -> dict:
         """A plain-JSON dict of the configuration (``inf`` ends → None)."""
@@ -342,32 +309,9 @@ class FaultPlan:
         an explicit semantics tag.  Unknown keys raise ``ValueError``
         instead of being silently dropped.
         """
-        reject_unknown_keys(
-            data,
-            ("seed", "drop_rate", "duplicate_rate", "jitter", "crashes",
-             "slowdowns"),
-            "FaultPlan",
-        )
-        crashes = [
-            CrashWindow(int(entry[0]), float(entry[1]),
-                        math.inf if entry[2] is None else float(entry[2]),
-                        str(entry[3]) if len(entry) > 3 else "durable")
-            for entry in data.get("crashes", ())
-        ]
-        slowdowns = [
-            SlowWindow(int(entry[0]), float(entry[1]),
-                       math.inf if entry[2] is None else float(entry[2]),
-                       float(entry[3]))
-            for entry in data.get("slowdowns", ())
-        ]
-        return cls(
-            seed=int(data.get("seed", 0)),
-            drop_rate=float(data.get("drop_rate", 0.0)),
-            duplicate_rate=float(data.get("duplicate_rate", 0.0)),
-            jitter=float(data.get("jitter", 0.0)),
-            crashes=crashes,
-            slowdowns=slowdowns,
-        )
+        return cls(**field_kwargs(cls, data, "FaultPlan",
+                                  crashes=decode_windows,
+                                  slowdowns=decode_windows))
 
     # ------------------------------------------------------------------
     # per-transmission decisions (consume the RNG stream in call order)

@@ -26,12 +26,14 @@ committed baseline stays byte-identical.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
-from ..util import reject_unknown_keys
+from ..util import field_kwargs
 
 __all__ = ["HedgeConfig"]
 
 
+@dataclass(frozen=True)
 class HedgeConfig:
     """Configuration of hedged quorum requests (quorum protocols only).
 
@@ -47,36 +49,18 @@ class HedgeConfig:
             of the configuration identity like every plan seed.
     """
 
-    def __init__(self, budget: float = 8.0, max_legs: int = 1,
-                 seed: int = 0) -> None:
-        if not (budget > 0 and math.isfinite(budget)):
+    budget: float = 8.0
+    max_legs: int = 1
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not (self.budget > 0 and math.isfinite(self.budget)):
             raise ValueError(
                 f"hedge budget must be a positive finite number, "
-                f"got {budget}"
+                f"got {self.budget}"
             )
-        if max_legs < 1:
-            raise ValueError(f"max_legs must be >= 1, got {max_legs}")
-        self.budget = float(budget)
-        self.max_legs = int(max_legs)
-        self.seed = int(seed)
-
-    # ------------------------------------------------------------------
-    # configuration identity and serialization
-    # ------------------------------------------------------------------
-
-    def config_key(self) -> tuple:
-        return (self.budget, self.max_legs, self.seed)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HedgeConfig):
-            return NotImplemented
-        return self.config_key() == other.config_key()
-
-    def __hash__(self) -> int:
-        return hash(self.config_key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HedgeConfig({self.describe()})"
+        if self.max_legs < 1:
+            raise ValueError(f"max_legs must be >= 1, got {self.max_legs}")
 
     def to_dict(self) -> dict:
         return {
@@ -87,13 +71,7 @@ class HedgeConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HedgeConfig":
-        reject_unknown_keys(data, ("budget", "max_legs", "seed"),
-                            "HedgeConfig")
-        return cls(
-            budget=float(data.get("budget", 8.0)),
-            max_legs=int(data.get("max_legs", 1)),
-            seed=int(data.get("seed", 0)),
-        )
+        return cls(**field_kwargs(cls, data, "HedgeConfig"))
 
     def describe(self) -> str:
         """One-line human-readable summary (used by the CLI)."""

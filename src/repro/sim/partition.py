@@ -33,9 +33,9 @@ standard resync rejoin.
 Determinism mirrors :class:`~repro.sim.faults.FaultPlan`: per-link
 probabilistic decisions consume the plan's private ``random.Random``
 stream in simulation order, the detector rolls probe losses on its own
-derived stream (never perturbing the fabric's), and ``replay()``
-returns a fresh rewound plan.  A plan with no link faults is normalized
-away entirely (pay-for-what-you-use).
+derived stream (never perturbing the fabric's), and
+``dataclasses.replace(plan)`` returns a fresh rewound plan.  A plan with
+no link faults is normalized away entirely (pay-for-what-you-use).
 
 Lookups: the plan indexes its link faults by directed channel
 ``(src, dst)`` at construction (the faults are an immutable tuple, so the
@@ -51,12 +51,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..util import reject_unknown_keys
+from ..util import field_kwargs
 from .engine import EventScheduler
-from .faults import FaultPlan
+from .faults import FaultPlan, decode_windows
 from .metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -145,6 +145,7 @@ def isolate(node: int, peers: Sequence[int], start: float = 0.0,
     return links
 
 
+@dataclass(frozen=True)
 class PartitionPlan:
     """A seeded, deterministic schedule of link faults plus detector knobs.
 
@@ -160,66 +161,51 @@ class PartitionPlan:
         detect: run the failure detector at all; ``False`` leaves the
             link faults active with no quarantine (the retry-forever
             baseline the detector exists to fix).
+
+    Equality, hashing and ``repr`` cover the configuration fields only;
+    the RNG stream and the per-channel link index are run state.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        links: Sequence = (),
-        heartbeat_interval: float = 40.0,
-        suspect_after: int = 3,
-        policy: str = "stall",
-        detect: bool = True,
-    ) -> None:
+    seed: int = 0
+    links: Tuple[LinkFault, ...] = ()
+    heartbeat_interval: float = 40.0
+    suspect_after: int = 3
+    policy: str = "stall"
+    detect: bool = True
+    _rng: random.Random = field(init=False, compare=False, repr=False)
+    _links_by_channel: Dict[Tuple[int, int], List[LinkFault]] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
         # NaN slips past a plain `<= 0` comparison and inf past `< 1`;
         # either would silently wedge the probe scheduling, so demand
         # finite values explicitly.
-        if not (heartbeat_interval > 0 and math.isfinite(heartbeat_interval)):
+        if not (self.heartbeat_interval > 0
+                and math.isfinite(self.heartbeat_interval)):
             raise ValueError(
                 f"heartbeat_interval must be a positive finite number, "
-                f"got {heartbeat_interval}"
+                f"got {self.heartbeat_interval}"
             )
-        if not (suspect_after >= 1 and math.isfinite(suspect_after)):
+        if not (self.suspect_after >= 1
+                and math.isfinite(self.suspect_after)):
             raise ValueError(
                 f"suspect_after must be a finite count >= 1, got "
-                f"{suspect_after}"
+                f"{self.suspect_after}"
             )
-        if policy not in PARTITION_POLICIES:
+        if self.policy not in PARTITION_POLICIES:
             raise ValueError(
-                f"policy must be one of {PARTITION_POLICIES}, got {policy!r}"
+                f"policy must be one of {PARTITION_POLICIES}, "
+                f"got {self.policy!r}"
             )
-        self.seed = seed
-        self.links: Tuple[LinkFault, ...] = tuple(
-            f if isinstance(f, LinkFault) else LinkFault(*f) for f in links
-        )
-        self._links_by_channel: Dict[Tuple[int, int], List[LinkFault]] = {}
-        for f in self.links:
-            self._links_by_channel.setdefault((f.src, f.dst), []).append(f)
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.suspect_after = int(suspect_after)
-        self.policy = policy
-        self.detect = bool(detect)
-        self._rng = random.Random(seed)
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "PartitionPlan":
-        """The explicit no-partition plan (identical to running without)."""
-        return cls()
-
-    def replay(self) -> "PartitionPlan":
-        """A fresh plan with the same configuration and a rewound RNG."""
-        return PartitionPlan(
-            seed=self.seed,
-            links=self.links,
-            heartbeat_interval=self.heartbeat_interval,
-            suspect_after=self.suspect_after,
-            policy=self.policy,
-            detect=self.detect,
-        )
+        links = tuple(f if isinstance(f, LinkFault) else LinkFault(*f)
+                      for f in self.links)
+        by_channel: Dict[Tuple[int, int], List[LinkFault]] = {}
+        for f in links:
+            by_channel.setdefault((f.src, f.dst), []).append(f)
+        set_ = object.__setattr__
+        set_(self, "links", links)
+        set_(self, "_links_by_channel", by_channel)
+        set_(self, "_rng", random.Random(self.seed))
 
     @property
     def is_none(self) -> bool:
@@ -242,34 +228,8 @@ class PartitionPlan:
                     )
 
     # ------------------------------------------------------------------
-    # configuration identity and serialization
+    # serialization
     # ------------------------------------------------------------------
-
-    def config_key(self) -> tuple:
-        """The plan's configuration (RNG state excluded)."""
-        return (
-            self.seed,
-            self.heartbeat_interval,
-            self.suspect_after,
-            self.policy,
-            self.detect,
-            tuple(
-                (f.src, f.dst, f.start, f.end, f.drop_rate,
-                 f.duplicate_rate, f.jitter)
-                for f in self.links
-            ),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartitionPlan):
-            return NotImplemented
-        return self.config_key() == other.config_key()
-
-    def __hash__(self) -> int:
-        return hash(self.config_key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PartitionPlan({self.describe()})"
 
     def to_dict(self) -> dict:
         """A plain-JSON dict of the configuration (``inf`` ends → None)."""
@@ -295,28 +255,8 @@ class PartitionPlan:
         Unknown keys raise ``ValueError`` instead of being silently
         dropped (a stale scenario file cannot half-apply).
         """
-        reject_unknown_keys(
-            data,
-            ("seed", "heartbeat_interval", "suspect_after", "policy",
-             "detect", "links"),
-            "PartitionPlan",
-        )
-        links = [
-            LinkFault(
-                int(entry[0]), int(entry[1]), float(entry[2]),
-                math.inf if entry[3] is None else float(entry[3]),
-                float(entry[4]), float(entry[5]), float(entry[6]),
-            )
-            for entry in data.get("links", ())
-        ]
-        return cls(
-            seed=int(data.get("seed", 0)),
-            links=links,
-            heartbeat_interval=float(data.get("heartbeat_interval", 40.0)),
-            suspect_after=int(data.get("suspect_after", 3)),
-            policy=str(data.get("policy", "stall")),
-            detect=bool(data.get("detect", True)),
-        )
+        return cls(**field_kwargs(cls, data, "PartitionPlan",
+                                  links=decode_windows))
 
     def describe(self) -> str:
         """One-line human-readable summary (CLI output, chaos repros)."""

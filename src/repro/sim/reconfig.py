@@ -58,8 +58,7 @@ from typing import (
     Tuple,
 )
 
-from ..util import reject_unknown_keys
-from ..util import backoff_delay
+from ..util import backoff_delay, field_kwargs
 from .engine import EventScheduler
 from .faults import FaultPlan
 from .metrics import Metrics
@@ -121,6 +120,7 @@ class MembershipChange:
                 raise ValueError(f"node indices must be >= 1, got {node}")
 
 
+@dataclass(frozen=True)
 class ReconfigPlan:
     """A seeded, deterministic schedule of membership changes.
 
@@ -133,19 +133,22 @@ class ReconfigPlan:
             relative order would be undefined).
     """
 
-    def __init__(self, seed: int = 0, changes: Sequence = ()) -> None:
-        self.seed = seed
-        self.changes: Tuple[MembershipChange, ...] = tuple(sorted(
+    seed: int = 0
+    changes: Tuple[MembershipChange, ...] = ()
+
+    def __post_init__(self) -> None:
+        changes = tuple(sorted(
             (c if isinstance(c, MembershipChange) else MembershipChange(*c)
-             for c in changes),
+             for c in self.changes),
             key=lambda c: c.at,
         ))
-        for prev, cur in zip(self.changes, self.changes[1:]):
+        for prev, cur in zip(changes, changes[1:]):
             if cur.at == prev.at:
                 raise ValueError(
                     f"two membership changes at the same time "
                     f"({cur.at:g}); merge them into one change"
                 )
+        object.__setattr__(self, "changes", changes)
 
     # ------------------------------------------------------------------
     # validation
@@ -187,45 +190,14 @@ class ReconfigPlan:
                     f"need at least two members"
                 )
 
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "ReconfigPlan":
-        """The explicit no-change plan (identical to running without one)."""
-        return cls()
-
-    def replay(self) -> "ReconfigPlan":
-        """A fresh plan with the same configuration."""
-        return ReconfigPlan(seed=self.seed, changes=self.changes)
-
     @property
     def is_none(self) -> bool:
         """Whether this plan schedules no membership change at all."""
         return not self.changes
 
     # ------------------------------------------------------------------
-    # configuration identity and serialization
+    # serialization
     # ------------------------------------------------------------------
-
-    def config_key(self) -> tuple:
-        """The plan's configuration (identity for ``__eq__`` and caches)."""
-        return (
-            self.seed,
-            tuple((c.at, c.joins, c.leaves) for c in self.changes),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ReconfigPlan):
-            return NotImplemented
-        return self.config_key() == other.config_key()
-
-    def __hash__(self) -> int:
-        return hash(self.config_key())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ReconfigPlan({self.describe()})"
 
     def to_dict(self) -> dict:
         """A plain-JSON dict of the configuration."""
@@ -241,14 +213,7 @@ class ReconfigPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "ReconfigPlan":
         """Rebuild a plan from :meth:`to_dict` output (strict keys)."""
-        reject_unknown_keys(data, ("seed", "changes"), "ReconfigPlan")
-        changes = [
-            MembershipChange(float(entry[0]),
-                             tuple(int(n) for n in entry[1]),
-                             tuple(int(n) for n in entry[2]))
-            for entry in data.get("changes", ())
-        ]
-        return cls(seed=int(data.get("seed", 0)), changes=changes)
+        return cls(**field_kwargs(cls, data, "ReconfigPlan"))
 
     def describe(self) -> str:
         """One-line human-readable summary (used by the CLI)."""

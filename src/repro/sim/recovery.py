@@ -116,7 +116,9 @@ class WriteLog:
         guarantees no read of an older value could have completed after
         the write in program order).
         """
-        seen = self._seen.setdefault(obj, set())
+        # every copy starts at 0, so 0 counts as seen: a late install of
+        # it (a read grant overtaken by a newer write) is not a write
+        seen = self._seen.setdefault(obj, {0})
         if value in seen:
             return
         seen.add(value)

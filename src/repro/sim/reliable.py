@@ -44,8 +44,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..machines.message import Message
-from ..util import reject_unknown_keys
-from ..util import backoff_delay
+from ..util import backoff_delay, field_kwargs
 from .channel import Network
 from .engine import EventScheduler, TimerHandle
 from .faults import FaultPlan
@@ -97,14 +96,7 @@ class ReliabilityConfig:
         Unknown keys raise ``ValueError`` instead of being silently
         dropped.
         """
-        reject_unknown_keys(
-            data, ("timeout", "backoff", "max_retries"), "ReliabilityConfig"
-        )
-        return cls(
-            timeout=float(data.get("timeout", 8.0)),
-            backoff=float(data.get("backoff", 2.0)),
-            max_retries=int(data.get("max_retries", 10)),
-        )
+        return cls(**field_kwargs(cls, data, "ReliabilityConfig"))
 
 
 def resolve_reliability(

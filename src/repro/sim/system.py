@@ -16,7 +16,7 @@ serialized value) and conservation of cost attribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -204,8 +204,9 @@ class DSMSystem:
             reconfiguration, vote-weight, hedge and cache settings build
             the fabric and subsystems (see its field docs); ``None``
             means ``RunConfig()``, the paper's fault-free fabric.  The
-            plans are replayed (``plan.replay()``), so one config builds
-            any number of identical systems.
+            system runs rewound copies of the plans
+            (``dataclasses.replace(plan)``), so one config builds any
+            number of identical systems.
         profiler: optional :class:`~repro.obs.Profiler`; times simulator
             hot paths (event dispatch, protocol transitions,
             reliable-delivery bookkeeping) in wall-clock time.
@@ -241,21 +242,19 @@ class DSMSystem:
             if is_set(config) and self.spec.quorum_based != (
                     family == "quorum"):
                 raise ValueError(f"{self.spec.name} {error}")
-        # each system replays the config's plans from their seeds, so one
+        # each system rewinds the config's plans to their seeds, so one
         # config builds any number of identical systems
         self.faults = (None if config.faults is None
-                       else config.faults.replay())
+                       else replace(config.faults))
         self.partitions = (None if config.partitions is None
-                           else config.partitions.replay())
-        reconfig_plan = (None if config.reconfig is None
-                         else config.reconfig.replay())
+                           else replace(config.partitions))
         # the node universe: the initial members 1..N+1 plus any nodes the
         # reconfiguration plan will join later (they exist from the start
         # as empty replicas, but are not members until their epoch commits).
         universe = N + 1
-        if reconfig_plan is not None:
-            reconfig_plan.validate_membership(N + 1)
-            universe = max(universe, reconfig_plan.max_node())
+        if config.reconfig is not None:
+            config.reconfig.validate_membership(N + 1)
+            universe = max(universe, config.reconfig.max_node())
         if config.quorum_weights is not None:
             bad = sorted(n for n, _ in config.quorum_weights
                          if not 1 <= n <= universe)
@@ -332,7 +331,7 @@ class DSMSystem:
         # without a plan or weights the view stays None and every quorum
         # phase takes the static fixed-majority fast path).
         self.membership: Optional[MembershipView] = None
-        if reconfig_plan is not None or config.quorum_weights is not None:
+        if config.reconfig is not None or config.quorum_weights is not None:
             self.membership = MembershipView(
                 tuple(range(1, N + 2)), config.quorum_weights
             )
@@ -344,9 +343,9 @@ class DSMSystem:
                 for port in node.ports.values():
                     port.hedge = config.hedge
         self.reconfig: Optional[ReconfigManager] = None
-        if reconfig_plan is not None:
+        if config.reconfig is not None:
             self.reconfig = ReconfigManager(
-                plan=reconfig_plan,
+                plan=config.reconfig,
                 view=self.membership,
                 nodes=self.nodes,
                 cluster=self.cluster,
@@ -381,7 +380,7 @@ class DSMSystem:
                 metrics=self.metrics,
                 spec=self.spec,
                 plan=(self.faults if self.faults is not None
-                      else FaultPlan.none()),
+                      else FaultPlan()),
                 log=self.write_log,
                 S=self.S,
                 P=self.P,

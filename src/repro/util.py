@@ -4,20 +4,29 @@ The one that matters is :func:`reject_unknown_keys`: every ``from_dict``
 constructor in the configuration layer (:class:`~repro.sim.config.RunConfig`,
 :class:`~repro.sim.faults.FaultPlan`,
 :class:`~repro.sim.partition.PartitionPlan`,
-:class:`~repro.sim.reliable.ReliabilityConfig`, ...) and the scenario
-parser (:mod:`repro.scenarios`) call it so a stale or typo'd key fails
-loudly with a did-you-mean suggestion instead of being silently dropped —
-a half-applied configuration is the worst possible failure mode for a
-reproducibility tool.
+:class:`~repro.sim.reliable.ReliabilityConfig`, ...) — through
+:func:`field_kwargs` — and the scenario parser (:mod:`repro.scenarios`)
+call it so a stale or typo'd key fails loudly with a did-you-mean
+suggestion instead of being silently dropped — a half-applied
+configuration is the worst possible failure mode for a reproducibility
+tool.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import math
-from typing import Iterable, Mapping
+from typing import Any, Callable, Dict, Iterable, Mapping
 
-__all__ = ["backoff_delay", "did_you_mean", "reject_unknown_keys"]
+__all__ = ["backoff_delay", "did_you_mean", "field_kwargs",
+           "reject_unknown_keys"]
+
+#: scalar field annotations (as strings, under postponed evaluation) and
+#: the conversion :func:`field_kwargs` applies to a present value
+_SCALARS: Dict[str, Callable[[Any], Any]] = {
+    "int": int, "float": float, "bool": bool, "str": str,
+}
 
 
 def did_you_mean(name: str, candidates: Iterable[str]) -> str:
@@ -51,6 +60,27 @@ def reject_unknown_keys(
         f"{', '.join(sorted(map(repr, unknown)))}{hints}\n"
         f"  valid keys: {', '.join(allowed)}"
     )
+
+
+def field_kwargs(cls: type, data: Mapping, context: str,
+                 **decoders: Callable[[Any], Any]) -> Dict[str, Any]:
+    """Constructor keywords for dataclass ``cls`` from a plain-JSON dict.
+
+    Every key must name an init field of ``cls``
+    (:func:`reject_unknown_keys`).  A present value goes through its entry
+    in ``decoders``, else through its field's scalar type (``int``,
+    ``float``, ``bool`` or ``str``); ``None`` passes through unchanged.
+    Missing keys are left out, so they take the field default and each
+    default is declared once, on its field.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    reject_unknown_keys(data, fields, context)
+    kwargs = {}
+    for key, value in data.items():
+        decode = decoders.get(key) or _SCALARS.get(fields[key].type)
+        kwargs[key] = (value if value is None or decode is None
+                       else decode(value))
+    return kwargs
 
 
 def backoff_delay(base: float, factor: float, attempt: int,

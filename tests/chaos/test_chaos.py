@@ -28,7 +28,11 @@ from repro.chaos import (
     violates,
     write_repros,
 )
+from repro.chaos.shrink import _candidates
+from repro.core.parameters import WorkloadParams
 from repro.exp.runner import run_cell
+from repro.exp.spec import SweepCell
+from repro.sim import CrashWindow, FaultPlan, RunConfig, SlowWindow
 from repro.sim.cache import CACHE_POLICIES
 from repro.sim.recovery import RecoveryManager
 
@@ -233,6 +237,19 @@ class TestShrinker:
         result = shrink(cell, row, lambda _row: False, budget=64)
         assert result.cell.to_payload() == cell.to_payload()
         assert result.row == row
+
+    def test_fault_candidates_keep_the_slow_windows(self):
+        slow = (SlowWindow(3, 50.0, 300.0, 4.0),)
+        faults = FaultPlan(seed=1, drop_rate=0.05,
+                           crashes=[CrashWindow(2, 100.0, 400.0)],
+                           slowdowns=slow)
+        cell = SweepCell(protocol="write_through",
+                         params=WorkloadParams(N=4, p=0.3), kind="sim",
+                         M=2, config=RunConfig(ops=100, faults=faults))
+        shrunk = [c.config.faults for c in _candidates(cell)]
+        # drop the crash, zero the drop rate, halve the crash
+        assert len(shrunk) == 3
+        assert all(plan.slowdowns == slow for plan in shrunk)
 
 
 class TestMutationDetection:

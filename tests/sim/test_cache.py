@@ -10,6 +10,8 @@ resurrected by crash resync, and a cache cell's sweep row is
 byte-identical across repeated runs.
 """
 
+from dataclasses import astuple
+
 import pytest
 
 from repro.core.parameters import WorkloadParams
@@ -53,7 +55,7 @@ class TestCacheConfig:
         config = CacheConfig(capacity=3, policy="clock", seed=11)
         again = CacheConfig.from_dict(config.to_dict())
         assert again == config and hash(again) == hash(config)
-        assert again.config_key() == (3, "clock", 11)
+        assert astuple(again) == (3, "clock", 11)
 
     def test_runconfig_checks_nested_cache_keys(self):
         with pytest.raises(ValueError, match="policy"):

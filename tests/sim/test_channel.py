@@ -112,7 +112,7 @@ class TestFaultyFabric:
     def test_no_fault_plan_is_normalized_away(self):
         from repro.sim.faults import FaultPlan
         sched = EventScheduler()
-        net = Network(sched, faults=FaultPlan.none())
+        net = Network(sched, faults=FaultPlan())
         assert net.faults is None
 
     def test_drops_lose_messages_but_charge_cost(self):

@@ -2,7 +2,7 @@
 
 Covers the PR's invariants:
 
-* with ``FaultPlan.none()`` results are bit-identical to the fault-free
+* with ``FaultPlan()`` results are bit-identical to the fault-free
   fabric (pay-for-what-you-use);
 * with drop rates up to 0.2 (plus duplicates and jitter) every coherence
   invariant still holds and ``acc`` is finite;
@@ -53,7 +53,7 @@ def run(protocol, faults=None, reliability=None, num_ops=1200, warmup=200,
 class TestPayForWhatYouUse:
     def test_none_plan_uses_plain_network(self):
         system = DSMSystem("write_through", N=2,
-                           config=RunConfig(faults=FaultPlan.none()))
+                           config=RunConfig(faults=FaultPlan()))
         assert isinstance(system.network, Network)
         assert system.faults is None and system.reliability is None
 
@@ -67,7 +67,7 @@ class TestPayForWhatYouUse:
     @pytest.mark.parametrize("protocol", ["write_through", "dragon"])
     def test_none_plan_bit_identical_to_baseline(self, protocol):
         _s1, r1 = run(protocol, faults=None)
-        s2, r2 = run(protocol, faults=FaultPlan.none())
+        s2, r2 = run(protocol, faults=FaultPlan())
         assert r1.acc == r2.acc
         assert r1.messages == r2.messages
         assert r1.end_time == r2.end_time

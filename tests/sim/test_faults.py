@@ -1,6 +1,7 @@
 """Unit tests for the deterministic fault-injection plans."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,7 +30,6 @@ class TestCrashWindow:
 
 class TestFaultPlanConfig:
     def test_none_plan_is_none(self):
-        assert FaultPlan.none().is_none
         assert FaultPlan().is_none
 
     def test_any_fault_makes_plan_not_none(self):
@@ -52,7 +52,7 @@ class TestFaultPlanConfig:
         assert plan.crashes[1].end == math.inf
 
     def test_describe(self):
-        assert FaultPlan.none().describe() == "no faults"
+        assert FaultPlan().describe() == "no faults"
         text = FaultPlan(seed=7, drop_rate=0.2,
                          crashes=[(5, 100.0, 200.0)]).describe()
         assert "seed=7" in text and "drop=0.2" in text and "node 5" in text
@@ -82,7 +82,7 @@ class TestDeterminism:
         plan = FaultPlan(seed=9, drop_rate=0.4, jitter=1.0)
         first = [(plan.should_drop(1, 2), plan.jitter_for(1, 2))
                  for _ in range(50)]
-        fresh = plan.replay()
+        fresh = replace(plan)
         again = [(fresh.should_drop(1, 2), fresh.jitter_for(1, 2))
                  for _ in range(50)]
         assert first == again
@@ -95,7 +95,7 @@ class TestDeterminism:
             assert not plan.should_duplicate(1, 2)  # rate 0: no draw
             assert plan.jitter_for(1, 2) == 0.0     # jitter 0: no draw
         # stream position identical to a fresh plan's
-        assert plan.should_drop(1, 2) == plan.replay().should_drop(1, 2)
+        assert plan.should_drop(1, 2) == replace(plan).should_drop(1, 2)
 
 
 class TestCrashSchedule:

@@ -9,6 +9,7 @@ every pre-existing configuration identity byte-identical.
 
 import json
 import math
+from dataclasses import astuple
 
 import pytest
 
@@ -93,7 +94,7 @@ class TestFaultPlanSlowdowns:
         plan = FaultPlan(seed=7, slowdowns=[SlowWindow(2, 1.0, 9.0, 4.5),
                                             SlowWindow(3, 5.0)])
         clone = FaultPlan.from_dict(plan.to_dict())
-        assert clone.config_key() == plan.config_key()
+        assert clone == plan
         assert clone.slowdowns == plan.slowdowns
         assert json.dumps(plan.to_dict())  # JSON-plain
 
@@ -157,7 +158,7 @@ class TestHedgeConfig:
         clone = HedgeConfig.from_dict(cfg.to_dict())
         assert clone == cfg
         assert hash(clone) == hash(cfg)
-        assert clone.config_key() == cfg.config_key()
+        assert astuple(clone) == (12.0, 2, 5)
         assert HedgeConfig(budget=12.0, max_legs=2, seed=6) != cfg
 
     def test_describe(self):

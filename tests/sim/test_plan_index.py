@@ -11,6 +11,7 @@ that scan, kept here on purpose.
 
 import math
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -213,7 +214,7 @@ def test_decisions_consume_the_reference_draws(links, seed, rate, jitter,
                        jitter=jitter)
     fault_ref = random.Random(seed)
     public = PartitionPlan(seed=seed, links=links)
-    rolled = public.replay()
+    rolled = replace(public)
     ref = _RefLinks(links, seed)
     for src, dst, time in queries:
         if src == dst:

@@ -11,6 +11,8 @@ divergence — pay-for-what-you-use canonicalization, and the chaos
 generator's quorum-only reconfiguration draws.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos.generate import ChaosOptions, generate_cell
@@ -117,14 +119,13 @@ class TestReconfigPlan:
             )).validate_membership(5)
 
     def test_none_plan_and_identity(self):
-        assert ReconfigPlan.none().is_none
-        assert ReconfigPlan() == ReconfigPlan.none()
+        assert ReconfigPlan().is_none
         plan = ReconfigPlan(seed=3, changes=(
             MembershipChange(at=100.0, joins=(6,)),
         ))
         assert not plan.is_none
-        assert plan == plan.replay()
-        assert hash(plan) == hash(plan.replay())
+        assert plan == replace(plan)
+        assert hash(plan) == hash(replace(plan))
         assert plan != ReconfigPlan(seed=4, changes=plan.changes)
 
     def test_round_trip(self):
@@ -142,14 +143,14 @@ class TestReconfigPlan:
         ))
         text = plan.describe()
         assert "seed=7" in text and "+6" in text and "-2" in text
-        assert ReconfigPlan.none().describe() == "no reconfiguration"
+        assert ReconfigPlan().describe() == "no reconfiguration"
 
     def test_max_node(self):
         plan = ReconfigPlan(changes=(
             MembershipChange(at=1.0, joins=(8,), leaves=(2,)),
         ))
         assert plan.max_node() == 8
-        assert ReconfigPlan.none().max_node() == 0
+        assert ReconfigPlan().max_node() == 0
 
 
 class TestMembershipViewGeometry:
@@ -310,14 +311,14 @@ class TestExactlyOnceAcrossEpochBoundary:
 class TestPayForWhatYouUse:
     def test_none_plan_canonicalizes_away(self):
         with_none = RunConfig(ops=200, seed=1, monitor=True,
-                              reconfig=ReconfigPlan.none())
+                              reconfig=ReconfigPlan())
         without = RunConfig(ops=200, seed=1, monitor=True)
         assert with_none.to_dict() == without.to_dict()
         assert with_none.reconfig is None
 
     def test_system_drops_a_none_plan(self):
         system = DSMSystem("sc_abd", N=4,
-                           config=RunConfig(reconfig=ReconfigPlan.none()))
+                           config=RunConfig(reconfig=ReconfigPlan()))
         assert system.reconfig is None
 
     def test_rows_identical_with_and_without_none_plan(self):
@@ -327,7 +328,7 @@ class TestPayForWhatYouUse:
             for config in (
                 RunConfig(ops=200, warmup=0, seed=1, monitor=True),
                 RunConfig(ops=200, warmup=0, seed=1, monitor=True,
-                          reconfig=ReconfigPlan.none()),
+                          reconfig=ReconfigPlan()),
             )
         ]
         rows = [run_cell(cell) for cell in cells]

@@ -15,7 +15,8 @@ from repro.exp import SweepSpec, run_sweep
 from repro.exp.runner import row_line
 from repro.protocols.registry import EXTENSION_PROTOCOLS, PROTOCOLS
 from repro.sim import CrashWindow, DSMSystem, FaultPlan, RunConfig
-from repro.sim.recovery import RecoveryManager
+from repro.sim.partition import LinkFault, PartitionPlan
+from repro.sim.recovery import RecoveryManager, WriteLog
 from repro.workloads import read_disturbance_workload
 
 PARAMS = WorkloadParams(N=4, p=0.3, a=3, sigma=0.15, S=100.0, P=30.0)
@@ -194,3 +195,28 @@ class TestMutation:
         assert any(v.kind == "divergence" for v in result.violations)
         bad = [v for v in result.violations if v.kind == "divergence"]
         assert any("node 2" in v.detail for v in bad)
+
+
+class TestWriteLog:
+    def test_late_install_of_the_initial_value_is_not_a_write(self):
+        log = WriteLog()
+        log.absorb(1, 3)  # the sequencer serializes write 3
+        log.absorb(1, 0)  # a stale read grant of the initial value lands
+        assert log.current(1) == 3
+        assert log.version(1) == 1
+
+    def test_partitioned_directory_keeps_a_completed_write(self):
+        """A chaos cell (base seed 2403) whose late read grant of the
+        initial value once made the write log read ``[3, 0]``: the epoch
+        reset then rebuilt every copy with 0 and lost write 3, which the
+        monitor reported as a sequential-consistency violation."""
+        partitions = PartitionPlan(
+            seed=1180012645, heartbeat_interval=30.0, suspect_after=2,
+            links=[LinkFault(5, 1, 204.1, 276.1625, 0.503, 0.0, 1.17)],
+        )
+        config = RunConfig(ops=300, warmup=50, seed=477375047,
+                           monitor=True, partitions=partitions)
+        system = DSMSystem("write_through_dir", N=PARAMS.N, M=3,
+                           S=PARAMS.S, P=PARAMS.P, config=config)
+        result = system.run_workload(read_disturbance_workload(PARAMS, M=3))
+        assert result.violations == ()

@@ -2,7 +2,23 @@
 
 import json
 
-from repro.cli import build_parser, main
+from repro.chaos import ChaosOptions
+from repro.cli import (
+    _chaos_options,
+    build_parser,
+    main,
+    runconfig_from_args,
+    workload_from_args,
+)
+from repro.core.parameters import WorkloadParams
+from repro.sim import (
+    CacheConfig,
+    HedgeConfig,
+    PartitionPlan,
+    ReliabilityConfig,
+    RunConfig,
+)
+from repro.sim.partition import cut
 
 
 def run(capsys, *argv):
@@ -543,6 +559,23 @@ class TestFlagParity:
         for args in parsed:
             assert (args.ops, args.warmup, args.seed, args.mean_gap) == \
                 (4000, None, 0, 25.0)
+
+    def test_cli_defaults_equal_field_defaults(self):
+        minimal = ("--N", "3", "--p", "0.2")
+        args = self.parse("simulate", "write_once", *minimal)
+        assert runconfig_from_args(args) == RunConfig()
+        cut_config = runconfig_from_args(
+            self.parse("simulate", "write_once", *minimal, "--cut", "1:2:0"))
+        assert cut_config.partitions == PartitionPlan(links=cut(1, 2, 0.0))
+        assert cut_config.reliability == ReliabilityConfig()
+        config = runconfig_from_args(self.parse(
+            "simulate", "sc_abd", *minimal, "--cache-capacity", "2",
+            "--hedge-budget", "5"))
+        assert config.cache == CacheConfig(capacity=2)
+        assert config.hedge == HedgeConfig(budget=5)
+        assert _chaos_options(self.parse("chaos")) == ChaosOptions()
+        assert workload_from_args(self.parse("acc", "berkeley", *minimal)) \
+            == WorkloadParams(N=3, p=0.2)
 
     def test_faulty_validate_accepts_fault_flags(self, capsys):
         code, out, _ = run(capsys, "validate", "write_through", "--N", "3",
