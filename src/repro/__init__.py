@@ -55,110 +55,29 @@ Grid-shaped experiments go through the sweep engine::
 
 __version__ = "1.5.0"
 
-from .core import (
-    ALL_PROTOCOLS,
-    Deviation,
-    WorkloadParams,
-    acc_table,
-    analytical_acc,
-    best_protocol,
-    closed_form_acc,
-    has_closed_form,
-    ideal_acc,
-    markov_acc,
-    rank_protocols,
-)
-from .obs import (
-    MetricsRegistry,
-    Profiler,
-    TraceConfig,
-    Tracer,
-    write_chrome_trace,
-)
-from .protocols import (
-    PROTOCOLS,
-    UnknownProtocolError,
-    all_protocol_names,
-    get_protocol,
-    protocol_names,
-)
-from .sim import (
-    ConsistencyMonitor,
-    ConsistencyViolation,
-    CrashWindow,
-    DeliveryViolation,
-    DSMSystem,
-    FaultPlan,
-    LinkFault,
-    PartitionPlan,
-    ReliabilityConfig,
-    RunConfig,
-    SimulationResult,
-)
-from .validation import compare_cell, comparison_table
+from .util import lazy_exports
 
-# imported last: repro.exp.cache reads ``repro.__version__`` for its cache
-# keys, so the version (and the names above) must already be bound.
-from .exp import (  # noqa: E402
-    ResultCache,
-    SweepCell,
-    SweepRunner,
-    SweepSpec,
-    run_sweep,
-)
-from .scenarios import (  # noqa: E402  (imports repro.exp)
-    Scenario,
-    ScenarioCatalog,
-    ScenarioError,
-)
-from . import api  # noqa: E402  (imports repro.scenarios)
-from .api import load_scenario, run_scenario  # noqa: E402
+#: every public name, keyed by the submodule that defines it (``api`` is
+#: that submodule itself).  Names resolve on first access, so
+#: ``import repro.sim`` loads neither the analytic model nor the sweep
+#: engine, the scenario catalog or the facade.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "core": ("ALL_PROTOCOLS", "Deviation", "WorkloadParams", "acc_table",
+             "analytical_acc", "best_protocol", "closed_form_acc",
+             "has_closed_form", "ideal_acc", "markov_acc", "rank_protocols"),
+    "obs": ("MetricsRegistry", "Profiler", "TraceConfig", "Tracer",
+            "write_chrome_trace"),
+    "protocols": ("PROTOCOLS", "UnknownProtocolError", "all_protocol_names",
+                  "get_protocol", "protocol_names"),
+    "sim": ("ConsistencyMonitor", "ConsistencyViolation", "CrashWindow",
+            "DeliveryViolation", "DSMSystem", "FaultPlan", "LinkFault",
+            "PartitionPlan", "ReliabilityConfig", "RunConfig",
+            "SimulationResult"),
+    "validation": ("compare_cell", "comparison_table"),
+    "exp": ("ResultCache", "SweepCell", "SweepRunner", "SweepSpec",
+            "run_sweep"),
+    "scenarios": ("Scenario", "ScenarioCatalog", "ScenarioError"),
+    "api": ("api", "load_scenario", "run_scenario"),
+})
 
-__all__ = [
-    "ALL_PROTOCOLS",
-    "Deviation",
-    "WorkloadParams",
-    "acc_table",
-    "analytical_acc",
-    "best_protocol",
-    "closed_form_acc",
-    "has_closed_form",
-    "ideal_acc",
-    "markov_acc",
-    "rank_protocols",
-    "MetricsRegistry",
-    "Profiler",
-    "TraceConfig",
-    "Tracer",
-    "write_chrome_trace",
-    "PROTOCOLS",
-    "UnknownProtocolError",
-    "all_protocol_names",
-    "get_protocol",
-    "protocol_names",
-    "ConsistencyMonitor",
-    "ConsistencyViolation",
-    "CrashWindow",
-    "DeliveryViolation",
-    "DSMSystem",
-    "FaultPlan",
-    "LinkFault",
-    "PartitionPlan",
-    "ReliabilityConfig",
-    "RunConfig",
-    "SimulationResult",
-    "compare_cell",
-    "comparison_table",
-    "ResultCache",
-    "SweepCell",
-    "SweepRunner",
-    "SweepSpec",
-    "run_sweep",
-    "Scenario",
-    "ScenarioCatalog",
-    "ScenarioError",
-    "api",
-    "load_scenario",
-    "run_scenario",
-    "__version__",
-]
+__all__.append("__version__")

@@ -170,7 +170,7 @@ def replay_repro(
     path: Union[str, Path],
     *,
     trace_out: Union[str, Path, None] = None,
-    trace_sample: int = 1,
+    trace_sample: int = TraceConfig.sample_every,
 ) -> dict:
     """Re-run a repro file's shrunk cell; returns the fresh row.
 

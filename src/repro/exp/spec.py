@@ -35,6 +35,7 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 from ..core.parameters import Deviation, WorkloadParams, parameter_grid
 from ..sim.config import RunConfig
+from ..util import field_kwargs
 
 __all__ = ["CELL_KINDS", "SweepCell", "SweepSpec", "derive_cell_seed"]
 
@@ -170,15 +171,11 @@ class SweepCell:
     @classmethod
     def from_payload(cls, payload: dict) -> "SweepCell":
         """Rebuild a cell from :meth:`to_payload` output."""
-        return cls(
-            protocol=payload["protocol"],
-            params=WorkloadParams.from_dict(payload["params"]),
-            deviation=Deviation(payload["deviation"]),
-            kind=payload.get("kind", "compare"),
-            M=int(payload.get("M", 20)),
-            method=payload.get("method", "auto"),
-            config=RunConfig.from_dict(payload["config"]),
-        )
+        return cls(**field_kwargs(
+            cls, payload, "sweep cell",
+            params=WorkloadParams.from_dict, deviation=Deviation,
+            config=RunConfig.from_dict,
+        ))
 
 
 @dataclass(frozen=True)

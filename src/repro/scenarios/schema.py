@@ -189,14 +189,15 @@ class SweepAxes:
         p_values = data.get("p_values")
         _require(isinstance(p_values, list) and p_values,
                  "cartesian sweep needs a non-empty 'p_values' list")
-        disturb = data.get("disturb_values", [0.0])
+        # missing keys take their field defaults (the class attributes)
+        disturb = data.get("disturb_values", list(cls.disturb_values))
         _require(isinstance(disturb, list) and disturb,
                  "'disturb_values' must be a non-empty list")
         seeds = data.get("seeds", {})
         _require(isinstance(seeds, dict),
                  "'seeds' must be a table/object")
         reject_unknown_keys(seeds, _SEED_KEYS, "sweep 'seeds'")
-        rule = seeds.get("rule", "derived")
+        rule = seeds.get("rule", cls.seed_rule)
         _require(rule in SEED_RULES,
                  f"seed 'rule' must be one of {SEED_RULES}, got {rule!r}")
         return cls(
@@ -204,8 +205,8 @@ class SweepAxes:
             p_values=tuple(float(p) for p in p_values),
             disturb_values=tuple(float(d) for d in disturb),
             seed_rule=rule,
-            seed_base=int(seeds.get("base", 0)),
-            seed_stride=int(seeds.get("stride", 1000)),
+            seed_base=int(seeds.get("base", cls.seed_base)),
+            seed_stride=int(seeds.get("stride", cls.seed_stride)),
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -288,7 +289,8 @@ class Scenario:
         _require(len(set(resolved)) == len(resolved),
                  f"'protocols' lists a protocol twice: {list(resolved)}")
 
-        raw_dev = data.get("deviation", "read")
+        # missing keys take their field defaults (the class attributes)
+        raw_dev = data.get("deviation", cls.deviation.value)
         _require(raw_dev in DEVIATIONS,
                  f"'deviation' must be one of "
                  f"{sorted(set(DEVIATIONS))}, got {raw_dev!r}")
@@ -316,13 +318,13 @@ class Scenario:
         # through to_dict compare equal field-by-field
         run = RunConfig.from_dict(run.to_dict())
 
-        kind = data.get("kind", "compare")
+        kind = data.get("kind", cls.kind)
         _require(kind in CELL_KINDS,
                  f"'kind' must be one of {CELL_KINDS}, got {kind!r}")
-        method = data.get("method", "auto")
+        method = data.get("method", cls.method)
         _require(method in METHODS,
                  f"'method' must be one of {METHODS}, got {method!r}")
-        M = int(data.get("M", 20))
+        M = int(data.get("M", cls.M))
         _require(M >= 1, f"'M' must be >= 1, got {M}")
 
         tags = data.get("tags", [])
@@ -351,8 +353,8 @@ class Scenario:
                 kind=kind,
                 M=M,
                 method=method,
-                title=str(data.get("title", "")),
-                description=str(data.get("description", "")),
+                title=str(data.get("title", cls.title)),
+                description=str(data.get("description", cls.description)),
                 tags=tuple(tags),
             )
         except ValueError as exc:

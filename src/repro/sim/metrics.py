@@ -21,10 +21,20 @@ from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from ..machines.message import Message
+from ..machines.message import Message, MsgType, ParamPresence
 
 __all__ = ["OpRecord", "PartitionStats", "ReconfigStats", "RecoveryStats",
            "ReliabilityStats", "ReplicaCacheStats", "Metrics"]
+
+
+#: the trace-signature entry of every (message type, presence) pair, built
+#: once: ``_SIGNATURE_ENTRY[type][presence] == (type.value, presence.value)``.
+#: Both enums hash by identity, so the lookup runs in C, and every charged
+#: message appends a shared immutable tuple instead of allocating one that
+#: the run keeps until it ends.
+_SIGNATURE_ENTRY: Dict[MsgType, Dict[ParamPresence, Tuple[str, str]]] = {
+    t: {p: (t.value, p.value) for p in ParamPresence} for t in MsgType
+}
 
 
 @dataclass(slots=True)
@@ -39,7 +49,8 @@ class OpRecord:
     complete_time: Optional[float] = None
     #: total communication cost attributed to this operation
     cost: float = 0.0
-    #: ordered (msg_type, presence) trace signature
+    #: ordered (msg_type, presence) trace signature; its entries are the
+    #: shared tuples of ``_SIGNATURE_ENTRY``
     signature: List[Tuple[str, str]] = field(default_factory=list)
     #: portion of ``cost`` charged by the reliability layer (retransmissions
     #: and acknowledgements); 0 on the fault-free fabric
@@ -339,10 +350,8 @@ class Metrics:
             return
         rec.cost += cost
         token = msg.token
-        # ``_value_`` is the member's plain attribute; ``.value`` goes
-        # through a Python-level descriptor on every message
         rec.signature.append(
-            (token.type._value_, token.parameter_presence._value_)
+            _SIGNATURE_ENTRY[token.type][token.parameter_presence]
         )
         if tracer is not None:
             tracer.op_event("send", msg.op_id, cost=cost, src=msg.src, dst=msg.dst,

@@ -445,18 +445,6 @@ class FailureDetector:
         all_nodes: Tuple[int, ...],
         latency: float = 1.0,
     ) -> None:
-        if not (plan.heartbeat_interval > 0
-                and math.isfinite(plan.heartbeat_interval)):
-            raise ValueError(
-                f"heartbeat_interval must be a positive finite number, "
-                f"got {plan.heartbeat_interval}"
-            )
-        if not (plan.suspect_after >= 1
-                and math.isfinite(plan.suspect_after)):
-            raise ValueError(
-                f"suspect_after must be a finite count >= 1, got "
-                f"{plan.suspect_after}"
-            )
         self.plan = plan
         self.cluster = cluster
         self.scheduler = scheduler

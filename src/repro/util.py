@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import importlib
 import math
-from typing import Any, Callable, Dict, Iterable, Mapping
+import sys
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
 
-__all__ = ["backoff_delay", "did_you_mean", "field_kwargs",
+__all__ = ["backoff_delay", "did_you_mean", "field_kwargs", "lazy_exports",
            "reject_unknown_keys"]
 
 #: scalar field annotations (as strings, under postponed evaluation) and
@@ -81,6 +83,38 @@ def field_kwargs(cls: type, data: Mapping, context: str,
         kwargs[key] = (value if value is None or decode is None
                        else decode(value))
     return kwargs
+
+
+def lazy_exports(package: str, exports: Mapping[str, Iterable[str]]
+                 ) -> Tuple[List[str], Callable[[str], Any],
+                            Callable[[], List[str]]]:
+    """Public names of ``package``, with its PEP 562 ``__getattr__`` and
+    ``__dir__``, for a package whose names live in its submodules.
+
+    ``exports`` maps each submodule (relative to ``package``) to the names
+    it defines; a name equal to its submodule's is the submodule itself.
+    A name imports its submodule on first access and is then bound in the
+    package, so later reads are plain attribute reads and importing one
+    submodule does not load its siblings.
+    """
+    origin = {name: module for module, names in exports.items()
+              for name in names}
+
+    def __getattr__(name: str) -> Any:
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = importlib.import_module(f"{package}.{module}")
+        if name != module:
+            value = getattr(value, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*vars(sys.modules[package]), *origin})
+
+    return list(origin), __getattr__, __dir__
 
 
 def backoff_delay(base: float, factor: float, attempt: int,

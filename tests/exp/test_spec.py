@@ -75,6 +75,16 @@ class TestSweepCell:
         assert again.cell_id() == cell.cell_id()
         assert again.key_dict() == cell.key_dict()
 
+    def test_payload_missing_keys_take_field_defaults(self):
+        config = RunConfig(ops=500, warmup=100)
+        payload = {"protocol": "write_once", "params": BASE.to_dict(),
+                   "config": config.to_dict()}
+        assert (SweepCell.from_payload(payload)
+                == SweepCell(protocol="write_once", params=BASE,
+                             config=config))
+        with pytest.raises(ValueError, match="did you mean 'kind'"):
+            SweepCell.from_payload({**payload, "kinds": "sim"})
+
     def test_non_canonical_params_hash_identically(self):
         # S=100 (int) and S=100.0 (float) describe the same cell
         a = SweepCell(protocol="write_once",

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.parameters import Deviation
 from repro.exp import SweepSpec, derive_cell_seed
-from repro.scenarios import Scenario, ScenarioError, deep_merge
+from repro.scenarios import Scenario, ScenarioError, SweepAxes, deep_merge
 
 MINIMAL = {
     "name": "t",
@@ -35,7 +35,11 @@ class TestValidation:
         assert s.protocols == ("write_once",)
         assert s.deviation is Deviation.READ
         assert s.kind == "compare"
+        assert (s.M, s.method, s.title) == (20, "auto", "")
         assert len(s.to_spec()) == 1  # default: one cell at the base point
+        bare = {"mode": "cartesian", "p_values": [0.1]}
+        assert (Scenario.from_dict(doc(sweep=bare)).sweep
+                == SweepAxes(mode="cartesian", p_values=(0.1,)))
 
     def test_unknown_top_key_rejected_with_suggestion(self):
         with pytest.raises(ScenarioError, match="protocol"):

@@ -46,6 +46,17 @@ class TestRecording:
         m.record_message(msg(1, MsgType.R_GNT, ParamPresence.USER_INFO), 101.0)
         assert m.op(1).signature == [("R-PER", "0"), ("R-GNT", "ui")]
 
+    def test_signature_entries_are_shared(self):
+        """Charging a message allocates no entry: equal headers share one."""
+        m = Metrics()
+        m.register_op(1, 1, "write", 1, 0.0)
+        m.register_op(2, 2, "write", 1, 0.0)
+        m.record_message(msg(1, MsgType.W_INV), 1.0)
+        m.record_message(msg(2, MsgType.W_INV), 1.0)
+        first, second = m.op(1).signature[0], m.op(2).signature[0]
+        assert first is second
+        assert first == ("W-INV", "0")
+
 
 class TestWindows:
     def _filled(self, costs):

@@ -1,6 +1,9 @@
 """The public import surface: ``__all__`` is complete and truthful."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,3 +64,21 @@ def test_exp_surface():
 def test_version_is_a_string():
     assert isinstance(repro.__version__, str)
     assert repro.__version__.count(".") == 2
+
+
+def test_simulator_import_stays_lean():
+    """``import repro.sim`` loads neither the chain explorer nor the
+    sweep engine or the scenario catalog: the package exports resolve
+    lazily.  Run in a fresh interpreter, since this one has them all."""
+    probe = ("import sys, repro.sim; print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('repro'))))")
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    loaded = set(subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout.split())
+    assert "repro.sim" in loaded
+    for heavy in ("repro.core.chains", "repro.exp", "repro.scenarios",
+                  "repro.api"):
+        assert heavy not in loaded, heavy
