@@ -9,16 +9,21 @@ delivered and not corrupted."
 a constant per-message latency.  Constant latency plus the scheduler's
 schedule-order tie-breaking yields exact FIFO delivery per channel; a
 per-channel sequence check enforces (and tests assert) the invariant.
+Each directed channel owns one mutable ``[sent, delivered]`` slot, found
+through two int-keyed dicts (source, then destination); a send numbers
+its message from the slot's ``sent`` count and a delivery checks its
+number against ``delivered``, so neither builds or hashes a channel
+tuple.
 
 On the fault-free fabric a delivery is never cancelled, so
 :meth:`Network.send` posts it to the scheduler without a timer handle:
-one bound method (:meth:`Network._deliver`) plus a ``(msg, channel,
-seq)`` tuple, no closure per send.  Each delivery is due ``latency``
-after a send at the current time, and simulated time never runs
-backwards, so deliveries are posted in non-decreasing time order and
-ride the scheduler's FIFO lane (:mod:`repro.sim.engine`).  Ties break by
-the global sequence number exactly as before, so FIFO still holds per
-channel and the sequence check still guards it.
+one bound method (:meth:`Network._deliver`, bound once per fabric) plus
+a ``(msg, slot, seq)`` tuple, no closure per send.  Each delivery is due
+``latency`` after a send at the current time, and simulated time never
+runs backwards, so deliveries are posted in non-decreasing time order
+and ride the scheduler's FIFO lane (:mod:`repro.sim.engine`).  Ties
+break by the global sequence number, so FIFO holds per channel and the
+sequence check guards it.
 
 With a :class:`~repro.sim.faults.FaultPlan` attached the fabric becomes the
 *physical* layer of the fault model (docs/faults.md): transmissions may be
@@ -36,8 +41,9 @@ duplicate, then link duplicate (skipped after a global duplicate); and
 jitter again for the duplicate.  A straggler endpoint multiplies each
 delay without a draw.  Faulty deliveries are never cancelled either, so
 they are posted handle-free like the fault-free ones — the bound
-:meth:`Network._deliver_faulty` plus the same ``(msg, channel, seq)``
-tuple, one sequence number per delivery.  A jittered delivery due
+:meth:`Network._deliver_faulty` plus the same ``(msg, slot, seq)``
+tuple, one sequence number per delivery; the slot's ``delivered`` field
+keeps the channel's delivery high-water mark.  A jittered delivery due
 before the lane's tail falls back to the scheduler's heap by itself, so
 the firing order is the one a single heap would give.
 
@@ -52,7 +58,7 @@ with the message (:class:`~repro.sim.node.ObjectPort`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..machines.message import Message
 from .engine import EventScheduler
@@ -113,12 +119,16 @@ class Network:
         #: deliveries), never to the physical fabric beneath it.
         self.tracer = None
         self._deliver_to: Dict[int, Callable[[Message], None]] = {}
-        # FIFO bookkeeping: per-channel send / delivery counters.  True
-        # per-channel counters (not a shared global) make the invariant
-        # check — and the reliable layer's duplicate suppression, which
-        # reuses the same numbering idea — meaningful per channel.
-        self._sent_seq: Dict[Tuple[int, int], int] = {}
-        self._delivered_seq: Dict[Tuple[int, int], int] = {}
+        # FIFO bookkeeping: ``_slots[src][dst]`` is the directed channel's
+        # ``[sent, delivered]`` slot, made on the channel's first send.
+        # True per-channel counters (not a shared global) make the
+        # invariant check — and the reliable layer's duplicate
+        # suppression, which reuses the same numbering idea — meaningful
+        # per channel.
+        self._slots: Dict[int, Dict[int, List[int]]] = {}
+        # bound once: every send posts through them
+        self._post = scheduler.post
+        self._deliver_cb = self._deliver
         #: total messages sent (all cost classes)
         self.messages_sent = 0
         #: transmissions lost to the fault plan (drops + dead receivers)
@@ -157,11 +167,10 @@ class Network:
         """
         src = msg.src
         dst = msg.dst
-        if dst not in self._deliver_to:
-            raise RuntimeError(
-                f"cannot send {type(msg).__name__} from node {src}: "
-                f"destination node {dst} is not attached to the network"
-            )
+        try:
+            slot = self._slots[src][dst]
+        except KeyError:
+            slot = self._open_channel(msg)
         faulty = ((self.faults is not None or self.partitions is not None)
                   and src != dst)
         if (faulty and self.screen_sources and self.faults is not None
@@ -174,14 +183,11 @@ class Network:
         if self.on_cost is not None and cost > 0.0:
             self.on_cost(msg, cost)
         self.messages_sent += 1
-        channel = (src, dst)
-        sent_seq = self._sent_seq
-        seq = sent_seq.get(channel, 0) + 1
-        sent_seq[channel] = seq
+        seq = slot[0] + 1
+        slot[0] = seq
 
         if not faulty:
-            self.scheduler.post(self.latency, self._deliver,
-                                (msg, channel, seq))
+            self._post(self.latency, self._deliver_cb, (msg, slot, seq))
             return cost
 
         # ---- fault path: drops, duplicates, jitter, dead receivers ----
@@ -192,7 +198,7 @@ class Network:
         # None when no link fault is active (every rate is then 0)
         link = (parts._link_rates(src, dst, now) if parts is not None
                 else None)
-        item = (msg, channel, seq)
+        item = (msg, slot, seq)
         # the global plan rolls first; a loss there short-circuits the
         # link roll (both streams are private, so this stays deterministic)
         if ((plan is not None and plan.should_drop(src, dst))
@@ -200,15 +206,35 @@ class Network:
             self.dropped += 1
             self._fault_event("drop")
         else:
-            self.scheduler.post(self._faulty_delay(src, dst, now, link),
-                                self._deliver_faulty, item)
+            self._post(self._faulty_delay(src, dst, now, link),
+                       self._deliver_faulty, item)
         if ((plan is not None and plan.should_duplicate(src, dst))
                 or (link is not None and parts._roll_duplicate(link[1]))):
             self.duplicated += 1
             self._fault_event("duplicate")
-            self.scheduler.post(self._faulty_delay(src, dst, now, link),
-                                self._deliver_faulty, item)
+            self._post(self._faulty_delay(src, dst, now, link),
+                       self._deliver_faulty, item)
         return cost
+
+    def _open_channel(self, msg: Message) -> List[int]:
+        """Make the ``[sent, delivered]`` slot of ``msg``'s channel.
+
+        Called on the channel's first send; nodes are never detached, so
+        checking the destination here covers every later send too.
+
+        Raises:
+            RuntimeError: if ``msg.dst`` was never attached to the fabric.
+        """
+        src = msg.src
+        dst = msg.dst
+        if dst not in self._deliver_to:
+            raise RuntimeError(
+                f"cannot send {type(msg).__name__} from node {src}: "
+                f"destination node {dst} is not attached to the network"
+            )
+        slot = [0, 0]
+        self._slots.setdefault(src, {})[dst] = slot
+        return slot
 
     def _faulty_delay(self, src: int, dst: int, now: float,
                       link: Optional[Tuple[float, float, float]]) -> float:
@@ -228,10 +254,9 @@ class Network:
             delay *= plan.link_slowdown(src, dst, now)
         return delay
 
-    def _deliver_faulty(self, item: Tuple[Message, Tuple[int, int], int]
-                        ) -> None:
+    def _deliver_faulty(self, item: Tuple[Message, List[int], int]) -> None:
         """Faulty-fabric delivery of one transmission posted by :meth:`send`."""
-        msg, channel, seq = item
+        msg, slot, seq = item
         plan = self.faults
         if plan is not None and plan.is_down(msg.dst, self.scheduler.now):
             # the receiver is crashed: the transmission is lost.
@@ -240,8 +265,8 @@ class Network:
             return
         # jitter reorders deliveries, so no strict FIFO check here;
         # track the high-water mark for observability only.
-        if seq > self._delivered_seq.get(channel, 0):
-            self._delivered_seq[channel] = seq
+        if seq > slot[1]:
+            slot[1] = seq
         tracer = self.tracer
         if tracer is not None:
             token = getattr(msg, "token", None)
@@ -252,13 +277,14 @@ class Network:
             )
         self._deliver_to[msg.dst](msg)
 
-    def _deliver(self, item: Tuple[Message, Tuple[int, int], int]) -> None:
+    def _deliver(self, item: Tuple[Message, List[int], int]) -> None:
         """Fault-free delivery of one message posted by :meth:`send`."""
-        msg, channel, seq = item
+        msg, slot, seq = item
         # FIFO invariant: per channel, delivery follows send order.
-        if seq < self._delivered_seq.get(channel, 0):  # pragma: no cover
-            raise RuntimeError(f"FIFO violation on channel {channel}")
-        self._delivered_seq[channel] = seq
+        if seq < slot[1]:  # pragma: no cover
+            raise RuntimeError(
+                f"FIFO violation on channel {(msg.src, msg.dst)}")
+        slot[1] = seq
         tracer = self.tracer
         if tracer is not None:
             tracer.op_event("deliver", msg.op_id, src=msg.src,

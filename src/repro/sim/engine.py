@@ -30,7 +30,10 @@ fabric a jittered delivery due before the lane's tail takes the heap
 instead.  Workload arrivals are
 handle-free too: an internal ``_post_at`` puts each one on the heap with
 a sequence number set aside up front by ``_reserve``, so the heap holds
-one pending arrival instead of the whole stream.
+one pending arrival instead of the whole stream; each arrival posts its
+successor before submitting its operation.  Arrival times are Python
+floats, so in a workload run ``now`` and every event key stay plain
+``float`` values.
 
 :meth:`EventScheduler.step` fires whichever of the lane head and the heap
 head has the smaller ``(time, seq)``.  Every event therefore fires exactly

@@ -17,6 +17,7 @@ serialized value) and conservation of cost attribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -150,38 +151,39 @@ class _ArrivalStream:
     Every event still fires exactly as if all arrivals had been scheduled
     up front:
 
-    * arrival times are the same sequential running sum of the gaps;
+    * arrival times are the same sequential running sum of the gaps,
+      taken once up front.  The gaps arrive as a list of Python floats
+      (the same doubles numpy drew), so the whole run's clock —
+      ``scheduler.now``, every event key, ``end_time`` and each
+      operation's issue and completion time — is a plain ``float``,
+      never a numpy scalar;
     * operation ids ``base + 1 .. base + n`` are reserved up front, so ids
       handed out in the meantime (cache ejects) do not move;
     * scheduler sequence numbers are reserved up front too, so arrivals
       break time ties as the pre-scheduled events did.
     """
 
-    __slots__ = ("_nodes", "_scheduler", "_ops", "_gaps", "_op_base",
-                 "_seq_base", "_time", "_next")
+    __slots__ = ("_nodes", "_scheduler", "_ops", "_times", "_op_base",
+                 "_seq_base")
 
-    def __init__(self, system: "DSMSystem", ops, gaps) -> None:
+    def __init__(self, system: "DSMSystem", ops: List[Tuple[int, str, int]],
+                 gaps: List[float]) -> None:
         self._nodes = system.nodes
         self._scheduler = system.scheduler
         self._ops = ops
-        self._gaps = gaps
+        self._times = list(accumulate(gaps))
         self._op_base = system._next_op_id
         system._next_op_id += len(ops)
         self._seq_base = system.scheduler._reserve(len(ops))
-        self._time = 0.0
-        self._next = 0
-
-    def post_next(self) -> None:
-        """Post the next arrival, if any remain."""
-        i = self._next
-        if i < len(self._ops):
-            self._next = i + 1
-            self._time += self._gaps[i]
-            self._scheduler._post_at(self._time, self._arrive, i,
-                                     self._seq_base + i + 1)
+        if ops:
+            self._scheduler._post_at(self._times[0], self._arrive, 0,
+                                     self._seq_base + 1)
 
     def _arrive(self, i: int) -> None:
-        self.post_next()
+        nxt = i + 1
+        if nxt < len(self._ops):
+            self._scheduler._post_at(self._times[nxt], self._arrive, nxt,
+                                     self._seq_base + nxt + 1)
         node, kind, obj = self._ops[i]
         op_id = self._op_base + i + 1
         self._nodes[node].submit(
@@ -573,8 +575,8 @@ class DSMSystem:
             )
         rng = np.random.default_rng(config.seed)
         ops = workload.sample(rng, num_ops)
-        gaps = rng.exponential(config.mean_gap, size=num_ops)
-        _ArrivalStream(self, ops, gaps).post_next()
+        gaps = rng.exponential(config.mean_gap, size=num_ops).tolist()
+        _ArrivalStream(self, ops, gaps)  # posts the first arrival
         self.scheduler.run(max_events=config.max_events)
         incomplete = max(0, num_ops - self.metrics.completed_count)
         lost = self.metrics.recovery.ops_lost
@@ -595,8 +597,18 @@ class DSMSystem:
         if (incomplete > lost + stalled
                 and self.metrics.reliability.delivery_failures == 0):
             # nothing was abandoned, no node died with its operations and
-            # nothing is stalled behind a partition quarantine, so this
-            # is a genuine protocol hang, not fault degradation.
+            # nothing is stalled behind a partition quarantine: either the
+            # max_events safety net cut the run short (events are still
+            # pending) or the event list drained — a genuine protocol hang.
+            pending = len(self.scheduler)
+            if pending:
+                raise RuntimeError(
+                    f"run stopped at max_events={config.max_events} "
+                    f"({self.scheduler.executed} events executed, "
+                    f"{pending} pending) with only "
+                    f"{self.metrics.completed_count}/{num_ops} operations "
+                    "completed"
+                )
             raise RuntimeError(  # pragma: no cover
                 f"only {self.metrics.completed_count}/{num_ops} operations "
                 "completed — protocol deadlock?"

@@ -107,20 +107,20 @@ class TableWorkload(Workload):
             objs = rng.choice(
                 np.arange(1, self.M + 1), size=n, p=self.object_probs
             )
-        out: List[OpTriple] = []
-        # group by object for vectorized event sampling per table.
+        # plain Python ints from here on: no numpy scalar reaches an op
+        objs = objs.tolist()
         if len({id(t) for t in self.tables}) == 1:
-            # common fast path: identical tables for all objects.
-            idx = self.tables[0].sample(rng, n)
+            # common fast path: identical tables for all objects, one
+            # vectorized event draw.
             t = self.tables[0]
-            out = [
-                (t.nodes[i], t.kinds[i], int(o)) for i, o in zip(idx, objs)
-            ]
-            return out
-        for pos in range(n):
-            t = self.tables[int(objs[pos]) - 1]
+            nodes, kinds = t.nodes, t.kinds
+            return [(nodes[i], kinds[i], o)
+                    for i, o in zip(t.sample(rng, n).tolist(), objs)]
+        out: List[OpTriple] = []
+        for o in objs:
+            t = self.tables[o - 1]
             i = int(t.sample(rng, 1)[0])
-            out.append((t.nodes[i], t.kinds[i], int(objs[pos])))
+            out.append((t.nodes[i], t.kinds[i], o))
         return out
 
     def describe(self) -> str:

@@ -103,9 +103,27 @@ class TestPerChannelSequencing:
         for _ in range(2):
             net.send(msg(1, 3), 1.0)
         net.send(msg(2, 3), 1.0)
-        assert net._sent_seq == {(1, 2): 3, (1, 3): 2, (2, 3): 1}
+        # one [sent, delivered] slot per directed channel
+        assert net._slots == {1: {2: [3, 0], 3: [2, 0]}, 2: {3: [1, 0]}}
         sched.run()
-        assert net._delivered_seq == {(1, 2): 3, (1, 3): 2, (2, 3): 1}
+        assert net._slots == {1: {2: [3, 3], 3: [2, 2]}, 2: {3: [1, 1]}}
+
+    def test_faulty_high_water_mark_shares_the_slot(self):
+        """Jitter reorders deliveries; the delivery high-water mark still
+        lands in the channel's one slot, next to its send count."""
+        from repro.sim.faults import FaultPlan
+        sched = EventScheduler()
+        net = Network(sched, faults=FaultPlan(seed=3, jitter=2.0))
+        order = []
+        net.attach(2, lambda m: order.append(m.payload))
+        for i in range(20):
+            net.send(msg(1, 2, payload=i), 1.0)
+        slot = net._slots[1][2]
+        assert slot == [20, 0]
+        sched.run()
+        assert order != sorted(order)  # jitter did reorder
+        assert net._slots == {1: {2: [20, 20]}}
+        assert net._slots[1][2] is slot
 
 
 class TestFaultyFabric:

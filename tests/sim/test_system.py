@@ -114,6 +114,33 @@ class TestRunWorkload:
         system, _ = self._run(protocol="berkeley")
         system.check_coherence()
 
+    def test_clock_is_a_plain_float(self):
+        """The arrival gaps reach the scheduler as Python floats, so no
+        numpy scalar leaks into the clock, the result or the op records."""
+        system, res = self._run()
+        assert type(system.scheduler.now) is float
+        assert type(res.end_time) is float
+        records = system.metrics.records()
+        assert len(records) == 600
+        for rec in records:
+            assert type(rec.issue_time) is float
+            assert type(rec.complete_time) is float
+
+    def test_max_events_cutoff_is_not_reported_as_deadlock(self):
+        """A run cut short by the max_events safety net still has events
+        pending; the error names the cap and both counts."""
+        params = WorkloadParams(N=4, p=0.3, a=2, sigma=0.2, S=100, P=30)
+        system = DSMSystem("berkeley", N=4, M=1)
+        with pytest.raises(RuntimeError) as info:
+            system.run_workload(read_disturbance_workload(params),
+                                RunConfig(ops=1000, seed=1, max_events=500))
+        message = str(info.value)
+        assert "deadlock" not in message
+        pending = len(system.scheduler)
+        assert pending > 0
+        assert (f"max_events=500 ({system.scheduler.executed} events "
+                f"executed, {pending} pending)") in message
+
 
 class TestInspection:
     def test_copy_state_and_value(self):
