@@ -188,6 +188,26 @@ class ProcessContext(abc.ABC):
         del quorum, hedge  # only meaningful on a reliable fabric
         self.send(dst, msg_type, presence, op_id, payload, initiator)
 
+    def send_many_unordered(
+        self,
+        targets: Iterable[int],
+        msg_type: MsgType,
+        presence: ParamPresence,
+        op_id: Optional[int],
+        payload: Any = None,
+        initiator: Optional[int] = None,
+        quorum: bool = False,
+        hedge: bool = False,
+    ) -> None:
+        """Send the same unordered message to each of ``targets``, in order.
+
+        The default loops over :meth:`send_unordered`; the simulator's
+        port overrides it to post a fault-free fan-out at once.
+        """
+        for dst in targets:
+            self.send_unordered(dst, msg_type, presence, op_id, payload,
+                                initiator, quorum, hedge)
+
     def cancel_unordered(self, op_id: int) -> int:
         """Hook: void pending unordered retries for ``op_id`` (hedging).
 

@@ -244,10 +244,8 @@ class SCABDProcess(ProtocolProcess):
         else:
             payload = {"gen": self._gen, "retry": retry, "hedge": hedge}
         mtype, presence = _PHASE_MESSAGES[phase]
-        op_id = op.op_id
-        send = self.ctx.send_unordered
-        for dst in targets:
-            send(dst, mtype, presence, op_id, payload, None, retry, hedge)
+        self.ctx.send_many_unordered(targets, mtype, presence, op.op_id,
+                                     payload, None, retry, hedge)
 
     def _arm_timer(self) -> None:
         delay = backoff_delay(QUORUM_TIMEOUT, QUORUM_BACKOFF, self._attempts,

@@ -25,6 +25,19 @@ and ride the scheduler's FIFO lane (:mod:`repro.sim.engine`).  Ties
 break by the global sequence number, so FIFO holds per channel and the
 sequence check guards it.
 
+A broadcast on the fault-free fabric is posted as one fan-out: the
+sending port passes a ``fanout`` list through :meth:`Network.send`, which
+charges each message and appends its ``(msg, slot, seq)`` tuple instead
+of posting it, and :meth:`Network.post_fanout` then posts the list with
+one :meth:`~repro.sim.engine.EventScheduler.post_many` call.  The
+deliveries take the consecutive sequence numbers, and the one time,
+that one post each would have given them, and the scheduler fires them
+back to back in one step; each still passes the FIFO check in
+:meth:`Network._deliver` and reaches the attached node handler on its
+own.  A faulty fabric (and the reliable transport above one) posts every
+message separately, so a port hands ``fanout`` only to a
+:attr:`~Network.fault_free` fabric.
+
 With a :class:`~repro.sim.faults.FaultPlan` attached the fabric becomes the
 *physical* layer of the fault model (docs/faults.md): transmissions may be
 dropped, duplicated, or delayed by jitter, and nothing is sent by or
@@ -128,6 +141,7 @@ class Network:
         self._slots: Dict[int, Dict[int, List[int]]] = {}
         # bound once: every send posts through them
         self._post = scheduler.post
+        self._post_many = scheduler.post_many
         self._deliver_cb = self._deliver
         #: total messages sent (all cost classes)
         self.messages_sent = 0
@@ -154,13 +168,25 @@ class Network:
         if self.tracer is not None:
             self.tracer.system_event("fault." + kind)
 
-    def send(self, msg: Message, cost: float) -> float:
+    @property
+    def fault_free(self) -> bool:
+        """Whether this is the paper's fabric: no fault or link plan."""
+        return self.faults is None and self.partitions is None
+
+    def send(self, msg: Message, cost: float,
+             fanout: Optional[List[Tuple[Message, List[int], int]]] = None
+             ) -> float:
         """Send ``msg``; charge ``cost``; schedule delivery.
 
         ``cost`` is the sender's price for the message (0 for self-sends,
         which the paper counts as intra-node actions).  Returns the cost
         charged: ``cost``, or 0 for a send suppressed because the source
         node is crashed.
+
+        ``fanout`` collects a broadcast on a :attr:`fault_free` fabric:
+        the delivery is appended to it instead of posted, and
+        :meth:`post_fanout` posts the whole list at once.  Pass it only
+        on a fault-free fabric.
 
         Raises:
             RuntimeError: if ``msg.dst`` was never attached to the fabric.
@@ -187,7 +213,10 @@ class Network:
         slot[0] = seq
 
         if not faulty:
-            self._post(self.latency, self._deliver_cb, (msg, slot, seq))
+            if fanout is None:
+                self._post(self.latency, self._deliver_cb, (msg, slot, seq))
+            else:
+                fanout.append((msg, slot, seq))
             return cost
 
         # ---- fault path: drops, duplicates, jitter, dead receivers ----
@@ -215,6 +244,17 @@ class Network:
             self._post(self._faulty_delay(src, dst, now, link),
                        self._deliver_faulty, item)
         return cost
+
+    def post_fanout(self,
+                    fanout: List[Tuple[Message, List[int], int]]) -> None:
+        """Post the deliveries :meth:`send` collected in ``fanout``.
+
+        One :meth:`~repro.sim.engine.EventScheduler.post_many` call: the
+        deliveries keep the consecutive sequence numbers and the time
+        their one-by-one posts would have had, so they fire in the same
+        order, back to back.
+        """
+        self._post_many(self.latency, self._deliver_cb, fanout)
 
     def _open_channel(self, msg: Message) -> List[int]:
         """Make the ``[sent, delivered]`` slot of ``msg``'s channel.

@@ -9,7 +9,8 @@ assumes for every communication channel and queue (Section 2).
 Pending events live in two structures:
 
 * a binary **heap** of ``(time, seq, callback, arg)`` entries, and
-* a FIFO **lane** (a ``deque``) of entries of the same shape.
+* a FIFO **lane** (a ``deque``) of entries of the same shape, where one
+  entry may stand for a whole broadcast (a *fan-out*).
 
 :meth:`EventScheduler.schedule` and :meth:`~EventScheduler.schedule_at`
 push onto the heap and return a :class:`TimerHandle`; the reliable-delivery
@@ -27,13 +28,24 @@ latency is constant and simulated time never runs backwards, so
 deliveries arrive in non-decreasing time order and each one costs a deque
 append and pop instead of a handle plus a heap push and pop; on a faulty
 fabric a jittered delivery due before the lane's tail takes the heap
-instead.  Workload arrivals are
-handle-free too: an internal ``_post_at`` puts each one on the heap with
-a sequence number set aside up front by ``_reserve``, so the heap holds
-one pending arrival instead of the whole stream; each arrival posts its
-successor before submitting its operation.  Arrival times are Python
-floats, so in a workload run ``now`` and every event key stay plain
-``float`` values.
+instead.
+
+:meth:`EventScheduler.post_many` posts a whole broadcast: it behaves
+exactly like ``len(args)`` consecutive :meth:`~EventScheduler.post`
+calls and takes that many consecutive sequence numbers, but an in-order
+fan-out is stored as **one** lane entry, ``(time, first seq, None,
+(callback, args))``.  The plain fault-free fabric posts every broadcast
+this way (:meth:`~repro.sim.channel.Network.post_fanout`); the reliable
+transport and a faulty fabric post each message on its own.  A fan-out
+out of lane order falls back to one heap entry per member.
+``len()`` counts every unfired member.
+
+Workload arrivals are handle-free too: an internal ``_post_at`` puts
+each one on the heap with a sequence number set aside up front by
+``_reserve``, so the heap holds one pending arrival instead of the whole
+stream; each arrival posts its successor before submitting its
+operation.  Arrival times are Python floats, so in a workload run
+``now`` and every event key stay plain ``float`` values.
 
 :meth:`EventScheduler.step` fires whichever of the lane head and the heap
 head has the smaller ``(time, seq)``.  Every event therefore fires exactly
@@ -41,7 +53,15 @@ when a single heap holding all of them would fire it.  ``step`` dispatches
 the event itself — it sets ``now``, counts the event and calls the
 callback, with no helper call in between; only with a profiler attached
 does the call go through ``_timed``, which times it under the
-``engine.dispatch`` scope.
+``engine.dispatch`` scope.  A fan-out entry at the lane head fires its
+members back to back within one step, each one setting ``now``, counting
+in ``executed`` and timed on its own.  The order is the single heap's:
+the members hold consecutive numbers at one time, and anything scheduled
+while they fire gets a larger number (an event posted at ``now`` with a
+number reserved earlier is the one exception, and it ends the fan-out's
+step).  Firing stops at the enclosing :meth:`~EventScheduler.run`'s
+``max_events`` cap, or after one member when ``until`` is given; the
+unfired members stay at the lane head.
 """
 
 from __future__ import annotations
@@ -55,6 +75,7 @@ __all__ = ["EventScheduler", "TimerHandle"]
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_INF = float("inf")
 
 #: one pending event: ``(time, seq, callback, arg)``; a timer's entry has
 #: ``callback=None`` and its :class:`TimerHandle` as ``arg``
@@ -107,6 +128,7 @@ class EventScheduler:
         self._lane_tail = float("-inf")  # time of the lane's last append
         self._seq = 0
         self._cancelled = 0  # cancelled entries still parked in the heap
+        self._fanned = 0  # lane fan-out members beyond each entry's first
         #: current simulation time
         self.now: float = 0.0
         #: number of events executed so far
@@ -158,6 +180,40 @@ class EventScheduler:
         else:
             _heappush(self._heap, (time, self._seq, callback, arg))
 
+    def post_many(self, delay: float, callback: Callable[[Any], None],
+                  args: List[Any]) -> None:
+        """Run ``callback(arg)`` for each of ``args``, ``delay`` from now.
+
+        Behaves exactly like ``len(args)`` consecutive :meth:`post` calls
+        and takes that many consecutive sequence numbers, but an in-order
+        fan-out is stored as one lane entry, whose members :meth:`step`
+        fires back to back.  The list is kept, not copied: the caller
+        must not change it afterwards.  An out-of-order time falls back
+        to one heap entry per member, as :meth:`post` would.
+        """
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        count = len(args)
+        if not count:
+            return
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + count
+        if time >= self._lane_tail:
+            if count == 1:
+                self._lane.append((time, seq + 1, callback, args[0]))
+            else:
+                # a fan-out entry: ``callback`` None, ``(callback, args)``
+                # as the argument; its first member's number is the key
+                self._lane.append((time, seq + 1, None, (callback, args)))
+                self._fanned += count - 1
+            self._lane_tail = time
+        else:
+            heap = self._heap
+            for arg in args:
+                seq += 1
+                _heappush(heap, (time, seq, callback, arg))
+
     # Internal to the simulator: workload arrivals (``repro.sim.system``)
     # are the one caller.  The caller must post each reserved number at
     # most once; two entries sharing a ``(time, seq)`` key would make the
@@ -196,14 +252,24 @@ class EventScheduler:
     # -- running -------------------------------------------------------------
 
     def __len__(self) -> int:
-        """Number of live (non-cancelled) pending events."""
-        return len(self._heap) + len(self._lane) - self._cancelled
+        """Number of live (non-cancelled) pending events; every unfired
+        member of a fan-out counts as one."""
+        return (len(self._heap) + len(self._lane) + self._fanned
+                - self._cancelled)
 
-    def step(self) -> bool:
+    def step(self, limit: float = _INF) -> bool:
         """Execute the next live event; ``False`` when none remain.
 
         Cancelled entries reaching the front of the heap are discarded
         without advancing time or counting as executed.
+
+        A fan-out entry (:meth:`post_many`) fires its members back to
+        back, each one setting ``now``, counting in ``executed`` and
+        timed on its own, until all have fired, ``executed`` reaches
+        ``limit``, or a heap event comes due first; the unfired members
+        stay at the lane head.  The first member always fires.
+        :meth:`run` passes its ``max_events`` cap as ``limit``, and one
+        more than ``executed`` when ``until`` is given.
         """
         lane = self._lane
         heap = self._heap
@@ -229,6 +295,9 @@ class EventScheduler:
             if not lane:
                 return False
             time, _seq, callback, arg = lane.popleft()
+            if callback is None:  # a fan-out
+                self._fire_many(time, _seq, arg, limit)
+                return True
         self.now = time
         self.executed += 1
         if self.profiler is None:
@@ -236,6 +305,43 @@ class EventScheduler:
         else:
             self._timed(callback, arg)
         return True
+
+    def _fire_many(self, time: float, seq: int,
+                   fanout: Tuple[Callable[[Any], None], List[Any]],
+                   limit: float) -> None:
+        """Fire the members of a fan-out entry taken off the lane head.
+
+        Nothing scheduled while the members fire gets a smaller sequence
+        number, so no other event sorts between them — except one posted
+        at ``now`` with a number reserved earlier (:meth:`_post_at`),
+        which the heap check catches.  Members left unfired (by the cap,
+        by such an event, or because a callback raised) go back to the
+        lane head.
+        """
+        callback, args = fanout
+        heap = self._heap
+        profiler = self.profiler
+        fired = 0
+        try:
+            for arg in args:
+                if fired and (self.executed >= limit
+                              or (heap and heap[0][0] <= time
+                                  and heap[0][1] < seq + fired)):
+                    break
+                fired += 1
+                self.now = time
+                self.executed += 1
+                if profiler is None:
+                    callback(arg)
+                else:
+                    self._timed(callback, arg)
+        finally:
+            if fired < len(args):
+                self._fanned -= fired
+                self._lane.appendleft((time, seq + fired, None,
+                                       (callback, args[fired:])))
+            else:
+                self._fanned -= fired - 1
 
     def _timed(self, callback: Callable[..., None], *args: Any) -> None:
         """Run one event's callback under the ``engine.dispatch`` scope."""
@@ -252,18 +358,26 @@ class EventScheduler:
 
         Args:
             max_events: hard cap on executed events (safety net against
-                protocol livelock bugs).
-            until: optional stop predicate evaluated between events.
+                protocol livelock bugs).  A fan-out's members count one
+                each, and firing stops at the cap even inside a fan-out.
+            until: optional stop predicate evaluated between events —
+                between a fan-out's members too, so with ``until`` given
+                each step fires at most one member.
 
         Returns:
             The number of events executed by this call.
         """
         start = self.executed
-        limit = float("inf") if max_events is None else start + max_events
+        limit = _INF if max_events is None else start + max_events
         step = self.step
-        while self.executed < limit:
-            if until is not None and until():
-                break
-            if not step():
-                break
+        if until is None:
+            while self.executed < limit:
+                if not step(limit):
+                    break
+        else:
+            while self.executed < limit:
+                if until():
+                    break
+                if not step(self.executed + 1):
+                    break
         return self.executed - start

@@ -28,8 +28,13 @@ at the system's fixed ``S`` and ``P``), so a send builds one
 self-send costs 0 (an intra-node action).  A broadcast
 (:meth:`ProcessContext.broadcast_except`) reaches the port's
 :meth:`ObjectPort.send_many` hook, which looks the token up once and
-calls the bound ``send`` once per target.  A delivery reads the profiler
-off the bound scheduler.  Every method the benchmark's layer run wraps
+calls the bound ``send`` once per target; a quorum phase's fan-out
+reaches :meth:`ObjectPort.send_many_unordered`.  On the fault-free plain
+fabric both hooks collect the deliveries in a list that the fabric's
+``post_fanout`` (bound once, ``None`` on the reliable transport or a
+faulty fabric) posts as one scheduler entry (:mod:`repro.sim.channel`);
+otherwise every message is posted on its own.  A delivery reads the
+profiler off the bound scheduler.  Every method the benchmark's layer run wraps
 stays a class attribute on that path (no instance attribute shadows
 one), so the layer run keeps attributing time to it.
 """
@@ -101,6 +106,11 @@ class ObjectPort(ProcessContext):
         self._net_send = network.send
         self._net_send_unordered = getattr(network, "send_unordered", None)
         self._net_cancel_dgrams = getattr(network, "cancel_dgrams", None)
+        # the fault-free plain fabric posts a broadcast as one fan-out;
+        # the reliable transport and a faulty fabric post per message
+        self._net_post_fanout = (network.post_fanout
+                                 if getattr(network, "fault_free", False)
+                                 else None)
         self._scheduler = node.scheduler
         # tokens are frozen, so one per (type, presence, initiator) is
         # shared, with its inter-node cost, by every message this port
@@ -177,9 +187,17 @@ class ObjectPort(ProcessContext):
             entry = self._token(key)
         token, cost = entry
         net_send = self._net_send
+        post_fanout = self._net_post_fanout
+        if post_fanout is None:
+            for dst in targets:
+                net_send(Message(token, src, dst, payload, op_id),
+                         0.0 if dst == src else cost)
+            return
+        fanout: list = []
         for dst in targets:
             net_send(Message(token, src, dst, payload, op_id),
-                     0.0 if dst == src else cost)
+                     0.0 if dst == src else cost, fanout)
+        post_fanout(fanout)
 
     def _token(self, key: Tuple[MsgType, ParamPresence, int]
                ) -> Tuple[MessageToken, float]:
@@ -224,6 +242,26 @@ class ObjectPort(ProcessContext):
             self._net_send(msg, cost)
         else:
             send_unordered(msg, cost, quorum, hedge)
+
+    def send_many_unordered(
+        self,
+        targets: Iterable[int],
+        msg_type: MsgType,
+        presence: ParamPresence,
+        op_id: Optional[int],
+        payload: Any = None,
+        initiator: Optional[int] = None,
+        quorum: bool = False,
+        hedge: bool = False,
+    ) -> None:
+        if self._net_post_fanout is None:
+            super().send_many_unordered(targets, msg_type, presence, op_id,
+                                        payload, initiator, quorum, hedge)
+        else:
+            # fault-free fabric: unordered sends are plain FIFO sends (see
+            # send_unordered), so the fan-out is send_many's
+            self.send_many(targets, msg_type, presence, op_id, payload,
+                           initiator)
 
     def cancel_unordered(self, op_id: int) -> int:
         """Cancel this node's pending datagram retries for ``op_id``.

@@ -186,9 +186,11 @@ class _ArrivalStream:
                                      self._seq_base + nxt + 1)
         node, kind, obj = self._ops[i]
         op_id = self._op_base + i + 1
+        # positional: about half the cost of keywords on this slots
+        # dataclass; the fields are op_id, node, kind, obj, issue_time
+        # (set by submit) and params
         self._nodes[node].submit(
-            Operation(op_id=op_id, node=node, kind=kind, obj=obj,
-                      params=op_id))
+            Operation(op_id, node, kind, obj, 0.0, op_id))
 
 
 class DSMSystem:
@@ -451,8 +453,7 @@ class DSMSystem:
     def _make_internal_op(self, kind: str, node: int, obj: int) -> Operation:
         """Factory for system-generated operations (cache evictions)."""
         self._next_op_id += 1
-        return Operation(op_id=self._next_op_id, node=node, kind=kind,
-                         obj=obj)
+        return Operation(self._next_op_id, node, kind, obj)
 
     def _schedule_crash_markers(self) -> None:
         """Count crash/recovery edges in metrics as simulation time passes.

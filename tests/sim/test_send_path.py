@@ -14,7 +14,7 @@ from repro.machines.message import (
     PP_NONE, PP_USER_INFO, PP_WRITE, R_GNT, R_PER, W_INV, UPD,
 )
 from repro.protocols.base import ProcessContext
-from repro.sim import DSMSystem
+from repro.sim import DSMSystem, RunConfig
 from repro.sim.channel import Network
 from repro.sim.engine import EventScheduler
 from repro.sim.faults import FaultPlan
@@ -66,9 +66,9 @@ def priced_sends(monkeypatch):
     sent = []
     original = Network.send
 
-    def send(net, msg, cost):
+    def send(net, msg, cost, fanout=None):
         sent.append((msg, cost))
-        return original(net, msg, cost)
+        return original(net, msg, cost, fanout)
 
     monkeypatch.setattr(Network, "send", send)
     return sent
@@ -100,6 +100,44 @@ def test_port_fan_out_matches_the_default_fan_out(priced_sends, node_id,
     assert [_record(msg) for msg, _ in priced_sends] == reference.sent
     assert width == len(reference.sent) > 0
     assert all(msg.token.object_name == 2 for msg, _ in priced_sends)
+
+
+@pytest.mark.parametrize("retry, hedge", [(False, False), (True, False),
+                                          (False, True)])
+def test_port_unordered_fan_out_matches_the_default(priced_sends, retry,
+                                                     hedge):
+    system = _system()
+    port = system.nodes[2].ports[1]
+    reference = RecordingContext(2, port.all_nodes, port.sequencer_id)
+    targets = [5, 1, 2, 4]
+    for ctx in (port, reference):
+        ctx.send_many_unordered(targets, UPD, PP_WRITE, 42, {"gen": 1},
+                                None, retry, hedge)
+    assert [_record(msg) for msg, _ in priced_sends] == reference.sent
+    assert [cost for _, cost in priced_sends] == [
+        token_cost(PP_WRITE, S, P)] * 2 + [0.0, token_cost(PP_WRITE, S, P)]
+
+
+def test_a_fault_free_broadcast_is_one_scheduler_entry():
+    system = _system()
+    scheduler = system.scheduler
+    port = system.nodes[N + 1].ports[1]
+    width = port.broadcast_except([], W_INV, PP_NONE, 42)
+    port.send_many_unordered([1, 2], W_INV, PP_NONE, 43)
+    assert len(scheduler._lane) == 2 and not scheduler._heap
+    assert len(scheduler) == width + 2
+    assert scheduler.step() is True and scheduler.executed == width
+
+
+def test_a_reliable_broadcast_posts_each_message():
+    system = DSMSystem("write_through", N=N, M=2, S=S, P=P,
+                       config=RunConfig(reliability=ReliabilityConfig()))
+    scheduler = system.scheduler
+    queued = len(scheduler)
+    width = system.nodes[N + 1].ports[1].broadcast_except(
+        [], W_INV, PP_NONE, 42)
+    assert len(scheduler) > queued + width  # deliveries plus their timers
+    assert scheduler.step() is True and scheduler.executed == 1
 
 
 @pytest.mark.parametrize("presence", list(ParamPresence))

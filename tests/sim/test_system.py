@@ -8,7 +8,8 @@ from repro.core.parameters import WorkloadParams
 from repro.sim import (CrashWindow, DSMSystem, FaultPlan, HedgeConfig,
                        MembershipChange, ReconfigPlan, RunConfig)
 from repro.sim.system import _FAMILY_RULES
-from repro.workloads import read_disturbance_workload
+from repro.workloads import (read_disturbance_workload,
+                             write_disturbance_workload)
 
 #: a 50-op run config setting each protocol-family rule's knob
 FAMILY_CASES = {
@@ -140,6 +141,35 @@ class TestRunWorkload:
         assert pending > 0
         assert (f"max_events=500 ({system.scheduler.executed} events "
                 f"executed, {pending} pending)") in message
+
+    def test_max_events_cap_is_exact_inside_a_fan_out(self):
+        """A fan-out's members fire back to back, yet the cap stops
+        inside one: the counts are those of one event per step."""
+        params = WorkloadParams(N=4, p=0.3, a=2, sigma=0.2, S=100, P=30)
+        system = DSMSystem("firefly", N=4, M=1)
+        with pytest.raises(RuntimeError, match=r"max_events=500 \(500 "
+                           r"events executed, 3 pending\)"):
+            system.run_workload(read_disturbance_workload(params),
+                                RunConfig(ops=1000, seed=1, max_events=500))
+        assert (system.scheduler.executed, len(system.scheduler)) == (500, 3)
+
+    @pytest.mark.parametrize("protocol, cap, counts", [
+        ("write_through", 2347, (2347, 4)),
+        ("berkeley", 500, (500, 8)),
+        ("firefly", 1001, (1001, 9)),
+        ("sc_abd", 2347, (2347, 7)),
+    ])
+    def test_max_events_cap_counts_on_fan_out_heavy_runs(
+            self, protocol, cap, counts):
+        """``(executed, pending)`` at the cap under write disturbance,
+        where most events are broadcast members; recorded with one
+        event per engine step."""
+        params = WorkloadParams(N=8, p=0.3, a=6, xi=0.1, S=100, P=30)
+        system = DSMSystem(protocol, N=8, M=2)
+        with pytest.raises(RuntimeError, match="run stopped at max_events"):
+            system.run_workload(write_disturbance_workload(params),
+                                RunConfig(ops=2000, seed=3, max_events=cap))
+        assert (system.scheduler.executed, len(system.scheduler)) == counts
 
 
 class TestInspection:
