@@ -60,11 +60,7 @@ def run_panel(protocol: str) -> ComparisonTable:
     result = run_sweep(build_spec(protocol), workers=WORKERS)
     assert result.failed == 0, [r for r in result.rows
                                 if r["status"] == "failed"]
-    cells = [
-        CellResult(row["p"], row["disturb"], row["acc_analytic"],
-                   row["acc_sim"])
-        for row in result.rows
-    ]
+    cells = [CellResult.from_row(row) for row in result.rows]
     return ComparisonTable(protocol, Deviation.READ, cells), result
 
 

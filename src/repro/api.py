@@ -30,14 +30,14 @@ from typing import Dict, List, Optional, Tuple, Union
 from .core.acc import analytical_acc
 from .core.comparison import rank_protocols
 from .core.parameters import Deviation, WorkloadParams
-from .exp.runner import SweepResult
+from .exp.runner import SweepResult, simulate_cell
+from .exp.spec import SweepCell
 from .protocols.registry import get_protocol, protocol_names
 from .scenarios.loader import default_catalog_dir, load_scenario
 from .scenarios.runner import run_scenario as _run_scenario
 from .scenarios.schema import DEVIATIONS, Scenario
 from .sim.config import RunConfig
-from .sim.system import DSMSystem, SimulationResult
-from .workloads.synthetic import SyntheticWorkload
+from .sim.system import SimulationResult
 
 __all__ = [
     "acc",
@@ -128,23 +128,20 @@ def simulate(
 ) -> SimulationResult:
     """One discrete-event simulation run of ``protocol`` at one point.
 
-    Builds the :class:`DSMSystem` from the run configuration (every
-    fabric knob applies) and drives it with the synthetic workload of
-    ``deviation``.
+    A ``kind="sim"`` :class:`~repro.exp.spec.SweepCell` through
+    :func:`~repro.exp.runner.simulate_cell`, the run path every sweep row
+    takes: every fabric knob of ``run`` applies, and a healthy run is
+    checked coherent.
 
     Args:
         run: a :class:`RunConfig`, a plain dict of its fields, or
             ``None`` for the defaults (``ops=4000``, ``seed=0``).
         M: number of shared objects in the simulated system.
     """
-    spec = get_protocol(protocol)
-    workload_params = _params(params)
-    config = _run_config(run)
-    system = DSMSystem(spec.name, N=workload_params.N, M=M,
-                       S=workload_params.S, P=workload_params.P,
-                       config=config)
-    workload = SyntheticWorkload(workload_params, _deviation(deviation), M=M)
-    return system.run_workload(workload)
+    cell = SweepCell(get_protocol(protocol).name, _params(params),
+                     _deviation(deviation), kind="sim", M=M,
+                     config=_run_config(run))
+    return simulate_cell(cell)[1]
 
 
 def list_scenarios(catalog=None) -> List[str]:

@@ -59,7 +59,7 @@ from .core.closed_forms import weighted_quorum_acc
 from .core.comparison import ALL_PROTOCOLS, rank_protocols
 from .core.parameters import Deviation, WorkloadParams
 from .core.placement import placement_advantage
-from .exp import SweepSpec, SweepRunner
+from .exp import SweepCell, SweepSpec, SweepRunner, simulate_cell
 from .obs.export import write_chrome_trace, write_events_jsonl
 from .obs.profile import Profiler
 from .obs.trace import TraceConfig
@@ -71,9 +71,7 @@ from .sim.hedge import HedgeConfig
 from .sim.partition import PARTITION_POLICIES, LinkFault, PartitionPlan, cut
 from .sim.reconfig import MembershipChange, ReconfigPlan
 from .sim.reliable import ReliabilityConfig
-from .sim.system import DSMSystem
 from .validation.compare import compare_cell
-from .workloads.synthetic import SyntheticWorkload
 
 __all__ = ["main", "build_parser", "runconfig_from_args",
            "workload_from_args"]
@@ -837,19 +835,40 @@ def _export_trace(tracer, chrome_path, jsonl_path, label: str) -> None:
         print(f"trace jsonl    -> {jsonl_path}")
 
 
+def _simulate(args: argparse.Namespace, deviation: Deviation,
+              params: WorkloadParams, config: RunConfig, profiler=None):
+    """``(system, result)`` of the command's run: a ``kind="sim"`` cell
+    through :func:`~repro.exp.runner.simulate_cell`."""
+    cell = SweepCell(args.protocol, params, deviation, kind="sim",
+                     M=args.M, config=config)
+    return simulate_cell(cell, profiler=profiler)
+
+
+def _finish_run(system, result, chrome_path, jsonl_path,
+                label: str) -> int:
+    """The tail every single-run command shares: the trace exports, then
+    the consistency monitor's verdict; the exit code is 1 on a violation."""
+    _export_trace(system.tracer, chrome_path, jsonl_path, label)
+    if system.monitor is None:
+        return 0
+    consistency = [v for v in result.violations if v.kind != "delivery"]
+    if consistency:
+        print(f"consistency VIOLATIONS = {len(consistency)}")
+        for v in consistency:
+            print(f"  [{v.kind}] obj {v.obj}: {v.detail}")
+        return 1
+    suffix = (f" ({system.monitor.inconclusive} inconclusive)"
+              if system.monitor.inconclusive else "")
+    print(f"consistency     = ok{suffix}")
+    return 0
+
+
 def _cmd_simulate(args: argparse.Namespace, deviation: Deviation,
                   params: WorkloadParams) -> int:
     config = runconfig_from_args(args)
-    system = DSMSystem(args.protocol, N=params.N, M=args.M, S=params.S,
-                       P=params.P, config=config)
-    workload = SyntheticWorkload(params, deviation, M=args.M)
-    result = system.run_workload(workload)
+    system, result = _simulate(args, deviation, params, config)
     warmup = config.resolved_warmup
     stats = system.metrics.reliability
-    if stats.delivery_failures == 0:
-        # a degraded run legitimately leaves copies incoherent
-        # (an abandoned message may have been an invalidation).
-        system.check_coherence()
     if config.quorum_weights is not None:
         predicted = weighted_quorum_acc(params, deviation,
                                         config.quorum_weights)
@@ -972,20 +991,8 @@ def _cmd_simulate(args: argparse.Namespace, deviation: Deviation,
                   f"cost {rc.transfer_cost:.1f} "
                   f"({rc.transfer_retries} retries, "
                   f"{rc.transfers_failed} failed)")
-    _export_trace(system.tracer, args.trace_out, args.trace_jsonl,
-                  label=f"simulate {args.protocol}")
-    if system.monitor is not None:
-        consistency = [v for v in result.violations
-                       if v.kind != "delivery"]
-        if consistency:
-            print(f"consistency VIOLATIONS = {len(consistency)}")
-            for v in consistency:
-                print(f"  [{v.kind}] obj {v.obj}: {v.detail}")
-            return 1
-        suffix = (f" ({system.monitor.inconclusive} inconclusive)"
-                  if system.monitor.inconclusive else "")
-        print(f"consistency     = ok{suffix}")
-    return 0
+    return _finish_run(system, result, args.trace_out, args.trace_jsonl,
+                       f"simulate {args.protocol}")
 
 
 def _cmd_trace(args: argparse.Namespace, deviation: Deviation,
@@ -993,30 +1000,23 @@ def _cmd_trace(args: argparse.Namespace, deviation: Deviation,
     config = runconfig_from_args(args).with_(
         tracing=TraceConfig(sample_every=args.sample)
     )
-    system = DSMSystem(args.protocol, N=params.N, M=args.M, S=params.S,
-                       P=params.P, config=config)
-    workload = SyntheticWorkload(params, deviation, M=args.M)
-    result = system.run_workload(workload)
+    system, result = _simulate(args, deviation, params, config)
     print(f"simulated acc   = {result.acc:.4f}")
     print(f"messages        = {result.messages}")
-    _export_trace(system.tracer, args.out, args.jsonl,
-                  label=f"trace {args.protocol}")
-    return 0
+    return _finish_run(system, result, args.out, args.jsonl,
+                       f"trace {args.protocol}")
 
 
 def _cmd_profile(args: argparse.Namespace, deviation: Deviation,
                  params: WorkloadParams) -> int:
-    config = runconfig_from_args(args)
     profiler = Profiler()
-    system = DSMSystem(args.protocol, N=params.N, M=args.M, S=params.S,
-                       P=params.P, config=config, profiler=profiler)
-    workload = SyntheticWorkload(params, deviation, M=args.M)
-    result = system.run_workload(workload)
+    system, result = _simulate(args, deviation, params,
+                               runconfig_from_args(args), profiler)
     print(f"simulated acc   = {result.acc:.4f}")
     print(f"events executed = {system.scheduler.executed}")
     print()
     print(profiler.format_table(top=args.top))
-    return 0
+    return _finish_run(system, result, None, None, f"profile {args.protocol}")
 
 
 def _cell_progress(done: int, total: int, row: dict) -> None:

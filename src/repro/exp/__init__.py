@@ -7,6 +7,9 @@ evaluates such grids as first-class objects:
 * :class:`~repro.exp.spec.SweepSpec` — a declarative cell collection
   (cartesian product with feasibility filtering, or an explicit list) of
   ``analytic`` / ``sim`` / ``compare`` cells;
+* :func:`~repro.exp.runner.simulate_cell` — the one place a cell becomes
+  a simulated run (the sweep engine, ``repro.api.simulate``,
+  ``repro.validation.compare_cell`` and the CLI all call it);
 * :class:`~repro.exp.runner.SweepRunner` — fans independent cells out
   over a ``multiprocessing`` pool; per-cell derived seeds make a parallel
   run bit-identical to a serial one;
@@ -33,7 +36,8 @@ Quickstart::
 """
 
 from .cache import CACHE_SCHEMA, CacheStats, ResultCache
-from .runner import SweepResult, SweepRunner, row_line, run_cell, run_sweep
+from .runner import (SweepResult, SweepRunner, row_line, run_cell, run_sweep,
+                     simulate_cell)
 from .spec import CELL_KINDS, SweepCell, SweepSpec, derive_cell_seed
 
 __all__ = [
@@ -45,6 +49,7 @@ __all__ = [
     "row_line",
     "run_cell",
     "run_sweep",
+    "simulate_cell",
     "CELL_KINDS",
     "SweepCell",
     "SweepSpec",

@@ -1,7 +1,11 @@
-"""The parallel sweep engine.
+"""The parallel sweep engine, and the one synthetic-workload run path.
 
-:func:`run_cell` evaluates one :class:`~repro.exp.spec.SweepCell` into a
-plain-JSON *row*; :class:`SweepRunner` fans the cells of a
+:func:`simulate_cell` is the only place a :class:`~repro.exp.spec.SweepCell`
+becomes a simulated run: every caller that simulates a protocol under the
+paper's synthetic workload (this engine, :func:`repro.api.simulate`,
+:func:`repro.validation.compare_cell` and the CLI) goes through it.
+:func:`run_cell` evaluates one cell into a plain-JSON *row*;
+:class:`SweepRunner` fans the cells of a
 :class:`~repro.exp.spec.SweepSpec` out over a ``multiprocessing`` worker
 pool, consults the :class:`~repro.exp.cache.ResultCache` first, streams
 finished rows to a JSONL file and reports progress.
@@ -40,12 +44,13 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.acc import analytical_acc
 from ..obs.registry import MetricsRegistry
-from ..sim.system import DSMSystem
+from ..sim.system import DSMSystem, SimulationResult
 from ..workloads.synthetic import SyntheticWorkload
 from .cache import CacheStats, ResultCache, as_cache
 from .spec import SweepCell, SweepSpec
 
-__all__ = ["SweepResult", "SweepRunner", "row_line", "run_cell", "run_sweep"]
+__all__ = ["SweepResult", "SweepRunner", "row_line", "run_cell", "run_sweep",
+           "simulate_cell"]
 
 #: progress callback signature: (done, total, row)
 ProgressFn = Callable[[int, int, dict], None]
@@ -57,6 +62,42 @@ def _finite(value: float) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
+def simulate_cell(
+    cell: SweepCell,
+    on_system: Optional[Callable] = None,
+    profiler=None,
+) -> Tuple[DSMSystem, SimulationResult]:
+    """Build, run and check the simulated part of one cell.
+
+    Builds the :class:`DSMSystem` from ``cell.config`` and drives it with
+    the cell's :class:`SyntheticWorkload`.  A healthy run (no delivery
+    failure) must end coherent: :meth:`DSMSystem.check_coherence` raises
+    otherwise.
+
+    Args:
+        on_system: optional in-process hook called with the
+            :class:`DSMSystem` after the simulation ran (even when the
+            run raised) — the chaos replayer uses it to export the
+            tracer of a repro run.
+        profiler: an optional :class:`~repro.obs.Profiler`, passed to the
+            system unchanged.
+    """
+    system = DSMSystem(cell.protocol, N=cell.params.N, M=cell.M,
+                       S=cell.params.S, P=cell.params.P, config=cell.config,
+                       profiler=profiler)
+    workload = SyntheticWorkload(cell.params, cell.deviation, M=cell.M)
+    try:
+        result = system.run_workload(workload)
+    finally:
+        if on_system is not None:
+            on_system(system)
+    if system.metrics.reliability.delivery_failures == 0:
+        # an abandoned message may legitimately have been an
+        # invalidation, so only healthy runs must end coherent.
+        system.check_coherence()
+    return system, result
+
+
 def run_cell(cell: SweepCell, on_system: Optional[Callable] = None) -> dict:
     """Evaluate one cell into its deterministic result row.
 
@@ -65,11 +106,8 @@ def run_cell(cell: SweepCell, on_system: Optional[Callable] = None) -> dict:
     however and wherever it is computed.
 
     Args:
-        on_system: optional in-process hook called with the
-            :class:`DSMSystem` after the simulation ran (even when the
-            run raised) — the chaos replayer uses it to export the
-            tracer of a repro run.  Never crosses a process boundary,
-            so worker-pool execution ignores it.
+        on_system: passed to :func:`simulate_cell`.  Never crosses a
+            process boundary, so worker-pool execution ignores it.
     """
     config = cell.config
     row = {
@@ -110,20 +148,8 @@ def run_cell(cell: SweepCell, on_system: Optional[Callable] = None) -> dict:
             row["quorum_weights"] = [
                 [int(n), float(w)] for n, w in config.quorum_weights
             ]
-        system = DSMSystem(cell.protocol, N=cell.params.N, M=cell.M,
-                           S=cell.params.S, P=cell.params.P, config=config)
-        workload = SyntheticWorkload(cell.params, cell.deviation, M=cell.M)
-        try:
-            result = system.run_workload(workload)
-        finally:
-            if on_system is not None:
-                on_system(system)
+        system, result = simulate_cell(cell, on_system)
         stats = system.metrics.reliability
-        healthy = stats.delivery_failures == 0
-        if healthy:
-            # an abandoned message may legitimately have been an
-            # invalidation, so only healthy runs must end coherent.
-            system.check_coherence()
         row.update(
             acc_sim=_finite(result.acc),
             messages=result.messages,
@@ -131,7 +157,7 @@ def run_cell(cell: SweepCell, on_system: Optional[Callable] = None) -> dict:
             incomplete_ops=result.incomplete_ops,
             end_time=result.end_time,
             events_executed=system.scheduler.executed,
-            coherent=healthy,
+            coherent=stats.delivery_failures == 0,
         )
         if system.reliability is not None:
             nan = float("nan")

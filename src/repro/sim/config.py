@@ -1,14 +1,10 @@
 """The unified run configuration shared by every entry point.
 
-Historically the repo grew three inconsistent dialects for saying "run a
-workload": ``DSMSystem.run_workload(num_ops=..., warmup=..., seed=...)``,
-``validation.compare_cell(total_ops=..., warmup=..., seed=...)`` and
-per-script argument plumbing in the benchmarks and the CLI.
-:class:`RunConfig` collapses them into one keyword-only value object that
-every consumer — :class:`repro.sim.system.DSMSystem` (which builds its
-fabric and subsystems from it) and its ``run_workload``,
+:class:`RunConfig` is the one keyword-only value object that says "run a
+workload": :class:`repro.sim.system.DSMSystem` builds its fabric and
+subsystems from it, and its ``run_workload``,
 :func:`repro.validation.compare.compare_cell`, ``python -m repro`` and the
-sweep engine (:mod:`repro.exp`) — accepts verbatim; it is the only
+sweep engine (:mod:`repro.exp`) accept it verbatim; it is the only
 declaration of each run knob.
 
 A :class:`RunConfig` is immutable, hashable-by-content through

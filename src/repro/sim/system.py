@@ -40,6 +40,9 @@ from .reliable import ReliableNetwork
 
 __all__ = ["DSMSystem", "SimulationResult"]
 
+#: channel latency: simulated time units per hop
+_HOP_LATENCY = 1.0
+
 #: operation kinds :meth:`DSMSystem.submit` accepts
 _SUBMIT_KINDS = (READ, WRITE, EJECT)
 
@@ -202,7 +205,6 @@ class DSMSystem:
         M: number of shared objects.
         S: user-information transfer cost parameter.
         P: write-parameter transfer cost parameter.
-        latency: channel latency (time units per hop).
         config: the :class:`~repro.sim.config.RunConfig` whose fault,
             partition, reliability, failover, monitor, tracing,
             reconfiguration, vote-weight, hedge and cache settings build
@@ -223,7 +225,6 @@ class DSMSystem:
         M: int = 1,
         S: float = 100.0,
         P: float = 30.0,
-        latency: float = 1.0,
         config: Optional[RunConfig] = None,
         profiler=None,
     ):
@@ -288,7 +289,7 @@ class DSMSystem:
         if reliability is not None:
             self.network = ReliableNetwork(
                 self.scheduler,
-                latency=latency,
+                latency=_HOP_LATENCY,
                 metrics=self.metrics,
                 faults=self.faults,
                 partitions=self.partitions,
@@ -296,7 +297,7 @@ class DSMSystem:
             )
         else:
             self.network = Network(
-                self.scheduler, latency=latency,
+                self.scheduler, latency=_HOP_LATENCY,
                 on_cost=self.metrics.record_message,
             )
             # delivery events for the plain fabric come from the channel
@@ -308,7 +309,6 @@ class DSMSystem:
             self._schedule_crash_markers()
         if self.partitions is not None:
             self.partitions.validate_nodes(universe)
-        self.latency = float(latency)
         #: shared, mutable sequencer-role view (reassigned by failover)
         self.cluster = ClusterView(N + 1)
         self.all_nodes: Tuple[int, ...] = tuple(range(1, universe + 1))
@@ -360,7 +360,7 @@ class DSMSystem:
                 reliability=self.reliability,
                 S=self.S,
                 P=self.P,
-                latency=self.latency,
+                latency=_HOP_LATENCY,
             )
         # crash recovery and consistency monitoring (both opt-in; without
         # them the hooks stay None and runs are bit-identical to a system
@@ -388,7 +388,7 @@ class DSMSystem:
                 log=self.write_log,
                 S=self.S,
                 P=self.P,
-                latency=self.latency,
+                latency=_HOP_LATENCY,
                 failover=config.failover,
             )
         #: sequencer-side heartbeat failure detector (partition plans only;
@@ -413,7 +413,7 @@ class DSMSystem:
                     recovery=self.recovery,
                     faults=self.faults,
                     all_nodes=self.all_nodes,
-                    latency=self.latency,
+                    latency=_HOP_LATENCY,
                 )
                 self.detector.start()
         elif (self.spec.quorum_based
@@ -436,7 +436,7 @@ class DSMSystem:
                     recovery=None,
                     faults=self.faults,
                     all_nodes=self.all_nodes,
-                    latency=self.latency,
+                    latency=_HOP_LATENCY,
                 )
                 self.detector.start()
         if self.monitor is not None or self.write_log is not None:

@@ -1,24 +1,10 @@
 """Validation of the analytic model against the simulator (Table 7)."""
 
 from .compare import CellResult, ComparisonTable, compare_cell, comparison_table
-from .report import (
-    ValidationReport,
-    ValidationRow,
-    full_validation,
-    render_markdown,
-)
-from .statistics import MeanCI, mean_confidence_interval, replicate
 
 __all__ = [
     "CellResult",
     "ComparisonTable",
     "compare_cell",
     "comparison_table",
-    "ValidationReport",
-    "ValidationRow",
-    "full_validation",
-    "render_markdown",
-    "MeanCI",
-    "mean_confidence_interval",
-    "replicate",
 ]

@@ -9,21 +9,22 @@ reported maximum discrepancy is below ±8%.
 
 :func:`compare_cell` reproduces one cell; :func:`comparison_table`
 reproduces a whole protocol panel of Table 7 (skipping infeasible cells,
-which appear blank in the paper).
+which appear blank in the paper).  A cell is
+:func:`~repro.exp.runner.run_cell` on a ``kind="compare"``
+:class:`~repro.exp.spec.SweepCell`, so the harness, the sweep engine and
+the scenario catalog share one run path and one discrepancy definition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-import numpy as np
-
-from ..core.acc import analytical_acc
 from ..core.parameters import Deviation, WorkloadParams
+from ..exp.runner import run_cell
+from ..exp.spec import SweepCell
 from ..sim.config import RunConfig
-from ..sim.system import DSMSystem
-from ..workloads.synthetic import SyntheticWorkload
 
 __all__ = ["CellResult", "ComparisonTable", "compare_cell", "comparison_table"]
 
@@ -50,24 +51,26 @@ def _resolve_config(where: str, config: Optional[RunConfig]) -> RunConfig:
 class CellResult:
     """One ``(p, disturb)`` cell: analytical vs simulated ``acc``.
 
-    ``discrepancy_pct`` follows the paper's definition,
-    ``100 * (acc_analytic - acc_sim) / acc_analytic`` (0 when both vanish).
+    ``discrepancy_pct`` is the ``discrepancy_pct`` column of
+    :func:`~repro.exp.runner.run_cell`'s compare row: the paper's
+    ``100 * (acc_analytic - acc_sim) / acc_analytic``, 0 when both
+    vanish.  A value the row leaves ``None`` (undefined, like the paper's
+    blank cells) reads ``nan`` here.
     """
 
     p: float
     disturb: float
     acc_analytic: float
     acc_sim: float
+    discrepancy_pct: float
 
-    @property
-    def discrepancy_pct(self) -> float:
-        if abs(self.acc_analytic) < 1e-9:
-            # zero-cost steady state: any simulated residue is the finite
-            # cold-start transient (first-touch misses), reported as inf
-            # and excluded from the max-discrepancy statistic, exactly as
-            # the paper's blank/zero cells.
-            return 0.0 if abs(self.acc_sim) < 1e-9 else float("inf")
-        return 100.0 * (self.acc_analytic - self.acc_sim) / self.acc_analytic
+    @classmethod
+    def from_row(cls, row: dict) -> "CellResult":
+        """The cell of one ``kind="compare"`` result row."""
+        return cls(row["p"], row["disturb"], *(
+            math.nan if row[key] is None else row[key]
+            for key in ("acc_analytic", "acc_sim", "discrepancy_pct")
+        ))
 
 
 def compare_cell(
@@ -91,14 +94,9 @@ def compare_cell(
             Defaults to the paper's Table 7 budget (``ops=2000,
             warmup=500, seed=0``).
     """
-    config = _resolve_config("compare_cell", config)
-    acc_a = analytical_acc(protocol, params, deviation)
-    workload = SyntheticWorkload(params, deviation, M=M)
-    system = DSMSystem(protocol, N=params.N, M=M, S=params.S, P=params.P,
-                       config=config)
-    result = system.run_workload(workload)
-    disturb = params.sigma if deviation is Deviation.READ else params.xi
-    return CellResult(params.p, disturb, acc_a, result.acc)
+    cell = SweepCell(protocol, params, deviation, kind="compare", M=M,
+                     config=_resolve_config("compare_cell", config))
+    return CellResult.from_row(run_cell(cell))
 
 
 @dataclass
@@ -114,7 +112,7 @@ class ComparisonTable:
         """The paper's headline number (should be < 8%)."""
         vals = [
             abs(c.discrepancy_pct) for c in self.cells
-            if np.isfinite(c.discrepancy_pct)
+            if math.isfinite(c.discrepancy_pct)
         ]
         return max(vals) if vals else 0.0
 

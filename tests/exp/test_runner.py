@@ -7,11 +7,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro import api
+from repro.cli import main
 from repro.core.parameters import WorkloadParams
 from repro.exp import ResultCache, SweepCell, SweepSpec, run_sweep
 from repro.exp import runner as runner_mod
 from repro.exp.runner import row_line, run_cell
-from repro.sim import FaultPlan, ReliabilityConfig, RunConfig
+from repro.sim import CacheConfig, FaultPlan, ReliabilityConfig, RunConfig
+from repro.validation import compare_cell
 
 BASE = WorkloadParams(N=3, p=0.0, a=2, S=100.0, P=30.0)
 
@@ -90,6 +93,45 @@ class TestRunCell:
     def test_rows_are_json_safe(self):
         for cell in small_spec():
             json.loads(row_line(run_cell(cell)))
+
+
+class TestOneRunPath:
+    """Every synthetic-workload entry point runs the same simulation.
+
+    The pinned values were measured before the entry points shared
+    :func:`~repro.exp.runner.simulate_cell`.
+    """
+
+    POINT = WorkloadParams(N=4, p=0.3, a=2, sigma=0.1, S=100, P=30)
+    POINT_FLAGS = ["--N", "4", "--p", "0.3", "--a", "2", "--sigma", "0.1",
+                   "--S", "100", "--P", "30"]
+
+    @pytest.mark.parametrize("protocol,M,config,flags,acc,messages", [
+        ("write_through", 2,
+         RunConfig(ops=400, seed=1, faults=FaultPlan(seed=3, drop_rate=0.1),
+                   monitor=True),
+         ["--ops", "400", "--seed", "1", "--drop-rate", "0.1",
+          "--fault-seed", "3", "--monitor"],
+         52.54333333333334, 1660),
+        ("berkeley", 3,
+         RunConfig(ops=600, seed=5, cache=CacheConfig(capacity=1)),
+         ["--ops", "600", "--seed", "5", "--cache-capacity", "1"],
+         16.38888888888889, 542),
+    ], ids=["faults-monitor", "bounded-cache"])
+    def test_entry_points_agree(self, protocol, M, config, flags, acc,
+                                messages, capsys):
+        result = api.simulate(protocol, self.POINT, "read", run=config, M=M)
+        assert (result.acc, result.messages) == (acc, messages)
+        row = run_cell(SweepCell(protocol, self.POINT, kind="sim", M=M,
+                                 config=config))
+        assert (row["acc_sim"], row["messages"]) == (acc, messages)
+        assert compare_cell(protocol, self.POINT, M=M,
+                            config=config).acc_sim == acc
+        assert main(["simulate", protocol, *self.POINT_FLAGS,
+                     "--M", str(M), *flags]) == 0
+        out = capsys.readouterr().out
+        assert f"simulated acc   = {acc:.4f}\n" in out
+        assert f"messages        = {messages}\n" in out
 
 
 class TestCaching:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.chaos import ChaosOptions
 from repro.cli import (
     _chaos_options,
@@ -13,6 +15,8 @@ from repro.cli import (
 from repro.core.parameters import WorkloadParams
 from repro.sim import (
     CacheConfig,
+    ConsistencyViolation,
+    DSMSystem,
     HedgeConfig,
     PartitionPlan,
     ReliabilityConfig,
@@ -676,6 +680,37 @@ class TestProfileCommand:
                       if line.startswith(("engine.", "protocol.",
                                           "reliable."))]
         assert len(scope_rows) == 1
+
+
+class TestMonitorVerdict:
+    """``simulate``, ``trace`` and ``profile`` share one tail: under
+    ``--monitor`` each prints the verdict and exits 1 on a violation."""
+
+    COMMANDS = ["simulate", "trace", "profile"]
+
+    @staticmethod
+    def argv(command, tmp_path):
+        out = (["--out", str(tmp_path / "trace.json")]
+               if command == "trace" else [])
+        return [command, "berkeley", "--N", "3", "--p", "0.2",
+                "--sigma", "0.1", "--ops", "300", "--monitor", *out]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_clean_run_prints_ok(self, command, capsys, tmp_path):
+        code, out, _ = run(capsys, *self.argv(command, tmp_path))
+        assert code == 0
+        assert "consistency     = ok" in out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_violation_exits_one(self, command, capsys, tmp_path,
+                                 monkeypatch):
+        planted = ConsistencyViolation("divergence", 1, "planted")
+        monkeypatch.setattr(DSMSystem, "consistency_report",
+                            lambda system: [planted])
+        code, out, _ = run(capsys, *self.argv(command, tmp_path))
+        assert code == 1
+        assert "consistency VIOLATIONS = 1" in out
+        assert "[divergence] obj 1: planted" in out
 
 
 class TestSimulateTraceFlags:

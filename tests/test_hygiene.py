@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
 DOCS = [REPO / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]
 DOCS += sorted((REPO / "docs").glob("*.md"))
 #: dotted ``repro.…`` names (modules, classes, functions, attributes)
@@ -32,7 +33,7 @@ BACKTICKED = re.compile(r"`([^`]+)`")
 RELATIVE = re.compile(r"[a-z_]\w*(?:\.\w+)+")
 #: metric and scope names in api.md that look dotted but name no code
 NOT_CODE = {"engine.dispatch", "sweep.cell_wall_clock_s", "span.cost"}
-PROTOCOLS = REPO / "src" / "repro" / "protocols"
+PROTOCOLS = SRC / "protocols"
 #: enums whose members handlers read through ``repro.machines.message``'s
 #: module-level aliases, never through the class
 ALIASED_ENUMS = {"MsgType", "ParamPresence"}
@@ -192,6 +193,37 @@ def test_each_run_knob_is_declared_once():
     knobs = {f.name for f in dataclasses.fields(RunConfig)}
     assert params & knobs == set()
     assert not hasattr(DSMSystem, "from_config")
+
+
+def _dsm_system_calls(tree):
+    """The ``DSMSystem(...)`` call nodes of ``tree`` (by name or as an
+    attribute); a docstring example is a string, so it never counts."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id",
+                        getattr(node.func, "attr", None)) == "DSMSystem"]
+
+
+def test_one_synthetic_run_path():
+    """Only the run path (``exp.runner.simulate_cell``) and the explorer's
+    hand-driven system build a :class:`DSMSystem` in ``src/``; every other
+    simulation is a :class:`~repro.exp.spec.SweepCell` through it."""
+    sites = sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        for _ in _dsm_system_calls(ast.parse(path.read_text(),
+                                             filename=str(path)))
+    )
+    assert sites == ["core/chains.py", "exp/runner.py"]
+
+
+def test_dsm_system_call_scan_skips_docstrings():
+    tree = ast.parse(
+        '"""Example: DSMSystem("berkeley", N=8)."""\n'
+        "a = DSMSystem('berkeley', N=3)\n"
+        "b = sim.DSMSystem('berkeley', N=3)\n"
+        "c = DSMSystem\n")
+    assert [node.lineno for node in _dsm_system_calls(tree)] == [2, 3]
 
 
 def test_protocol_hit_and_owner_states_are_declared_states():
