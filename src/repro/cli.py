@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "trace",
         help="run one simulation with structured tracing and export it",
-        parents=[system, point, run, fault, part, rel],
+        parents=[system, point, run, fault, part, rel, reconf, cache],
     )
     p_trace.add_argument("protocol", help=f"one of: {known}")
     p_trace.add_argument("--M", type=int, default=1,
@@ -610,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_prof = sub.add_parser(
         "profile",
         help="run one simulation under the wall-clock profiler",
-        parents=[system, point, run, fault, part, rel],
+        parents=[system, point, run, fault, part, rel, reconf, cache],
     )
     p_prof.add_argument("protocol", help=f"one of: {known}")
     p_prof.add_argument("--M", type=int, default=1,

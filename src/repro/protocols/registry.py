@@ -7,50 +7,51 @@ every valid name, with a did-you-mean suggestion — for anything else.
 Direct ``PROTOCOLS[...]`` / ``EXTENSION_PROTOCOLS[...]`` indexing is
 deprecated in docs and examples: it only sees half the registry and fails
 with a bare ``KeyError``.
+
+Each registry name is also the name of the module that defines its
+protocol, so a lookup by registry name imports that one module.  The
+:data:`PROTOCOLS` and :data:`EXTENSION_PROTOCOLS` tables, and a lookup by
+a display name the registry name does not match, import every protocol
+(the tables are built on first access).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List
 
 from ..util import did_you_mean
-from .base import ProtocolSpec
-from . import (
-    berkeley,
-    dragon,
-    firefly,
-    illinois,
-    sc_abd,
-    synapse,
-    write_once,
-    write_through,
-    write_through_dir,
-    write_through_v,
-)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .base import ProtocolSpec
 
 __all__ = ["PROTOCOLS", "EXTENSION_PROTOCOLS", "UnknownProtocolError",
            "all_protocol_names", "get_protocol", "protocol_names"]
 
-#: The paper's eight protocols keyed by registry name, in the paper's order.
-PROTOCOLS: Dict[str, ProtocolSpec] = {
-    spec.name: spec
-    for spec in (
-        write_through.SPEC,
-        write_through_v.SPEC,
-        write_once.SPEC,
-        synapse.SPEC,
-        illinois.SPEC,
-        berkeley.SPEC,
-        dragon.SPEC,
-        firefly.SPEC,
-    )
-}
+#: registry names of the paper's eight protocols, in the paper's order;
+#: each names its module in this package
+_PAPER = ("write_through", "write_through_v", "write_once", "synapse",
+          "illinois", "berkeley", "dragon", "firefly")
+#: registry names of the protocols added beyond the paper's eight
+_EXTENSIONS = ("write_through_dir", "sc_abd")
 
-#: Protocols added by this reproduction beyond the paper's eight.
-EXTENSION_PROTOCOLS: Dict[str, ProtocolSpec] = {
-    write_through_dir.SPEC.name: write_through_dir.SPEC,
-    sc_abd.SPEC.name: sc_abd.SPEC,
-}
+
+def _spec(name: str) -> ProtocolSpec:
+    """The spec of registry name ``name``, importing its module."""
+    return importlib.import_module(f"{__package__}.{name}").SPEC
+
+
+def __getattr__(name: str) -> Any:
+    """Build :data:`PROTOCOLS` (the paper's eight protocols keyed by
+    registry name, in the paper's order) or :data:`EXTENSION_PROTOCOLS`
+    (the protocols added by this reproduction) on first access."""
+    names = {"PROTOCOLS": _PAPER, "EXTENSION_PROTOCOLS": _EXTENSIONS}.get(
+        name)
+    if names is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    table: Dict[str, ProtocolSpec] = {key: _spec(key) for key in names}
+    globals()[name] = table
+    return table
 
 
 class UnknownProtocolError(KeyError):
@@ -85,22 +86,22 @@ def get_protocol(name: str) -> ProtocolSpec:
         UnknownProtocolError: (a ``KeyError``) listing every valid name,
             with a did-you-mean suggestion, when the name is unknown.
     """
-    key = name.strip().lower().replace("-", "_").replace(" ", "_")
-    for table in (PROTOCOLS, EXTENSION_PROTOCOLS):
-        if key in table:
-            return table[key]
-    for table in (PROTOCOLS, EXTENSION_PROTOCOLS):
-        for spec in table.values():
-            if spec.display_name.lower() == name.strip().lower():
-                return spec
+    folded = name.strip().lower()
+    key = folded.replace("-", "_").replace(" ", "_")
+    if key in _PAPER or key in _EXTENSIONS:
+        return _spec(key)
+    for registered in all_protocol_names():
+        spec = _spec(registered)
+        if spec.display_name.lower() == folded:
+            return spec
     raise UnknownProtocolError(name)
 
 
 def protocol_names() -> List[str]:
     """Registry names in the paper's order."""
-    return list(PROTOCOLS)
+    return list(_PAPER)
 
 
 def all_protocol_names() -> List[str]:
     """Every registry name — the paper's eight, then the extensions."""
-    return list(PROTOCOLS) + list(EXTENSION_PROTOCOLS)
+    return list(_PAPER + _EXTENSIONS)

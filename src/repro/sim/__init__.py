@@ -5,85 +5,40 @@ plus the robustness extensions: seeded fault injection
 (:mod:`repro.sim.faults`), the reliable exactly-once FIFO delivery layer
 (:mod:`repro.sim.reliable`), crash recovery with replica resynchronization
 and sequencer failover (:mod:`repro.sim.recovery`), and the runtime
-consistency monitor (:mod:`repro.sim.monitor`)."""
+consistency monitor (:mod:`repro.sim.monitor`).
 
-from .cache import CACHE_POLICIES, CacheConfig, ReplicaCache
-from .channel import Network
-from .config import RunConfig
-from .engine import EventScheduler, TimerHandle
-from .faults import CRASH_SEMANTICS, CrashWindow, FaultPlan, SlowWindow
-from .hedge import HedgeConfig
-from .metrics import (
-    Metrics,
-    OpRecord,
-    PartitionStats,
-    ReconfigStats,
-    RecoveryStats,
-    ReliabilityStats,
-    ReplicaCacheStats,
-)
-from .monitor import ConsistencyMonitor, ConsistencyViolation
-from .node import ClusterView, ObjectPort, SimNode
-from .partition import (
-    PARTITION_POLICIES,
-    FailureDetector,
-    LinkFault,
-    PartitionPlan,
-)
-from .reconfig import (
-    MembershipChange,
-    MembershipView,
-    ReconfigManager,
-    ReconfigPlan,
-)
-from .recovery import RecoveryManager, WriteLog
-from .reliable import (
-    DeliveryViolation,
-    Frame,
-    ReliabilityConfig,
-    ReliableNetwork,
-)
-from .system import DSMSystem, SimulationResult
+Names resolve on first access, and each subsystem module is imported only
+by the run that builds it.  A run on the paper's fault-free fabric loads
+:mod:`~repro.sim.config`, :mod:`~repro.sim.system`,
+:mod:`~repro.sim.engine`, :mod:`~repro.sim.channel`,
+:mod:`~repro.sim.node` and :mod:`~repro.sim.metrics` from this package,
+and from the rest of ``repro`` only the workload parameters, the message
+vocabulary, the protocol base, the registry and the protocol it runs.
+"""
 
-__all__ = [
-    "CACHE_POLICIES",
-    "CacheConfig",
-    "ReplicaCache",
-    "ReplicaCacheStats",
-    "Network",
-    "RunConfig",
-    "EventScheduler",
-    "TimerHandle",
-    "CRASH_SEMANTICS",
-    "CrashWindow",
-    "FaultPlan",
-    "SlowWindow",
-    "HedgeConfig",
-    "DeliveryViolation",
-    "Frame",
-    "ReliabilityConfig",
-    "ReliableNetwork",
-    "PARTITION_POLICIES",
-    "FailureDetector",
-    "LinkFault",
-    "PartitionPlan",
-    "Metrics",
-    "OpRecord",
-    "PartitionStats",
-    "ReconfigStats",
-    "RecoveryStats",
-    "ReliabilityStats",
-    "MembershipChange",
-    "MembershipView",
-    "ReconfigManager",
-    "ReconfigPlan",
-    "ClusterView",
-    "ConsistencyMonitor",
-    "ConsistencyViolation",
-    "ObjectPort",
-    "SimNode",
-    "RecoveryManager",
-    "WriteLog",
-    "DSMSystem",
-    "SimulationResult",
-]
+from ..util import lazy_exports
+
+# (submodule, names) pairs in the order of ``__all__``
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    ("cache", ("CACHE_POLICIES", "CacheConfig", "ReplicaCache")),
+    ("metrics", ("ReplicaCacheStats",)),
+    ("channel", ("Network",)),
+    ("config", ("RunConfig",)),
+    ("engine", ("EventScheduler", "TimerHandle")),
+    ("faults", ("CRASH_SEMANTICS", "CrashWindow", "FaultPlan",
+                "SlowWindow")),
+    ("hedge", ("HedgeConfig",)),
+    ("reliable", ("DeliveryViolation", "Frame", "ReliabilityConfig",
+                  "ReliableNetwork")),
+    ("partition", ("PARTITION_POLICIES", "FailureDetector", "LinkFault",
+                   "PartitionPlan")),
+    ("metrics", ("Metrics", "OpRecord", "PartitionStats", "ReconfigStats",
+                 "RecoveryStats", "ReliabilityStats")),
+    ("reconfig", ("MembershipChange", "MembershipView", "ReconfigManager",
+                  "ReconfigPlan")),
+    ("node", ("ClusterView",)),
+    ("monitor", ("ConsistencyMonitor", "ConsistencyViolation")),
+    ("node", ("ObjectPort", "SimNode")),
+    ("recovery", ("RecoveryManager", "WriteLog")),
+    ("system", ("DSMSystem", "SimulationResult")),
+))

@@ -71,12 +71,14 @@ with the message (:class:`~repro.sim.node.ObjectPort`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..machines.message import Message
-from .engine import EventScheduler
-from .faults import FaultPlan
-from .partition import PartitionPlan
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .engine import EventScheduler
+    from .faults import FaultPlan
+    from .partition import PartitionPlan
 
 __all__ = ["Network"]
 

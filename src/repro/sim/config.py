@@ -15,20 +15,31 @@ it from a plain-JSON payload.
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from ..obs.trace import TraceConfig
 from ..util import field_kwargs
-from .cache import CacheConfig
-from .faults import FaultPlan
-from .hedge import HedgeConfig
-from .partition import PartitionPlan
-from .reconfig import ReconfigPlan
-from .reliable import ReliabilityConfig, resolve_reliability
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.trace import TraceConfig
+    from .cache import CacheConfig
+    from .faults import FaultPlan
+    from .hedge import HedgeConfig
+    from .partition import PartitionPlan
+    from .reconfig import ReconfigPlan
+    from .reliable import ReliabilityConfig
 
 __all__ = ["RunConfig"]
+
+#: ``(field, module, class)`` for each field whose value, when set, must
+#: be an instance of that class
+_TYPED_FIELDS = (
+    ("tracing", "repro.obs.trace", "TraceConfig"),
+    ("hedge", "repro.sim.hedge", "HedgeConfig"),
+    ("cache", "repro.sim.cache", "CacheConfig"),
+)
 
 
 def _canonical_weights(weights) -> Optional[Tuple[Tuple[int, float], ...]]:
@@ -142,26 +153,19 @@ class RunConfig:
             object.__setattr__(self, "faults", None)
         if self.partitions is not None and self.partitions.is_none:
             object.__setattr__(self, "partitions", None)
-        if self.tracing is not None and not isinstance(self.tracing, TraceConfig):
-            raise TypeError(
-                f"tracing must be a TraceConfig or None, got "
-                f"{type(self.tracing).__name__}"
-            )
         # a no-change reconfiguration plan is the same as no plan
         if self.reconfig is not None and self.reconfig.is_none:
             object.__setattr__(self, "reconfig", None)
-        if self.hedge is not None and not isinstance(self.hedge,
-                                                     HedgeConfig):
-            raise TypeError(
-                f"hedge must be a HedgeConfig or None, got "
-                f"{type(self.hedge).__name__}"
-            )
-        if self.cache is not None and not isinstance(self.cache,
-                                                     CacheConfig):
-            raise TypeError(
-                f"cache must be a CacheConfig or None, got "
-                f"{type(self.cache).__name__}"
-            )
+        # each class is imported only when its field is set, so a plain
+        # run loads no subsystem (pay-for-what-you-use)
+        for name, module, class_name in _TYPED_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, getattr(
+                    importlib.import_module(module), class_name)):
+                raise TypeError(
+                    f"{name} must be a {class_name} or None, got "
+                    f"{type(value).__name__}"
+                )
         object.__setattr__(
             self, "quorum_weights",
             _canonical_weights(self.quorum_weights),
@@ -174,12 +178,23 @@ class RunConfig:
 
     @property
     def resolved_reliability(self) -> Optional[ReliabilityConfig]:
-        """The effective reliability config (:func:`resolve_reliability`)."""
-        return resolve_reliability(
-            self.reliability, faults=self.faults,
-            partitions=self.partitions, reconfig=self.reconfig,
-            hedge=self.hedge,
-        )
+        """The effective reliable-delivery config of a run.
+
+        An explicit ``reliability`` wins.  Otherwise the defaults apply
+        when any subsystem that rides the reliable transport is
+        configured: a fault or partition plan, a reconfiguration plan (its
+        epoch commits void the old view's in-flight frames through the
+        transport) or hedging (its legs ride the datagram transport and
+        the losers are cancelled through it).  :class:`DSMSystem
+        <repro.sim.system.DSMSystem>` builds what this reports, and a
+        plain run imports no transport.
+        """
+        if self.reliability is not None or all(
+                plan is None for plan in (self.faults, self.partitions,
+                                          self.reconfig, self.hedge)):
+            return self.reliability
+        from .reliable import ReliabilityConfig
+        return ReliabilityConfig()
 
     def with_(self, **changes: Any) -> "RunConfig":
         """Return a copy with the given fields replaced (validates again)."""
@@ -286,6 +301,14 @@ class RunConfig:
         silently dropped, so a stale scenario file or payload cannot
         half-apply.  Missing keys take the dataclass defaults.
         """
+        from ..obs.trace import TraceConfig
+        from .cache import CacheConfig
+        from .faults import FaultPlan
+        from .hedge import HedgeConfig
+        from .partition import PartitionPlan
+        from .reconfig import ReconfigPlan
+        from .reliable import ReliabilityConfig
+
         return cls(**field_kwargs(
             cls, data, "RunConfig",
             faults=FaultPlan.from_dict,

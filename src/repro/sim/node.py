@@ -43,7 +43,9 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional, Tuple,
+)
 
 from ..machines.message import (
     Message, MessageToken, MsgType, ParamPresence, QueueTag, token_cost,
@@ -56,10 +58,12 @@ from ..protocols.base import (
     ProtocolProcess,
     ProtocolSpec,
 )
-from .cache import CacheConfig, ReplicaCache
-from .channel import Network
-from .engine import EventScheduler
-from .metrics import Metrics
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .cache import CacheConfig, ReplicaCache
+    from .channel import Network
+    from .engine import EventScheduler
+    from .metrics import Metrics
 
 __all__ = ["ClusterView", "ObjectPort", "SimNode"]
 
@@ -437,6 +441,7 @@ class SimNode:
         if cache is not None:
             if new_op is None:
                 raise ValueError("a replica cache needs the new_op factory")
+            from .cache import ReplicaCache
             self.cache = ReplicaCache(cache, spec.name, self, S, P,
                                       overlay=cache_overlay)
         network.attach(node_id, self._on_message)

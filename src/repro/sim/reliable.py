@@ -52,7 +52,7 @@ from .metrics import Metrics
 from .partition import PartitionPlan
 
 __all__ = ["ReliabilityConfig", "DeliveryViolation", "Frame",
-           "ReliableNetwork", "resolve_reliability"]
+           "ReliableNetwork"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,28 +97,6 @@ class ReliabilityConfig:
         dropped.
         """
         return cls(**field_kwargs(cls, data, "ReliabilityConfig"))
-
-
-def resolve_reliability(
-    reliability: Optional[ReliabilityConfig], *, faults, partitions,
-    reconfig, hedge,
-) -> Optional[ReliabilityConfig]:
-    """The effective reliable-delivery config of a run.
-
-    An explicit ``reliability`` wins.  Otherwise the defaults apply when
-    any subsystem that rides the reliable transport is configured: a
-    fault or partition plan, a reconfiguration plan (its epoch commits
-    void the old view's in-flight frames through the transport) or
-    hedging (its legs ride the datagram transport and the losers are
-    cancelled through it).  Each argument is ``None`` when its subsystem
-    is off.  :class:`~repro.sim.config.RunConfig` and
-    :class:`~repro.sim.system.DSMSystem` both resolve through here, so
-    what a config reports is what the system builds.
-    """
-    configured = (faults, partitions, reconfig, hedge)
-    if reliability is None and any(k is not None for k in configured):
-        return ReliabilityConfig()
-    return reliability
 
 
 @dataclass(frozen=True, slots=True)

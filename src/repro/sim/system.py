@@ -18,25 +18,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-import numpy as np
+# ``numpy.random`` loads on first use unless imported: importing it here
+# keeps every import out of a run's timed phase
+from numpy.random import default_rng
 
 from ..protocols.base import EJECT, READ, WRITE, Operation, ProtocolSpec
-from ..obs.trace import Tracer
 from ..protocols.registry import get_protocol
-from ..workloads.base import Workload
 from .channel import Network
 from .config import RunConfig
 from .engine import EventScheduler
-from .faults import FaultPlan
 from .metrics import Metrics
-from .monitor import ConsistencyMonitor, ConsistencyViolation
 from .node import ClusterView, SimNode
-from .partition import FailureDetector, PartitionPlan
-from .reconfig import MembershipView, ReconfigManager
-from .recovery import RecoveryManager, WriteLog
-from .reliable import ReliableNetwork
+
+# each optional subsystem is imported in the branch of
+# ``DSMSystem.__init__`` that builds it, so a run on the paper's fabric
+# loads none of them
+if TYPE_CHECKING:  # pragma: no cover
+    from ..obs.trace import Tracer
+    from ..workloads.base import Workload
+    from .monitor import ConsistencyMonitor, ConsistencyViolation
+    from .partition import FailureDetector
+    from .reconfig import MembershipView, ReconfigManager
+    from .recovery import RecoveryManager, WriteLog
 
 __all__ = ["DSMSystem", "SimulationResult"]
 
@@ -276,10 +281,10 @@ class DSMSystem:
         self.metrics = Metrics()
         #: structured tracer (pay-for-what-you-use: None keeps every hook
         #: point a single attribute check)
-        self.tracer: Optional[Tracer] = (
-            Tracer(config.tracing, clock=self.scheduler)
-            if config.tracing is not None else None
-        )
+        self.tracer: Optional[Tracer] = None
+        if config.tracing is not None:
+            from ..obs.trace import Tracer
+            self.tracer = Tracer(config.tracing, clock=self.scheduler)
         self.metrics.tracer = self.tracer
         #: wall-clock profiler for simulator hot paths
         self.profiler = profiler
@@ -287,6 +292,7 @@ class DSMSystem:
         reliability = config.resolved_reliability
         self.reliability = reliability
         if reliability is not None:
+            from .reliable import ReliableNetwork
             self.network = ReliableNetwork(
                 self.scheduler,
                 latency=_HOP_LATENCY,
@@ -336,6 +342,7 @@ class DSMSystem:
         # phase takes the static fixed-majority fast path).
         self.membership: Optional[MembershipView] = None
         if config.reconfig is not None or config.quorum_weights is not None:
+            from .reconfig import MembershipView
             self.membership = MembershipView(
                 tuple(range(1, N + 2)), config.quorum_weights
             )
@@ -348,6 +355,7 @@ class DSMSystem:
                     port.hedge = config.hedge
         self.reconfig: Optional[ReconfigManager] = None
         if config.reconfig is not None:
+            from .reconfig import ReconfigManager
             self.reconfig = ReconfigManager(
                 plan=config.reconfig,
                 view=self.membership,
@@ -365,9 +373,10 @@ class DSMSystem:
         # crash recovery and consistency monitoring (both opt-in; without
         # them the hooks stay None and runs are bit-identical to a system
         # built before these subsystems existed).
-        self.monitor: Optional[ConsistencyMonitor] = (
-            ConsistencyMonitor() if config.monitor else None
-        )
+        self.monitor: Optional[ConsistencyMonitor] = None
+        if config.monitor:
+            from .monitor import ConsistencyMonitor
+            self.monitor = ConsistencyMonitor()
         self.write_log: Optional[WriteLog] = None
         self.recovery: Optional[RecoveryManager] = None
         if (not self.spec.quorum_based
@@ -375,6 +384,8 @@ class DSMSystem:
                      or (self.faults is not None
                          and (config.failover
                               or self.faults.has_amnesia)))):
+            from .faults import FaultPlan
+            from .recovery import RecoveryManager, WriteLog
             self.write_log = WriteLog()
             self.recovery = RecoveryManager(
                 nodes=self.nodes,
@@ -405,6 +416,7 @@ class DSMSystem:
             # of retrying into a severed link forever.
             self.network.quarantined = self.cluster.quarantined
             if self.partitions.detect:
+                from .partition import FailureDetector
                 self.detector = FailureDetector(
                     plan=self.partitions,
                     cluster=self.cluster,
@@ -425,6 +437,7 @@ class DSMSystem:
             # (never stored as self.partitions — a plan without links is
             # no partition plan, and the plan-equality fabric checks
             # must keep seeing None).
+            from .partition import FailureDetector, PartitionPlan
             knobs = (self.partitions if self.partitions is not None
                      else PartitionPlan())
             if knobs.detect:
@@ -574,7 +587,7 @@ class DSMSystem:
             raise ValueError(
                 f"workload uses {workload.M} objects, system has {self.M}"
             )
-        rng = np.random.default_rng(config.seed)
+        rng = default_rng(config.seed)
         ops = workload.sample(rng, num_ops)
         gaps = rng.exponential(config.mean_gap, size=num_ops).tolist()
         _ArrivalStream(self, ops, gaps)  # posts the first arrival
@@ -759,6 +772,8 @@ class DSMSystem:
                 "consistency monitoring is off; build the system with "
                 "config=RunConfig(monitor=True)"
             )
+        from .monitor import ConsistencyViolation
+
         hit_states = self.spec.hit_states
         excluded = self._excluded_nodes()
         violations: List[ConsistencyViolation] = []

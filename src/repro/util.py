@@ -15,11 +15,10 @@ tool.
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import importlib
 import math
 import sys
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Tuple, Union
 
 __all__ = ["backoff_delay", "did_you_mean", "field_kwargs", "lazy_exports",
            "reject_unknown_keys"]
@@ -33,6 +32,8 @@ _SCALARS: Dict[str, Callable[[Any], Any]] = {
 
 def did_you_mean(name: str, candidates: Iterable[str]) -> str:
     """A `` (did you mean 'x'?)`` suffix, or ``""`` with no close match."""
+    import difflib  # only an error message needs it
+
     matches = difflib.get_close_matches(name, list(candidates), n=1,
                                         cutoff=0.6)
     return f" (did you mean {matches[0]!r}?)" if matches else ""
@@ -85,20 +86,24 @@ def field_kwargs(cls: type, data: Mapping, context: str,
     return kwargs
 
 
-def lazy_exports(package: str, exports: Mapping[str, Iterable[str]]
+def lazy_exports(package: str,
+                 exports: Union[Mapping[str, Iterable[str]],
+                                Iterable[Tuple[str, Iterable[str]]]]
                  ) -> Tuple[List[str], Callable[[str], Any],
                             Callable[[], List[str]]]:
     """Public names of ``package``, with its PEP 562 ``__getattr__`` and
     ``__dir__``, for a package whose names live in its submodules.
 
     ``exports`` maps each submodule (relative to ``package``) to the names
-    it defines; a name equal to its submodule's is the submodule itself.
-    A name imports its submodule on first access and is then bound in the
-    package, so later reads are plain attribute reads and importing one
-    submodule does not load its siblings.
+    it defines, as a mapping or as ``(submodule, names)`` pairs (which may
+    name a submodule more than once, to keep a given order of names); a
+    name equal to its submodule's is the submodule itself.  A name imports
+    its submodule on first access and is then bound in the package, so
+    later reads are plain attribute reads and importing one submodule
+    does not load its siblings.
     """
-    origin = {name: module for module, names in exports.items()
-              for name in names}
+    pairs = exports.items() if isinstance(exports, Mapping) else exports
+    origin = {name: module for module, names in pairs for name in names}
 
     def __getattr__(name: str) -> Any:
         module = origin.get(name)

@@ -660,6 +660,25 @@ class TestTraceCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_trace_takes_bounded_cache_flags(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        code, out, _ = run(capsys, "trace", "berkeley", *self.BASE,
+                           "--M", "2", "--cache-capacity", "1",
+                           "--out", str(out_path))
+        assert code == 0
+        assert "chrome trace" in out
+        from repro.obs.export import validate_chrome_trace
+        payload = json.loads(out_path.read_text(encoding="utf-8"))
+        assert validate_chrome_trace(payload) == []
+
+    def test_trace_takes_reconfiguration_flags(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.json"
+        code, out, _ = run(capsys, "trace", "sc_abd", *self.BASE,
+                           "--quorum-weight", "1:2", "--out", str(out_path))
+        assert code == 0
+        assert "chrome trace" in out
+        assert out_path.exists()
+
 
 class TestProfileCommand:
     def test_profile_prints_hot_paths(self, capsys):
@@ -680,6 +699,15 @@ class TestProfileCommand:
                       if line.startswith(("engine.", "protocol.",
                                           "reliable."))]
         assert len(scope_rows) == 1
+
+    def test_profile_takes_bounded_cache_flags(self, capsys):
+        code, out, _ = run(capsys, "profile", "berkeley", "--N", "4",
+                           "--p", "0.2", "--a", "2", "--sigma", "0.1",
+                           "--ops", "300", "--warmup", "50", "--M", "2",
+                           "--cache-capacity", "1")
+        assert code == 0
+        assert "engine.dispatch" in out
+        assert "events executed" in out
 
 
 class TestMonitorVerdict:

@@ -66,19 +66,99 @@ def test_version_is_a_string():
     assert repro.__version__.count(".") == 2
 
 
+def _fresh(probe: str) -> str:
+    """Stdout of ``probe`` run in a fresh interpreter on this tree."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env=env,
+    ).stdout
+
+
 def test_simulator_import_stays_lean():
     """``import repro.sim`` loads neither the chain explorer nor the
     sweep engine or the scenario catalog: the package exports resolve
     lazily.  Run in a fresh interpreter, since this one has them all."""
     probe = ("import sys, repro.sim; print(' '.join(sorted("
              "m for m in sys.modules if m.startswith('repro'))))")
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    loaded = set(subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True,
-        check=True, env=env,
-    ).stdout.split())
+    loaded = set(_fresh(probe).split())
     assert "repro.sim" in loaded
     for heavy in ("repro.core.chains", "repro.exp", "repro.scenarios",
                   "repro.api"):
         assert heavy not in loaded, heavy
+
+
+#: builds and runs a plain system; prints the ``repro`` modules loaded
+#: before the run, then the modules (of any package) the run added
+PLAIN_RUN_PROBE = """
+import sys
+from repro.core.parameters import Deviation, WorkloadParams
+from repro.sim import DSMSystem, RunConfig
+from repro.workloads.synthetic import SyntheticWorkload
+params = WorkloadParams(N=3, p=0.3, a=2, sigma=0.1)
+system = DSMSystem("write_through", N=3, M=2)
+workload = SyntheticWorkload(params, Deviation.READ, M=2)
+config = RunConfig(ops=300, seed=1)
+before = set(sys.modules)
+system.run_workload(workload, config)
+print(' '.join(sorted(m for m in before if m.split('.')[0] == 'repro')))
+print(' '.join(sorted(set(sys.modules) - before)) or '-')
+"""
+
+
+@pytest.fixture(scope="module")
+def plain_run():
+    """The two output lines of :data:`PLAIN_RUN_PROBE`."""
+    return _fresh(PLAIN_RUN_PROBE).splitlines()
+
+
+def test_plain_run_imports_only_what_it_runs(plain_run):
+    """A run on the paper's fabric loads no optional subsystem, no
+    observability module and no protocol other than the one it runs."""
+    loaded = set(plain_run[0].split())
+    assert "repro.protocols.write_through" in loaded
+    unused = {f"repro.sim.{name}" for name in (
+        "reliable", "faults", "partition", "reconfig", "recovery",
+        "monitor", "cache", "hedge")}
+    assert not loaded & unused, sorted(loaded & unused)
+    assert not {m for m in loaded if m.startswith("repro.obs")}
+    protocols = {m for m in loaded if m.startswith("repro.protocols.")}
+    assert protocols == {"repro.protocols.base", "repro.protocols.registry",
+                         "repro.protocols.write_through"}
+
+
+def test_plain_run_imports_nothing_while_it_runs(plain_run):
+    """Every import happens while the system is built, none while the
+    workload runs (the timed phase of a benchmark)."""
+    assert plain_run[1] == "-"
+
+
+def test_registry_tables_keep_their_keys_and_order():
+    from repro.protocols import EXTENSION_PROTOCOLS, PROTOCOLS
+
+    assert list(PROTOCOLS) == [
+        "write_through", "write_through_v", "write_once", "synapse",
+        "illinois", "berkeley", "dragon", "firefly"]
+    assert list(EXTENSION_PROTOCOLS) == ["write_through_dir", "sc_abd"]
+    assert all(spec.name == name for table in (PROTOCOLS, EXTENSION_PROTOCOLS)
+               for name, spec in table.items())
+    assert repro.protocol_names() == list(PROTOCOLS)
+    assert repro.all_protocol_names() == [*PROTOCOLS, *EXTENSION_PROTOCOLS]
+
+
+def test_lookup_by_display_name_still_resolves():
+    from repro.protocols import get_protocol
+
+    assert get_protocol("Write-Once").name == "write_once"
+    assert get_protocol("SC-ABD (majority quorum)").name == "sc_abd"
+    assert get_protocol(" BERKELEY ").name == "berkeley"
+
+
+def test_lookup_by_registry_name_imports_one_protocol():
+    probe = ("import sys; from repro.protocols import get_protocol; "
+             "get_protocol('berkeley'); print(' '.join(sorted("
+             "m for m in sys.modules if m.startswith('repro.protocols.'))))")
+    assert _fresh(probe).split() == [
+        "repro.protocols.base", "repro.protocols.berkeley",
+        "repro.protocols.registry"]
