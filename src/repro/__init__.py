@@ -15,7 +15,7 @@ The package provides:
 * :mod:`repro.validation` — analytical-vs-simulation comparison (Table 7);
 * :mod:`repro.exp` — the parallel sweep engine with result caching;
 * :mod:`repro.obs` — observability: structured tracing, a metrics
-  registry, wall-clock profiling and Chrome-trace export;
+  registry and Chrome-trace export;
 * :mod:`repro.scenarios` — the declarative scenario catalog: whole
   studies as validated JSON/TOML documents with ``extends:`` inheritance;
 * :mod:`repro.api` — the one-stop facade (:func:`~repro.api.acc`,
@@ -65,8 +65,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "core": ("ALL_PROTOCOLS", "Deviation", "WorkloadParams", "acc_table",
              "analytical_acc", "best_protocol", "closed_form_acc",
              "has_closed_form", "ideal_acc", "markov_acc", "rank_protocols"),
-    "obs": ("MetricsRegistry", "Profiler", "TraceConfig", "Tracer",
-            "write_chrome_trace"),
+    "obs": ("MetricsRegistry", "TraceConfig", "Tracer", "write_chrome_trace"),
     "protocols": ("PROTOCOLS", "UnknownProtocolError", "all_protocol_names",
                   "get_protocol", "protocol_names"),
     "sim": ("ConsistencyMonitor", "ConsistencyViolation", "CrashWindow",

@@ -17,8 +17,8 @@ Ten commands cover the library's day-to-day uses:
   and replay one (``--replay``);
 * ``trace`` — run one simulation with structured tracing on and export
   the Chrome trace (and optionally the JSONL event stream);
-* ``profile`` — run one simulation under the wall-clock profiler and
-  print the hot-path table;
+* ``profile`` — run one simulation under :mod:`cProfile` and print its
+  self time per ``repro`` module and per function;
 * ``scenarios`` — the declarative scenario catalog
   (:mod:`repro.scenarios`): ``list`` / ``show`` / ``run`` / ``compare`` /
   ``report`` whole committed studies without writing a benchmark script.
@@ -50,8 +50,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from .chaos.generate import ChaosOptions
 from .core.acc import analytical_acc
@@ -61,7 +62,6 @@ from .core.parameters import Deviation, WorkloadParams
 from .core.placement import placement_advantage
 from .exp import SweepCell, SweepSpec, SweepRunner, simulate_cell
 from .obs.export import write_chrome_trace, write_events_jsonl
-from .obs.profile import Profiler
 from .obs.trace import TraceConfig
 from .protocols.registry import all_protocol_names, protocol_names
 from .sim.config import RunConfig
@@ -609,14 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser(
         "profile",
-        help="run one simulation under the wall-clock profiler",
+        help="run one simulation under cProfile (self time per module "
+             "and function)",
         parents=[system, point, run, fault, part, rel, reconf, cache],
     )
     p_prof.add_argument("protocol", help=f"one of: {known}")
     p_prof.add_argument("--M", type=int, default=1,
                         help="number of shared objects")
     p_prof.add_argument("--top", type=int, default=10,
-                        help="hot paths to show (by total time)")
+                        help="rows to show in each table (by self time)")
 
     p_place = sub.add_parser(
         "place",
@@ -836,12 +837,12 @@ def _export_trace(tracer, chrome_path, jsonl_path, label: str) -> None:
 
 
 def _simulate(args: argparse.Namespace, deviation: Deviation,
-              params: WorkloadParams, config: RunConfig, profiler=None):
+              params: WorkloadParams, config: RunConfig):
     """``(system, result)`` of the command's run: a ``kind="sim"`` cell
     through :func:`~repro.exp.runner.simulate_cell`."""
     cell = SweepCell(args.protocol, params, deviation, kind="sim",
                      M=args.M, config=config)
-    return simulate_cell(cell, profiler=profiler)
+    return simulate_cell(cell)
 
 
 def _finish_run(system, result, chrome_path, jsonl_path,
@@ -1009,13 +1010,42 @@ def _cmd_trace(args: argparse.Namespace, deviation: Deviation,
 
 def _cmd_profile(args: argparse.Namespace, deviation: Deviation,
                  params: WorkloadParams) -> int:
-    profiler = Profiler()
-    system, result = _simulate(args, deviation, params,
-                               runconfig_from_args(args), profiler)
+    import cProfile
+    import pstats
+
+    profile = cProfile.Profile()
+    system, result = profile.runcall(_simulate, args, deviation, params,
+                                     runconfig_from_args(args))
     print(f"simulated acc   = {result.acc:.4f}")
     print(f"events executed = {system.scheduler.executed}")
+    # one pass over the raw stats: self time per repro module (everything
+    # outside the package is "(other)") and per function
+    package = os.path.dirname(__file__) + os.sep
+    modules: Dict[str, float] = {}
+    functions = []
+    stats = pstats.Stats(profile).stats
+    for (path, line, name), (_, calls, self_s, _, _) in stats.items():
+        if path.startswith(package):
+            module = os.path.splitext(path[len(package):])[0]
+            module = module.replace(os.sep, ".")
+            label = f"{module}:{line}({name})"
+        else:  # builtins have path "~" and a readable name already
+            module = "(other)"
+            label = (name if path == "~"
+                     else f"{os.path.basename(path)}:{line}({name})")
+        modules[module] = modules.get(module, 0.0) + self_s
+        functions.append((self_s, calls, label))
+    total = sum(modules.values()) or 1.0
     print()
-    print(profiler.format_table(top=args.top))
+    print(f"{'module':<28} {'self (s)':>10} {'share':>7}")
+    for module, self_s in sorted(modules.items(),
+                                 key=lambda kv: -kv[1])[:args.top]:
+        print(f"{module:<28} {self_s:>10.4f} {self_s / total:>7.1%}")
+    print()
+    print(f"{'function':<52} {'calls':>9} {'self (s)':>10}")
+    for self_s, calls, label in sorted(functions,
+                                       key=lambda row: -row[0])[:args.top]:
+        print(f"{label:<52} {calls:>9} {self_s:>10.4f}")
     return _finish_run(system, result, None, None, f"profile {args.protocol}")
 
 

@@ -65,7 +65,6 @@ def _finite(value: float) -> Optional[float]:
 def simulate_cell(
     cell: SweepCell,
     on_system: Optional[Callable] = None,
-    profiler=None,
 ) -> Tuple[DSMSystem, SimulationResult]:
     """Build, run and check the simulated part of one cell.
 
@@ -79,12 +78,9 @@ def simulate_cell(
             :class:`DSMSystem` after the simulation ran (even when the
             run raised) — the chaos replayer uses it to export the
             tracer of a repro run.
-        profiler: an optional :class:`~repro.obs.Profiler`, passed to the
-            system unchanged.
     """
     system = DSMSystem(cell.protocol, N=cell.params.N, M=cell.M,
-                       S=cell.params.S, P=cell.params.P, config=cell.config,
-                       profiler=profiler)
+                       S=cell.params.S, P=cell.params.P, config=cell.config)
     workload = SyntheticWorkload(cell.params, cell.deviation, M=cell.M)
     try:
         result = system.run_workload(workload)

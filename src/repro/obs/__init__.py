@@ -8,16 +8,16 @@ Three layers:
 * :mod:`repro.obs.registry` -- counters/gauges/histograms that the
   simulator, sweep runner and chaos runner publish into
   (:class:`MetricsRegistry`).
-* :mod:`repro.obs.profile` / :mod:`repro.obs.export` -- wall-clock
-  profiling of simulator hot paths (:class:`Profiler`) and trace export
-  as Chrome trace-event JSON or a JSONL event stream.
+* :mod:`repro.obs.export` -- trace export as Chrome trace-event JSON or
+  a JSONL event stream.
 
-See ``docs/observability.md`` for the span model and overhead numbers.
+Wall-clock profiling attaches from outside: ``repro profile`` runs one
+simulation under the standard library's :mod:`cProfile`.  See
+``docs/observability.md`` for the span model and overhead numbers.
 """
 
 from .trace import Span, TraceConfig, TraceEvent, Tracer
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .profile import Profiler
 from .export import (
     CHROME_TRACE_SCHEMA,
     SYSTEM_PID,
@@ -38,7 +38,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "Profiler",
     "CHROME_TRACE_SCHEMA",
     "SYSTEM_PID",
     "chrome_trace",

@@ -51,11 +51,9 @@ operation.  Arrival times are Python floats, so in a workload run
 head has the smaller ``(time, seq)``.  Every event therefore fires exactly
 when a single heap holding all of them would fire it.  ``step`` dispatches
 the event itself — it sets ``now``, counts the event and calls the
-callback, with no helper call in between; only with a profiler attached
-does the call go through ``_timed``, which times it under the
-``engine.dispatch`` scope.  A fan-out entry at the lane head fires its
-members back to back within one step, each one setting ``now``, counting
-in ``executed`` and timed on its own.  The order is the single heap's:
+callback, with no helper call in between.  A fan-out entry at the lane
+head fires its members back to back within one step, each one setting
+``now`` and counting in ``executed`` on its own.  The order is the single heap's:
 the members hold consecutive numbers at one time, and anything scheduled
 while they fire gets a larger number (an event posted at ``now`` with a
 number reserved earlier is the one exception, and it ends the fan-out's
@@ -68,7 +66,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from time import perf_counter
 from typing import Any, Callable, Deque, List, Optional, Tuple
 
 __all__ = ["EventScheduler", "TimerHandle"]
@@ -133,9 +130,6 @@ class EventScheduler:
         self.now: float = 0.0
         #: number of events executed so far
         self.executed: int = 0
-        #: optional :class:`repro.obs.Profiler`; when set, every event
-        #: dispatch is timed under the ``engine.dispatch`` scope
-        self.profiler = None
 
     # -- cancellable timers (heap) -----------------------------------------
 
@@ -264,10 +258,10 @@ class EventScheduler:
         without advancing time or counting as executed.
 
         A fan-out entry (:meth:`post_many`) fires its members back to
-        back, each one setting ``now``, counting in ``executed`` and
-        timed on its own, until all have fired, ``executed`` reaches
-        ``limit``, or a heap event comes due first; the unfired members
-        stay at the lane head.  The first member always fires.
+        back, each one setting ``now`` and counting in ``executed`` on
+        its own, until all have fired, ``executed`` reaches ``limit``, or
+        a heap event comes due first; the unfired members stay at the
+        lane head.  The first member always fires.
         :meth:`run` passes its ``max_events`` cap as ``limit``, and one
         more than ``executed`` when ``until`` is given.
         """
@@ -286,10 +280,7 @@ class EventScheduler:
             arg._callback = None  # fired: the handle goes inactive
             self.now = time
             self.executed += 1
-            if self.profiler is None:
-                callback()
-            else:
-                self._timed(callback)
+            callback()
             return True
         else:  # no heap entry is due first: the lane head fires, if any
             if not lane:
@@ -300,10 +291,7 @@ class EventScheduler:
                 return True
         self.now = time
         self.executed += 1
-        if self.profiler is None:
-            callback(arg)
-        else:
-            self._timed(callback, arg)
+        callback(arg)
         return True
 
     def _fire_many(self, time: float, seq: int,
@@ -320,7 +308,6 @@ class EventScheduler:
         """
         callback, args = fanout
         heap = self._heap
-        profiler = self.profiler
         fired = 0
         try:
             for arg in args:
@@ -331,10 +318,7 @@ class EventScheduler:
                 fired += 1
                 self.now = time
                 self.executed += 1
-                if profiler is None:
-                    callback(arg)
-                else:
-                    self._timed(callback, arg)
+                callback(arg)
         finally:
             if fired < len(args):
                 self._fanned -= fired
@@ -342,12 +326,6 @@ class EventScheduler:
                                        (callback, args[fired:])))
             else:
                 self._fanned -= fired - 1
-
-    def _timed(self, callback: Callable[..., None], *args: Any) -> None:
-        """Run one event's callback under the ``engine.dispatch`` scope."""
-        t0 = perf_counter()
-        callback(*args)
-        self.profiler.add("engine.dispatch", perf_counter() - t0)
 
     def run(
         self,

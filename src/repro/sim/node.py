@@ -33,8 +33,8 @@ reaches :meth:`ObjectPort.send_many_unordered`.  On the fault-free plain
 fabric both hooks collect the deliveries in a list that the fabric's
 ``post_fanout`` (bound once, ``None`` on the reliable transport or a
 faulty fabric) posts as one scheduler entry (:mod:`repro.sim.channel`);
-otherwise every message is posted on its own.  A delivery reads the
-profiler off the bound scheduler.  Every method the benchmark's layer run wraps
+otherwise every message is posted on its own.  Every method the
+benchmark's layer run wraps
 stays a class attribute on that path (no instance attribute shadows
 one), so the layer run keeps attributing time to it.
 """
@@ -42,7 +42,6 @@ one), so the layer run keeps attributing time to it.
 from __future__ import annotations
 
 from collections import deque
-from time import perf_counter
 from typing import (
     TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional, Tuple,
 )
@@ -340,13 +339,7 @@ class ObjectPort(ProcessContext):
             tracer = node.metrics.tracer
             if tracer is not None:
                 tracer.op_event("dispatch", op.op_id)
-            profiler = self._scheduler.profiler
-            if profiler is None:
-                self.process.on_request(op)
-            else:
-                t0 = perf_counter()
-                self.process.on_request(op)
-                profiler.add("protocol.on_request", perf_counter() - t0)
+            self.process.on_request(op)
         if not self.local_enabled and self.degraded_reads:
             self._pump_degraded()
 
@@ -376,13 +369,7 @@ class ObjectPort(ProcessContext):
 
     def deliver(self, msg: Message) -> None:
         """A message arrives on the distributed queue."""
-        profiler = self._scheduler.profiler
-        if profiler is None:
-            self.process.on_message(msg)
-        else:
-            t0 = perf_counter()
-            self.process.on_message(msg)
-            profiler.add("protocol.on_message", perf_counter() - t0)
+        self.process.on_message(msg)
         # a response may have re-enabled the local queue (pump has
         # nothing to do while the queue is empty).
         if self.local_queue:

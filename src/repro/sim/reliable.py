@@ -40,7 +40,6 @@ to the paper's trace sets.  Intra-node sends bypass the transport entirely
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..machines.message import Message
@@ -477,15 +476,6 @@ class ReliableNetwork:
     # ------------------------------------------------------------------
 
     def _on_frame(self, frame: Frame) -> None:
-        profiler = self.scheduler.profiler
-        if profiler is None:
-            self._handle_frame(frame)
-        else:
-            t0 = perf_counter()
-            self._handle_frame(frame)
-            profiler.add("reliable.on_frame", perf_counter() - t0)
-
-    def _handle_frame(self, frame: Frame) -> None:
         if frame.kind == "loop":
             self._handlers[frame.dst](frame.msg)
             return

@@ -218,9 +218,6 @@ class DSMSystem:
             system runs rewound copies of the plans
             (``dataclasses.replace(plan)``), so one config builds any
             number of identical systems.
-        profiler: optional :class:`~repro.obs.Profiler`; times simulator
-            hot paths (event dispatch, protocol transitions,
-            reliable-delivery bookkeeping) in wall-clock time.
     """
 
     def __init__(
@@ -231,7 +228,6 @@ class DSMSystem:
         S: float = 100.0,
         P: float = 30.0,
         config: Optional[RunConfig] = None,
-        profiler=None,
     ):
         if config is None:
             config = RunConfig()
@@ -286,9 +282,6 @@ class DSMSystem:
             from ..obs.trace import Tracer
             self.tracer = Tracer(config.tracing, clock=self.scheduler)
         self.metrics.tracer = self.tracer
-        #: wall-clock profiler for simulator hot paths
-        self.profiler = profiler
-        self.scheduler.profiler = profiler
         reliability = config.resolved_reliability
         self.reliability = reliability
         if reliability is not None:

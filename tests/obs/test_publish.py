@@ -2,20 +2,18 @@
 
 import json
 
-import pytest
-
 from repro.core import WorkloadParams
 from repro.exp import SweepSpec, run_sweep
-from repro.obs import MetricsRegistry, Profiler, TraceConfig
+from repro.obs import MetricsRegistry, TraceConfig
 from repro.sim import CrashWindow, DSMSystem, FaultPlan, RunConfig
 from repro.workloads import read_disturbance_workload
 
 PARAMS = WorkloadParams(N=4, p=0.2, a=2, sigma=0.1, S=50.0, P=20.0)
 
 
-def _run_system(config, profiler=None):
+def _run_system(config):
     system = DSMSystem("berkeley", N=PARAMS.N, M=2, S=PARAMS.S,
-                       P=PARAMS.P, config=config, profiler=profiler)
+                       P=PARAMS.P, config=config)
     system.run_workload(read_disturbance_workload(PARAMS, M=2))
     return system
 
@@ -152,141 +150,3 @@ class TestChaosReplayTrace:
         assert (reg.counter("chaos.findings").value
                 == len(report.findings))
         assert reg.counter("sweep.cells").value == report.cells
-
-
-class TestProfilerWiring:
-    def test_profiler_collects_hot_paths(self):
-        config = RunConfig(ops=200, warmup=20, seed=1)
-        profiler = Profiler()
-        system = _run_system(config, profiler=profiler)
-        stats = profiler.stats()
-        assert stats["engine.dispatch"]["calls"] == \
-            system.scheduler.executed
-        assert "protocol.on_request" in stats
-        assert "protocol.on_message" in stats
-
-    @pytest.mark.parametrize("faulty", [False, True])
-    def test_profiler_times_every_event_on_a_reliable_fabric(
-            self, monkeypatch, faulty):
-        """Retransmission timers sit in the heap and frames on the
-        physical fabric, faulty or not, are posted handle-free; every one
-        of them is a timed dispatch."""
-        from repro.sim import ReliabilityConfig
-        from repro.sim.engine import EventScheduler
-        posts = []
-        post = EventScheduler.post
-
-        def counting_post(sched, *args):
-            posts.append(args[0])
-            post(sched, *args)
-
-        monkeypatch.setattr(EventScheduler, "post", counting_post)
-        faults = (FaultPlan(seed=1, drop_rate=0.05,
-                            crashes=[CrashWindow(2, 300.0, 600.0)])
-                  if faulty else None)
-        profiler = Profiler()
-        system = _run_system(
-            RunConfig(ops=300, warmup=30, seed=2, faults=faults,
-                      reliability=ReliabilityConfig()),
-            profiler=profiler)
-        assert system.metrics.reliability.acks > 0  # timers were armed
-        assert posts  # lane events mixed in
-        assert (profiler.stats()["engine.dispatch"]["calls"]
-                == system.scheduler.executed)
-
-    def test_profiler_times_every_event_on_a_jittered_fabric(
-            self, monkeypatch):
-        """Jitter sends some faulty deliveries to the lane and some, due
-        before the lane's tail, to the heap; with drops, retry timers are
-        armed, cancelled on ack and fired.  Every live event is timed
-        once and no cancelled one is."""
-        from repro.sim import ReliabilityConfig
-        from repro.sim.engine import EventScheduler, TimerHandle
-        lane_posts = []
-        heap_posts = []
-        cancels = []
-        post = EventScheduler.post
-        cancel = TimerHandle.cancel
-
-        def sorting_post(sched, delay, callback, arg):
-            ahead = sched.now + delay < sched._lane_tail
-            (heap_posts if ahead else lane_posts).append(delay)
-            post(sched, delay, callback, arg)
-
-        def counting_cancel(handle):
-            cancelled = cancel(handle)
-            cancels.append(cancelled)
-            return cancelled
-
-        monkeypatch.setattr(EventScheduler, "post", sorting_post)
-        monkeypatch.setattr(TimerHandle, "cancel", counting_cancel)
-        faults = FaultPlan(seed=3, drop_rate=0.05, duplicate_rate=0.05,
-                           jitter=2.0)
-        profiler = Profiler()
-        system = _run_system(
-            RunConfig(ops=300, warmup=30, seed=2, faults=faults,
-                      reliability=ReliabilityConfig()),
-            profiler=profiler)
-        assert lane_posts and heap_posts
-        assert any(cancels)  # acked retry timers left in the heap
-        assert system.metrics.reliability.retransmissions > 0
-        assert (profiler.stats()["engine.dispatch"]["calls"]
-                == system.scheduler.executed)
-
-    def test_profiler_parity_on_a_fault_free_quorum_run(self, monkeypatch):
-        """sc_abd on the plain fabric mixes lane posts (deliveries), heap
-        timers (quorum phases) and timers cancelled when a phase
-        completes.  Every live event is one timed dispatch and every
-        delivered message one timed ``on_message``."""
-        from repro.sim.channel import Network
-        from repro.sim.engine import EventScheduler, TimerHandle
-        posts = []
-        timers = []
-        cancels = []
-        delivered = []
-        post = EventScheduler.post
-        schedule = EventScheduler.schedule
-        cancel = TimerHandle.cancel
-        deliver = Network._deliver
-
-        def counting_post(sched, *args):
-            posts.append(args[0])
-            post(sched, *args)
-
-        def counting_schedule(sched, *args):
-            timers.append(args[0])
-            return schedule(sched, *args)
-
-        def counting_cancel(handle):
-            cancelled = cancel(handle)
-            cancels.append(cancelled)
-            return cancelled
-
-        def counting_deliver(net, item):
-            delivered.append(item[2])
-            deliver(net, item)
-
-        monkeypatch.setattr(EventScheduler, "post", counting_post)
-        monkeypatch.setattr(EventScheduler, "schedule", counting_schedule)
-        monkeypatch.setattr(TimerHandle, "cancel", counting_cancel)
-        monkeypatch.setattr(Network, "_deliver", counting_deliver)
-        profiler = Profiler()
-        system = DSMSystem("sc_abd", N=PARAMS.N, M=2, S=PARAMS.S,
-                           P=PARAMS.P, profiler=profiler)
-        result = system.run_workload(
-            read_disturbance_workload(PARAMS, M=2),
-            RunConfig(ops=300, warmup=30, seed=2))
-        assert result.incomplete_ops == 0
-        assert posts and timers and any(cancels)
-        assert len(delivered) == result.messages
-        stats = profiler.stats()
-        assert (stats["engine.dispatch"]["calls"]
-                == system.scheduler.executed)
-        assert stats["protocol.on_message"]["calls"] == len(delivered)
-
-    def test_profiler_output_stays_out_of_results(self):
-        config = RunConfig(ops=200, warmup=20, seed=1)
-        with_prof = _run_system(config, profiler=Profiler())
-        without = _run_system(config)
-        assert (with_prof.metrics.average_cost(skip=20)
-                == without.metrics.average_cost(skip=20))

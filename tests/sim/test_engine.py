@@ -292,18 +292,6 @@ class TestPost:
         assert fired == [0, 1, 2] and sched.now == 2.0
         assert len(sched) == 7
 
-    def test_profiler_times_lane_and_heap_events(self):
-        from repro.obs import Profiler
-        sched = EventScheduler()
-        sched.profiler = Profiler()
-        sched.post(1.0, lambda _: None, None)
-        sched.post(0.5, lambda _: None, None)  # heap fallback
-        sched.schedule(2.0, lambda: None)
-        sched.schedule(3.0, lambda: None).cancel()
-        sched.run()
-        assert sched.executed == 3
-        assert sched.profiler.stats()["engine.dispatch"]["calls"] == 3
-
 
 class TestPostMany:
     def test_members_fire_in_order_and_count_one_each(self):
@@ -407,14 +395,6 @@ class TestPostMany:
         assert fired == [0] and sched.executed == 2 and len(sched) == 2
         sched.run()
         assert fired == [0, 2, 3] and len(sched) == 0
-
-    def test_profiler_times_each_member(self):
-        from repro.obs import Profiler
-        sched = EventScheduler()
-        sched.profiler = Profiler()
-        sched.post_many(1.0, lambda _: None, [1, 2, 3])
-        sched.run()
-        assert sched.profiler.stats()["engine.dispatch"]["calls"] == 3
 
 
 class _HeapOnly:

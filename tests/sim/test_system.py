@@ -6,7 +6,11 @@ import pytest
 
 from repro.core.parameters import WorkloadParams
 from repro.sim import (CrashWindow, DSMSystem, FaultPlan, HedgeConfig,
-                       MembershipChange, ReconfigPlan, RunConfig)
+                       MembershipChange, ReconfigPlan, ReliabilityConfig,
+                       RunConfig)
+from repro.sim.channel import Network
+from repro.sim.engine import EventScheduler, TimerHandle
+from repro.sim.node import ObjectPort
 from repro.sim.system import _FAMILY_RULES
 from repro.workloads import (read_disturbance_workload,
                              write_disturbance_workload)
@@ -170,6 +174,132 @@ class TestRunWorkload:
             system.run_workload(write_disturbance_workload(params),
                                 RunConfig(ops=2000, seed=3, max_events=cap))
         assert (system.scheduler.executed, len(system.scheduler)) == counts
+
+
+class TestEventAccounting:
+    """Every event that enters the scheduler fires once or is cancelled,
+    counted at integration scale by wrapping the scheduler's entry
+    points, on the fabrics that mix lane posts, heap fallbacks, timers
+    and cancellations."""
+
+    PARAMS = WorkloadParams(N=4, p=0.2, a=2, sigma=0.1, S=50.0, P=20.0)
+
+    @pytest.fixture
+    def ledger(self, monkeypatch):
+        """Counts of what enters and leaves the scheduler; wrap before the
+        system is built, since the fabric binds some methods once."""
+        book = {"lane": 0, "heap": 0, "timers": 0, "cancels": 0,
+                "cancel_calls": 0}
+        post = EventScheduler.post
+        post_many = EventScheduler.post_many
+        post_at = EventScheduler._post_at
+        push = EventScheduler._push
+        cancel = TimerHandle.cancel
+
+        def counting_post(sched, delay, callback, arg):
+            ahead = sched.now + delay < sched._lane_tail
+            book["heap" if ahead else "lane"] += 1
+            post(sched, delay, callback, arg)
+
+        def counting_post_many(sched, delay, callback, args):
+            ahead = sched.now + delay < sched._lane_tail
+            book["heap" if ahead else "lane"] += len(args)
+            post_many(sched, delay, callback, args)
+
+        def counting_post_at(sched, *args):
+            book["heap"] += 1
+            post_at(sched, *args)
+
+        def counting_push(sched, *args):
+            book["timers"] += 1
+            return push(sched, *args)
+
+        def counting_cancel(handle):
+            cancelled = cancel(handle)
+            book["cancel_calls"] += 1
+            book["cancels"] += cancelled
+            return cancelled
+
+        monkeypatch.setattr(EventScheduler, "post", counting_post)
+        monkeypatch.setattr(EventScheduler, "post_many", counting_post_many)
+        monkeypatch.setattr(EventScheduler, "_post_at", counting_post_at)
+        monkeypatch.setattr(EventScheduler, "_push", counting_push)
+        monkeypatch.setattr(TimerHandle, "cancel", counting_cancel)
+        return book
+
+    def _run(self, config, protocol="berkeley"):
+        system = DSMSystem(protocol, N=self.PARAMS.N, M=2, S=self.PARAMS.S,
+                           P=self.PARAMS.P, config=config)
+        result = system.run_workload(
+            read_disturbance_workload(self.PARAMS, M=2))
+        return system, result
+
+    @staticmethod
+    def assert_balanced(book, scheduler):
+        """Drain what the run left pending (acks, spent retry timers),
+        then every entered event fired once or was cancelled."""
+        scheduler.run()
+        assert len(scheduler) == 0
+        entered = book["lane"] + book["heap"] + book["timers"]
+        assert scheduler.executed == entered - book["cancels"]
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_every_live_event_fires_once_on_a_reliable_fabric(
+            self, ledger, faulty):
+        """Retransmission timers sit in the heap and frames on the
+        physical fabric, faulty or not, are posted handle-free."""
+        faults = (FaultPlan(seed=1, drop_rate=0.05,
+                            crashes=[CrashWindow(2, 300.0, 600.0)])
+                  if faulty else None)
+        system, _ = self._run(RunConfig(ops=300, warmup=30, seed=2,
+                                        faults=faults,
+                                        reliability=ReliabilityConfig()))
+        assert system.metrics.reliability.acks > 0  # timers were armed
+        assert ledger["lane"] and ledger["timers"]
+        self.assert_balanced(ledger, system.scheduler)
+
+    def test_every_live_event_fires_once_on_a_jittered_fabric(self, ledger):
+        """Jitter sends some faulty deliveries to the lane and some, due
+        before the lane's tail, to the heap; with drops, retry timers are
+        armed, cancelled on ack and fired."""
+        faults = FaultPlan(seed=3, drop_rate=0.05, duplicate_rate=0.05,
+                           jitter=2.0)
+        system, _ = self._run(RunConfig(ops=300, warmup=30, seed=2,
+                                        faults=faults,
+                                        reliability=ReliabilityConfig()))
+        assert ledger["lane"] and ledger["heap"]
+        assert ledger["cancels"]  # acked retry timers left in the heap
+        assert system.metrics.reliability.retransmissions > 0
+        self.assert_balanced(ledger, system.scheduler)
+
+    def test_deliveries_match_messages_on_a_fault_free_quorum_run(
+            self, ledger, monkeypatch):
+        """sc_abd on the plain fabric mixes lane posts (deliveries), heap
+        timers (quorum phases) and timers cancelled when a phase
+        completes.  Every counted message is one fabric delivery and one
+        ``on_message`` at the receiving port."""
+        fabric = []
+        ports = []
+        deliver = Network._deliver
+        port_deliver = ObjectPort.deliver
+
+        def counting_deliver(net, item):
+            fabric.append(item[2])
+            deliver(net, item)
+
+        def counting_port_deliver(port, msg):
+            ports.append(msg)
+            port_deliver(port, msg)
+
+        monkeypatch.setattr(Network, "_deliver", counting_deliver)
+        monkeypatch.setattr(ObjectPort, "deliver", counting_port_deliver)
+        system, result = self._run(RunConfig(ops=300, warmup=30, seed=2),
+                                   protocol="sc_abd")
+        assert result.incomplete_ops == 0
+        assert ledger["lane"] and ledger["timers"] and ledger["cancels"]
+        assert len(fabric) == result.messages
+        assert len(ports) == len(fabric)
+        self.assert_balanced(ledger, system.scheduler)
 
 
 class TestInspection:

@@ -681,33 +681,54 @@ class TestTraceCommand:
 
 
 class TestProfileCommand:
+    FLAGS = ["berkeley", "--N", "4", "--p", "0.2", "--a", "2",
+             "--sigma", "0.1", "--ops", "300", "--warmup", "50"]
+
+    @staticmethod
+    def tables(out):
+        """The rows of the module table and of the function table."""
+        blocks = [block.splitlines() for block in out.split("\n\n")]
+        by_header = {block[0].split()[0]: block[1:] for block in blocks
+                     if block and block[0].split()[0] in ("module",
+                                                          "function")}
+        return by_header["module"], by_header["function"]
+
     def test_profile_prints_hot_paths(self, capsys):
-        code, out, _ = run(capsys, "profile", "berkeley", "--N", "4",
-                           "--p", "0.2", "--a", "2", "--sigma", "0.1",
-                           "--ops", "300", "--warmup", "50")
+        code, out, _ = run(capsys, "profile", *self.FLAGS)
         assert code == 0
-        assert "engine.dispatch" in out
-        assert "protocol.on_request" in out
+        modules, functions = self.tables(out)
+        names = {row.split()[0] for row in modules}
+        assert {"sim.engine", "protocols.berkeley"} <= names
         assert "events executed" in out
+        assert any(row.startswith("sim.") for row in functions)
 
     def test_profile_top_limits_rows(self, capsys):
-        code, out, _ = run(capsys, "profile", "berkeley", "--N", "4",
-                           "--p", "0.2", "--a", "2", "--sigma", "0.1",
-                           "--ops", "300", "--warmup", "50", "--top", "1")
+        code, out, _ = run(capsys, "profile", *self.FLAGS, "--top", "1")
         assert code == 0
-        scope_rows = [line for line in out.splitlines()
-                      if line.startswith(("engine.", "protocol.",
-                                          "reliable."))]
-        assert len(scope_rows) == 1
+        modules, functions = self.tables(out)
+        assert len(modules) == 1
+        assert len(functions) == 1
 
     def test_profile_takes_bounded_cache_flags(self, capsys):
-        code, out, _ = run(capsys, "profile", "berkeley", "--N", "4",
-                           "--p", "0.2", "--a", "2", "--sigma", "0.1",
-                           "--ops", "300", "--warmup", "50", "--M", "2",
+        code, out, _ = run(capsys, "profile", *self.FLAGS, "--M", "2",
                            "--cache-capacity", "1")
         assert code == 0
-        assert "engine.dispatch" in out
+        assert "sim.engine" in out
         assert "events executed" in out
+
+    @pytest.mark.parametrize("fabric", [[], ["--drop-rate", "0.05"]],
+                             ids=["plain", "reliable"])
+    def test_profile_prints_the_simulate_acc(self, capsys, fabric):
+        """Profiling only observes: the measured acc is the one
+        ``simulate`` prints for the same flags (``--drop-rate`` puts the
+        run on the reliable transport)."""
+        def acc_line(command):
+            code, out, _ = run(capsys, command, *self.FLAGS, *fabric)
+            assert code == 0
+            return next(line for line in out.splitlines()
+                        if line.startswith("simulated acc"))
+
+        assert acc_line("profile") == acc_line("simulate")
 
 
 class TestMonitorVerdict:

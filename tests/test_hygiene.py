@@ -32,7 +32,7 @@ BACKTICKED = re.compile(r"`([^`]+)`")
 #: a lowercase dotted name at the start of a span (``chains.markov_acc``)
 RELATIVE = re.compile(r"[a-z_]\w*(?:\.\w+)+")
 #: metric and scope names in api.md that look dotted but name no code
-NOT_CODE = {"engine.dispatch", "sweep.cell_wall_clock_s", "span.cost"}
+NOT_CODE = {"sweep.cell_wall_clock_s", "span.cost"}
 PROTOCOLS = SRC / "protocols"
 #: enums whose members handlers read through ``repro.machines.message``'s
 #: module-level aliases, never through the class
@@ -224,6 +224,45 @@ def test_dsm_system_call_scan_skips_docstrings():
         "b = sim.DSMSystem('berkeley', N=3)\n"
         "c = DSMSystem\n")
     assert [node.lineno for node in _dsm_system_calls(tree)] == [2, 3]
+
+
+def _in_path_timing(tree):
+    """``(line, what)`` for every wall-clock hook in ``tree``: a
+    ``perf_counter`` import or read, or a ``.profiler`` attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "perf_counter":
+                    yield node.lineno, "perf_counter"
+        elif (isinstance(node, ast.Attribute)
+              and node.attr in ("perf_counter", "profiler")):
+            yield node.lineno, node.attr
+
+
+def test_simulator_has_no_in_path_timing():
+    """Profiling attaches from outside (``repro profile`` runs under
+    cProfile): the simulator and the protocols carry no timing hook."""
+    offenders = sorted(
+        (str(path.relative_to(SRC)), line, what)
+        for package in ("sim", "protocols")
+        for path in (SRC / package).rglob("*.py")
+        for line, what in _in_path_timing(ast.parse(path.read_text(),
+                                                    filename=str(path)))
+    )
+    assert offenders == []
+
+
+def test_in_path_timing_scan_sees_imports_and_attributes():
+    tree = ast.parse(
+        '"""self.profiler is a docstring here."""\n'
+        "from time import perf_counter\n"
+        "import time\n"
+        "t = time.perf_counter()\n"
+        "if self._scheduler.profiler is None:\n"
+        "    pass\n"
+        "profiler = None\n")
+    assert sorted(_in_path_timing(tree)) == [
+        (2, "perf_counter"), (4, "perf_counter"), (5, "profiler")]
 
 
 def test_protocol_hit_and_owner_states_are_declared_states():
