@@ -39,7 +39,7 @@ from typing import List, Tuple
 
 from ..core.parameters import Deviation, WorkloadParams
 from ..exp.spec import SweepCell, derive_cell_seed
-from ..protocols.registry import EXTENSION_PROTOCOLS, PROTOCOLS, get_protocol
+from ..protocols.registry import all_protocol_names, get_protocol
 from ..sim.cache import CACHE_POLICIES, CacheConfig
 from ..sim.config import RunConfig
 from ..sim.faults import CRASH_SEMANTICS, CrashWindow, FaultPlan, SlowWindow
@@ -51,9 +51,7 @@ __all__ = ["ALL_CHAOS_PROTOCOLS", "ChaosOptions", "chaos_cells",
            "generate_cell"]
 
 #: every protocol the fuzzer exercises by default (registry + extensions)
-ALL_CHAOS_PROTOCOLS: Tuple[str, ...] = (
-    tuple(PROTOCOLS) + tuple(EXTENSION_PROTOCOLS)
-)
+ALL_CHAOS_PROTOCOLS: Tuple[str, ...] = tuple(all_protocol_names())
 
 #: link-fault shapes the generator draws from
 _LINK_SHAPES = ("cut", "one_way", "degraded")

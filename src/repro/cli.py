@@ -23,16 +23,17 @@ Ten commands cover the library's day-to-day uses:
   (:mod:`repro.scenarios`): ``list`` / ``show`` / ``run`` / ``compare`` /
   ``report`` whole committed studies without writing a benchmark script.
 
-All commands share the same flag vocabulary through parent parsers: the
-workload group (``--N --p --a --sigma ...``), the run group
-(``--ops --warmup --seed --mean-gap``), the fault group (``--drop-rate
---dup-rate --jitter --crash-at --crash-semantics --failover --monitor
---fault-seed``) and the reliability group (``--retry-timeout
---retry-backoff --max-retries``) spell identically wherever they appear.
-The argparse → model translation lives in two public helpers —
-:func:`workload_from_args` and :func:`runconfig_from_args` — shared by
-every subcommand (external tools embedding this CLI's flag vocabulary
-can reuse them).
+All commands share one flag vocabulary, declared once in the
+:data:`_FLAGS` table: each row names a flag, the config field it fills,
+its help and any argparse extras, and the flag's default (and type) is
+read off that field.  The workload group (``--N --p --a --sigma ...``),
+the run group (``--ops --warmup --seed --mean-gap``), the fault,
+partition, reliability, hedging, reconfiguration, cache and tracing
+groups and the ``chaos`` flags are all rows, so each spells identically
+wherever it appears.  The same table builds the models: the public
+helpers :func:`workload_from_args` and :func:`runconfig_from_args` fill
+each config class from the rows it owns (external tools embedding this
+CLI's flag vocabulary can reuse them).
 
 Examples::
 
@@ -52,16 +53,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional
+from dataclasses import MISSING
+from pathlib import Path
+from typing import Any, Dict, List, Optional, Tuple
 
 from .chaos.generate import ChaosOptions
-from .core.acc import analytical_acc
+from .core.acc import METHODS, analytical_acc
 from .core.closed_forms import weighted_quorum_acc
-from .core.comparison import ALL_PROTOCOLS, rank_protocols
-from .core.parameters import Deviation, WorkloadParams
-from .core.placement import placement_advantage
+from .core.parameters import DEVIATION_ALIASES, Deviation, WorkloadParams
 from .exp import SweepCell, SweepSpec, SweepRunner, simulate_cell
-from .obs.export import write_chrome_trace, write_events_jsonl
 from .obs.trace import TraceConfig
 from .protocols.registry import all_protocol_names, protocol_names
 from .sim.config import RunConfig
@@ -71,16 +71,9 @@ from .sim.hedge import HedgeConfig
 from .sim.partition import PARTITION_POLICIES, LinkFault, PartitionPlan, cut
 from .sim.reconfig import MembershipChange, ReconfigPlan
 from .sim.reliable import ReliabilityConfig
-from .validation.compare import compare_cell
 
 __all__ = ["main", "build_parser", "runconfig_from_args",
            "workload_from_args"]
-
-_DEVIATIONS = {
-    "read": Deviation.READ,
-    "write": Deviation.WRITE,
-    "mac": Deviation.MULTIPLE_ACTIVITY_CENTERS,
-}
 
 
 def _default(cls: type, name: str):
@@ -102,446 +95,6 @@ def _version() -> str:
         return __version__
 
 
-# ----------------------------------------------------------------------
-# shared parent parsers (one flag vocabulary for every subcommand)
-# ----------------------------------------------------------------------
-
-def _system_parent() -> argparse.ArgumentParser:
-    """``--N --a --beta --S --P --deviation``: the system/cost parameters."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("workload parameters")
-    group.add_argument("--N", type=int, required=True,
-                       help="number of clients")
-    group.add_argument("--a", type=int,
-                       default=_default(WorkloadParams, "a"),
-                       help="number of disturbing clients")
-    group.add_argument("--beta", type=int,
-                       default=_default(WorkloadParams, "beta"),
-                       help="number of activity centers (mac deviation)")
-    group.add_argument("--S", type=float,
-                       default=_default(WorkloadParams, "S"),
-                       help="whole-copy transfer cost parameter")
-    group.add_argument("--P", type=float,
-                       default=_default(WorkloadParams, "P"),
-                       help="write-parameter transfer cost parameter")
-    group.add_argument("--deviation", choices=sorted(_DEVIATIONS),
-                       default="read", help="workload deviation")
-    group.add_argument("--hot-set", type=int,
-                       default=_default(WorkloadParams, "hot_set"),
-                       help="working-set size: the first HOT_SET objects "
-                            "receive --hot-fraction of the accesses "
-                            "(both flags together; default: uniform)")
-    group.add_argument("--hot-fraction", type=float,
-                       default=_default(WorkloadParams, "hot_fraction"),
-                       help="probability mass on the hot set, in (0, 1]")
-    return parent
-
-
-def _point_parent() -> argparse.ArgumentParser:
-    """``--p --sigma --xi``: one workload-plane point."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("workload point")
-    group.add_argument("--p", type=float, required=True,
-                       help="activity-center write probability")
-    group.add_argument("--sigma", type=float,
-                       default=_default(WorkloadParams, "sigma"),
-                       help="per-client read-disturbance probability")
-    group.add_argument("--xi", type=float,
-                       default=_default(WorkloadParams, "xi"),
-                       help="per-client write-disturbance probability")
-    return parent
-
-
-def _run_parent() -> argparse.ArgumentParser:
-    """``--ops --warmup --seed --mean-gap``: the run configuration."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("run configuration")
-    group.add_argument("--ops", type=int, default=_default(RunConfig, "ops"),
-                       help="operations to run (including warm-up)")
-    group.add_argument("--warmup", type=int,
-                       default=_default(RunConfig, "warmup"),
-                       help="warm-up operations (default: ops // 4)")
-    group.add_argument("--seed", type=int, default=_default(RunConfig, "seed"),
-                       help="workload/arrival RNG seed "
-                            "(sweep: the base seed cells derive from)")
-    group.add_argument("--mean-gap", type=float,
-                       default=_default(RunConfig, "mean_gap"),
-                       help="mean Poisson inter-arrival gap")
-    return parent
-
-
-def _fault_parent() -> argparse.ArgumentParser:
-    """``--drop-rate --dup-rate --jitter --crash-at --fault-seed``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("fault injection")
-    group.add_argument("--drop-rate", type=float,
-                       default=_default(FaultPlan, "drop_rate"),
-                       help="per-transmission message loss probability")
-    group.add_argument("--dup-rate", type=float,
-                       default=_default(FaultPlan, "duplicate_rate"),
-                       help="per-transmission duplication probability")
-    group.add_argument("--jitter", type=float,
-                       default=_default(FaultPlan, "jitter"),
-                       help="max extra delivery delay (uniform jitter)")
-    group.add_argument("--crash-at", action="append", default=[],
-                       metavar="NODE:START[:END]",
-                       help="crash a node for [START, END) sim time "
-                            "(END omitted: never recovers); repeatable")
-    group.add_argument("--crash-semantics", choices=CRASH_SEMANTICS,
-                       default=_default(CrashWindow, "semantics"),
-                       help="what --crash-at windows destroy: 'durable' "
-                            "keeps protocol state across the outage, "
-                            "'amnesia' wipes it (the node resynchronizes "
-                            "through the recovery subsystem at rejoin)")
-    group.add_argument("--failover", action="store_true",
-                       help="elect a standby sequencer when the current "
-                            "one crashes (deterministic lowest-id "
-                            "election, new epoch, no failback)")
-    group.add_argument("--monitor", action="store_true",
-                       help="attach the runtime consistency monitor and "
-                            "report convergence/sequential-consistency "
-                            "violations at quiescence")
-    group.add_argument("--fault-seed", type=int,
-                       default=_default(FaultPlan, "seed"),
-                       help="seed of the fault plan's RNG stream")
-    group.add_argument("--slow-at", action="append", default=[],
-                       metavar="NODE:START:END[:FACTOR]",
-                       help="gray failure: multiply every message delay "
-                            "to/from NODE by FACTOR (default "
-                            f"{_default(SlowWindow, 'factor'):g}) for "
-                            "[START, END) sim time (END of 'inf': never "
-                            "recovers); repeatable")
-    return parent
-
-
-def _partition_parent() -> argparse.ArgumentParser:
-    """``--cut --cut-one-way --heartbeat-interval ...``: link faults."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("network partitions")
-    group.add_argument("--cut", action="append", default=[],
-                       metavar="A:B:START[:END]",
-                       help="cut both directions of the A<->B link for "
-                            "[START, END) sim time (END omitted: never "
-                            "heals); repeatable")
-    group.add_argument("--cut-one-way", action="append", default=[],
-                       metavar="SRC:DST:START[:END]",
-                       help="cut only the SRC->DST direction "
-                            "(asymmetric partition); repeatable")
-    group.add_argument("--heartbeat-interval", type=float,
-                       default=_default(PartitionPlan, "heartbeat_interval"),
-                       help="failure-detector probe period (sim time)")
-    group.add_argument("--suspect-after", type=int,
-                       default=_default(PartitionPlan, "suspect_after"),
-                       help="missed heartbeats before a node is "
-                            "suspected and quarantined")
-    group.add_argument("--partition-policy", choices=PARTITION_POLICIES,
-                       default=_default(PartitionPlan, "policy"),
-                       help="degraded mode of a quarantined client: "
-                            "'stall' holds its operations, "
-                            "'serve_local_reads' answers queue-head "
-                            "reads from the stale replica (staleness is "
-                            "accounted, and such reads are exempt from "
-                            "the monitor's SC check)")
-    group.add_argument("--no-detector", action="store_true",
-                       help="disable the heartbeat failure detector "
-                            "(partitioned traffic just retries)")
-    group.add_argument("--partition-seed", type=int,
-                       default=_default(PartitionPlan, "seed"),
-                       help="seed of the partition plan's RNG stream")
-    return parent
-
-
-def _trace_parent() -> argparse.ArgumentParser:
-    """``--trace-out --trace-jsonl --trace-sample``: trace export."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("tracing")
-    group.add_argument("--trace-out", default=None, metavar="PATH",
-                       help="export a Perfetto-loadable Chrome trace of "
-                            "the run to PATH (enables tracing)")
-    group.add_argument("--trace-jsonl", default=None, metavar="PATH",
-                       help="export the trace as a JSONL event stream "
-                            "to PATH (enables tracing)")
-    group.add_argument("--trace-sample", type=int,
-                       default=_default(TraceConfig, "sample_every"),
-                       metavar="K",
-                       help="record every K-th operation span "
-                            "(default: %(default)s, every span)")
-    return parent
-
-
-def _reliability_parent() -> argparse.ArgumentParser:
-    """``--retry-timeout --retry-backoff --max-retries``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("reliable delivery")
-    group.add_argument("--retry-timeout", type=float,
-                       default=_default(ReliabilityConfig, "timeout"),
-                       help="base ack timeout of the reliable layer")
-    group.add_argument("--retry-backoff", type=float,
-                       default=_default(ReliabilityConfig, "backoff"),
-                       help="exponential backoff multiplier per retry")
-    group.add_argument("--max-retries", type=int,
-                       default=_default(ReliabilityConfig, "max_retries"),
-                       help="retry budget before a send is abandoned")
-    group = parent.add_argument_group("hedged quorum requests")
-    group.add_argument("--hedge-budget", type=float, default=None,
-                       metavar="T",
-                       help="launch hedge legs to backup replicas when a "
-                            "quorum phase is still short T sim-time "
-                            "units after it started (quorum protocols "
-                            "only; unset: no hedging)")
-    group.add_argument("--hedge-legs", type=int,
-                       default=_default(HedgeConfig, "max_legs"),
-                       help="max extra replicas contacted per phase "
-                            "when the hedge budget expires")
-    group.add_argument("--hedge-seed", type=int,
-                       default=_default(HedgeConfig, "seed"),
-                       help="seed of the hedge target-selection stream")
-    return parent
-
-
-def _reconfig_parent() -> argparse.ArgumentParser:
-    """``--join-at --leave-at --reconfig-seed --quorum-weight``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group(
-        "online reconfiguration (quorum protocols)"
-    )
-    group.add_argument("--join-at", action="append", default=[],
-                       metavar="NODE:TIME",
-                       help="add NODE to the replica set at sim TIME "
-                            "(joint-quorum transition with versioned "
-                            "state transfer); repeatable — events at "
-                            "the same TIME form one transition")
-    group.add_argument("--leave-at", action="append", default=[],
-                       metavar="NODE:TIME",
-                       help="remove NODE from the replica set at sim "
-                            "TIME; repeatable")
-    group.add_argument("--reconfig-seed", type=int,
-                       default=_default(ReconfigPlan, "seed"),
-                       help="seed of the reconfiguration plan's RNG "
-                            "stream (reserved for randomized schedules)")
-    group.add_argument("--quorum-weight", action="append", default=[],
-                       metavar="NODE:WEIGHT",
-                       help="per-node quorum vote weight (unnamed nodes "
-                            "weigh 1; a quorum needs > half the total "
-                            "weight); repeatable")
-    return parent
-
-
-# ----------------------------------------------------------------------
-# argument -> model translation (public: the one assembly path every
-# subcommand shares; reusable by tools embedding this flag vocabulary)
-# ----------------------------------------------------------------------
-
-def workload_from_args(args: argparse.Namespace) -> WorkloadParams:
-    """The :class:`WorkloadParams` described by the workload flag groups.
-
-    Point flags (``--p --sigma --xi``) default to ``0`` when the
-    subcommand does not take a workload point (e.g. ``sweep``, whose grid
-    supplies them per cell).
-    """
-    kwargs = {name: getattr(args, name)
-              for name in WorkloadParams.__dataclass_fields__
-              if hasattr(args, name)}
-    kwargs.setdefault("p", 0.0)
-    return WorkloadParams(**kwargs)
-
-
-def _parse_crash(spec: str, semantics: str) -> CrashWindow:
-    """Parse a ``NODE:START[:END]`` crash-window argument."""
-    parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(
-            f"invalid --crash-at {spec!r}: expected NODE:START[:END]"
-        )
-    node, start = int(parts[0]), float(parts[1])
-    if len(parts) == 3:
-        return CrashWindow(node, start, float(parts[2]),
-                           semantics=semantics)
-    return CrashWindow(node, start, semantics=semantics)
-
-
-def _parse_slow(spec: str) -> SlowWindow:
-    """Parse a ``NODE:START:END[:FACTOR]`` slow-window argument."""
-    parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(
-            f"invalid --slow-at {spec!r}: expected NODE:START:END[:FACTOR]"
-        )
-    node, start, end = int(parts[0]), float(parts[1]), float(parts[2])
-    if len(parts) == 4:
-        return SlowWindow(node, start, end, factor=float(parts[3]))
-    return SlowWindow(node, start, end)
-
-
-def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
-    """Build the fault plan from the fault flags (None when fault-free)."""
-    crashes = [_parse_crash(spec, args.crash_semantics)
-               for spec in args.crash_at]
-    slowdowns = [_parse_slow(spec) for spec in args.slow_at]
-    plan = FaultPlan(seed=args.fault_seed, drop_rate=args.drop_rate,
-                     duplicate_rate=args.dup_rate, jitter=args.jitter,
-                     crashes=crashes, slowdowns=slowdowns)
-    if plan.is_none:
-        return None
-    # fail loudly on a typo'd node index before any system is built
-    plan.validate_nodes(args.N + 1)
-    return plan
-
-
-def _parse_link(spec: str, flag: str) -> tuple:
-    """Parse an ``A:B:START[:END]`` link-cut argument."""
-    parts = spec.split(":")
-    if len(parts) not in (3, 4):
-        raise ValueError(
-            f"invalid {flag} {spec!r}: expected A:B:START[:END]"
-        )
-    a, b, start = int(parts[0]), int(parts[1]), float(parts[2])
-    end = float(parts[3]) if len(parts) == 4 else None
-    return a, b, start, end
-
-
-def _partition_plan(args: argparse.Namespace) -> Optional[PartitionPlan]:
-    """Build the partition plan from the partition flags (or None)."""
-    links: List[LinkFault] = []
-    for spec in args.cut:
-        a, b, start, end = _parse_link(spec, "--cut")
-        links.extend(cut(a, b, start, end)
-                     if end is not None else cut(a, b, start))
-    for spec in args.cut_one_way:
-        a, b, start, end = _parse_link(spec, "--cut-one-way")
-        links.append(LinkFault(a, b, start, end)
-                     if end is not None else LinkFault(a, b, start))
-    if not links:
-        return None
-    plan = PartitionPlan(
-        seed=args.partition_seed,
-        links=links,
-        heartbeat_interval=args.heartbeat_interval,
-        suspect_after=args.suspect_after,
-        policy=args.partition_policy,
-        detect=not args.no_detector,
-    )
-    plan.validate_nodes(args.N + 1)
-    return plan
-
-
-def _parse_member_event(spec: str, flag: str) -> tuple:
-    """Parse a ``NODE:TIME`` membership-event argument."""
-    parts = spec.split(":")
-    if len(parts) != 2:
-        raise ValueError(
-            f"invalid {flag} {spec!r}: expected NODE:TIME"
-        )
-    return int(parts[0]), float(parts[1])
-
-
-def _reconfig_plan(args: argparse.Namespace) -> Optional[ReconfigPlan]:
-    """Build the reconfiguration plan from ``--join-at``/``--leave-at``.
-
-    Events sharing the same time coalesce into one transition (one
-    joint-quorum window), matching the semantics of a single
-    :class:`MembershipChange` with several joins/leaves.
-    """
-    events: dict = {}
-    for spec in getattr(args, "join_at", []):
-        node, at = _parse_member_event(spec, "--join-at")
-        events.setdefault(at, ([], []))[0].append(node)
-    for spec in getattr(args, "leave_at", []):
-        node, at = _parse_member_event(spec, "--leave-at")
-        events.setdefault(at, ([], []))[1].append(node)
-    if not events:
-        return None
-    changes = [
-        MembershipChange(at=at, joins=tuple(joins), leaves=tuple(leaves))
-        for at, (joins, leaves) in sorted(events.items())
-    ]
-    plan = ReconfigPlan(seed=args.reconfig_seed, changes=tuple(changes))
-    # fail loudly on an inconsistent membership chain before any system
-    # is built (e.g. leaving a node that never joined)
-    plan.validate_membership(args.N + 1)
-    return plan
-
-
-def _quorum_weights(args: argparse.Namespace) -> Optional[tuple]:
-    """Parse repeated ``--quorum-weight NODE:WEIGHT`` flags (or None)."""
-    pairs = []
-    for spec in getattr(args, "quorum_weight", []):
-        parts = spec.split(":")
-        if len(parts) != 2:
-            raise ValueError(
-                f"invalid --quorum-weight {spec!r}: expected NODE:WEIGHT"
-            )
-        pairs.append((int(parts[0]), float(parts[1])))
-    return tuple(pairs) if pairs else None
-
-
-def _trace_config(args: argparse.Namespace) -> Optional[TraceConfig]:
-    """The tracing config implied by the trace flags (or None)."""
-    wants_trace = (getattr(args, "trace_out", None) is not None
-                   or getattr(args, "trace_jsonl", None) is not None)
-    if not wants_trace:
-        return None
-    return TraceConfig(sample_every=args.trace_sample)
-
-
-def _hedge_config(args: argparse.Namespace) -> Optional[HedgeConfig]:
-    """The hedging config implied by ``--hedge-budget`` (or None)."""
-    if args.hedge_budget is None:
-        return None
-    return HedgeConfig(budget=args.hedge_budget, max_legs=args.hedge_legs,
-                       seed=args.hedge_seed)
-
-
-def _cache_parent() -> argparse.ArgumentParser:
-    """``--cache-capacity --cache-policy --cache-seed``: bounded caches."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("bounded replica caches")
-    group.add_argument("--cache-capacity", type=int, default=None,
-                       metavar="C",
-                       help="bound every client to C resident replica "
-                            "copies (partial replication; unset: the "
-                            "paper's full replication)")
-    group.add_argument("--cache-policy", choices=CACHE_POLICIES,
-                       default=_default(CacheConfig, "policy"),
-                       help="eviction policy of the bounded cache")
-    group.add_argument("--cache-seed", type=int,
-                       default=_default(CacheConfig, "seed"),
-                       help="seed of the eviction tie-break stream")
-    return parent
-
-
-def _cache_config(args: argparse.Namespace) -> Optional[CacheConfig]:
-    """The cache config implied by ``--cache-capacity`` (or None)."""
-    capacity = getattr(args, "cache_capacity", None)
-    if capacity is None:
-        return None
-    return CacheConfig(capacity=capacity, policy=args.cache_policy,
-                       seed=args.cache_seed)
-
-
-def runconfig_from_args(args: argparse.Namespace) -> RunConfig:
-    """The unified :class:`RunConfig` described by the run/fault/partition/
-    reliability/trace flag groups — shared by every simulating subcommand."""
-    faults = _fault_plan(args)
-    partitions = _partition_plan(args)
-    reconfig = _reconfig_plan(args)
-    hedge = _hedge_config(args)
-    reliability = (
-        ReliabilityConfig(timeout=args.retry_timeout,
-                          backoff=args.retry_backoff,
-                          max_retries=args.max_retries)
-        if (faults is not None or partitions is not None
-            or reconfig is not None or hedge is not None) else None
-    )
-    return RunConfig(ops=args.ops, warmup=args.warmup, seed=args.seed,
-                     mean_gap=args.mean_gap, faults=faults,
-                     partitions=partitions, reliability=reliability,
-                     failover=args.failover, monitor=args.monitor,
-                     tracing=_trace_config(args), reconfig=reconfig,
-                     quorum_weights=_quorum_weights(args), hedge=hedge,
-                     cache=_cache_config(args))
-
-
 def _csv_floats(text: str) -> List[float]:
     return [float(part) for part in text.split(",") if part.strip() != ""]
 
@@ -550,6 +103,358 @@ def _csv_protocols(text: str) -> List[str]:
     if text.strip() == "all":
         return protocol_names()
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+# ----------------------------------------------------------------------
+# the flag table (one declaration per flag for every subcommand)
+# ----------------------------------------------------------------------
+
+_KNOWN = ", ".join(all_protocol_names())
+
+
+def _repeatable(metavar: str) -> Dict[str, Any]:
+    """The argparse extras of a repeatable ``A:B:...`` spec flag."""
+    return {"action": "append", "default": [], "metavar": metavar}
+
+
+#: Every run, fabric, plan and ``chaos`` flag, group by group in ``--help``
+#: order: ``(flag, owner class, field, help, argparse extras)``.  A flag
+#: with an owner fills that dataclass field and takes its default from it
+#: — and its type, when the default is not ``None``; a ``bool`` field
+#: makes a ``store_true`` switch.  Extras override both.  A flag without
+#: an owner fills no field directly.  Titled groups become ``--help``
+#: sections; the ``target`` and ``chaos`` rows join their command's own
+#: options.
+_FLAGS: Dict[str, Tuple[Tuple[str, Optional[type], Optional[str], str,
+                              Dict[str, Any]], ...]] = {
+    "workload parameters": (
+        ("--N", WorkloadParams, "N", "number of clients",
+         {"type": int, "required": True}),
+        ("--a", WorkloadParams, "a", "number of disturbing clients", {}),
+        ("--beta", WorkloadParams, "beta",
+         "number of activity centers (mac deviation)", {}),
+        ("--S", WorkloadParams, "S", "whole-copy transfer cost parameter",
+         {}),
+        ("--P", WorkloadParams, "P",
+         "write-parameter transfer cost parameter", {}),
+        ("--deviation", None, None, "workload deviation",
+         {"choices": sorted(DEVIATION_ALIASES), "default": "read"}),
+        ("--hot-set", WorkloadParams, "hot_set",
+         "working-set size: the first HOT_SET objects receive "
+         "--hot-fraction of the accesses (both flags together; default: "
+         "uniform)", {"type": int}),
+        ("--hot-fraction", WorkloadParams, "hot_fraction",
+         "probability mass on the hot set, in (0, 1]", {"type": float}),
+    ),
+    "workload point": (
+        ("--p", WorkloadParams, "p", "activity-center write probability",
+         {"type": float, "required": True}),
+        ("--sigma", WorkloadParams, "sigma",
+         "per-client read-disturbance probability", {}),
+        ("--xi", WorkloadParams, "xi",
+         "per-client write-disturbance probability", {}),
+    ),
+    "run configuration": (
+        ("--ops", RunConfig, "ops",
+         "operations to run (including warm-up)", {}),
+        ("--warmup", RunConfig, "warmup",
+         "warm-up operations (default: ops // 4)", {"type": int}),
+        ("--seed", RunConfig, "seed", "workload/arrival RNG seed "
+         "(sweep: the base seed cells derive from)", {}),
+        ("--mean-gap", RunConfig, "mean_gap",
+         "mean Poisson inter-arrival gap", {}),
+    ),
+    "fault injection": (
+        ("--drop-rate", FaultPlan, "drop_rate",
+         "per-transmission message loss probability", {}),
+        ("--dup-rate", FaultPlan, "duplicate_rate",
+         "per-transmission duplication probability", {}),
+        ("--jitter", FaultPlan, "jitter",
+         "max extra delivery delay (uniform jitter)", {}),
+        ("--crash-at", None, None, "crash a node for [START, END) sim time "
+         "(END omitted: never recovers); repeatable",
+         _repeatable("NODE:START[:END]")),
+        ("--crash-semantics", CrashWindow, "semantics",
+         "what --crash-at windows destroy: 'durable' keeps protocol state "
+         "across the outage, 'amnesia' wipes it (the node resynchronizes "
+         "through the recovery subsystem at rejoin)",
+         {"choices": CRASH_SEMANTICS}),
+        ("--failover", RunConfig, "failover",
+         "elect a standby sequencer when the current one crashes "
+         "(deterministic lowest-id election, new epoch, no failback)", {}),
+        ("--monitor", RunConfig, "monitor",
+         "attach the runtime consistency monitor and report "
+         "convergence/sequential-consistency violations at quiescence", {}),
+        ("--fault-seed", FaultPlan, "seed",
+         "seed of the fault plan's RNG stream", {}),
+        ("--slow-at", None, None, "gray failure: multiply every message "
+         "delay to/from NODE by FACTOR (default "
+         f"{_default(SlowWindow, 'factor'):g}) for [START, END) sim time "
+         "(END of 'inf': never recovers); repeatable",
+         _repeatable("NODE:START:END[:FACTOR]")),
+    ),
+    "network partitions": (
+        ("--cut", None, None, "cut both directions of the A<->B link for "
+         "[START, END) sim time (END omitted: never heals); repeatable",
+         _repeatable("A:B:START[:END]")),
+        ("--cut-one-way", None, None, "cut only the SRC->DST direction "
+         "(asymmetric partition); repeatable",
+         _repeatable("SRC:DST:START[:END]")),
+        ("--heartbeat-interval", PartitionPlan, "heartbeat_interval",
+         "failure-detector probe period (sim time)", {}),
+        ("--suspect-after", PartitionPlan, "suspect_after",
+         "missed heartbeats before a node is suspected and quarantined",
+         {}),
+        ("--partition-policy", PartitionPlan, "policy",
+         "degraded mode of a quarantined client: 'stall' holds its "
+         "operations, 'serve_local_reads' answers queue-head reads from "
+         "the stale replica (staleness is accounted, and such reads are "
+         "exempt from the monitor's SC check)",
+         {"choices": PARTITION_POLICIES}),
+        ("--no-detector", None, None, "disable the heartbeat failure "
+         "detector (partitioned traffic just retries)",
+         {"action": "store_true"}),
+        ("--partition-seed", PartitionPlan, "seed",
+         "seed of the partition plan's RNG stream", {}),
+    ),
+    "reliable delivery": (
+        ("--retry-timeout", ReliabilityConfig, "timeout",
+         "base ack timeout of the reliable layer", {}),
+        ("--retry-backoff", ReliabilityConfig, "backoff",
+         "exponential backoff multiplier per retry", {}),
+        ("--max-retries", ReliabilityConfig, "max_retries",
+         "retry budget before a send is abandoned", {}),
+    ),
+    "hedged quorum requests": (
+        ("--hedge-budget", HedgeConfig, "budget",
+         "launch hedge legs to backup replicas when a quorum phase is "
+         "still short T sim-time units after it started (quorum protocols "
+         "only; unset: no hedging)",
+         {"type": float, "default": None, "metavar": "T"}),
+        ("--hedge-legs", HedgeConfig, "max_legs",
+         "max extra replicas contacted per phase when the hedge budget "
+         "expires", {}),
+        ("--hedge-seed", HedgeConfig, "seed",
+         "seed of the hedge target-selection stream", {}),
+    ),
+    "online reconfiguration (quorum protocols)": (
+        ("--join-at", None, None, "add NODE to the replica set at sim TIME "
+         "(joint-quorum transition with versioned state transfer); "
+         "repeatable — events at the same TIME form one transition",
+         _repeatable("NODE:TIME")),
+        ("--leave-at", None, None,
+         "remove NODE from the replica set at sim TIME; repeatable",
+         _repeatable("NODE:TIME")),
+        ("--reconfig-seed", ReconfigPlan, "seed",
+         "seed of the reconfiguration plan's RNG stream (reserved for "
+         "randomized schedules)", {}),
+        ("--quorum-weight", None, None, "per-node quorum vote weight "
+         "(unnamed nodes weigh 1; a quorum needs > half the total "
+         "weight); repeatable", _repeatable("NODE:WEIGHT")),
+    ),
+    "bounded replica caches": (
+        ("--cache-capacity", CacheConfig, "capacity",
+         "bound every client to C resident replica copies (partial "
+         "replication; unset: the paper's full replication)",
+         {"type": int, "default": None, "metavar": "C"}),
+        ("--cache-policy", CacheConfig, "policy",
+         "eviction policy of the bounded cache",
+         {"choices": CACHE_POLICIES}),
+        ("--cache-seed", CacheConfig, "seed",
+         "seed of the eviction tie-break stream", {}),
+    ),
+    "tracing": (
+        ("--trace-out", None, None, "export a Perfetto-loadable Chrome "
+         "trace of the run to PATH (enables tracing)", {"metavar": "PATH"}),
+        ("--trace-jsonl", None, None, "export the trace as a JSONL event "
+         "stream to PATH (enables tracing)", {"metavar": "PATH"}),
+        ("--trace-sample", TraceConfig, "sample_every",
+         "record every K-th operation span (default: %(default)s, every "
+         "span)", {"metavar": "K"}),
+    ),
+    "target": (
+        ("protocol", None, None, f"one of: {_KNOWN}", {}),
+        ("--M", None, None, "number of shared objects",
+         {"type": int, "default": 1}),
+    ),
+    "chaos": (
+        ("--seeds", ChaosOptions, "seeds", "fuzz seeds per protocol", {}),
+        ("--base-seed", ChaosOptions, "base_seed", "campaign base seed "
+         "(same base seed -> byte-identical findings)", {}),
+        ("--protocols", ChaosOptions, "protocols",
+         "comma-separated protocols or 'all' (default: every protocol "
+         f"incl. extensions; known: {_KNOWN})",
+         {"type": _csv_protocols, "metavar": "NAME[,NAME...]"}),
+        ("--N", ChaosOptions, "N", "clients per fuzzed system", {}),
+        ("--M", ChaosOptions, "M", "shared objects per fuzzed system", {}),
+        ("--ops", ChaosOptions, "ops", "operations per fuzzed run", {}),
+        ("--mean-gap", ChaosOptions, "mean_gap",
+         "mean Poisson inter-arrival gap", {}),
+        ("--shrink-budget", ChaosOptions, "shrink_budget",
+         "max simulator runs per finding's shrink", {}),
+        ("--workers", ChaosOptions, "workers",
+         "worker processes for the fuzzing sweep", {}),
+        ("--out", None, None, "optional JSONL path for every fuzzed row",
+         {}),
+        ("--repro-dir", None, None, "directory for shrunk repro JSON files",
+         {"default": "chaos-repros"}),
+        ("--replay", None, None, "re-run a repro file's shrunk schedule "
+         "instead of fuzzing", {"metavar": "REPRO_JSON"}),
+        ("--trace-out", None, None, "with --replay: export a Chrome trace "
+         "of the replayed schedule to PATH", {"metavar": "PATH"}),
+        ("--trace-sample", TraceConfig, "sample_every",
+         "with --replay --trace-out: record every K-th operation span",
+         {"metavar": "K"}),
+        ("--slow-windows", ChaosOptions, "slow_windows",
+         "also fuzz gray failures: draw straggler slow windows and (for "
+         "quorum protocols) coin-flipped hedging; off keeps schedules "
+         "bit-identical to earlier campaigns", {}),
+        ("--bounded-caches", ChaosOptions, "bounded_caches",
+         "also fuzz partial replication: coin-flip a random bounded "
+         "replica cache (capacity, eviction policy, seed) onto each cell; "
+         "off keeps schedules bit-identical to earlier campaigns", {}),
+        ("--quiet", None, None, "suppress per-cell progress output",
+         {"action": "store_true"}),
+    ),
+}
+
+#: table groups whose rows join the command's own options (no section)
+_UNTITLED = ("target", "chaos")
+
+
+def _dest(flag: str) -> str:
+    """The argparse ``dest`` of ``flag`` (``--mean-gap`` -> ``mean_gap``)."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _parent(*groups: str) -> argparse.ArgumentParser:
+    """A parent parser holding the table's ``groups``, in the given order."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for name in groups:
+        container = (parent if name in _UNTITLED
+                     else parent.add_argument_group(name))
+        for flag, owner, field, help_text, extras in _FLAGS[name]:
+            kwargs: Dict[str, Any] = {"help": help_text}
+            default = MISSING if owner is None else _default(owner, field)
+            if isinstance(default, bool):
+                kwargs.update(action="store_true", default=default)
+            elif default is not MISSING:
+                kwargs["default"] = default
+                if default is not None:
+                    kwargs["type"] = type(default)
+            container.add_argument(flag, **{**kwargs, **extras})
+    return parent
+
+
+# ----------------------------------------------------------------------
+# argument -> model translation (public: the one assembly path every
+# subcommand shares; reusable by tools embedding this flag vocabulary)
+# ----------------------------------------------------------------------
+
+def _fields(args: argparse.Namespace, owner: type) -> Dict[str, Any]:
+    """``{field: value}`` for every table flag that fills a field of
+    ``owner`` (flags the command does not take are left out)."""
+    return {field: getattr(args, _dest(flag))
+            for rows in _FLAGS.values()
+            for flag, cls, field, _, _ in rows
+            if cls is owner and hasattr(args, _dest(flag))}
+
+
+def _specs(args: argparse.Namespace, flag: str, types: tuple,
+           optional: int, form: Optional[str] = None) -> List[tuple]:
+    """Parse the repeated ``A:B:...`` values of ``flag``: each splits on
+    ``:`` into ``types`` (the last ``optional`` parts may be omitted).
+
+    ``form`` is the shape a malformed value's error names (default: the
+    flag's metavar).
+    """
+    if form is None:
+        form = next(extras["metavar"] for rows in _FLAGS.values()
+                    for row_flag, _, _, _, extras in rows
+                    if row_flag == flag)
+    parsed = []
+    for spec in getattr(args, _dest(flag), []):
+        parts = spec.split(":")
+        if not len(types) - optional <= len(parts) <= len(types):
+            raise ValueError(f"invalid {flag} {spec!r}: expected {form}")
+        parsed.append(tuple(cast(part) for cast, part in zip(types, parts)))
+    return parsed
+
+
+def workload_from_args(args: argparse.Namespace) -> WorkloadParams:
+    """The :class:`WorkloadParams` described by the workload flag groups.
+
+    Point flags (``--p --sigma --xi``) default to ``0`` when the
+    subcommand does not take a workload point (e.g. ``sweep``, whose grid
+    supplies them per cell).
+    """
+    kwargs = _fields(args, WorkloadParams)
+    kwargs.setdefault("p", 0.0)
+    return WorkloadParams(**kwargs)
+
+
+def runconfig_from_args(args: argparse.Namespace) -> RunConfig:
+    """The unified :class:`RunConfig` described by the run/fault/partition/
+    reliability/trace flag groups — shared by every simulating subcommand.
+
+    Each plan is built from its table rows; a malformed spec or a node
+    index outside the system fails here, before any system is built.
+    """
+    nodes = args.N + 1
+    crash = _fields(args, CrashWindow)
+    faults = FaultPlan(
+        **_fields(args, FaultPlan),
+        crashes=[CrashWindow(*spec, **crash) for spec in
+                 _specs(args, "--crash-at", (int, float, float), 1)],
+        slowdowns=[SlowWindow(*spec) for spec in
+                   _specs(args, "--slow-at", (int, float, float, float), 1)],
+    )
+    faults.validate_nodes(nodes)
+
+    link = (int, int, float, float)
+    links: List[LinkFault] = []
+    for spec in _specs(args, "--cut", link, 1):
+        links.extend(cut(*spec))
+    links.extend(LinkFault(*spec) for spec in _specs(
+        args, "--cut-one-way", link, 1, form="A:B:START[:END]"))
+    partitions = None
+    if links:
+        partitions = PartitionPlan(**_fields(args, PartitionPlan),
+                                   links=links, detect=not args.no_detector)
+        partitions.validate_nodes(nodes)
+
+    # events sharing a time coalesce into one transition (one joint-quorum
+    # window), as one MembershipChange with several joins/leaves
+    events: Dict[float, Tuple[list, list]] = {}
+    for side, flag in enumerate(("--join-at", "--leave-at")):
+        for node, at in _specs(args, flag, (int, float), 0):
+            events.setdefault(at, ([], []))[side].append(node)
+    reconfig = None
+    if events:
+        reconfig = ReconfigPlan(**_fields(args, ReconfigPlan), changes=tuple(
+            MembershipChange(at=at, joins=tuple(joins), leaves=tuple(leaves))
+            for at, (joins, leaves) in sorted(events.items())))
+        # an inconsistent membership chain (e.g. leaving a node that
+        # never joined) fails before any system is built
+        reconfig.validate_membership(nodes)
+
+    hedge = (HedgeConfig(**_fields(args, HedgeConfig))
+             if getattr(args, "hedge_budget", None) is not None else None)
+    tracing = (TraceConfig(**_fields(args, TraceConfig))
+               if getattr(args, "trace_out", None) is not None
+               or getattr(args, "trace_jsonl", None) is not None else None)
+    weights = _specs(args, "--quorum-weight", (int, float), 0)
+    cache = (CacheConfig(**_fields(args, CacheConfig))
+             if getattr(args, "cache_capacity", None) is not None else None)
+    config = RunConfig(**_fields(args, RunConfig), faults=faults,
+                       partitions=partitions, tracing=tracing,
+                       reconfig=reconfig,
+                       quorum_weights=tuple(weights) or None, hedge=hedge,
+                       cache=cache)
+    if config.resolved_reliability is None:
+        return config
+    return config.with_(
+        reliability=ReliabilityConfig(**_fields(args, ReliabilityConfig)))
 
 
 # ----------------------------------------------------------------------
@@ -567,36 +472,32 @@ def build_parser() -> argparse.ArgumentParser:
                         version="%(prog)s " + _version())
     sub = parser.add_subparsers(dest="command", required=True)
 
-    known = ", ".join(all_protocol_names())
-    system, point = _system_parent(), _point_parent()
-    run, fault, rel = _run_parent(), _fault_parent(), _reliability_parent()
-    part, trace = _partition_parent(), _trace_parent()
-    reconf, cache = _reconfig_parent(), _cache_parent()
+    system = _parent("workload parameters")
+    point = _parent("workload point")
+    fabric = _parent("run configuration", "fault injection",
+                     "network partitions", "reliable delivery",
+                     "hedged quorum requests",
+                     "online reconfiguration (quorum protocols)")
+    cache = _parent("bounded replica caches")
+    trace = _parent("tracing")
+    target = _parent("target")
 
     p_acc = sub.add_parser("acc", help="analytic steady-state cost",
                            parents=[system, point])
-    p_acc.add_argument("protocol", help=f"one of: {known}")
-    p_acc.add_argument("--method", choices=["auto", "closed_form", "markov"],
-                       default="auto")
+    p_acc.add_argument("protocol", help=f"one of: {_KNOWN}")
+    p_acc.add_argument("--method", choices=METHODS, default="auto")
 
     sub.add_parser("rank", help="rank all protocols",
                    parents=[system, point])
 
-    p_sim = sub.add_parser("simulate", help="run the simulator",
-                           parents=[system, point, run, fault, part, rel,
-                                    reconf, cache, trace])
-    p_sim.add_argument("protocol", help=f"one of: {known}")
-    p_sim.add_argument("--M", type=int, default=1,
-                       help="number of shared objects")
+    sub.add_parser("simulate", help="run the simulator",
+                   parents=[system, point, fabric, cache, trace, target])
 
     p_trace = sub.add_parser(
         "trace",
         help="run one simulation with structured tracing and export it",
-        parents=[system, point, run, fault, part, rel, reconf, cache],
+        parents=[system, point, fabric, cache, target],
     )
-    p_trace.add_argument("protocol", help=f"one of: {known}")
-    p_trace.add_argument("--M", type=int, default=1,
-                         help="number of shared objects")
     p_trace.add_argument("--out", default="trace.json",
                          help="Chrome trace output path (load in Perfetto "
                               "or chrome://tracing)")
@@ -611,11 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="run one simulation under cProfile (self time per module "
              "and function)",
-        parents=[system, point, run, fault, part, rel, reconf, cache],
+        parents=[system, point, fabric, cache, target],
     )
-    p_prof.add_argument("protocol", help=f"one of: {known}")
-    p_prof.add_argument("--M", type=int, default=1,
-                        help="number of shared objects")
     p_prof.add_argument("--top", type=int, default=10,
                         help="rows to show in each table (by self time)")
 
@@ -624,25 +522,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="home-vs-client activity-center placement saving",
         parents=[system, point],
     )
-    p_place.add_argument("protocol", help=f"one of: {known}")
+    p_place.add_argument("protocol", help=f"one of: {_KNOWN}")
 
+    # a target parent of its own: set_defaults rewrites the --M action,
+    # which every command built from one parent shares
     p_val = sub.add_parser("validate",
                            help="analytical vs simulated acc (Table 7 cell)",
-                           parents=[system, point, run, fault, part, rel,
-                                    reconf])
-    p_val.add_argument("protocol", help=f"one of: {known}")
-    p_val.add_argument("--M", type=int, default=20,
-                       help="number of shared objects")
+                           parents=[system, point, fabric, _parent("target")])
+    p_val.set_defaults(M=20)
 
     p_sweep = sub.add_parser(
         "sweep",
         help="evaluate a parameter grid through the sweep engine",
-        parents=[system, run, fault, part, rel, reconf],
+        parents=[system, fabric],
     )
     p_sweep.add_argument("--protocols", type=_csv_protocols,
                          default=protocol_names(), metavar="NAME[,NAME...]",
                          help=f"comma-separated protocols or 'all' "
-                              f"(default: all; known: {known})")
+                              f"(default: all; known: {_KNOWN})")
     p_sweep.add_argument("--p-values", type=_csv_floats, required=True,
                          metavar="F[,F...]",
                          help="grid of activity-center write probabilities")
@@ -652,9 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kind", choices=["analytic", "sim", "compare"],
                          default="compare",
                          help="what each cell evaluates")
-    p_sweep.add_argument("--method",
-                         choices=["auto", "closed_form", "markov"],
-                         default="auto", help="analytic evaluation method")
+    p_sweep.add_argument("--method", choices=METHODS, default="auto",
+                         help="analytic evaluation method")
     p_sweep.add_argument("--M", type=int, default=20,
                          help="number of shared objects")
     p_sweep.add_argument("--workers", type=int, default=1,
@@ -668,71 +564,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress per-cell progress output")
 
-    p_chaos = sub.add_parser(
+    sub.add_parser(
         "chaos",
         help="deterministic chaos fuzzing with schedule shrinking",
         description="Fuzz random fault+partition schedules across "
                     "protocols with the consistency monitor on; every "
                     "violating schedule is shrunk to a minimal "
                     "reproducing cell and written as a repro JSON.",
+        parents=[_parent("chaos")],
     )
-    p_chaos.add_argument("--seeds", type=int,
-                         default=_default(ChaosOptions, "seeds"),
-                         help="fuzz seeds per protocol")
-    p_chaos.add_argument("--base-seed", type=int,
-                         default=_default(ChaosOptions, "base_seed"),
-                         help="campaign base seed (same base seed -> "
-                              "byte-identical findings)")
-    p_chaos.add_argument("--protocols", type=_csv_protocols,
-                         default=_default(ChaosOptions, "protocols"),
-                         metavar="NAME[,NAME...]",
-                         help="comma-separated protocols or 'all' "
-                              "(default: every protocol incl. extensions; "
-                              f"known: {known})")
-    p_chaos.add_argument("--N", type=int, default=_default(ChaosOptions, "N"),
-                         help="clients per fuzzed system")
-    p_chaos.add_argument("--M", type=int, default=_default(ChaosOptions, "M"),
-                         help="shared objects per fuzzed system")
-    p_chaos.add_argument("--ops", type=int,
-                         default=_default(ChaosOptions, "ops"),
-                         help="operations per fuzzed run")
-    p_chaos.add_argument("--mean-gap", type=float,
-                         default=_default(ChaosOptions, "mean_gap"),
-                         help="mean Poisson inter-arrival gap")
-    p_chaos.add_argument("--shrink-budget", type=int,
-                         default=_default(ChaosOptions, "shrink_budget"),
-                         help="max simulator runs per finding's shrink")
-    p_chaos.add_argument("--workers", type=int,
-                         default=_default(ChaosOptions, "workers"),
-                         help="worker processes for the fuzzing sweep")
-    p_chaos.add_argument("--out", default=None,
-                         help="optional JSONL path for every fuzzed row")
-    p_chaos.add_argument("--repro-dir", default="chaos-repros",
-                         help="directory for shrunk repro JSON files")
-    p_chaos.add_argument("--replay", metavar="REPRO_JSON", default=None,
-                         help="re-run a repro file's shrunk schedule "
-                              "instead of fuzzing")
-    p_chaos.add_argument("--trace-out", metavar="PATH", default=None,
-                         help="with --replay: export a Chrome trace of "
-                              "the replayed schedule to PATH")
-    p_chaos.add_argument("--trace-sample", type=int,
-                         default=_default(TraceConfig, "sample_every"),
-                         metavar="K",
-                         help="with --replay --trace-out: record every "
-                              "K-th operation span")
-    p_chaos.add_argument("--slow-windows", action="store_true",
-                         help="also fuzz gray failures: draw straggler "
-                              "slow windows and (for quorum protocols) "
-                              "coin-flipped hedging; off keeps schedules "
-                              "bit-identical to earlier campaigns")
-    p_chaos.add_argument("--bounded-caches", action="store_true",
-                         help="also fuzz partial replication: coin-flip "
-                              "a random bounded replica cache (capacity, "
-                              "eviction policy, seed) onto each cell; off "
-                              "keeps schedules bit-identical to earlier "
-                              "campaigns")
-    p_chaos.add_argument("--quiet", action="store_true",
-                         help="suppress per-cell progress output")
 
     p_scen = sub.add_parser(
         "scenarios",
@@ -820,6 +660,8 @@ def _export_trace(tracer, chrome_path, jsonl_path, label: str) -> None:
     """Write the requested trace exports and report where they went."""
     if tracer is None:
         return
+    from .obs.export import write_chrome_trace, write_events_jsonl
+
     summary = tracer.summary()
     events = summary["span_events"] + summary["system_events"]
     print(f"trace           = {summary['spans']} spans / "
@@ -1112,19 +954,7 @@ def _cmd_sweep(args: argparse.Namespace, deviation: Deviation) -> int:
 
 def _chaos_options(args: argparse.Namespace) -> ChaosOptions:
     """The fuzzing campaign described by the ``chaos`` flags."""
-    return ChaosOptions(
-        base_seed=args.base_seed,
-        seeds=args.seeds,
-        protocols=tuple(args.protocols),
-        N=args.N,
-        M=args.M,
-        ops=args.ops,
-        mean_gap=args.mean_gap,
-        shrink_budget=args.shrink_budget,
-        workers=args.workers,
-        slow_windows=args.slow_windows,
-        bounded_caches=args.bounded_caches,
-    )
+    return ChaosOptions(**_fields(args, ChaosOptions))
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -1181,9 +1011,21 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 1
 
 
+def _catalog_root(catalog, error: str) -> Optional[Path]:
+    """The ``--catalog`` directory, else the default catalog's; ``None``
+    (after printing ``error``) when there is neither."""
+    from .scenarios import default_catalog_dir
+
+    root = catalog.root if catalog is not None else default_catalog_dir()
+    if root is None:
+        print(f"error: {error}", file=sys.stderr)
+        return None
+    return Path(root)
+
+
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from .scenarios import (ScenarioCatalog, compare_to_baseline,
-                            default_catalog_dir, load_scenario, run_scenario)
+                            load_scenario, run_scenario)
 
     catalog = None
     if args.catalog is not None:
@@ -1191,11 +1033,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
     if args.scenarios_command == "list":
         if catalog is None:
-            root = default_catalog_dir()
+            root = _catalog_root(None, "no scenario catalog found (set "
+                                 "REPRO_SCENARIOS, create ./scenarios, or "
+                                 "pass --catalog)")
             if root is None:
-                print("error: no scenario catalog found (set "
-                      "REPRO_SCENARIOS, create ./scenarios, or pass "
-                      "--catalog)", file=sys.stderr)
                 return 2
             catalog = ScenarioCatalog(root)
         print(f"catalog: {catalog.root}")
@@ -1218,15 +1059,12 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         from .scenarios import collect_families, render_report
         paths = list(args.paths)
         if not paths:
-            root = (catalog.root if catalog is not None
-                    else default_catalog_dir())
+            root = _catalog_root(catalog, "no scenario catalog found (set "
+                                 "REPRO_SCENARIOS, create ./scenarios, pass "
+                                 "--catalog, or name rows files)")
             if root is None:
-                print("error: no scenario catalog found (set "
-                      "REPRO_SCENARIOS, create ./scenarios, pass "
-                      "--catalog, or name rows files)", file=sys.stderr)
                 return 2
-            from pathlib import Path
-            paths = sorted((Path(root) / "baselines").glob("*.jsonl"))
+            paths = sorted((root / "baselines").glob("*.jsonl"))
             if not paths:
                 print(f"error: no baseline rows under {root}/baselines",
                       file=sys.stderr)
@@ -1237,7 +1075,6 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.out is not None:
-            from pathlib import Path
             Path(args.out).write_text(report, encoding="utf-8")
             print(f"report    -> {args.out}")
         else:
@@ -1271,14 +1108,11 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
     if args.scenarios_command == "compare":
         baseline = args.baseline
         if baseline is None:
-            root = (catalog.root if catalog is not None
-                    else default_catalog_dir())
+            root = _catalog_root(catalog, "no catalog to locate the "
+                                 "baseline in; pass --baseline")
             if root is None:
-                print("error: no catalog to locate the baseline in; pass "
-                      "--baseline", file=sys.stderr)
                 return 2
-            from pathlib import Path
-            baseline = Path(root) / "baselines" / f"{scenario.name}.jsonl"
+            baseline = root / "baselines" / f"{scenario.name}.jsonl"
         diff = compare_to_baseline(result, baseline)
         print(f"baseline  = {baseline}")
         print(f"compare   = {diff.summary()}")
@@ -1296,7 +1130,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    deviation = _DEVIATIONS[getattr(args, "deviation", "read")]
+    deviation = DEVIATION_ALIASES[getattr(args, "deviation", "read")]
     try:
         if args.command == "chaos":
             return _cmd_chaos(args)
@@ -1317,6 +1151,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    method=args.method)
             print(f"acc({args.protocol}, {deviation.value}) = {value:.4f}")
         elif args.command == "rank":
+            from .core.comparison import ALL_PROTOCOLS, rank_protocols
             print(f"{'protocol':20s} {'acc':>12}")
             for name, acc in rank_protocols(params, deviation,
                                             ALL_PROTOCOLS):
@@ -1328,6 +1163,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "profile":
             return _cmd_profile(args, deviation, params)
         elif args.command == "place":
+            from .core.placement import placement_advantage
             client, home, saving = placement_advantage(
                 args.protocol, params, deviation
             )
@@ -1337,6 +1173,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   + ("  (placement-indifferent)" if abs(saving) < 1e-9
                      else ""))
         elif args.command == "validate":
+            from .validation.compare import compare_cell
             config = runconfig_from_args(args)
             cell = compare_cell(args.protocol, params, deviation, M=args.M,
                                 config=config)

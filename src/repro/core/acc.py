@@ -9,7 +9,7 @@ precision wherever a closed form exists (enforced by the test suite), so
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Tuple, get_args
 
 from .chains import markov_acc
 from .closed_forms import closed_form_acc, has_closed_form
@@ -18,6 +18,8 @@ from .parameters import Deviation, WorkloadParams
 __all__ = ["analytical_acc", "acc_table"]
 
 Method = Literal["auto", "closed_form", "markov"]
+#: the analytic evaluation methods, as the CLI and scenarios spell them
+METHODS: Tuple[str, ...] = get_args(Method)
 
 
 @lru_cache(maxsize=100_000)

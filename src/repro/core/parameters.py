@@ -76,6 +76,14 @@ class Deviation(Enum):
         }[self]
 
 
+#: short deviation names (the CLI's ``--deviation`` vocabulary)
+DEVIATION_ALIASES = {
+    "read": Deviation.READ,
+    "write": Deviation.WRITE,
+    "mac": Deviation.MULTIPLE_ACTIVITY_CENTERS,
+}
+
+
 def _check_probability(name: str, value: float) -> None:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")

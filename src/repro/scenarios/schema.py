@@ -47,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.parameters import Deviation, WorkloadParams
+from ..core.acc import METHODS
+from ..core.parameters import DEVIATION_ALIASES, Deviation, WorkloadParams
 from ..exp.spec import CELL_KINDS, SweepCell, SweepSpec
 from ..protocols.registry import get_protocol, protocol_names
 from ..sim.config import RunConfig
@@ -61,20 +62,13 @@ __all__ = [
     "deep_merge",
 ]
 
-#: analytic evaluation methods a scenario may request
-METHODS = ("auto", "closed_form", "markov")
 #: seed rules understood by cartesian sweeps
 SEED_RULES = ("derived", "indexed", "fixed")
 #: sweep modes
 SWEEP_MODES = ("cartesian", "explicit")
 
 #: short deviation aliases (the CLI's vocabulary) plus the enum values
-DEVIATIONS = {
-    "read": Deviation.READ,
-    "write": Deviation.WRITE,
-    "mac": Deviation.MULTIPLE_ACTIVITY_CENTERS,
-    **{d.value: d for d in Deviation},
-}
+DEVIATIONS = {**DEVIATION_ALIASES, **{d.value: d for d in Deviation}}
 
 _TOP_KEYS = ("name", "title", "description", "tags", "extends", "protocols",
              "deviation", "workload", "run", "kind", "M", "method", "sweep")

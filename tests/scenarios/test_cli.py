@@ -145,3 +145,21 @@ class TestCompare:
                               "--no-cache")
         assert code == 2
         assert "baseline" in err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["list"], "no scenario catalog found (set REPRO_SCENARIOS, create "
+               "./scenarios, or pass --catalog)"),
+    (["report"], "no scenario catalog found (set REPRO_SCENARIOS, create "
+                 "./scenarios, pass --catalog, or name rows files)"),
+    (["compare", "tiny.json", "--quiet", "--no-cache"],
+     "no catalog to locate the baseline in; pass --baseline"),
+], ids=["list", "report", "compare"])
+def test_no_catalog_exits_2(capsys, catalog, monkeypatch, argv, error):
+    """Without ``--catalog`` and with no default catalog, each command that
+    needs one names what to pass and exits 2."""
+    monkeypatch.setattr("repro.scenarios.default_catalog_dir", lambda: None)
+    monkeypatch.chdir(catalog)
+    code, _out, err = run(capsys, "scenarios", *argv)
+    assert code == 2
+    assert err == f"error: {error}\n"

@@ -162,3 +162,29 @@ def test_lookup_by_registry_name_imports_one_protocol():
     assert _fresh(probe).split() == [
         "repro.protocols.base", "repro.protocols.berkeley",
         "repro.protocols.registry"]
+
+
+#: runs ``repro simulate`` on the paper's fabric through the CLI; prints
+#: the ``repro`` modules loaded when it returns
+SIMULATE_CLI_PROBE = """
+import contextlib, io, sys
+from repro.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["simulate", "write_through", "--N", "3", "--p", "0.2",
+          "--ops", "300"])
+print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))
+"""
+
+
+def test_cli_simulate_imports_only_what_it_runs():
+    """``repro simulate`` loads the one protocol it runs, and none of the
+    commands' modules it does not run (catalog, validation, placement,
+    ranking)."""
+    loaded = set(_fresh(SIMULATE_CLI_PROBE).split())
+    protocols = {f"repro.protocols.{name}"
+                 for name in repro.all_protocol_names()}
+    assert loaded & protocols == {"repro.protocols.write_through"}
+    unused = [m for m in loaded if m.startswith(("repro.scenarios",
+                                                 "repro.validation"))
+              or m in ("repro.core.placement", "repro.core.comparison")]
+    assert not unused, sorted(unused)
