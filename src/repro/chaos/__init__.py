@@ -24,38 +24,42 @@ Quickstart::
     assert report.ok, report.summary()
 """
 
-from .generate import (
-    ALL_CHAOS_PROTOCOLS,
-    ChaosOptions,
-    chaos_cells,
-    generate_cell,
-)
-from .runner import (
-    VIOLATION_KINDS,
-    ChaosFinding,
-    ChaosReport,
-    load_repro,
-    replay_repro,
-    run_chaos,
-    violates,
-    write_repros,
-)
-from .shrink import ShrinkResult, fault_window_count, shrink
+import sys
+from types import ModuleType
 
-__all__ = [
-    "ALL_CHAOS_PROTOCOLS",
-    "ChaosOptions",
-    "chaos_cells",
-    "generate_cell",
-    "VIOLATION_KINDS",
-    "ChaosFinding",
-    "ChaosReport",
-    "load_repro",
-    "replay_repro",
-    "run_chaos",
-    "violates",
-    "write_repros",
-    "ShrinkResult",
-    "fault_window_count",
-    "shrink",
-]
+from ..util import lazy_exports
+
+# (submodule, names) pairs in the order of ``__all__``; each name loads
+# only its own submodule, so ``repro simulate`` (which reads
+# ``ChaosOptions``) loads neither the runner nor the shrinker
+__all__, _export, __dir__ = lazy_exports(__name__, (
+    ("generate", ("ALL_CHAOS_PROTOCOLS", "ChaosOptions", "chaos_cells",
+                  "generate_cell")),
+    ("runner", ("VIOLATION_KINDS", "ChaosFinding", "ChaosReport",
+                "load_repro", "replay_repro", "run_chaos", "violates",
+                "write_repros")),
+    ("shrink", ("ShrinkResult", "fault_window_count", "shrink")),
+))
+
+
+class _Package(ModuleType):
+    """This package, whose name ``shrink`` is the function.
+
+    The import system binds each submodule it loads on its package, so
+    loading :mod:`repro.chaos.shrink` (from here, from the runner or
+    directly) would put the module over the function of the same name;
+    the package binds the function instead.
+    """
+
+    def __setattr__(self, name, value):
+        if name == "shrink" and isinstance(value, ModuleType):
+            value = value.shrink
+        super().__setattr__(name, value)
+
+
+def __getattr__(name):
+    _export(name)
+    return vars(sys.modules[__name__])[name]
+
+
+sys.modules[__name__].__class__ = _Package

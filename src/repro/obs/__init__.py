@@ -16,34 +16,14 @@ simulation under the standard library's :mod:`cProfile`.  See
 ``docs/observability.md`` for the span model and overhead numbers.
 """
 
-from .trace import Span, TraceConfig, TraceEvent, Tracer
-from .registry import Counter, Gauge, Histogram, MetricsRegistry
-from .export import (
-    CHROME_TRACE_SCHEMA,
-    SYSTEM_PID,
-    chrome_trace,
-    events_jsonl,
-    trace_json,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_events_jsonl,
-)
+from ..util import lazy_exports
 
-__all__ = [
-    "Span",
-    "TraceConfig",
-    "TraceEvent",
-    "Tracer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "CHROME_TRACE_SCHEMA",
-    "SYSTEM_PID",
-    "chrome_trace",
-    "events_jsonl",
-    "trace_json",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_events_jsonl",
-]
+# (submodule, names) pairs in the order of ``__all__``; a name loads only
+# its own submodule, so tracing a run loads no exporter
+__all__, __getattr__, __dir__ = lazy_exports(__name__, (
+    ("trace", ("Span", "TraceConfig", "TraceEvent", "Tracer")),
+    ("registry", ("Counter", "Gauge", "Histogram", "MetricsRegistry")),
+    ("export", ("CHROME_TRACE_SCHEMA", "SYSTEM_PID", "chrome_trace",
+                "events_jsonl", "trace_json", "validate_chrome_trace",
+                "write_chrome_trace", "write_events_jsonl")),
+))

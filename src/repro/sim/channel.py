@@ -45,20 +45,26 @@ delivered to a crashed node.  Jitter can reorder deliveries, so the strict
 FIFO invariant is waived in fault mode — the reliable-delivery layer
 (:mod:`repro.sim.reliable`) restores exactly-once FIFO order above it.
 
-The fault path looks a transmission's link state up once (the link
-plan's ``(drop, duplicate, jitter)`` maxima at the send time; both plans
-index their windows, by directed link and by node) and draws in a fixed
+A faulty fabric compiles its plans' windows into one
+:class:`~repro.sim.faults.FaultTimeline` at construction (the plain
+fabric builds none) and reads one segment of it per transmission: that
+one read gives the down set that screens the source, the link's
+``(drop, duplicate, jitter)`` rates and the straggler factor of the two
+endpoints.  The global plan's rates and RNG and the link plan's RNG are
+bound on the fabric, which rolls every decision itself in a fixed
 order: global drop, then link drop (skipped after a global drop); for a
 delivered transmission global jitter, then link jitter; then global
 duplicate, then link duplicate (skipped after a global duplicate); and
-jitter again for the duplicate.  A straggler endpoint multiplies each
-delay without a draw.  Faulty deliveries are never cancelled either, so
-they are posted handle-free like the fault-free ones — the bound
-:meth:`Network._deliver_faulty` plus the same ``(msg, slot, seq)``
+jitter again for the duplicate.  Each delay is ``latency`` plus the two
+jitters, times the straggler factor (exactly 1.0 with no slow endpoint),
+so a straggler consumes no draw.  Faulty deliveries are never cancelled
+either, so they are posted handle-free like the fault-free ones — the
+bound :meth:`Network._deliver_faulty` plus the same ``(msg, slot, seq)``
 tuple, one sequence number per delivery; the slot's ``delivered`` field
-keeps the channel's delivery high-water mark.  A jittered delivery due
-before the lane's tail falls back to the scheduler's heap by itself, so
-the firing order is the one a single heap would give.
+keeps the channel's delivery high-water mark, and the delivery tests the
+receiver against the timeline's down set at its own time.  A jittered
+delivery due before the lane's tail falls back to the scheduler's heap
+by itself, so the firing order is the one a single heap would give.
 
 Message costs (Section 4.1) are priced by the sender and charged at send
 time through the attached :class:`~repro.sim.metrics.Metrics` sink: 1 for
@@ -77,10 +83,13 @@ from ..machines.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import EventScheduler
-    from .faults import FaultPlan
+    from .faults import FaultPlan, FaultTimeline
     from .partition import PartitionPlan
 
 __all__ = ["Network"]
+
+#: the link-rate row of a source with no faulty outgoing link
+_NO_LINKS: Dict[int, Tuple[float, float, float]] = {}
 
 
 class Network:
@@ -127,6 +136,22 @@ class Network:
                            if partitions is not None and not partitions.is_none
                            else None)
         self.on_fault = on_fault
+        #: the plans' windows as one :class:`~repro.sim.faults.FaultTimeline`
+        #: (``None`` on the fault-free fabric); the reliable layer, the
+        #: failure detector, recovery and reconfiguration read it too.
+        self.timeline: Optional[FaultTimeline] = None
+        # the decisions' rates and streams, bound once (0 rolls nothing)
+        plan = self.faults
+        self._drop_rate = plan.drop_rate if plan is not None else 0.0
+        self._duplicate_rate = (plan.duplicate_rate if plan is not None
+                                else 0.0)
+        self._jitter = plan.jitter if plan is not None else 0.0
+        self._rng = plan._rng if plan is not None else None
+        self._link_rng = (self.partitions._rng
+                          if self.partitions is not None else None)
+        if not self.fault_free:
+            from .faults import FaultTimeline
+            self.timeline = FaultTimeline(plan, self.partitions)
         #: optional :class:`repro.obs.Tracer`.  On a plain fabric the
         #: deliver hook emits per-operation "deliver" events; under a
         #: :class:`~repro.sim.reliable.ReliableNetwork` the tracer is
@@ -201,13 +226,14 @@ class Network:
             slot = self._open_channel(msg)
         faulty = ((self.faults is not None or self.partitions is not None)
                   and src != dst)
-        if (faulty and self.screen_sources and self.faults is not None
-                and self.faults.is_down(src, self.scheduler.now)):
-            # the source's interface is dead: nothing leaves the node and
-            # nothing is charged (the message was never emitted).
-            self.suppressed += 1
-            self._fault_event("down_src")
-            return 0.0
+        if faulty:
+            down, slow, links = self.timeline.at(self.scheduler.now)
+            if self.screen_sources and src in down:
+                # the source's interface is dead: nothing leaves the node
+                # and nothing is charged (the message was never emitted).
+                self.suppressed += 1
+                self._fault_event("down_src")
+                return 0.0
         if self.on_cost is not None and cost > 0.0:
             self.on_cost(msg, cost)
         self.messages_sent += 1
@@ -222,28 +248,41 @@ class Network:
             return cost
 
         # ---- fault path: drops, duplicates, jitter, dead receivers ----
-        plan = self.faults
-        parts = self.partitions
-        now = self.scheduler.now
-        # the link's (drop, duplicate, jitter) rates, looked up once;
-        # None when no link fault is active (every rate is then 0)
-        link = (parts._link_rates(src, dst, now) if parts is not None
-                else None)
+        # the link's (drop, duplicate, jitter) rates; None when no link
+        # fault is active on src -> dst (every rate is then 0)
+        link = links.get(src, _NO_LINKS).get(dst) if links else None
+        # a link is as slow as its slowest endpoint (no draw)
+        factor = (max(slow.get(src, 1.0), slow.get(dst, 1.0)) if slow
+                  else 1.0)
+        rng = self._rng
         item = (msg, slot, seq)
         # the global plan rolls first; a loss there short-circuits the
-        # link roll (both streams are private, so this stays deterministic)
-        if ((plan is not None and plan.should_drop(src, dst))
-                or (link is not None and parts._roll_drop(link[0]))):
+        # link roll (both streams are private, so this stays deterministic).
+        # A full link cut (rate >= 1) consumes no draw.
+        rate = self._drop_rate
+        if rate and rng.random() < rate:
+            dropped = True
+        elif link is None or link[0] <= 0.0:
+            dropped = False
+        else:
+            rate = link[0]
+            dropped = rate >= 1.0 or self._link_rng.random() < rate
+        if dropped:
             self.dropped += 1
             self._fault_event("drop")
         else:
-            self._post(self._faulty_delay(src, dst, now, link),
+            self._post(self._faulty_delay(link, factor),
                        self._deliver_faulty, item)
-        if ((plan is not None and plan.should_duplicate(src, dst))
-                or (link is not None and parts._roll_duplicate(link[1]))):
+        rate = self._duplicate_rate
+        if rate and rng.random() < rate:
+            duplicated = True
+        else:
+            duplicated = (link is not None and link[1] > 0.0
+                          and self._link_rng.random() < link[1])
+        if duplicated:
             self.duplicated += 1
             self._fault_event("duplicate")
-            self._post(self._faulty_delay(src, dst, now, link),
+            self._post(self._faulty_delay(link, factor),
                        self._deliver_faulty, item)
         return cost
 
@@ -278,29 +317,21 @@ class Network:
         self._slots.setdefault(src, {})[dst] = slot
         return slot
 
-    def _faulty_delay(self, src: int, dst: int, now: float,
-                      link: Optional[Tuple[float, float, float]]) -> float:
+    def _faulty_delay(self, link: Optional[Tuple[float, float, float]],
+                      factor: float) -> float:
         """One faulty delivery's delay: latency plus global then link
-        jitter, stretched by a straggler endpoint."""
-        plan = self.faults
+        jitter, times the straggler factor (1.0 leaves it exact)."""
         delay = self.latency
-        if plan is not None:
-            delay += plan.jitter_for(src, dst)
-        if link is not None:
-            delay += self.partitions._roll_jitter(link[2])
-        if plan is not None and plan.slowdowns:
-            # gray failure: a straggler endpoint stretches the whole
-            # delivery multiplicatively.  Deterministic (no RNG), and
-            # exactly 1.0 without slow windows, so plans predating
-            # the straggler model keep byte-identical delays.
-            delay *= plan.link_slowdown(src, dst, now)
-        return delay
+        if self._jitter:
+            delay += self._rng.uniform(0.0, self._jitter)
+        if link is not None and link[2] > 0.0:
+            delay += self._link_rng.uniform(0.0, link[2])
+        return delay * factor
 
     def _deliver_faulty(self, item: Tuple[Message, List[int], int]) -> None:
         """Faulty-fabric delivery of one transmission posted by :meth:`send`."""
         msg, slot, seq = item
-        plan = self.faults
-        if plan is not None and plan.is_down(msg.dst, self.scheduler.now):
+        if msg.dst in self.timeline.at(self.scheduler.now)[0]:
             # the receiver is crashed: the transmission is lost.
             self.dropped += 1
             self._fault_event("down_dst")

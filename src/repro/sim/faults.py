@@ -37,12 +37,14 @@ is therefore single-use — build a fresh one per run
 (``dataclasses.replace(plan)`` returns an identically-configured plan with a
 rewound stream, which is what :class:`~repro.sim.system.DSMSystem` runs).
 
-Lookups: the channel asks :meth:`FaultPlan.is_down` for every faulty
-transmission's source and receiver and :meth:`~FaultPlan.link_slowdown`
-for every delivery.  The plan indexes its crash and slow windows by node
-at construction, so each lookup scans only that node's windows (usually
-none).  The windows are immutable tuples, so the index never goes stale,
-and each answer is the one a scan over every window would give.
+Lookups: a faulty fabric compiles its plans' windows once into a
+:class:`FaultTimeline` — piecewise-constant segments between consecutive
+window edges, each holding the down set, the slowed nodes' factors and
+the active links' rates — and every fault lookup of a run reads that
+timeline: one segment per transmission, one comparison while the
+simulated time stays inside the segment.  The plans themselves are
+frozen configuration plus their RNG streams; the fabric binds the rates
+and streams and rolls every decision itself (:mod:`repro.sim.channel`).
 
 ``FaultPlan()`` is the explicit no-fault plan; the system treats it
 exactly like "no plan at all", so fault-free runs stay bit-identical to the
@@ -53,12 +55,18 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, FrozenSet, List, Optional,
+                    Sequence, Tuple)
 
 from ..util import field_kwargs
 
-__all__ = ["CRASH_SEMANTICS", "CrashWindow", "FaultPlan", "SlowWindow"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .partition import PartitionPlan
+
+__all__ = ["CRASH_SEMANTICS", "CrashWindow", "FaultPlan", "FaultTimeline",
+           "SlowWindow"]
 
 
 #: legal values of :attr:`CrashWindow.semantics`
@@ -73,14 +81,6 @@ def decode_windows(entries: Sequence) -> Tuple[tuple, ...]:
     """
     return tuple(tuple(math.inf if x is None else x for x in entry)
                  for entry in entries)
-
-
-def _by_node(windows: Sequence) -> Dict[int, list]:
-    """Group windows by their ``node``, keeping their order within a node."""
-    index: Dict[int, list] = {}
-    for w in windows:
-        index.setdefault(w.node, []).append(w)
-    return index
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +169,7 @@ class FaultPlan:
             same node must not overlap.
 
     Equality, hashing and ``repr`` cover the configuration fields only;
-    the RNG stream and the per-node window indexes are run state.
+    the RNG stream is run state.
     """
 
     seed: int = 0
@@ -179,10 +179,6 @@ class FaultPlan:
     crashes: Tuple[CrashWindow, ...] = ()
     slowdowns: Tuple[SlowWindow, ...] = ()
     _rng: random.Random = field(init=False, compare=False, repr=False)
-    _crashes_by_node: Dict[int, list] = field(init=False, compare=False,
-                                              repr=False)
-    _slowdowns_by_node: Dict[int, list] = field(init=False, compare=False,
-                                                repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.drop_rate <= 1.0:
@@ -204,8 +200,6 @@ class FaultPlan:
         set_ = object.__setattr__
         set_(self, "crashes", crashes)
         set_(self, "slowdowns", slowdowns)
-        set_(self, "_crashes_by_node", _by_node(crashes))
-        set_(self, "_slowdowns_by_node", _by_node(slowdowns))
         set_(self, "_rng", random.Random(self.seed))
 
     @staticmethod
@@ -314,75 +308,8 @@ class FaultPlan:
                                   slowdowns=decode_windows))
 
     # ------------------------------------------------------------------
-    # per-transmission decisions (consume the RNG stream in call order)
-    # ------------------------------------------------------------------
-
-    def should_drop(self, src: int, dst: int) -> bool:
-        """Decide whether this transmission on ``src -> dst`` is lost."""
-        if self.drop_rate == 0.0:
-            return False
-        return self._rng.random() < self.drop_rate
-
-    def should_duplicate(self, src: int, dst: int) -> bool:
-        """Decide whether this transmission is delivered twice."""
-        if self.duplicate_rate == 0.0:
-            return False
-        return self._rng.random() < self.duplicate_rate
-
-    def jitter_for(self, src: int, dst: int) -> float:
-        """Extra delivery delay for one delivery on ``src -> dst``."""
-        if self.jitter == 0.0:
-            return 0.0
-        return self._rng.uniform(0.0, self.jitter)
-
-    # ------------------------------------------------------------------
-    # gray-failure schedule (deterministic: no RNG is ever consumed, so
-    # layering slowdowns onto a plan leaves its decision stream intact)
-    # ------------------------------------------------------------------
-
-    def slowdown_for(self, node: int, time: float) -> float:
-        """The node's service slowdown factor at ``time`` (>= 1.0)."""
-        for window in self._slowdowns_by_node.get(node, ()):
-            if window.covers(time):
-                return window.factor
-        return 1.0
-
-    def link_slowdown(self, src: int, dst: int, time: float) -> float:
-        """The delivery slowdown on ``src -> dst`` at ``time``.
-
-        A link is as slow as its slowest endpoint: the straggler is slow
-        both to emit and to service arriving messages.
-        """
-        slow = self._slowdowns_by_node
-        if src not in slow and dst not in slow:
-            return 1.0
-        return max(self.slowdown_for(src, time),
-                   self.slowdown_for(dst, time))
-
-    def slowdown_edges(self) -> List[Tuple[float, int, str]]:
-        """Sorted ``(time, node, "slow"|"restore")`` bookkeeping events.
-
-        Restore edges at ``inf`` (a node that never speeds back up) are
-        omitted.
-        """
-        edges: List[Tuple[float, int, str]] = []
-        for w in self.slowdowns:
-            edges.append((w.start, w.node, "slow"))
-            if math.isfinite(w.end):
-                edges.append((w.end, w.node, "restore"))
-        edges.sort()
-        return edges
-
-    # ------------------------------------------------------------------
     # crash schedule
     # ------------------------------------------------------------------
-
-    def is_down(self, node: int, time: float) -> bool:
-        """Whether ``node``'s network interface is dead at ``time``."""
-        for window in self._crashes_by_node.get(node, ()):
-            if window.covers(time):
-                return True
-        return False
 
     def crash_edges(self) -> List[Tuple[float, int, str]]:
         """Sorted ``(time, node, "crash"|"recover")`` bookkeeping events.
@@ -429,3 +356,75 @@ class FaultPlan:
                      else "nodes " + ",".join(str(n) for n in sorted(nodes)))
             parts.append(f"slow({label}: {start:g}..{end}, x{factor:g})")
         return ", ".join(parts)
+
+
+#: one timeline segment: the down nodes, each slowed node's factor, and
+#: ``{src: {dst: (drop, duplicate, jitter)}}`` for the active links
+Segment = Tuple[FrozenSet[int], Dict[int, float],
+                Dict[int, Dict[int, Tuple[float, float, float]]]]
+
+
+class FaultTimeline:
+    """A run's crash windows, slow windows and link faults, compiled into
+    piecewise-constant segments.
+
+    ``edges`` is the sorted list of distinct finite window starts and
+    ends.  Segment ``i`` spans ``[edges[i-1], edges[i])`` — the first is
+    unbounded below and the last above — so a plan with no windows has
+    exactly one segment.  Each segment is a :data:`Segment` triple
+    ``(down, slow, links)``:
+
+    * ``down`` — the nodes whose crash window covers the segment;
+    * ``slow`` — ``{node: factor}`` for the nodes a slow window covers;
+    * ``links`` — ``{src: {dst: (drop, duplicate, jitter)}}``, each the
+      maximum over the link faults active on ``src -> dst``.
+
+    Every window starts and ends on an edge, so a segment's state is what
+    a scan over all windows answers anywhere inside it.  :meth:`at` keeps
+    a cursor on the segment it last returned; while the queried time
+    stays inside that segment a lookup is one comparison, and outside it
+    the cursor re-seeks by bisection, so queries in any order are exact.
+    """
+
+    __slots__ = ("edges", "segments", "_lo", "_hi", "_segment")
+
+    def __init__(self, faults: Optional[FaultPlan],
+                 partitions: Optional["PartitionPlan"]) -> None:
+        crashes = faults.crashes if faults is not None else ()
+        slowdowns = faults.slowdowns if faults is not None else ()
+        links = partitions.links if partitions is not None else ()
+        self.edges: List[float] = sorted(
+            {t for w in crashes + slowdowns + links
+             for t in (w.start, w.end) if math.isfinite(t)})
+        self.segments: List[Segment] = []
+        for t in [-math.inf] + self.edges:
+            rates: Dict[int, Dict[int, Tuple[float, float, float]]] = {}
+            for f in links:
+                if f.covers(t):
+                    row = rates.setdefault(f.src, {})
+                    old = row.get(f.dst)
+                    row[f.dst] = (
+                        (f.drop_rate, f.duplicate_rate, f.jitter)
+                        if old is None else
+                        (max(old[0], f.drop_rate),
+                         max(old[1], f.duplicate_rate),
+                         max(old[2], f.jitter)))
+            self.segments.append((
+                frozenset(w.node for w in crashes if w.covers(t)),
+                {w.node: w.factor for w in slowdowns if w.covers(t)},
+                rates,
+            ))
+        self._lo = -math.inf
+        self._hi = self.edges[0] if self.edges else math.inf
+        self._segment = self.segments[0]
+
+    def at(self, now: float) -> Segment:
+        """The segment covering simulation time ``now``."""
+        if self._lo <= now < self._hi:
+            return self._segment
+        edges = self.edges
+        i = bisect_right(edges, now)
+        self._lo = edges[i - 1] if i else -math.inf
+        self._hi = edges[i] if i < len(edges) else math.inf
+        self._segment = self.segments[i]
+        return self._segment

@@ -37,14 +37,13 @@ derived stream (never perturbing the fabric's), and
 ``dataclasses.replace(plan)`` returns a fresh rewound plan.  A plan with
 no link faults is normalized away entirely (pay-for-what-you-use).
 
-Lookups: the plan indexes its link faults by directed channel
-``(src, dst)`` at construction (the faults are an immutable tuple, so the
-index never goes stale).  The channel looks a link's state up once per
-transmission — the ``(drop, duplicate, jitter)`` maxima over the faults
-active at the send time — and rolls drop, duplicate and jitter from
-those rates in the same order, with the same draws, as
-:meth:`PartitionPlan.should_drop`, :meth:`~PartitionPlan.should_duplicate`
-and :meth:`~PartitionPlan.jitter_for`.
+Lookups: the plan is frozen configuration plus its RNG stream.  A
+faulty fabric compiles its link faults, with the fault plan's windows,
+into one :class:`~repro.sim.faults.FaultTimeline`, whose segments carry
+each active directed link's ``(drop, duplicate, jitter)`` maxima; the
+channel reads one segment per transmission and rolls the link's drop,
+jitter and duplicate on this plan's stream, and the failure detector
+reads the same timeline for its loss rates, down set and horizon.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..util import field_kwargs
 from .engine import EventScheduler
-from .faults import FaultPlan, decode_windows
+from .faults import FaultTimeline, decode_windows
 from .metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -163,7 +162,7 @@ class PartitionPlan:
             baseline the detector exists to fix).
 
     Equality, hashing and ``repr`` cover the configuration fields only;
-    the RNG stream and the per-channel link index are run state.
+    the RNG stream is run state.
     """
 
     seed: int = 0
@@ -173,8 +172,6 @@ class PartitionPlan:
     policy: str = "stall"
     detect: bool = True
     _rng: random.Random = field(init=False, compare=False, repr=False)
-    _links_by_channel: Dict[Tuple[int, int], List[LinkFault]] = field(
-        init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # NaN slips past a plain `<= 0` comparison and inf past `< 1`;
@@ -199,12 +196,8 @@ class PartitionPlan:
             )
         links = tuple(f if isinstance(f, LinkFault) else LinkFault(*f)
                       for f in self.links)
-        by_channel: Dict[Tuple[int, int], List[LinkFault]] = {}
-        for f in links:
-            by_channel.setdefault((f.src, f.dst), []).append(f)
         set_ = object.__setattr__
         set_(self, "links", links)
-        set_(self, "_links_by_channel", by_channel)
         set_(self, "_rng", random.Random(self.seed))
 
     @property
@@ -301,88 +294,6 @@ class PartitionPlan:
                 parts.append(f"link({arrow}: {window}, {', '.join(extras)})")
         return ", ".join(parts)
 
-    # ------------------------------------------------------------------
-    # per-transmission decisions (consume the RNG stream in call order)
-    # ------------------------------------------------------------------
-
-    def _active(self, src: int, dst: int, time: float) -> List[LinkFault]:
-        return [f for f in self._links_by_channel.get((src, dst), ())
-                if f.covers(time)]
-
-    def _link_rates(self, src: int, dst: int, time: float
-                    ) -> Optional[Tuple[float, float, float]]:
-        """The ``(drop, duplicate, jitter)`` maxima over the faults active
-        on ``src -> dst`` at ``time``; ``None`` when none is active (every
-        rate then counts as 0).  No RNG is consumed."""
-        active = self._active(src, dst, time)
-        if not active:
-            return None
-        return (max(f.drop_rate for f in active),
-                max(f.duplicate_rate for f in active),
-                max(f.jitter for f in active))
-
-    def drop_probability(self, src: int, dst: int, time: float) -> float:
-        """The effective link loss rate at ``time`` (no RNG consumed)."""
-        rates = self._link_rates(src, dst, time)
-        return 0.0 if rates is None else rates[0]
-
-    def is_cut(self, src: int, dst: int, time: float) -> bool:
-        """Whether the directed link is fully severed at ``time``."""
-        return self.drop_probability(src, dst, time) >= 1.0
-
-    def should_drop(self, src: int, dst: int, time: float) -> bool:
-        """Decide whether this transmission is lost to a link fault.
-
-        A full cut is deterministic (consumes no randomness), so cut
-        schedules stay identical whatever traffic crosses other links.
-        """
-        return self._roll_drop(self.drop_probability(src, dst, time))
-
-    def should_duplicate(self, src: int, dst: int, time: float) -> bool:
-        """Decide whether this transmission is delivered twice."""
-        rates = self._link_rates(src, dst, time)
-        return rates is not None and self._roll_duplicate(rates[1])
-
-    def jitter_for(self, src: int, dst: int, time: float) -> float:
-        """Extra delivery delay from link faults for one delivery."""
-        rates = self._link_rates(src, dst, time)
-        return 0.0 if rates is None else self._roll_jitter(rates[2])
-
-    # the rolls behind the three decisions, given a link's rates from
-    # :meth:`_link_rates` (the channel looks the rates up once per
-    # transmission and rolls from them)
-
-    def _roll_drop(self, rate: float) -> bool:
-        if rate <= 0.0:
-            return False
-        if rate >= 1.0:
-            return True
-        return self._rng.random() < rate
-
-    def _roll_duplicate(self, rate: float) -> bool:
-        if rate <= 0.0:
-            return False
-        return self._rng.random() < rate
-
-    def _roll_jitter(self, jitter: float) -> float:
-        if jitter <= 0.0:
-            return 0.0
-        return self._rng.uniform(0.0, jitter)
-
-    # ------------------------------------------------------------------
-    # schedule bookkeeping
-    # ------------------------------------------------------------------
-
-    def edges(self) -> List[float]:
-        """Sorted finite start/end times of every link fault."""
-        times: List[float] = []
-        for f in self.links:
-            times.append(f.start)
-            if math.isfinite(f.end):
-                times.append(f.end)
-        times.sort()
-        return times
-
 
 #: phi-like score a response time must exceed for a probe to count as
 #: "suspiciously slow" (standard deviations above the healthy baseline)
@@ -397,6 +308,12 @@ DEMOTE_AFTER = 2
 #: sample infinitely surprising
 _PHI_SIGMA_FLOOR = 0.05
 
+def _link_drop(links: Dict[int, Dict[int, Tuple[float, float, float]]],
+               src: int, dst: int) -> float:
+    """The loss rate of ``src -> dst`` in a timeline segment's links."""
+    rates = links.get(src, {}).get(dst)
+    return 0.0 if rates is None else rates[0]
+
 
 class FailureDetector:
     """Sequencer-side heartbeat prober feeding the recovery subsystem.
@@ -405,7 +322,9 @@ class FailureDetector:
     node: one bare token out, one back when the probe is delivered and
     the node is alive.  Probe and reply losses are rolled against the
     *combined* loss probability of the global fault plan and the active
-    link faults, on the detector's own derived RNG stream — the fabric's
+    link faults, read from the fabric's
+    :class:`~repro.sim.faults.FaultTimeline`, on the detector's own
+    derived RNG stream — the fabric's
     streams are never perturbed, so attaching the detector changes no
     fault decisions.  After :attr:`PartitionPlan.suspect_after`
     consecutive misses the node is quarantined
@@ -430,8 +349,10 @@ class FailureDetector:
     liveness comes from re-selection, not eviction.
 
     Probing is horizon-bounded so the event list drains: rounds stop a
-    few intervals after the last scheduled fault/partition/slowdown edge
-    unless a quarantined node is still reachable-and-rejoining.
+    few intervals after the timeline's last edge (the last scheduled
+    fault/partition/slowdown edge) unless a quarantined node is still
+    reachable-and-rejoining.  Without a timeline (a fault-free fabric)
+    there is no edge and the detector never probes.
     """
 
     def __init__(
@@ -441,7 +362,8 @@ class FailureDetector:
         scheduler: EventScheduler,
         metrics: Metrics,
         recovery: Optional["RecoveryManager"],
-        faults: Optional[FaultPlan],
+        timeline: Optional[FaultTimeline],
+        drop_rate: float,
         all_nodes: Tuple[int, ...],
         latency: float = 1.0,
     ) -> None:
@@ -450,7 +372,9 @@ class FailureDetector:
         self.scheduler = scheduler
         self.metrics = metrics
         self.recovery = recovery
-        self.faults = faults
+        self.timeline = timeline
+        #: the global fault plan's loss rate (0 without a fault plan)
+        self.drop_rate = drop_rate
         self.all_nodes = all_nodes
         self.latency = float(latency)
         # derived stream: deterministic, independent of the fabric's
@@ -462,12 +386,9 @@ class FailureDetector:
         self._rtt_dev: Dict[int, float] = {}
         self._slow_streak: Dict[int, int] = {}
         self._fast_streak: Dict[int, int] = {}
-        times = plan.edges()
-        if faults is not None:
-            times = times + [t for t, _n, _k in faults.crash_edges()]
-            times = times + [t for t, _n, _k in faults.slowdown_edges()]
+        edges = timeline.edges if timeline is not None else ()
         slack = (plan.suspect_after + 3) * plan.heartbeat_interval
-        self._horizon = (max(times) + slack) if times else 0.0
+        self._horizon = (edges[-1] + slack) if edges else 0.0
 
     def start(self) -> None:
         """Schedule the first probe round (call once, at construction)."""
@@ -480,12 +401,11 @@ class FailureDetector:
 
     def _lost(self, src: int, dst: int, now: float) -> bool:
         """Roll one heartbeat transmission against the combined loss rate."""
-        p = 0.0
-        if self.faults is not None:
-            if self.faults.is_down(dst, now):
-                return True
-            p = self.faults.drop_rate
-        q = self.plan.drop_probability(src, dst, now)
+        down, _slow, links = self.timeline.at(now)
+        if dst in down:
+            return True
+        p = self.drop_rate
+        q = _link_drop(links, src, dst)
         combined = 1.0 - (1.0 - p) * (1.0 - q)
         if combined >= 1.0:
             return True
@@ -495,18 +415,17 @@ class FailureDetector:
 
     def _healable(self, node: int, now: float) -> bool:
         """Whether a probe round trip to ``node`` could ever succeed now."""
-        if self.faults is not None and self.faults.is_down(node, now):
+        down, _slow, links = self.timeline.at(now)
+        if node in down:
             return False
         seq = self.cluster.sequencer_id
-        return (self.plan.drop_probability(seq, node, now) < 1.0
-                and self.plan.drop_probability(node, seq, now) < 1.0)
+        return (_link_drop(links, seq, node) < 1.0
+                and _link_drop(links, node, seq) < 1.0)
 
     def _tick(self) -> None:
         now = self.scheduler.now
         seq = self.cluster.sequencer_id
-        sequencer_up = (self.faults is None
-                        or not self.faults.is_down(seq, now))
-        if sequencer_up:
+        if seq not in self.timeline.at(now)[0]:
             self._probe_round(now, seq)
         # keep probing until the schedule's horizon, then only while a
         # quarantined node could still be driven through a rejoin.
@@ -520,6 +439,7 @@ class FailureDetector:
 
     def _probe_round(self, now: float, seq: int) -> None:
         stats = self.metrics.partition
+        down = self.timeline.at(now)[0]
         for node in self.all_nodes:
             if node == seq:
                 continue
@@ -528,9 +448,7 @@ class FailureDetector:
             self.metrics.record_detector_cost(1.0, kind="probe",
                                               src=seq, dst=node)
             reachable = False
-            node_up = (self.faults is None
-                       or not self.faults.is_down(node, now))
-            if not self._lost(seq, node, now) and node_up:
+            if not self._lost(seq, node, now) and node not in down:
                 # the probe arrived; the node replies (another bare token)
                 self.metrics.record_detector_cost(1.0, kind="probe_reply",
                                                   src=node, dst=seq)
@@ -565,12 +483,13 @@ class FailureDetector:
     def _probe_rtt(self, node: int, seq: int, now: float) -> float:
         """The round trip's deterministic fabric delay.
 
-        Two hops of base latency, stretched by the fault plan's
-        slowdown factor.  Jitter is excluded on purpose: sampling it
-        would consume RNG and perturb the fabric's decision stream.
+        Two hops of base latency, stretched by the slower endpoint's
+        factor on the timeline.  Jitter is excluded on purpose: sampling
+        it would consume RNG and perturb the fabric's decision stream.
         """
-        factor = (self.faults.link_slowdown(seq, node, now)
-                  if self.faults is not None else 1.0)
+        slow = self.timeline.at(now)[1]
+        factor = (max(slow.get(seq, 1.0), slow.get(node, 1.0)) if slow
+                  else 1.0)
         return 2.0 * self.latency * factor
 
     def _score_rtt(self, node: int, seq: int, now: float) -> None:

@@ -60,7 +60,6 @@ from typing import (
 
 from ..util import backoff_delay, field_kwargs
 from .engine import EventScheduler
-from .faults import FaultPlan
 from .metrics import Metrics
 from .reliable import ReliabilityConfig, ReliableNetwork
 
@@ -348,7 +347,6 @@ class ReconfigManager:
         scheduler: EventScheduler,
         network: ReliableNetwork,
         metrics: Metrics,
-        faults: Optional[FaultPlan],
         reliability: ReliabilityConfig,
         S: float,
         P: float,
@@ -361,7 +359,6 @@ class ReconfigManager:
         self.scheduler = scheduler
         self.network = network
         self.metrics = metrics
-        self.faults = faults
         self.S = S
         self.P = P
         self.latency = latency
@@ -620,8 +617,9 @@ class ReconfigManager:
     def _is_live(self, node: int) -> bool:
         if node in self.cluster.quarantined:
             return False
-        return (self.faults is None
-                or not self.faults.is_down(node, self.scheduler.now))
+        timeline = self.network.timeline
+        return (timeline is None
+                or node not in timeline.at(self.scheduler.now)[0])
 
     def _live(self, members) -> List[int]:
         return [n for n in members if self._is_live(n)]

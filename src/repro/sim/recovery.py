@@ -229,10 +229,10 @@ class RecoveryManager:
     def _failover(self, w) -> None:
         old = self.cluster.sequencer_id
         now = self.scheduler.now
+        down = self.network.timeline.at(now)[0]
         live = [
             n for n in self.nodes
-            if n != old and not self.plan.is_down(n, now)
-            and n not in self._quarantined
+            if n != old and n not in down and n not in self._quarantined
         ]
         if not live:  # pragma: no cover - degenerate: nobody to elect
             return

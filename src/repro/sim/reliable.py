@@ -46,7 +46,7 @@ from ..machines.message import Message
 from ..util import backoff_delay, field_kwargs
 from .channel import Network
 from .engine import EventScheduler, TimerHandle
-from .faults import FaultPlan
+from .faults import FaultPlan, FaultTimeline
 from .metrics import Metrics
 from .partition import PartitionPlan
 
@@ -261,6 +261,11 @@ class ReliableNetwork:
         """The active link-fault plan (``None`` without partitions)."""
         return self.physical.partitions
 
+    @property
+    def timeline(self) -> Optional[FaultTimeline]:
+        """The physical fabric's fault timeline (``None`` when fault-free)."""
+        return self.physical.timeline
+
     def attach(self, node_id: int, handler: Callable[[Message], None]) -> None:
         """Register the delivery handler for a node."""
         self._handlers[node_id] = handler
@@ -372,8 +377,9 @@ class ReliableNetwork:
 
     def _transmit(self, pending: _PendingSend, charge: bool) -> None:
         frame = pending.frame
-        plan = self.physical.faults
-        if plan is not None and plan.is_down(frame.src, self.scheduler.now):
+        timeline = self.physical.timeline
+        if (timeline is not None
+                and frame.src in timeline.at(self.scheduler.now)[0]):
             # the interface is dead: nothing leaves and nothing is charged;
             # the retry timer keeps running and tries again after recovery.
             self.physical.suppressed += 1
@@ -401,14 +407,14 @@ class ReliableNetwork:
             # retry budget exhausted: abandon the send and surface it.
             del self._pending[key]
             frame = pending.frame
-            plan = self.physical.faults
+            timeline = self.physical.timeline
             handled = (
                 # abandonment toward a crashed or quarantined node is the
                 # *intended* degradation — the recovery subsystem resyncs
                 # the node at rejoin — so only exhaustion toward a live,
                 # in-view destination is a reliability-contract violation.
-                (plan is not None
-                 and plan.is_down(frame.dst, self.scheduler.now))
+                (timeline is not None
+                 and frame.dst in timeline.at(self.scheduler.now)[0])
                 or (self.quarantined is not None
                     and frame.dst in self.quarantined)
             )

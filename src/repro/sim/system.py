@@ -357,7 +357,6 @@ class DSMSystem:
                 scheduler=self.scheduler,
                 network=self.network,
                 metrics=self.metrics,
-                faults=self.faults,
                 reliability=self.reliability,
                 S=self.S,
                 P=self.P,
@@ -404,6 +403,7 @@ class DSMSystem:
         #: can never quarantine) whose latency scoring feeds the
         #: demotion-aware quorum selection and hedge targeting)
         self.detector: Optional[FailureDetector] = None
+        drop_rate = self.faults.drop_rate if self.faults is not None else 0.0
         if self.partitions is not None and not self.spec.quorum_based:
             # the transport absorbs traffic to quarantined nodes instead
             # of retrying into a severed link forever.
@@ -416,7 +416,8 @@ class DSMSystem:
                     scheduler=self.scheduler,
                     metrics=self.metrics,
                     recovery=self.recovery,
-                    faults=self.faults,
+                    timeline=self.network.timeline,
+                    drop_rate=drop_rate,
                     all_nodes=self.all_nodes,
                     latency=_HOP_LATENCY,
                 )
@@ -440,7 +441,8 @@ class DSMSystem:
                     scheduler=self.scheduler,
                     metrics=self.metrics,
                     recovery=None,
-                    faults=self.faults,
+                    timeline=self.network.timeline,
+                    drop_rate=drop_rate,
                     all_nodes=self.all_nodes,
                     latency=_HOP_LATENCY,
                 )
@@ -714,10 +716,10 @@ class DSMSystem:
 
     def _down_nodes(self) -> set:
         """Nodes whose crash window covers the current simulation time."""
-        if self.faults is None:
+        timeline = self.network.timeline
+        if timeline is None:
             return set()
-        now = self.scheduler.now
-        return {n for n in self.all_nodes if self.faults.is_down(n, now)}
+        return set(timeline.at(self.scheduler.now)[0])
 
     def _excluded_nodes(self) -> set:
         """Nodes whose replicas the quiescence checks must skip.

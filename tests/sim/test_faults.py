@@ -5,7 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.sim.faults import CrashWindow, FaultPlan
+from repro.sim.faults import CrashWindow, FaultPlan, FaultTimeline
+
+from .util import fabric, transmit
 
 
 class TestCrashWindow:
@@ -59,14 +61,12 @@ class TestFaultPlanConfig:
 
 
 class TestDeterminism:
+    """The plan's decisions, rolled by the fabric that binds its stream."""
+
     def test_same_seed_same_decisions(self):
         def decisions(plan):
-            out = []
-            for _ in range(200):
-                out.append((plan.should_drop(1, 2),
-                            plan.should_duplicate(1, 2),
-                            plan.jitter_for(1, 2)))
-            return out
+            net = fabric(plan)
+            return [transmit(net, 1, 2, 0.0) for _ in range(200)]
 
         kwargs = dict(seed=42, drop_rate=0.3, duplicate_rate=0.1, jitter=2.0)
         assert decisions(FaultPlan(**kwargs)) == decisions(FaultPlan(**kwargs))
@@ -74,38 +74,45 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         plan1 = FaultPlan(seed=1, drop_rate=0.5)
         plan2 = FaultPlan(seed=2, drop_rate=0.5)
-        a = [plan1.should_drop(1, 2) for _ in range(64)]
-        b = [plan2.should_drop(1, 2) for _ in range(64)]
+        net1, net2 = fabric(plan1), fabric(plan2)
+        a = [transmit(net1, 1, 2, 0.0).dropped for _ in range(64)]
+        b = [transmit(net2, 1, 2, 0.0).dropped for _ in range(64)]
         assert a != b
 
     def test_replay_rewinds_the_stream(self):
         plan = FaultPlan(seed=9, drop_rate=0.4, jitter=1.0)
-        first = [(plan.should_drop(1, 2), plan.jitter_for(1, 2))
-                 for _ in range(50)]
-        fresh = replace(plan)
-        again = [(fresh.should_drop(1, 2), fresh.jitter_for(1, 2))
-                 for _ in range(50)]
+        net = fabric(plan)
+        first = [transmit(net, 1, 2, 0.0) for _ in range(50)]
+        fresh = fabric(replace(plan))
+        again = [transmit(fresh, 1, 2, 0.0) for _ in range(50)]
         assert first == again
 
     def test_zero_rates_never_consume_rng(self):
         """Guard for bit-identical fault-free runs: a no-op query must not
         advance the RNG stream."""
         plan = FaultPlan(seed=5, drop_rate=0.5)
+        net = fabric(plan)
         for _ in range(10):
-            assert not plan.should_duplicate(1, 2)  # rate 0: no draw
-            assert plan.jitter_for(1, 2) == 0.0     # jitter 0: no draw
-        # stream position identical to a fresh plan's
-        assert plan.should_drop(1, 2) == replace(plan).should_drop(1, 2)
+            sent = transmit(net, 1, 2, 0.0)
+            assert not sent.duplicated  # rate 0: no draw
+            assert sent.delays in ((), (1.0,))  # jitter 0: no draw
+        # one draw per send (the drop): the stream is a fresh plan's,
+        # advanced by the ten drop rolls alone
+        fresh = replace(plan)
+        for _ in range(10):
+            fresh._rng.random()
+        assert plan._rng.getstate() == fresh._rng.getstate()
 
 
 class TestCrashSchedule:
     def test_is_down(self):
         plan = FaultPlan(crashes=[(2, 10.0, 20.0), (5, 15.0)])
-        assert not plan.is_down(2, 5.0)
-        assert plan.is_down(2, 12.0)
-        assert not plan.is_down(2, 25.0)
-        assert plan.is_down(5, 1e9)
-        assert not plan.is_down(3, 12.0)
+        timeline = FaultTimeline(plan, None)
+        assert 2 not in timeline.at(5.0)[0]
+        assert 2 in timeline.at(12.0)[0]
+        assert 2 not in timeline.at(25.0)[0]
+        assert 5 in timeline.at(1e9)[0]
+        assert 3 not in timeline.at(12.0)[0]
 
     def test_crash_edges_sorted_and_finite(self):
         plan = FaultPlan(crashes=[(2, 30.0, 40.0), (5, 10.0), (1, 20.0, 25.0)])

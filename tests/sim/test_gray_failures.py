@@ -16,9 +16,12 @@ import pytest
 from repro.core.parameters import WorkloadParams
 from repro.exp import SweepCell, SweepSpec, run_sweep
 from repro.sim import DSMSystem, FaultPlan, HedgeConfig, RunConfig, SlowWindow
+from repro.sim.faults import FaultTimeline
 from repro.sim.partition import PartitionPlan
 from repro.util import backoff_delay
 from repro.workloads import ideal_workload
+
+from .util import fabric, transmit
 
 PARAMS = WorkloadParams(N=6, p=0.2, S=100.0, P=30.0)
 
@@ -58,13 +61,16 @@ class TestSlowWindow:
 class TestFaultPlanSlowdowns:
     def test_slowdown_for_and_link_slowdown(self):
         plan = FaultPlan(slowdowns=[SlowWindow(2, 10.0, 20.0, factor=8.0)])
-        assert plan.slowdown_for(2, 15.0) == 8.0
-        assert plan.slowdown_for(2, 25.0) == 1.0
-        assert plan.slowdown_for(3, 15.0) == 1.0
-        # either endpoint straggling slows the link (max of the two)
-        assert plan.link_slowdown(2, 5, 15.0) == 8.0
-        assert plan.link_slowdown(5, 2, 15.0) == 8.0
-        assert plan.link_slowdown(3, 5, 15.0) == 1.0
+        timeline = FaultTimeline(plan, None)
+        assert timeline.at(15.0)[1].get(2, 1.0) == 8.0
+        assert timeline.at(25.0)[1].get(2, 1.0) == 1.0
+        assert timeline.at(15.0)[1].get(3, 1.0) == 1.0
+        # either endpoint straggling slows the link (max of the two):
+        # the fabric stretches the unit latency by the link's factor
+        net = fabric(plan)
+        assert transmit(net, 2, 5, 15.0).delays == (8.0,)
+        assert transmit(net, 5, 2, 15.0).delays == (8.0,)
+        assert transmit(net, 3, 5, 15.0).delays == (1.0,)
 
     def test_overlapping_windows_same_node_rejected(self):
         with pytest.raises(ValueError):
@@ -77,13 +83,13 @@ class TestFaultPlanSlowdowns:
     def test_slowdown_edges_sorted_and_finite(self):
         plan = FaultPlan(slowdowns=[SlowWindow(3, 50.0, 70.0),
                                     SlowWindow(2, 10.0)])
-        edges = plan.slowdown_edges()
-        assert [t for t, _, _ in edges] == sorted(t for t, _, _ in edges)
-        kinds = [(node, kind) for _, node, kind in edges]
-        assert (2, "slow") in kinds
-        assert (3, "restore") in kinds
+        timeline = FaultTimeline(plan, None)
         # the open-ended window has no restore edge
-        assert (2, "restore") not in kinds
+        assert timeline.edges == [10.0, 50.0, 70.0]
+        slowed = [sorted(slow) for _down, slow, _links in timeline.segments]
+        # node 2 slows at 10 and stays slow; node 3 slows at 50 and
+        # is restored at 70
+        assert slowed == [[], [2], [2, 3], [2]]
 
     def test_has_slowdowns_and_is_none(self):
         plan = FaultPlan(slowdowns=[SlowWindow(2, 0.0, 10.0)])

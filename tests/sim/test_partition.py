@@ -31,6 +31,8 @@ from repro.sim.partition import (
 )
 from repro.workloads import read_disturbance_workload
 
+from .util import fabric, transmit
+
 PARAMS = WorkloadParams(N=4, p=0.3, a=3, sigma=0.15, S=100.0, P=30.0)
 SEQ = PARAMS.N + 1  # sequencer node id
 
@@ -104,16 +106,17 @@ class TestPartitionPlan:
     def test_full_cut_consumes_no_randomness(self):
         plan = PartitionPlan(seed=1, links=cut(1, 5, 0.0, 100.0))
         state = plan._rng.getstate()
-        assert plan.should_drop(1, 5, 50.0)
-        assert not plan.should_drop(1, 5, 150.0)  # healed
-        assert not plan.should_drop(2, 5, 50.0)  # other link untouched
+        net = fabric(partitions=plan)
+        assert transmit(net, 1, 5, 50.0).dropped
+        assert not transmit(net, 1, 5, 150.0).dropped  # healed
+        assert not transmit(net, 2, 5, 50.0).dropped  # other link untouched
         assert plan._rng.getstate() == state
 
     def test_degraded_link_is_probabilistic_and_seeded(self):
         def draws(seed):
-            plan = PartitionPlan(
-                seed=seed, links=[LinkFault(1, 5, drop_rate=0.5)])
-            return [plan.should_drop(1, 5, 1.0) for _ in range(64)]
+            net = fabric(partitions=PartitionPlan(
+                seed=seed, links=[LinkFault(1, 5, drop_rate=0.5)]))
+            return [transmit(net, 1, 5, 1.0).dropped for _ in range(64)]
 
         assert draws(3) == draws(3)
         assert draws(3) != draws(4)

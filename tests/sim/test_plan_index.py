@@ -1,22 +1,25 @@
-"""Fault-plan indexes against a brute-force scan (property-based).
+"""The fault timeline against a brute-force scan (property-based).
 
-:class:`FaultPlan` indexes its crash and slow windows by node and
-:class:`PartitionPlan` its link faults by directed channel, and the
-channel looks a link's rates up once per transmission before rolling
-drop, jitter and duplicate from them.  Every lookup must answer exactly
-what a scan over all windows answers, and every decision must consume
-the same draws as the scan-based decisions did.  The reference below is
-that scan, kept here on purpose.
+A faulty fabric compiles its crash windows, slow windows and link faults
+into one :class:`FaultTimeline` and reads one segment of it per
+transmission, rolling drop, jitter and duplicate from that segment's
+link rates.  Every segment must answer exactly what a scan over all
+windows answers — on window edges, across adjacent windows and open
+ends, and for queries in any order (the cursor re-seeks) — and every
+decision must consume the same draws as the scan-based decisions.  The
+reference below is that scan, kept here on purpose.
 """
 
 import math
 import random
-from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import CrashWindow, FaultPlan, LinkFault, PartitionPlan
 from repro.sim import SlowWindow
+from repro.sim.faults import FaultTimeline
+
+from .util import fabric, transmit
 
 NODES = (1, 2, 3, 4)
 
@@ -158,43 +161,56 @@ class _RefLinks:
 # ---------------------------------------------------------------------------
 
 
+def _orders(times):
+    """Ascending, then descending (every step re-seeks the cursor)."""
+    return list(times) + list(reversed(times))
+
+
 @settings(max_examples=200, deadline=None)
 @given(crashes=_node_windows(_crash), slowdowns=_node_windows(_slow))
 def test_node_windows_match_a_scan(crashes, slowdowns):
-    plan = FaultPlan(crashes=crashes, slowdowns=slowdowns)
-    for time in _query_times(crashes + slowdowns):
+    timeline = FaultTimeline(
+        FaultPlan(crashes=crashes, slowdowns=slowdowns), None)
+    for time in _orders(_query_times(crashes + slowdowns)):
+        down, slow, links = timeline.at(time)
+        assert links == {}
         for node in NODES + (5,):
-            assert plan.is_down(node, time) == \
-                _ref_is_down(crashes, node, time)
-            assert plan.slowdown_for(node, time) == \
+            assert (node in down) == _ref_is_down(crashes, node, time)
+            assert slow.get(node, 1.0) == \
                 _ref_slowdown(slowdowns, node, time)
         for src in NODES:
             for dst in NODES:
-                assert plan.link_slowdown(src, dst, time) == \
+                assert max(slow.get(src, 1.0), slow.get(dst, 1.0)) == \
                     _ref_link_slowdown(slowdowns, src, dst, time)
 
 
 @settings(max_examples=200, deadline=None)
-@given(links=_links())
-def test_link_lookups_match_a_scan(links):
-    plan = PartitionPlan(seed=1, links=links)
-    for time in _query_times(links):
+@given(links=_links(), crashes=_node_windows(_crash))
+def test_link_lookups_match_a_scan(links, crashes):
+    timeline = FaultTimeline(FaultPlan(crashes=crashes),
+                             PartitionPlan(seed=1, links=links))
+    for time in _orders(_query_times(links + crashes)):
+        down, _slow, rates = timeline.at(time)
+        assert down == {n for n in NODES
+                        if _ref_is_down(crashes, n, time)}
         for src in NODES:
             for dst in NODES:
-                if src == dst:
-                    continue
                 active = _ref_active(links, src, dst, time)
-                drop = _ref_drop_probability(links, src, dst, time)
-                assert plan.drop_probability(src, dst, time) == drop
-                assert plan.is_cut(src, dst, time) == (drop >= 1.0)
-                rates = plan._link_rates(src, dst, time)
+                link = rates.get(src, {}).get(dst)
                 if not active:
-                    assert rates is None
+                    assert link is None
                 else:
-                    assert rates == (
-                        drop,
+                    assert link == (
+                        _ref_drop_probability(links, src, dst, time),
                         max(f.duplicate_rate for f in active),
                         max(f.jitter for f in active))
+
+
+def test_rates_only_plan_has_one_segment():
+    timeline = FaultTimeline(FaultPlan(seed=3, drop_rate=0.2, jitter=1.0),
+                             None)
+    assert timeline.edges == [] and len(timeline.segments) == 1
+    assert timeline.at(0.0) == timeline.at(1e9) == (frozenset(), {}, {})
 
 
 _QUERY = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES),
@@ -202,51 +218,46 @@ _QUERY = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES),
 
 
 @settings(max_examples=200, deadline=None)
-@given(links=_links(), seed=st.integers(min_value=0, max_value=2**16),
+@given(links=_links(), slowdowns=_node_windows(_slow),
+       crashes=_node_windows(_crash),
+       seed=st.integers(min_value=0, max_value=2**16),
        rate=_RATE, jitter=st.sampled_from((0.0, 1.5)),
        queries=st.lists(_QUERY, max_size=40))
-def test_decisions_consume_the_reference_draws(links, seed, rate, jitter,
-                                               queries):
-    """Per transmission: drop; if delivered, jitter; duplicate; if
-    duplicated, jitter again — through the public decisions and through
-    the channel's one-lookup rolls, against the scan."""
+def test_decisions_consume_the_reference_draws(links, slowdowns, crashes,
+                                               seed, rate, jitter, queries):
+    """Per transmission through :meth:`Network.send`: a crashed source
+    sends nothing and draws nothing; otherwise global then link drop; if
+    delivered, global then link jitter; global then link duplicate; if
+    duplicated, jitter again.  Each delay is the latency plus both
+    jitters, times the slower endpoint's factor — against the scan."""
     faults = FaultPlan(seed=seed, drop_rate=rate, duplicate_rate=rate,
-                       jitter=jitter)
+                       jitter=jitter, crashes=crashes, slowdowns=slowdowns)
+    partitions = PartitionPlan(seed=seed, links=links)
+    net = fabric(faults, partitions)
     fault_ref = random.Random(seed)
-    public = PartitionPlan(seed=seed, links=links)
-    rolled = replace(public)
     ref = _RefLinks(links, seed)
+
+    def delay(src, dst, time):
+        d = 1.0 + (fault_ref.uniform(0.0, jitter) if jitter > 0.0 else 0.0)
+        d += ref.jitter_for(src, dst, time)
+        return d * _ref_link_slowdown(slowdowns, src, dst, time)
+
     for src, dst, time in queries:
         if src == dst:
             continue
-        # the global plan's decisions, against its own reference stream
-        expected = rate > 0.0 and fault_ref.random() < rate
-        assert faults.should_drop(src, dst) == expected
-        expected = fault_ref.uniform(0.0, jitter) if jitter > 0.0 else 0.0
-        assert faults.jitter_for(src, dst) == expected
-        expected = rate > 0.0 and fault_ref.random() < rate
-        assert faults.should_duplicate(src, dst) == expected
-
-        # the link plan's public decisions
-        dropped = ref.should_drop(src, dst, time)
-        assert public.should_drop(src, dst, time) == dropped
-        # ... and the channel's: one lookup, then the rolls
-        rates = rolled._link_rates(src, dst, time)
-        assert (rates is not None and rolled._roll_drop(rates[0])) == dropped
+        sent = transmit(net, src, dst, time)
+        if _ref_is_down(crashes, src, time):
+            assert sent == (False, False, False, ())
+            continue
+        delays = []
+        dropped = ((rate > 0.0 and fault_ref.random() < rate)
+                   or ref.should_drop(src, dst, time))
         if not dropped:
-            delay = ref.jitter_for(src, dst, time)
-            assert public.jitter_for(src, dst, time) == delay
-            assert (0.0 if rates is None
-                    else rolled._roll_jitter(rates[2])) == delay
-        duplicated = ref.should_duplicate(src, dst, time)
-        assert public.should_duplicate(src, dst, time) == duplicated
-        assert (rates is not None
-                and rolled._roll_duplicate(rates[1])) == duplicated
+            delays.append(delay(src, dst, time))
+        duplicated = ((rate > 0.0 and fault_ref.random() < rate)
+                      or ref.should_duplicate(src, dst, time))
         if duplicated:
-            delay = ref.jitter_for(src, dst, time)
-            assert public.jitter_for(src, dst, time) == delay
-            assert (0.0 if rates is None
-                    else rolled._roll_jitter(rates[2])) == delay
+            delays.append(delay(src, dst, time))
+        assert sent == (True, dropped, duplicated, tuple(delays))
     assert faults._rng.getstate() == fault_ref.getstate()
-    assert public._rng.getstate() == ref.rng.getstate()
-    assert rolled._rng.getstate() == ref.rng.getstate()
+    assert partitions._rng.getstate() == ref.rng.getstate()

@@ -197,3 +197,53 @@ def test_retransmissions_charge_the_first_attempts_cost(monkeypatch,
     sched.run()
     assert metrics.reliability.retransmissions == 3
     assert charged == [(1, cost, "retransmit")] * 3
+
+
+def _count_timeline_calls(monkeypatch):
+    """Count every :class:`FaultTimeline` built and every lookup made."""
+    from repro.sim import faults
+
+    calls = {"built": 0, "at": 0}
+    build, at = faults.FaultTimeline.__init__, faults.FaultTimeline.at
+
+    def counted_build(self, *args):
+        calls["built"] += 1
+        build(self, *args)
+
+    def counted_at(self, now):
+        calls["at"] += 1
+        return at(self, now)
+
+    monkeypatch.setattr(faults.FaultTimeline, "__init__", counted_build)
+    monkeypatch.setattr(faults.FaultTimeline, "at", counted_at)
+    return calls
+
+
+@pytest.mark.parametrize("faults, expected", [
+    (None, False), (FaultPlan(), False),
+    (FaultPlan(seed=1, jitter=1.0), True)])
+def test_only_a_faulty_fabric_builds_a_timeline(faults, expected):
+    net = Network(EventScheduler(), faults=faults)
+    assert (net.timeline is not None) == expected
+
+
+def test_plain_star_write_send_makes_no_timeline_call(monkeypatch):
+    """Pay for what you use: a plain star-write run neither builds nor
+    reads a fault timeline, while a faulty run reads it on every send."""
+    from repro.core.parameters import Deviation, WorkloadParams
+    from repro.workloads.synthetic import SyntheticWorkload
+
+    calls = _count_timeline_calls(monkeypatch)
+    params = WorkloadParams(N=N, p=0.3, a=2, xi=0.1, S=S, P=P)
+    workload = SyntheticWorkload(params, Deviation.WRITE, M=2)
+    plain = DSMSystem("write_through", N=N, M=2, S=S, P=P)
+    result = plain.run_workload(workload, RunConfig(ops=300, seed=1))
+    assert result.messages > 0
+    assert calls == {"built": 0, "at": 0}
+
+    config = RunConfig(ops=300, seed=1,
+                       faults=FaultPlan(seed=1, drop_rate=0.1))
+    faulty = DSMSystem("write_through", N=N, M=2, S=S, P=P, config=config)
+    faulty.run_workload(workload)
+    assert calls["built"] == 1
+    assert calls["at"] >= faulty.network.physical.messages_sent

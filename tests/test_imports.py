@@ -16,6 +16,7 @@ SURFACES = [
     "repro.sim",
     "repro.exp",
     "repro.obs",
+    "repro.chaos",
     "repro.validation",
     "repro.workloads",
     "repro.protocols",
@@ -188,3 +189,28 @@ def test_cli_simulate_imports_only_what_it_runs():
                                                  "repro.validation"))
               or m in ("repro.core.placement", "repro.core.comparison")]
     assert not unused, sorted(unused)
+
+
+def test_cli_simulate_loads_no_chaos_runner_or_trace_export():
+    """``repro simulate`` reads ``ChaosOptions`` and ``TraceConfig`` to
+    build its flags, which loads their submodules only: the packages
+    resolve their names lazily, so the campaign runner, the shrinker and
+    the trace exporter stay unloaded."""
+    loaded = set(_fresh(SIMULATE_CLI_PROBE).split())
+    assert "repro.chaos.generate" in loaded and "repro.obs.trace" in loaded
+    unused = {"repro.chaos.runner", "repro.chaos.shrink", "repro.obs.export"}
+    assert not loaded & unused, sorted(loaded & unused)
+
+
+@pytest.mark.parametrize("first", [
+    "from repro.chaos.shrink import ShrinkResult",
+    "from repro.chaos import run_chaos",
+    "from repro.chaos import shrink",
+])
+def test_chaos_shrink_is_the_function_whatever_loads_first(first):
+    """``repro.chaos.shrink`` names a submodule and the function it
+    defines; the package export stays the function however the
+    submodule is first loaded."""
+    probe = (f"{first}\nimport repro.chaos\nfrom repro.chaos import shrink\n"
+             "print(type(shrink).__name__, type(repro.chaos.shrink).__name__)")
+    assert _fresh(probe).split() == ["function", "function"]
