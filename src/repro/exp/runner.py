@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
@@ -502,6 +500,12 @@ class SweepRunner:
     def _execute_parallel(
         self, pending: List[Tuple[int, SweepCell]]
     ) -> Iterator[Tuple[int, dict]]:
+        # loaded here: they pull in multiprocessing, which a serial
+        # sweep never needs
+        from concurrent.futures import (
+            FIRST_COMPLETED, ProcessPoolExecutor, wait)
+        from concurrent.futures.process import BrokenProcessPool
+
         retry: List[Tuple[int, SweepCell]] = []
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             futures = {}

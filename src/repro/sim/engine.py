@@ -23,20 +23,20 @@ front — cancelling is O(1).
 never be cancelled.  It joins the lane's tail whenever its time is
 no earlier than the tail's (its sequence number is the largest yet, so
 the lane stays sorted by ``(time, seq)``); otherwise it falls back to the
-heap.  The channel posts every delivery.  On the fault-free fabric its
-latency is constant and simulated time never runs backwards, so
-deliveries arrive in non-decreasing time order and each one costs a deque
-append and pop instead of a handle plus a heap push and pop; on a faulty
-fabric a jittered delivery due before the lane's tail takes the heap
-instead.
+heap.  The channel posts every delivery.  Its latency is constant and
+simulated time never runs backwards, so deliveries arrive in
+non-decreasing time order and each one costs a deque append and pop
+instead of a handle plus a heap push and pop.  The reliable transport
+posts every transmission too; on a faulty wire a jittered one due
+before the lane's tail takes the heap instead.
 
 :meth:`EventScheduler.post_many` posts a whole broadcast: it behaves
 exactly like ``len(args)`` consecutive :meth:`~EventScheduler.post`
 calls and takes that many consecutive sequence numbers, but an in-order
 fan-out is stored as **one** lane entry, ``(time, first seq, None,
-(callback, args))``.  The plain fault-free fabric posts every broadcast
-this way (:meth:`~repro.sim.channel.Network.post_fanout`); the reliable
-transport and a faulty fabric post each message on its own.  A fan-out
+(callback, args))``.  The plain fabric posts every broadcast this way
+(:meth:`~repro.sim.channel.Network.post_fanout`); the reliable
+transport posts each transmission on its own.  A fan-out
 out of lane order falls back to one heap entry per member.
 ``len()`` counts every unfired member.
 

@@ -37,14 +37,15 @@ is therefore single-use — build a fresh one per run
 (``dataclasses.replace(plan)`` returns an identically-configured plan with a
 rewound stream, which is what :class:`~repro.sim.system.DSMSystem` runs).
 
-Lookups: a faulty fabric compiles its plans' windows once into a
-:class:`FaultTimeline` — piecewise-constant segments between consecutive
-window edges, each holding the down set, the slowed nodes' factors and
-the active links' rates — and every fault lookup of a run reads that
-timeline: one segment per transmission, one comparison while the
-simulated time stays inside the segment.  The plans themselves are
-frozen configuration plus their RNG streams; the fabric binds the rates
-and streams and rolls every decision itself (:mod:`repro.sim.channel`).
+Lookups: a faulty reliable transport compiles its plans' windows once
+into a :class:`FaultTimeline` — piecewise-constant segments between
+consecutive window edges, each holding the down set, the slowed nodes'
+factors and the active links' rates — and every fault lookup of a run
+reads that timeline: one segment per transmission, one comparison while
+the simulated time stays inside the segment.  The plans themselves are
+frozen configuration plus their RNG streams; the transport binds the
+rates and streams and rolls every decision on its wire
+(:mod:`repro.sim.reliable`).
 
 ``FaultPlan()`` is the explicit no-fault plan; the system treats it
 exactly like "no plan at all", so fault-free runs stay bit-identical to the

@@ -29,10 +29,10 @@ self-send costs 0 (an intra-node action).  A broadcast
 (:meth:`ProcessContext.broadcast_except`) reaches the port's
 :meth:`ObjectPort.send_many` hook, which looks the token up once and
 calls the bound ``send`` once per target; a quorum phase's fan-out
-reaches :meth:`ObjectPort.send_many_unordered`.  On the fault-free plain
-fabric both hooks collect the deliveries in a list that the fabric's
-``post_fanout`` (bound once, ``None`` on the reliable transport or a
-faulty fabric) posts as one scheduler entry (:mod:`repro.sim.channel`);
+reaches :meth:`ObjectPort.send_many_unordered`.  On the plain fabric
+both hooks collect the deliveries in a list that the fabric's
+``post_fanout`` (bound once, ``None`` on the reliable transport, which
+has none) posts as one scheduler entry (:mod:`repro.sim.channel`);
 otherwise every message is posted on its own.  Every method the
 benchmark's layer run wraps
 stays a class attribute on that path (no instance attribute shadows
@@ -109,11 +109,9 @@ class ObjectPort(ProcessContext):
         self._net_send = network.send
         self._net_send_unordered = getattr(network, "send_unordered", None)
         self._net_cancel_dgrams = getattr(network, "cancel_dgrams", None)
-        # the fault-free plain fabric posts a broadcast as one fan-out;
-        # the reliable transport and a faulty fabric post per message
-        self._net_post_fanout = (network.post_fanout
-                                 if getattr(network, "fault_free", False)
-                                 else None)
+        # the plain fabric posts a broadcast as one fan-out; the
+        # reliable transport posts per message
+        self._net_post_fanout = getattr(network, "post_fanout", None)
         self._scheduler = node.scheduler
         # tokens are frozen, so one per (type, presence, initiator) is
         # shared, with its inter-node cost, by every message this port
@@ -240,7 +238,7 @@ class ObjectPort(ProcessContext):
             cost = 0.0
         send_unordered = self._net_send_unordered
         if send_unordered is None:
-            # fault-free fabric: plain FIFO sends are exact (nothing is
+            # plain fabric: FIFO sends are exact (nothing is
             # ever retried or abandoned, so ordering cannot wedge).
             self._net_send(msg, cost)
         else:
@@ -261,7 +259,7 @@ class ObjectPort(ProcessContext):
             super().send_many_unordered(targets, msg_type, presence, op_id,
                                         payload, initiator, quorum, hedge)
         else:
-            # fault-free fabric: unordered sends are plain FIFO sends (see
+            # plain fabric: unordered sends are FIFO sends (see
             # send_unordered), so the fan-out is send_many's
             self.send_many(targets, msg_type, presence, op_id, payload,
                            initiator)

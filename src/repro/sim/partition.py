@@ -38,10 +38,10 @@ derived stream (never perturbing the fabric's), and
 no link faults is normalized away entirely (pay-for-what-you-use).
 
 Lookups: the plan is frozen configuration plus its RNG stream.  A
-faulty fabric compiles its link faults, with the fault plan's windows,
-into one :class:`~repro.sim.faults.FaultTimeline`, whose segments carry
-each active directed link's ``(drop, duplicate, jitter)`` maxima; the
-channel reads one segment per transmission and rolls the link's drop,
+faulty reliable transport compiles its link faults, with the fault
+plan's windows, into one :class:`~repro.sim.faults.FaultTimeline`, whose
+segments carry each active directed link's ``(drop, duplicate, jitter)``
+maxima; the transport's wire reads one segment per transmission and rolls the link's drop,
 jitter and duplicate on this plan's stream, and the failure detector
 reads the same timeline for its loss rates, down set and horizon.
 """

@@ -1,4 +1,4 @@
-"""Reliable exactly-once FIFO delivery over a faulty fabric.
+"""Reliable exactly-once FIFO delivery over a faulty wire.
 
 :class:`ReliableNetwork` presents the same interface as
 :class:`~repro.sim.channel.Network` (``attach`` / ``send`` /
@@ -25,6 +25,43 @@ channel past the hole stays wedged (FIFO cannot be preserved across a lost
 message), and :meth:`DSMSystem.run_workload` reports the affected
 operations as incomplete rather than deadlocking.
 
+**The wire.**  The transport owns the physical layer of the fault model
+(docs/faults.md): with a :class:`~repro.sim.faults.FaultPlan` or a
+:class:`~repro.sim.partition.PartitionPlan` a transmission may be
+dropped, duplicated or delayed by jitter, and nothing is sent by or
+delivered to a crashed node.  The transport compiles the plans' windows
+into one :class:`~repro.sim.faults.FaultTimeline` at construction (a
+fault-free transport builds none) and binds the global plan's rates and
+RNG and the link plan's RNG.  Each transmission is one step,
+:meth:`ReliableNetwork._put`, which reads one timeline segment: its down
+set screens the source (a frame from a crashed node is neither sent nor
+charged; the retry timer tries again after recovery), and it gives the
+link's ``(drop, duplicate, jitter)`` rates and the straggler factor of
+the two endpoints.  The step then rolls every decision in a fixed
+order: global drop, then link drop (skipped after a global drop); for a
+delivered transmission global jitter, then link jitter; then global
+duplicate, then link duplicate (skipped after a global duplicate); and
+jitter again for the duplicate.  A jitter ``j`` is drawn as
+``j * rng.random()``, the same float ``rng.uniform(0.0, j)`` returns.
+Each delay is ``latency`` plus the two jitters, times the straggler
+factor (exactly 1.0 with no slow endpoint), so a straggler consumes no
+draw.  Without a timeline every frame is posted exactly ``latency``
+ahead.
+
+**The receivers.**  A transmission is posted handle-free
+(:meth:`~repro.sim.engine.EventScheduler.post`) straight to the
+receiver for its frame's kind — :meth:`~ReliableNetwork._on_data`,
+``_on_ack``, ``_on_dgram`` or ``_on_dack`` — with the frame as the
+argument, so an arrival dispatches on nothing.  Each receiver first
+screens the destination against the timeline's down set at its own
+time (a crashed receiver loses the transmission) and then the frame's
+epoch (traffic voided by a view change is dropped).  Jitter can reorder
+transmissions; the data receiver's sequence numbers and reorder buffer
+restore FIFO order, and a jittered frame due before the scheduler lane's
+tail falls back to its heap by itself, so the firing order is the one a
+single heap would give.  An intra-node send is posted straight to the
+node's handler: it is never faulty and carries no frame.
+
 Cost accounting: the *first* transmission of a protocol message is charged
 exactly as on the fault-free fabric, at the cost its sender priced (same
 cost class, same trace-signature entry).  Each retransmission charges that
@@ -33,8 +70,8 @@ acks are charged through
 :meth:`Metrics.record_reliability_cost` — they inflate ``acc`` but are
 tracked separately, so the reliability overhead can be broken out
 (``Metrics.average_cost_breakdown``) and trace signatures stay comparable
-to the paper's trace sets.  Intra-node sends bypass the transport entirely
-(the paper counts them as free intra-node actions).
+to the paper's trace sets.  Intra-node sends are free (the paper counts
+them as intra-node actions).
 """
 
 from __future__ import annotations
@@ -44,7 +81,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..machines.message import Message
 from ..util import backoff_delay, field_kwargs
-from .channel import Network
 from .engine import EventScheduler, TimerHandle
 from .faults import FaultPlan, FaultTimeline
 from .metrics import Metrics
@@ -52,6 +88,9 @@ from .partition import PartitionPlan
 
 __all__ = ["ReliabilityConfig", "DeliveryViolation", "Frame",
            "ReliableNetwork"]
+
+#: the link-rate row of a source with no faulty outgoing link
+_NO_LINKS: Dict[int, Tuple[float, float, float]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,14 +172,13 @@ class DeliveryViolation:
 
 @dataclass(slots=True)
 class Frame:
-    """Transport envelope carried by the physical fabric.
+    """Transport envelope carried on the transport's wire.
 
     ``kind`` is ``"data"`` (wraps a protocol :class:`Message`), ``"ack"``
-    (bare acknowledgement token), ``"dgram"`` / ``"dack"`` (the unordered
-    datagram mode used by quorum protocols) or ``"loop"`` (intra-node
-    bypass).  The ``src``/``dst``/``op_id`` surface lets a frame travel
-    through :class:`~repro.sim.channel.Network` like any message, at the
-    cost the transport hands it.  ``epoch`` is the sender's view-change
+    (bare acknowledgement token) or ``"dgram"`` / ``"dack"`` (the
+    unordered datagram mode used by quorum protocols); each kind has its
+    own receiver, which the wire posts with the frame, so the kind is a
+    label for traces and tests.  ``epoch`` is the sender's view-change
     epoch (:meth:`ReliableNetwork.advance_epoch`); receivers drop frames
     from earlier epochs so traffic voided by a crash recovery cannot be
     delivered into the new view.
@@ -187,12 +225,22 @@ class _PendingSend:
 
 
 class ReliableNetwork:
-    """Exactly-once FIFO delivery over a (possibly faulty) :class:`Network`.
+    """Exactly-once FIFO delivery over a (possibly faulty) wire.
 
-    Drop-in replacement for :class:`Network` from the protocol layer's
-    point of view.  ``messages_sent`` counts *physical* frames (first
-    attempts, retransmissions and acks), which is what a real wire would
-    carry.
+    Drop-in replacement for :class:`~repro.sim.channel.Network` from the
+    protocol layer's point of view.  ``messages_sent`` counts *physical*
+    transmissions (first attempts, retransmissions, acks and intra-node
+    sends), which is what a real wire would carry.
+
+    Args:
+        scheduler: the discrete-event engine.
+        latency: constant per-hop delay (must be positive).
+        metrics: the run's accounting sink (``None`` counts nothing).
+        faults: optional fault plan; ``None`` or :meth:`FaultPlan.none`
+            keeps the wire fault-free.
+        partitions: optional link-fault plan, layered over the global
+            plan's decisions (a transmission is lost if *either* says so).
+        config: the retry discipline.
     """
 
     def __init__(
@@ -204,21 +252,44 @@ class ReliableNetwork:
         partitions: Optional[PartitionPlan] = None,
         config: Optional[ReliabilityConfig] = None,
     ):
+        if latency <= 0:
+            raise ValueError("latency must be positive for causal delivery")
         self.scheduler = scheduler
         self.latency = latency
         self.metrics = metrics
         self.config = config if config is not None else ReliabilityConfig()
-        self.physical = Network(
-            scheduler,
-            latency=latency,
-            on_cost=None,  # this layer does its own cost attribution
-            faults=faults,
-            partitions=partitions,
-            on_fault=self._on_physical_fault,
-        )
-        # :meth:`_transmit` screens every frame's source; acks leave a
-        # node that is receiving, so it is up too.
-        self.physical.screen_sources = False
+        # a no-fault plan is normalized away: the wire is then fault-free
+        #: the active fault plan (``None`` on a fault-free wire)
+        self.faults = (faults if faults is not None and not faults.is_none
+                       else None)
+        #: the active link-fault plan (``None`` without partitions)
+        self.partitions = (partitions
+                           if partitions is not None and not partitions.is_none
+                           else None)
+        #: the plans' windows as one :class:`FaultTimeline` (``None`` on a
+        #: fault-free wire); the failure detector, recovery and
+        #: reconfiguration read it too
+        self.timeline: Optional[FaultTimeline] = None
+        if self.faults is not None or self.partitions is not None:
+            self.timeline = FaultTimeline(self.faults, self.partitions)
+        # the decisions' rates and streams, bound once (0 rolls nothing)
+        plan = self.faults
+        self._drop_rate = plan.drop_rate if plan is not None else 0.0
+        self._duplicate_rate = (plan.duplicate_rate if plan is not None
+                                else 0.0)
+        self._jitter = plan.jitter if plan is not None else 0.0
+        self._rng = plan._rng if plan is not None else None
+        self._link_rng = (self.partitions._rng
+                          if self.partitions is not None else None)
+        # bound once: every transmission posts, every send arms a timer
+        self._post = scheduler.post
+        self._schedule = scheduler.schedule
+        #: the first attempt's retry timeout (later ones back off)
+        self._first_timeout = backoff_delay(self.config.timeout,
+                                            self.config.backoff, 0)
+        #: total physical transmissions (data, retransmissions, acks and
+        #: intra-node sends)
+        self.messages_sent = 0
         self._handlers: Dict[int, Callable[[Message], None]] = {}
         #: structured retry-budget exhaustions (graceful degradation)
         self.violations: List[DeliveryViolation] = []
@@ -246,49 +317,23 @@ class ReliableNetwork:
     # Network interface
     # ------------------------------------------------------------------
 
-    @property
-    def messages_sent(self) -> int:
-        """Total physical frames sent (data + retransmissions + acks)."""
-        return self.physical.messages_sent
-
-    @property
-    def faults(self) -> Optional[FaultPlan]:
-        """The active fault plan (``None`` on a fault-free fabric)."""
-        return self.physical.faults
-
-    @property
-    def partitions(self) -> Optional[PartitionPlan]:
-        """The active link-fault plan (``None`` without partitions)."""
-        return self.physical.partitions
-
-    @property
-    def timeline(self) -> Optional[FaultTimeline]:
-        """The physical fabric's fault timeline (``None`` when fault-free)."""
-        return self.physical.timeline
-
     def attach(self, node_id: int, handler: Callable[[Message], None]) -> None:
         """Register the delivery handler for a node."""
         self._handlers[node_id] = handler
-        self.physical.attach(node_id, self._on_frame)
 
     def send(self, msg: Message, cost: float) -> float:
         """Send ``msg`` reliably at the sender-priced ``cost``; returns
-        the first-attempt cost charged."""
+        the first-attempt cost charged.
+
+        Raises:
+            RuntimeError: if ``msg.dst`` was never attached.
+        """
+        if msg.dst not in self._handlers:
+            raise self._unattached(msg)
         if msg.src == msg.dst:
-            # intra-node: free and trivially reliable; bypass the transport.
-            frame = Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id)
-            return self.physical.send(frame, 0.0)
+            return self._loop(msg)
         if self.quarantined and msg.dst in self.quarantined:
-            # the destination is quarantined out of the cluster view:
-            # absorbing the send (no cost, no retries) is the whole point
-            # of quarantine — the rejoin resync replays what it missed.
-            if self.metrics is not None:
-                self.metrics.partition.sends_absorbed += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("absorbed", msg.op_id, src=msg.src,
-                                    dst=msg.dst, detail="quarantined dst")
-            return 0.0
+            return self._absorb(msg)
         channel = (msg.src, msg.dst)
         seq = self._send_seq.get(channel, 0) + 1
         self._send_seq[channel] = seq
@@ -300,8 +345,8 @@ class ReliableNetwork:
             # first attempt: charged exactly like the fault-free fabric
             # (cost class + trace-signature entry).
             self.metrics.record_message(msg, cost)
-        self._transmit(pending, charge=False)
-        self._arm_timer(pending)
+        self._put(frame, self._on_data)
+        pending.timer = self._schedule(self._first_timeout, pending)
         return cost
 
     def send_unordered(self, msg: Message, cost: float,
@@ -321,18 +366,16 @@ class ReliableNetwork:
         (:mod:`repro.sim.hedge`), charged to the ``hedge`` share (in
         both cases no trace-signature entry, so signatures stay
         comparable to the fault-free runs).
+
+        Raises:
+            RuntimeError: if ``msg.dst`` was never attached.
         """
+        if msg.dst not in self._handlers:
+            raise self._unattached(msg)
         if msg.src == msg.dst:
-            frame = Frame("loop", msg.src, msg.dst, 0, msg, msg.op_id)
-            return self.physical.send(frame, 0.0)
+            return self._loop(msg)
         if self.quarantined and msg.dst in self.quarantined:
-            if self.metrics is not None:
-                self.metrics.partition.sends_absorbed += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("absorbed", msg.op_id, src=msg.src,
-                                    dst=msg.dst, detail="quarantined dst")
-            return 0.0
+            return self._absorb(msg)
         channel = (msg.src, msg.dst)
         seq = self._dgram_seq.get(channel, 0) + 1
         self._dgram_seq[channel] = seq
@@ -347,8 +390,8 @@ class ReliableNetwork:
                 self.metrics.record_quorum_cost(msg.op_id, cost)
             else:
                 self.metrics.record_message(msg, cost)
-        self._transmit(pending, charge=False)
-        self._arm_timer(pending)
+        self._put(frame, self._on_dgram)
+        pending.timer = self._schedule(self._first_timeout, pending)
         return cost
 
     def cancel_dgrams(self, src: int, op_id: int) -> int:
@@ -375,28 +418,122 @@ class ReliableNetwork:
     # sender side
     # ------------------------------------------------------------------
 
-    def _transmit(self, pending: _PendingSend, charge: bool) -> None:
-        frame = pending.frame
-        timeline = self.physical.timeline
-        if (timeline is not None
-                and frame.src in timeline.at(self.scheduler.now)[0]):
-            # the interface is dead: nothing leaves and nothing is charged;
-            # the retry timer keeps running and tries again after recovery.
-            self.physical.suppressed += 1
-            self._on_physical_fault("down_src")
-            return
-        if charge and self.metrics is not None:
-            self.metrics.record_reliability_cost(
-                frame.op_id, pending.cost, kind="retransmit",
-            )
-        self.physical.send(frame, pending.cost)
+    @staticmethod
+    def _unattached(msg: Message) -> RuntimeError:
+        return RuntimeError(
+            f"cannot send {type(msg).__name__} from node {msg.src}: "
+            f"destination node {msg.dst} is not attached to the network"
+        )
 
-    def _arm_timer(self, pending: _PendingSend) -> None:
-        """Arm ``pending``'s retry timer for its current attempt (data
-        frames and datagrams alike: the pending send knows its handler)."""
-        pending.timer = self.scheduler.schedule(
-            backoff_delay(self.config.timeout, self.config.backoff,
-                          pending.attempts),
+    def _loop(self, msg: Message) -> float:
+        """An intra-node send: free, never faulty, posted straight to the
+        node's handler."""
+        self.messages_sent += 1
+        self._post(self.latency, self._handlers[msg.dst], msg)
+        return 0.0
+
+    def _absorb(self, msg: Message) -> float:
+        """Absorb a send to a quarantined destination (no cost, no
+        retries): quarantine exists for this — the rejoin resync replays
+        what the node missed."""
+        if self.metrics is not None:
+            self.metrics.partition.sends_absorbed += 1
+            tracer = self.metrics.tracer
+            if tracer is not None:
+                tracer.op_event("absorbed", msg.op_id, src=msg.src,
+                                dst=msg.dst, detail="quarantined dst")
+        return 0.0
+
+    def _put(self, frame: Frame, receiver: Callable[[Frame], None],
+             retransmit: Optional[float] = None) -> None:
+        """Put one transmission of ``frame`` on the wire for ``receiver``.
+
+        ``retransmit`` is the cost a retransmission charges, once the
+        frame has left a live source.  The fault decisions are rolled in
+        the module docstring's order.
+        """
+        timeline = self.timeline
+        if timeline is not None:
+            down, slow, links = timeline.at(self.scheduler.now)
+            if frame.src in down:
+                # the interface is dead: nothing leaves and nothing is
+                # charged; the retry timer tries again after recovery.
+                self._fault("down_src", "sends_suppressed")
+                return
+        if retransmit is not None and self.metrics is not None:
+            self.metrics.record_reliability_cost(
+                frame.op_id, retransmit, kind="retransmit")
+        self.messages_sent += 1
+        if timeline is None:
+            self._post(self.latency, receiver, frame)
+            return
+        src = frame.src
+        dst = frame.dst
+        # the link's (drop, duplicate, jitter) rates; None when no link
+        # fault is active on src -> dst (every rate is then 0)
+        link = links.get(src, _NO_LINKS).get(dst) if links else None
+        # a link is as slow as its slowest endpoint (no draw)
+        factor = (max(slow.get(src, 1.0), slow.get(dst, 1.0)) if slow
+                  else 1.0)
+        rng = self._rng
+        # the global plan rolls first; a loss there short-circuits the
+        # link roll (both streams are private, so this stays
+        # deterministic).  A full link cut (rate >= 1) consumes no draw.
+        rate = self._drop_rate
+        if rate and rng.random() < rate:
+            dropped = True
+        elif link is None or link[0] <= 0.0:
+            dropped = False
+        else:
+            rate = link[0]
+            dropped = rate >= 1.0 or self._link_rng.random() < rate
+        if dropped:
+            self._fault("drop", "drops")
+        else:
+            self._post(self._delay(link, factor), receiver, frame)
+        rate = self._duplicate_rate
+        if rate and rng.random() < rate:
+            duplicated = True
+        else:
+            duplicated = (link is not None and link[1] > 0.0
+                          and self._link_rng.random() < link[1])
+        if duplicated:
+            self._fault("duplicate", "duplicates_injected")
+            self._post(self._delay(link, factor), receiver, frame)
+
+    def _delay(self, link: Optional[Tuple[float, float, float]],
+               factor: float) -> float:
+        """One faulty transmission's delay: latency plus global then link
+        jitter, times the straggler factor (1.0 leaves it exact)."""
+        delay = self.latency
+        if self._jitter:
+            delay += self._jitter * self._rng.random()
+        if link is not None and link[2] > 0.0:
+            delay += link[2] * self._link_rng.random()
+        return delay * factor
+
+    def _fault(self, event: str, stat: str) -> None:
+        """Count one injected fault in the ``stat`` field of the
+        reliability stats and trace it as ``fault.<event>``."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        tracer = metrics.tracer
+        if tracer is not None:
+            tracer.system_event("fault." + event)
+        stats = metrics.reliability
+        setattr(stats, stat, getattr(stats, stat) + 1)
+
+    def _retry(self, pending: _PendingSend,
+               receiver: Callable[[Frame], None]) -> None:
+        """Retransmit ``pending`` and re-arm its timer, backed off."""
+        pending.attempts += 1
+        if self.metrics is not None:
+            self.metrics.reliability.retransmissions += 1
+        self._put(pending.frame, receiver, pending.cost)
+        config = self.config
+        pending.timer = self._schedule(
+            backoff_delay(config.timeout, config.backoff, pending.attempts),
             pending)
 
     def _on_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
@@ -407,7 +544,7 @@ class ReliableNetwork:
             # retry budget exhausted: abandon the send and surface it.
             del self._pending[key]
             frame = pending.frame
-            timeline = self.physical.timeline
+            timeline = self.timeline
             handled = (
                 # abandonment toward a crashed or quarantined node is the
                 # *intended* degradation — the recovery subsystem resyncs
@@ -444,11 +581,7 @@ class ReliableNetwork:
                         % (frame.seq, pending.attempts),
                     )
             return
-        pending.attempts += 1
-        if self.metrics is not None:
-            self.metrics.reliability.retransmissions += 1
-        self._transmit(pending, charge=True)
-        self._arm_timer(pending)
+        self._retry(pending, self._on_data)
 
     def _on_dgram_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
         pending = self._dgram_pending.get(key)
@@ -471,73 +604,87 @@ class ReliableNetwork:
                         % (frame.seq, pending.attempts),
                     )
             return
-        pending.attempts += 1
+        self._retry(pending, self._on_dgram)
+
+    # ------------------------------------------------------------------
+    # receiver side: one receiver per frame kind, posted with the frame
+    # ------------------------------------------------------------------
+
+    def _discard(self, frame: Frame) -> None:
+        """Lose an arriving ``frame``: its receiver is down, or the frame
+        is from an earlier epoch."""
+        timeline = self.timeline
+        if (timeline is not None
+                and frame.dst in timeline.at(self.scheduler.now)[0]):
+            # the receiver is crashed: the transmission is lost.
+            self._fault("down_dst", "drops")
+            return
+        # voided traffic from a previous view: never deliver or ack it.
         if self.metrics is not None:
-            self.metrics.reliability.retransmissions += 1
-        self._transmit(pending, charge=True)
-        self._arm_timer(pending)
+            self.metrics.recovery.stale_frames_dropped += 1
+            tracer = self.metrics.tracer
+            if tracer is not None:
+                tracer.op_event("stale_frame_dropped", frame.op_id,
+                                src=frame.src, dst=frame.dst,
+                                detail="epoch %d < %d"
+                                % (frame.epoch, self.epoch))
 
-    # ------------------------------------------------------------------
-    # receiver side
-    # ------------------------------------------------------------------
+    def _on_ack(self, frame: Frame) -> None:
+        timeline = self.timeline
+        if ((timeline is not None
+                and frame.dst in timeline.at(self.scheduler.now)[0])
+                or frame.epoch < self.epoch):
+            self._discard(frame)
+            return
+        # the acked data channel is the reverse of the ack's path.
+        pending = self._pending.pop(((frame.dst, frame.src), frame.seq),
+                                    None)
+        if pending is not None and pending.timer is not None:
+            pending.timer.cancel()
 
-    def _on_frame(self, frame: Frame) -> None:
-        if frame.kind == "loop":
-            self._handlers[frame.dst](frame.msg)
+    def _on_dack(self, frame: Frame) -> None:
+        timeline = self.timeline
+        if ((timeline is not None
+                and frame.dst in timeline.at(self.scheduler.now)[0])
+                or frame.epoch < self.epoch):
+            self._discard(frame)
             return
-        if frame.epoch < self.epoch:
-            # voided traffic from a previous view: never deliver or ack it.
-            if self.metrics is not None:
-                self.metrics.recovery.stale_frames_dropped += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("stale_frame_dropped", frame.op_id,
-                                    src=frame.src, dst=frame.dst,
-                                    detail="epoch %d < %d"
-                                    % (frame.epoch, self.epoch))
+        pending = self._dgram_pending.pop(
+            ((frame.dst, frame.src), frame.seq), None)
+        if pending is not None and pending.timer is not None:
+            pending.timer.cancel()
+
+    def _on_dgram(self, frame: Frame) -> None:
+        timeline = self.timeline
+        if ((timeline is not None
+                and frame.dst in timeline.at(self.scheduler.now)[0])
+                or frame.epoch < self.epoch):
+            self._discard(frame)
             return
-        if frame.kind == "ack":
-            # the acked data channel is the reverse of the ack's path.
-            key = ((frame.dst, frame.src), frame.seq)
-            pending = self._pending.pop(key, None)
-            if pending is not None and pending.timer is not None:
-                pending.timer.cancel()
+        # always dack, even duplicates: the previous dack may be lost.
+        self._send_ack(frame, "dack", self._on_dack)
+        seen = self._dgram_seen.setdefault((frame.src, frame.dst), set())
+        if frame.seq in seen:
+            self._suppress_duplicate(frame)
             return
-        if frame.kind == "dack":
-            key = ((frame.dst, frame.src), frame.seq)
-            pending = self._dgram_pending.pop(key, None)
-            if pending is not None and pending.timer is not None:
-                pending.timer.cancel()
+        seen.add(frame.seq)
+        # unordered: deliver immediately, no FIFO gating.
+        self._deliver(frame.dst, frame.msg)
+
+    def _on_data(self, frame: Frame) -> None:
+        timeline = self.timeline
+        if ((timeline is not None
+                and frame.dst in timeline.at(self.scheduler.now)[0])
+                or frame.epoch < self.epoch):
+            self._discard(frame)
             return
-        if frame.kind == "dgram":
-            channel = (frame.src, frame.dst)
-            # always dack, even duplicates: the previous dack may be lost.
-            self._send_ack(frame, kind="dack")
-            seen = self._dgram_seen.setdefault(channel, set())
-            if frame.seq in seen:
-                if self.metrics is not None:
-                    self.metrics.reliability.duplicates_suppressed += 1
-                    tracer = self.metrics.tracer
-                    if tracer is not None:
-                        tracer.op_event("dup_suppressed", frame.op_id,
-                                        src=frame.src, dst=frame.dst)
-                return
-            seen.add(frame.seq)
-            # unordered: deliver immediately, no FIFO gating.
-            self._deliver(frame.dst, frame.msg)
-            return
-        channel = (frame.src, frame.dst)
         # always ack, even duplicates: the previous ack may have been lost.
-        self._send_ack(frame)
+        self._send_ack(frame, "ack", self._on_ack)
+        channel = (frame.src, frame.dst)
         expected = self._expected.get(channel, 1)
         buffer = self._reorder.get(channel)
         if frame.seq < expected or (buffer and frame.seq in buffer):
-            if self.metrics is not None:
-                self.metrics.reliability.duplicates_suppressed += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event("dup_suppressed", frame.op_id,
-                                    src=frame.src, dst=frame.dst)
+            self._suppress_duplicate(frame)
             return
         if frame.seq > expected:
             if self.metrics is not None:
@@ -558,6 +705,14 @@ class ReliableNetwork:
             expected += 1
         self._expected[channel] = expected
 
+    def _suppress_duplicate(self, frame: Frame) -> None:
+        if self.metrics is not None:
+            self.metrics.reliability.duplicates_suppressed += 1
+            tracer = self.metrics.tracer
+            if tracer is not None:
+                tracer.op_event("dup_suppressed", frame.op_id,
+                                src=frame.src, dst=frame.dst)
+
     def _deliver(self, dst: int, msg: Message) -> None:
         metrics = self.metrics
         tracer = metrics.tracer if metrics is not None else None
@@ -566,32 +721,19 @@ class ReliableNetwork:
                             detail=msg.token.type.value)
         self._handlers[dst](msg)
 
-    def _send_ack(self, data: Frame, kind: str = "ack") -> None:
+    def _send_ack(self, data: Frame, kind: str,
+                  receiver: Callable[[Frame], None]) -> None:
         ack = Frame(kind, data.dst, data.src, data.seq, None, data.op_id,
                     self.epoch)
         if self.metrics is not None:
             self.metrics.reliability.acks += 1
             self.metrics.record_reliability_cost(ack.op_id, 1.0, kind="ack")
         # an ack is a bare token: cost 1
-        self.physical.send(ack, 1.0)
+        self._put(ack, receiver)
 
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
-
-    def _on_physical_fault(self, kind: str) -> None:
-        if self.metrics is None:
-            return
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            tracer.system_event("fault." + kind)
-        stats = self.metrics.reliability
-        if kind == "drop" or kind == "down_dst":
-            stats.drops += 1
-        elif kind == "duplicate":
-            stats.duplicates_injected += 1
-        elif kind == "down_src":
-            stats.sends_suppressed += 1
 
     @property
     def in_flight(self) -> int:

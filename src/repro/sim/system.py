@@ -716,7 +716,8 @@ class DSMSystem:
 
     def _down_nodes(self) -> set:
         """Nodes whose crash window covers the current simulation time."""
-        timeline = self.network.timeline
+        # only the reliable transport has a timeline, and only when faulty
+        timeline = getattr(self.network, "timeline", None)
         if timeline is None:
             return set()
         return set(timeline.at(self.scheduler.now)[0])

@@ -1,4 +1,6 @@
-"""Unit tests for the fault-free FIFO fabric (paper Section 2)."""
+"""Unit tests for the fault-free FIFO fabric (paper Section 2), and for
+the fault decisions on the reliable transport's wire that replaces it in
+faulty runs."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,8 @@ from repro.machines.message import (
 )
 from repro.sim.channel import Network
 from repro.sim.engine import EventScheduler
+
+from .util import fabric, transmit
 
 
 def msg(src, dst, presence=ParamPresence.NONE, payload=None):
@@ -109,97 +113,118 @@ class TestPerChannelSequencing:
         assert net._slots == {1: {2: [3, 3], 3: [2, 2]}, 2: {3: [1, 1]}}
 
     def test_faulty_high_water_mark_shares_the_slot(self):
-        """Jitter reorders deliveries; the delivery high-water mark still
-        lands in the channel's one slot, next to its send count."""
+        """Jitter reorders frames on the reliable transport's wire; the
+        channel's receive state is still one counter per channel, next
+        to its send count, and delivery stays FIFO."""
         from repro.sim.faults import FaultPlan
+        from repro.sim.metrics import Metrics
+        from repro.sim.reliable import ReliableNetwork
         sched = EventScheduler()
-        net = Network(sched, faults=FaultPlan(seed=3, jitter=2.0))
+        metrics = Metrics()
+        net = ReliableNetwork(sched, metrics=metrics,
+                              faults=FaultPlan(seed=3, jitter=2.0))
         order = []
+        net.attach(1, lambda m: None)
         net.attach(2, lambda m: order.append(m.payload))
         for i in range(20):
             net.send(msg(1, 2, payload=i), 1.0)
-        slot = net._slots[1][2]
-        assert slot == [20, 0]
+        assert net._send_seq == {(1, 2): 20}
         sched.run()
-        assert order != sorted(order)  # jitter did reorder
-        assert net._slots == {1: {2: [20, 20]}}
-        assert net._slots[1][2] is slot
+        assert metrics.reliability.out_of_order_held > 0  # jitter did reorder
+        assert order == list(range(20))
+        assert net._expected == {(1, 2): 21}
+
+
+class TestNoFaultSurface:
+    def test_fault_keywords_are_rejected(self):
+        """The fabric is the paper's fault-free one: faults ride the
+        reliable transport's wire (tests below)."""
+        from repro.sim.faults import FaultPlan
+        for keyword in ("faults", "partitions", "on_fault"):
+            with pytest.raises(TypeError):
+                Network(EventScheduler(), **{keyword: FaultPlan()})
+        net = Network(EventScheduler())
+        for name in ("timeline", "fault_free", "screen_sources", "dropped",
+                     "duplicated", "suppressed"):
+            assert not hasattr(net, name), name
 
 
 class TestFaultyFabric:
+    """The fault decisions on the reliable transport's wire, one
+    transmission at a time (``tests/sim/util.py``) or end to end."""
+
     def test_no_fault_plan_is_normalized_away(self):
         from repro.sim.faults import FaultPlan
-        sched = EventScheduler()
-        net = Network(sched, faults=FaultPlan())
-        assert net.faults is None
+        net = fabric(FaultPlan())
+        assert net.faults is None and net.timeline is None
 
-    def test_drops_lose_messages_but_charge_cost(self):
+    def test_drops_lose_messages_but_charge_cost(self, monkeypatch):
         from repro.sim.faults import FaultPlan
-        sched = EventScheduler()
+        from repro.sim.metrics import Metrics
+        from repro.sim.reliable import ReliabilityConfig, ReliableNetwork
         charged = []
-        net = Network(sched, on_cost=lambda m, c: charged.append(c),
-                      faults=FaultPlan(seed=0, drop_rate=1.0))
+        monkeypatch.setattr(Metrics, "record_message",
+                            lambda self, m, c: charged.append(c))
+        sched = EventScheduler()
+        metrics = Metrics()
+        net = ReliableNetwork(sched, metrics=metrics,
+                              faults=FaultPlan(seed=0, drop_rate=1.0),
+                              config=ReliabilityConfig(max_retries=0))
         got = []
+        net.attach(1, lambda m: None)
         net.attach(2, got.append)
         for _ in range(5):
             net.send(msg(1, 2), 1.0)
         sched.run()
         assert got == []
-        assert net.dropped == 5
+        assert metrics.reliability.drops == 5
         assert len(charged) == 5  # the sender paid for every attempt
 
     def test_duplicates_deliver_twice(self):
         from repro.sim.faults import FaultPlan
-        sched = EventScheduler()
-        net = Network(sched, faults=FaultPlan(seed=0, duplicate_rate=1.0))
-        got = []
-        net.attach(2, lambda m: got.append(m.payload))
-        net.send(msg(1, 2, payload="x"), 1.0)
-        sched.run()
-        assert got == ["x", "x"]
-        assert net.duplicated == 1
+        net = fabric(FaultPlan(seed=0, duplicate_rate=1.0))
+        sent = transmit(net, 1, 2, 0.0)
+        assert sent.delays == (1.0, 1.0)  # posted twice
+        assert net.metrics.reliability.duplicates_injected == 1
 
     def test_jitter_delays_within_bound(self):
         from repro.sim.faults import FaultPlan
-        sched = EventScheduler()
-        net = Network(sched, latency=1.0,
-                      faults=FaultPlan(seed=3, jitter=2.0))
-        times = []
-        net.attach(2, lambda m: times.append(sched.now))
-        for _ in range(20):
-            net.send(msg(1, 2), 1.0)
-        sched.run()
-        assert all(1.0 <= t <= 3.0 for t in times)
-        assert any(t > 1.0 for t in times)
+        net = fabric(FaultPlan(seed=3, jitter=2.0))
+        delays = [d for _ in range(20)
+                  for d in transmit(net, 1, 2, 0.0).delays]
+        assert len(delays) == 20
+        assert all(1.0 <= d <= 3.0 for d in delays)
+        assert any(d > 1.0 for d in delays)
 
     def test_crashed_source_sends_nothing_and_pays_nothing(self):
         from repro.sim.faults import CrashWindow, FaultPlan
-        sched = EventScheduler()
-        charged = []
-        net = Network(sched, on_cost=lambda m, c: charged.append(c),
-                      faults=FaultPlan(crashes=[CrashWindow(1, 0.0, 10.0)]))
-        got = []
-        net.attach(2, got.append)
-        assert net.send(msg(1, 2), 1.0) == 0.0
-        sched.run()
-        assert got == [] and charged == []
-        assert net.suppressed == 1
+        net = fabric(FaultPlan(crashes=[CrashWindow(1, 0.0, 10.0)]))
+        assert transmit(net, 1, 2, 0.0) == (False, False, False, ())
+        assert net.messages_sent == 0  # nothing left the node
+        assert net.metrics.reliability.sends_suppressed == 1
 
     def test_crashed_destination_loses_delivery(self):
         from repro.sim.faults import CrashWindow, FaultPlan
+        from repro.sim.metrics import Metrics
+        from repro.sim.reliable import ReliabilityConfig, ReliableNetwork
         sched = EventScheduler()
-        net = Network(sched,
-                      faults=FaultPlan(crashes=[CrashWindow(2, 0.0, 10.0)]))
+        metrics = Metrics()
+        net = ReliableNetwork(
+            sched, metrics=metrics,
+            faults=FaultPlan(crashes=[CrashWindow(2, 0.0, 10.0)]),
+            config=ReliabilityConfig(max_retries=0))
         got = []
+        net.attach(1, lambda m: None)
         net.attach(2, got.append)
         net.send(msg(1, 2), 1.0)
         sched.run()
-        assert got == [] and net.dropped == 1
+        assert got == [] and metrics.reliability.drops == 1
 
     def test_self_sends_bypass_faults(self):
         from repro.sim.faults import FaultPlan
+        from repro.sim.reliable import ReliableNetwork
         sched = EventScheduler()
-        net = Network(sched, faults=FaultPlan(seed=0, drop_rate=1.0))
+        net = ReliableNetwork(sched, faults=FaultPlan(seed=0, drop_rate=1.0))
         got = []
         net.attach(1, got.append)
         net.send(msg(1, 1), 0.0)
@@ -207,14 +232,16 @@ class TestFaultyFabric:
         assert len(got) == 1
 
     def test_on_fault_observer(self):
+        """Every injected fault is counted and traced as a system event."""
+        from repro.obs.trace import Tracer
         from repro.sim.faults import FaultPlan
-        sched = EventScheduler()
-        events = []
-        net = Network(sched, faults=FaultPlan(seed=0, drop_rate=1.0),
-                      on_fault=events.append)
-        net.attach(2, lambda m: None)
-        net.send(msg(1, 2), 1.0)
-        assert events == ["drop"]
+        net = fabric(FaultPlan(seed=0, drop_rate=1.0))
+        net.metrics.tracer = Tracer(clock=net.scheduler)
+        transmit(net, 1, 2, 0.0)
+        events = [e.kind for e in net.metrics.tracer.system_events
+                  if e.kind.startswith("fault.")]
+        assert events == ["fault.drop"]
+        assert net.metrics.reliability.drops == 1
 
 
 class TestCostAccounting:

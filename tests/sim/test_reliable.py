@@ -48,19 +48,31 @@ class TestConfig:
 
 
 class TestFrameCost:
-    """Each frame reaches the physical fabric at the cost its sender
-    priced: data at the message's price, acks as bare tokens, loops free."""
+    """Each frame goes on the wire at the cost its sender priced: data
+    at the message's price, acks as bare tokens, loops free."""
 
     @staticmethod
     def sent_frames(net):
+        """Record ``(kind, cost)`` for each first transmission and ack
+        charged, and ``("loop", 0.0)`` for each free intra-node post."""
         sent = []
-        physical_send = net.physical.send
 
-        def record(frame, cost):
-            sent.append((frame.kind, cost))
-            return physical_send(frame, cost)
+        class Priced(Metrics):
+            def record_message(self, msg, cost):
+                sent.append(("data", cost))
 
-        net.physical.send = record
+            def record_reliability_cost(self, op_id, cost, kind="x"):
+                sent.append((kind, cost))
+
+        net.metrics = Priced()
+        post = net._post
+
+        def record(delay, receiver, item):
+            if isinstance(item, Message):
+                sent.append(("loop", 0.0))
+            post(delay, receiver, item)
+
+        net._post = record
         return sent
 
     def test_data_frame_cost_mirrors_message(self):
@@ -197,7 +209,7 @@ class TestRetryAndSuppression:
         assert metrics.reliability.delivery_failures == 1
         # heal the network; the next message still cannot be delivered
         # because seq 1 never arrived.
-        net.physical.faults = None
+        net.timeline = None
         net.send(msg(1, 2, payload="stuck"), 1.0)
         sched.run(max_events=10_000)
         assert inboxes[2] == []
@@ -356,7 +368,7 @@ class TestUnorderedDatagrams:
         assert metrics.reliability.dgram_abandoned == 1
         # and the channel is NOT wedged: after healing, later datagrams
         # deliver immediately (no FIFO hole to close).
-        net.physical.faults = None
+        net.timeline = None
         net.send_unordered(msg(1, 2, payload="after"), 1.0)
         sched.run()
         assert [m.payload for m in inboxes[2]] == ["after"]

@@ -7,6 +7,9 @@ port overrides and every other :class:`ProcessContext` inherits; both
 must send exactly the same messages in the same order.
 """
 
+import dataclasses
+import random
+
 import pytest
 
 from repro.machines.message import (
@@ -19,7 +22,10 @@ from repro.sim.channel import Network
 from repro.sim.engine import EventScheduler
 from repro.sim.faults import FaultPlan
 from repro.sim.metrics import Metrics
+from repro.sim.partition import LinkFault, PartitionPlan
 from repro.sim.reliable import ReliabilityConfig, ReliableNetwork
+
+from .util import _Clock, fabric, transmit
 
 S, P = 100.0, 30.0
 N = 4
@@ -223,7 +229,7 @@ def _count_timeline_calls(monkeypatch):
     (None, False), (FaultPlan(), False),
     (FaultPlan(seed=1, jitter=1.0), True)])
 def test_only_a_faulty_fabric_builds_a_timeline(faults, expected):
-    net = Network(EventScheduler(), faults=faults)
+    net = ReliableNetwork(EventScheduler(), faults=faults)
     assert (net.timeline is not None) == expected
 
 
@@ -246,4 +252,94 @@ def test_plain_star_write_send_makes_no_timeline_call(monkeypatch):
     faulty = DSMSystem("write_through", N=N, M=2, S=S, P=P, config=config)
     faulty.run_workload(workload)
     assert calls["built"] == 1
-    assert calls["at"] >= faulty.network.physical.messages_sent
+    assert calls["at"] >= faulty.network.messages_sent
+
+
+@pytest.mark.parametrize("jitter", [1.5, 2.0, 0.3])
+@pytest.mark.parametrize("kind", ["faults", "partitions"])
+def test_scaled_draw_is_the_uniform_draw(kind, jitter):
+    """``j * rng.random()`` is ``rng.uniform(0.0, j)`` bit for bit, so
+    the wire draws jitter without the ``uniform`` call: checked on the
+    global plan's stream and on the link plan's, then through the wire,
+    where each delay is the latency plus that draw."""
+    plan = (FaultPlan(seed=7, jitter=jitter) if kind == "faults" else
+            PartitionPlan(seed=7, links=[
+                LinkFault(1, 2, drop_rate=0.0, jitter=jitter)]))
+    stream = dataclasses.replace(plan)._rng
+    ref = random.Random(7)
+    assert [jitter * stream.random() for _ in range(1000)] == [
+        ref.uniform(0.0, jitter) for _ in range(1000)]
+    net = fabric(**{kind: plan})
+    ref = random.Random(7)
+    for _ in range(50):
+        assert transmit(net, 1, 2, 0.0).delays == (
+            1.0 + ref.uniform(0.0, jitter),)
+
+
+def test_a_fault_free_transport_posts_every_frame_latency_ahead():
+    sched = EventScheduler()
+    net = ReliableNetwork(sched, latency=2.5)
+    posted = []
+    post = net._post
+
+    def record(delay, receiver, item):
+        posted.append((sched.now, delay))
+        post(delay, receiver, item)
+
+    net._post = record
+    got = []
+    for node in (1, 2, 3):
+        net.attach(node, lambda m: got.append((sched.now, m.dst)))
+    net.send(_msg(1, 2), 1.0)
+    net.send_unordered(_msg(1, 3), 1.0)
+    net.send(_msg(2, 2), 0.0)
+    sched.run()
+    # two data frames, their ack and dack, and one intra-node post
+    assert len(posted) == 5 == net.messages_sent
+    assert {delay for _now, delay in posted} == {2.5}
+    assert sorted(got) == [(2.5, 2), (2.5, 2), (2.5, 3)]
+    assert net.in_flight == 0 and len(sched) == 0
+
+
+class _NoDispatch(str):
+    """A frame kind that fails any comparison: reading it to dispatch
+    would raise."""
+
+    def __eq__(self, other):
+        raise AssertionError("the frame's kind was compared")
+
+    __hash__ = str.__hash__
+
+
+def test_a_data_arrival_is_one_receiver_call(monkeypatch):
+    """The wire posts a data frame straight to the data receiver: its
+    arrival calls that one receiver, which never reads the frame's
+    kind."""
+    calls = {}
+    for name in ("_on_data", "_on_ack", "_on_dgram", "_on_dack"):
+        original = getattr(ReliableNetwork, name)
+
+        def counted(self, frame, _original=original, _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(self, frame)
+
+        monkeypatch.setattr(ReliableNetwork, name, counted)
+
+    clock = _Clock()
+    posted = []
+    clock.post = lambda delay, receiver, item: posted.append(
+        (receiver, item))
+    net = ReliableNetwork(clock)
+    got = []
+    for node in (1, 2):
+        net.attach(node, got.append)
+    net.send(_msg(1, 2), 1.0)
+    (receiver, frame), = posted
+    assert calls == {}
+    receiver(dataclasses.replace(frame, kind=_NoDispatch("data")))
+    assert calls == {"_on_data": 1}
+    assert [m.dst for m in got] == [2]
+    # the arrival acked the frame: one post, to the ack receiver
+    (ack_receiver, ack), = posted[1:]
+    assert ack.kind == "ack"
+    assert ack_receiver.__func__ is ReliableNetwork._on_ack

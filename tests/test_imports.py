@@ -214,3 +214,24 @@ def test_chaos_shrink_is_the_function_whatever_loads_first(first):
     probe = (f"{first}\nimport repro.chaos\nfrom repro.chaos import shrink\n"
              "print(type(shrink).__name__, type(repro.chaos.shrink).__name__)")
     assert _fresh(probe).split() == ["function", "function"]
+
+
+#: a small serial chaos campaign
+SERIAL_CHAOS_PROBE = """
+import sys
+from repro.chaos import ChaosOptions, run_chaos
+run_chaos(ChaosOptions(seeds=1, protocols=("write_through",), workers=1))
+"""
+
+
+@pytest.mark.parametrize("probe", [SIMULATE_CLI_PROBE, SERIAL_CHAOS_PROBE],
+                         ids=["simulate", "serial-chaos"])
+def test_a_serial_run_loads_no_worker_pool(probe):
+    """The sweep engine imports its process pool only for a pool: a
+    ``repro simulate`` run and a ``workers=1`` campaign load neither
+    ``multiprocessing`` nor ``concurrent.futures.process``."""
+    out = _fresh(probe + "print(' '.join(sorted(sys.modules)))\n")
+    loaded = set(out.splitlines()[-1].split())
+    assert "repro.exp.runner" in loaded
+    pool = {"multiprocessing", "concurrent.futures.process"}
+    assert not loaded & pool, sorted(loaded & pool)
