@@ -177,9 +177,7 @@ def run_cell(cell: SweepCell, on_system: Optional[Callable] = None) -> dict:
                     acc_quorum_share=_finite(breakdown["quorum"]),
                     dgram_abandoned=stats.dgram_abandoned,
                 )
-            if (config.hedge is not None
-                    or (config.faults is not None
-                        and config.faults.has_slowdowns)):
+            if config.gray_failure:
                 # gray-failure columns, gated on the new config surface
                 # (slow windows / hedging) so every pre-existing row —
                 # and the committed scenario baselines compared byte-

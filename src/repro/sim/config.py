@@ -196,6 +196,15 @@ class RunConfig:
         from .reliable import ReliabilityConfig
         return ReliabilityConfig()
 
+    @property
+    def gray_failure(self) -> bool:
+        """Whether the run models gray failures: hedged quorum requests
+        or slow windows in the fault plan.  It arms the quorum family's
+        demote-only failure detector and the gray-failure sweep columns.
+        """
+        return self.hedge is not None or (
+            self.faults is not None and self.faults.has_slowdowns)
+
     def with_(self, **changes: Any) -> "RunConfig":
         """Return a copy with the given fields replaced (validates again)."""
         return replace(self, **changes)

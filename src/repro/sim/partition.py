@@ -51,16 +51,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..util import field_kwargs
-from .engine import EventScheduler
-from .faults import FaultTimeline, decode_windows
-from .metrics import Metrics
+from .faults import decode_windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .node import ClusterView
-    from .recovery import RecoveryManager
+    from .system import DSMSystem
 
 __all__ = [
     "DEMOTE_AFTER",
@@ -344,9 +341,9 @@ class FailureDetector:
     slowdown factor) — no RNG is consumed, so attaching the scorer
     changes no fault decisions either.
 
-    ``recovery`` may be ``None`` (the quorum family): the detector then
-    runs in demote-only mode — it never quarantines, since quorum
-    liveness comes from re-selection, not eviction.
+    The system's ``recovery`` is ``None`` on the quorum family: the
+    detector then runs in demote-only mode — it never quarantines, since
+    quorum liveness comes from re-selection, not eviction.
 
     Probing is horizon-bounded so the event list drains: rounds stop a
     few intervals after the timeline's last edge (the last scheduled
@@ -355,28 +352,18 @@ class FailureDetector:
     there is no edge and the detector never probes.
     """
 
-    def __init__(
-        self,
-        plan: PartitionPlan,
-        cluster: "ClusterView",
-        scheduler: EventScheduler,
-        metrics: Metrics,
-        recovery: Optional["RecoveryManager"],
-        timeline: Optional[FaultTimeline],
-        drop_rate: float,
-        all_nodes: Tuple[int, ...],
-        latency: float = 1.0,
-    ) -> None:
+    def __init__(self, system: "DSMSystem", plan: PartitionPlan) -> None:
         self.plan = plan
-        self.cluster = cluster
-        self.scheduler = scheduler
-        self.metrics = metrics
-        self.recovery = recovery
-        self.timeline = timeline
+        self.cluster = system.cluster
+        self.scheduler = system.scheduler
+        self.metrics = system.metrics
+        self.recovery = system.recovery
+        self.timeline = system.network.timeline
         #: the global fault plan's loss rate (0 without a fault plan)
-        self.drop_rate = drop_rate
-        self.all_nodes = all_nodes
-        self.latency = float(latency)
+        self.drop_rate = (system.faults.drop_rate
+                          if system.faults is not None else 0.0)
+        self.all_nodes = system.all_nodes
+        self.latency = float(system.network.latency)
         # derived stream: deterministic, independent of the fabric's
         self._rng = random.Random(plan.seed ^ 0x9E3779B97F4A7C15)
         self._missed: Dict[int, int] = {}
@@ -386,7 +373,7 @@ class FailureDetector:
         self._rtt_dev: Dict[int, float] = {}
         self._slow_streak: Dict[int, int] = {}
         self._fast_streak: Dict[int, int] = {}
-        edges = timeline.edges if timeline is not None else ()
+        edges = self.timeline.edges if self.timeline is not None else ()
         slack = (plan.suspect_after + 3) * plan.heartbeat_interval
         self._horizon = (edges[-1] + slack) if edges else 0.0
 

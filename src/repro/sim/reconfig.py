@@ -59,12 +59,9 @@ from typing import (
 )
 
 from ..util import backoff_delay, field_kwargs
-from .engine import EventScheduler
-from .metrics import Metrics
-from .reliable import ReliabilityConfig, ReliableNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .node import ClusterView, SimNode
+    from .system import DSMSystem
 
 __all__ = [
     "TRANSFER_DELAY_CAP",
@@ -338,32 +335,20 @@ class ReconfigManager:
     deterministic with respect to the workload.
     """
 
-    def __init__(
-        self,
-        plan: ReconfigPlan,
-        view: MembershipView,
-        nodes: Dict[int, "SimNode"],
-        cluster: "ClusterView",
-        scheduler: EventScheduler,
-        network: ReliableNetwork,
-        metrics: Metrics,
-        reliability: ReliabilityConfig,
-        S: float,
-        P: float,
-        latency: float,
-    ) -> None:
+    def __init__(self, system: "DSMSystem", plan: ReconfigPlan) -> None:
         self.plan = plan
-        self.view = view
-        self.nodes = nodes
-        self.cluster = cluster
-        self.scheduler = scheduler
-        self.network = network
-        self.metrics = metrics
-        self.S = S
-        self.P = P
-        self.latency = latency
+        self.view = system.membership
+        self.nodes = system.nodes
+        self.cluster = system.cluster
+        self.scheduler = system.scheduler
+        self.network = system.network
+        self.metrics = system.metrics
+        self.S = system.S
+        self.P = system.P
+        self.latency = system.network.latency
         #: state-transfer retry policy: the transport's datagram
         #: discipline applied to the snapshot fetch
+        reliability = system.reliability
         self.retry_timeout = reliability.timeout
         self.retry_backoff = reliability.backoff
         self.max_retries = reliability.max_retries

@@ -49,8 +49,11 @@ separate ``recovery`` share of
 :meth:`~repro.sim.metrics.Metrics.average_cost_breakdown`.
 
 Pay-for-what-you-use: :class:`DSMSystem` builds a :class:`RecoveryManager`
-only when the fault plan contains amnesia windows or failover is enabled,
-so durable-only fault runs stay bit-identical to the PR-2 simulator.
+only for a star protocol with a partition plan (the failure detector
+quarantines through it) or with a fault plan that has amnesia windows or
+``failover=True``, so durable-only fault runs stay bit-identical to the
+PR-2 simulator.  ``failover=True`` without a fault plan builds nothing:
+no crash can reach the sequencer.
 
 **Bounded replica caches** (:mod:`repro.sim.cache`): an evicted copy is a
 capacity decision, not a failure — recovery must not resurrect it.  Every
@@ -67,14 +70,12 @@ import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from ..machines.message import ParamPresence
-from ..protocols.base import Operation, ProtocolSpec
-from .engine import EventScheduler
+from ..protocols.base import Operation
 from .faults import FaultPlan
-from .metrics import Metrics
-from .reliable import ReliableNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .node import ClusterView, SimNode
+    from .node import SimNode
+    from .system import DSMSystem
 
 __all__ = ["WriteLog", "RecoveryManager"]
 
@@ -137,40 +138,28 @@ class WriteLog:
 class RecoveryManager:
     """Drives amnesia-crash recovery, rejoin and sequencer failover.
 
-    Built by :class:`~repro.sim.system.DSMSystem` when the fault plan has
-    amnesia windows or failover is enabled; schedules its crash/rejoin
-    events at construction time (the scheduler runs init-scheduled events
-    before runtime-scheduled ones at the same instant, so recovery
-    actions are deterministic).
+    Built by :class:`~repro.sim.system.DSMSystem` for a star protocol
+    with a partition plan, or with a fault plan and amnesia windows or
+    ``failover``; it keeps the system's :class:`WriteLog` as :attr:`log`.
+    It schedules its crash/rejoin events at construction time (the
+    scheduler runs init-scheduled events before runtime-scheduled ones
+    at the same instant, so recovery actions are deterministic).
     """
 
-    def __init__(
-        self,
-        nodes: Dict[int, "SimNode"],
-        cluster: "ClusterView",
-        scheduler: EventScheduler,
-        network: ReliableNetwork,
-        metrics: Metrics,
-        spec: ProtocolSpec,
-        plan: FaultPlan,
-        log: WriteLog,
-        S: float,
-        P: float,
-        latency: float,
-        failover: bool,
-    ) -> None:
-        self.nodes = nodes
-        self.cluster = cluster
-        self.scheduler = scheduler
-        self.network = network
-        self.metrics = metrics
-        self.spec = spec
+    def __init__(self, system: "DSMSystem", plan: FaultPlan,
+                 failover: bool) -> None:
+        self.nodes = system.nodes
+        self.cluster = system.cluster
+        self.scheduler = system.scheduler
+        self.network = system.network
+        self.metrics = system.metrics
+        self.spec = system.spec
         self.plan = plan
-        self.log = log
-        self.hit_states = spec.hit_states
-        self.S = S
-        self.P = P
-        self.latency = latency
+        self.log = WriteLog()
+        self.hit_states = system.spec.hit_states
+        self.S = system.S
+        self.P = system.P
+        self.latency = system.network.latency
         self.failover = failover
         #: nodes currently quarantined (rejoining, local queues closed)
         self._quarantined: Set[int] = set()

@@ -34,10 +34,11 @@ into one :class:`~repro.sim.faults.FaultTimeline` at construction (a
 fault-free transport builds none) and binds the global plan's rates and
 RNG and the link plan's RNG.  Each transmission is one step,
 :meth:`ReliableNetwork._put`, which reads one timeline segment: its down
-set screens the source (a frame from a crashed node is neither sent nor
-charged; the retry timer tries again after recovery), and it gives the
-link's ``(drop, duplicate, jitter)`` rates and the straggler factor of
-the two endpoints.  The step then rolls every decision in a fixed
+set screens the source (a frame from a crashed node is not sent; its
+first attempt was already charged at :meth:`~ReliableNetwork.send`, but
+a suppressed retransmission costs nothing, and the retry timer tries
+again after recovery), and it gives the link's ``(drop, duplicate,
+jitter)`` rates and the straggler factor of the two endpoints.  The step then rolls every decision in a fixed
 order: global drop, then link drop (skipped after a global drop); for a
 delivered transmission global jitter, then link jitter; then global
 duplicate, then link duplicate (skipped after a global duplicate); and
@@ -456,8 +457,9 @@ class ReliableNetwork:
         if timeline is not None:
             down, slow, links = timeline.at(self.scheduler.now)
             if frame.src in down:
-                # the interface is dead: nothing leaves and nothing is
-                # charged; the retry timer tries again after recovery.
+                # the interface is dead: nothing leaves and a retransmission
+                # is not charged (a first attempt was, at the send); the
+                # retry timer tries again after recovery.
                 self._fault("down_src", "sends_suppressed")
                 return
         if retransmit is not None and self.metrics is not None:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, NamedTuple,
+                    Optional, Tuple)
 
 # ``numpy.random`` loads on first use unless imported: importing it here
 # keeps every import out of a run's timed phase
@@ -32,9 +33,8 @@ from .engine import EventScheduler
 from .metrics import Metrics
 from .node import ClusterView, SimNode
 
-# each optional subsystem is imported in the branch of
-# ``DSMSystem.__init__`` that builds it, so a run on the paper's fabric
-# loads none of them
+# each optional subsystem is imported by the builder in ``_SUBSYSTEMS``
+# that builds it, so a run on the paper's fabric loads none of them
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.trace import Tracer
     from ..workloads.base import Workload
@@ -50,34 +50,6 @@ _HOP_LATENCY = 1.0
 
 #: operation kinds :meth:`DSMSystem.submit` accepts
 _SUBMIT_KINDS = (READ, WRITE, EJECT)
-
-#: the protocol family each run knob needs, and the error naming the
-#: conflict: ``knob: (family, is the knob set in a RunConfig, error)``.
-#: The sequencer-anchored recovery subsystems do not apply to the quorum
-#: family (whose replicas must also be durable across crashes); the
-#: membership, vote-weight and hedge knobs act on quorums only.
-_FAMILY_RULES = {
-    "failover": (
-        "sequencer", lambda c: c.failover,
-        "has no sequencer to fail over; drop failover=True (a majority "
-        "of replicas is sufficient for liveness)"),
-    "amnesia": (
-        "sequencer",
-        lambda c: c.faults is not None and c.faults.has_amnesia,
-        "requires durable replicas: amnesia crash semantics would forget "
-        "quorum-acknowledged state; use crash_semantics='durable'"),
-    "reconfig": (
-        "quorum", lambda c: c.reconfig is not None,
-        "has a fixed star membership; online reconfiguration (reconfig=) "
-        "needs a quorum protocol"),
-    "quorum_weights": (
-        "quorum", lambda c: c.quorum_weights is not None,
-        "has no quorums to weight; quorum_weights= needs a quorum "
-        "protocol"),
-    "hedge": (
-        "quorum", lambda c: c.hedge is not None,
-        "has no quorum phases to hedge; hedge= needs a quorum protocol"),
-}
 
 #: the RunConfig fields that parameterize one run; every other field
 #: builds the fabric and is fixed when the system is constructed
@@ -201,6 +173,188 @@ class _ArrivalStream:
             Operation(op_id, node, kind, obj, 0.0, op_id))
 
 
+def _build_tracer(system: "DSMSystem") -> Tracer:
+    from ..obs.trace import Tracer
+    tracer = Tracer(system.config.tracing, clock=system.scheduler)
+    system.metrics.tracer = tracer
+    return tracer
+
+
+def _build_network(system: "DSMSystem") -> Network:
+    """The fault-free FIFO fabric, or the reliable transport (which owns
+    the faulty wire) with the fault plan's crash markers."""
+    if system.reliability is None:
+        network = Network(system.scheduler, latency=_HOP_LATENCY,
+                          on_cost=system.metrics.record_message)
+        # delivery events for the plain fabric come from the channel
+        # itself; a ReliableNetwork reaches the tracer via metrics and
+        # traces protocol-level deliveries instead.
+        network.tracer = system.tracer
+        return network
+    from .reliable import ReliableNetwork
+    network = ReliableNetwork(
+        system.scheduler, latency=_HOP_LATENCY, metrics=system.metrics,
+        faults=system.faults, partitions=system.partitions,
+        config=system.reliability)
+    if system.faults is not None:
+        system._schedule_crash_markers()
+    return network
+
+
+def _build_nodes(system: "DSMSystem") -> Dict[int, SimNode]:
+    return {
+        node_id: SimNode(
+            node_id, system.spec, system.M, system.scheduler,
+            system.network, system.metrics, system.S, system.P,
+            system.all_nodes, system.cluster,
+            new_op=system._make_internal_op, cache=system.config.cache,
+            cache_overlay=system.spec.quorum_based)
+        for node_id in system.all_nodes
+    }
+
+
+def _build_membership(system: "DSMSystem") -> Optional[MembershipView]:
+    """The quorum family's membership view and hedge policy, on every port.
+
+    Without a reconfiguration plan or vote weights the view stays
+    ``None`` and every quorum phase takes the static fixed-majority
+    fast path.
+    """
+    config = system.config
+    view = None
+    if config.reconfig is not None or config.quorum_weights is not None:
+        from .reconfig import MembershipView
+        view = MembershipView(tuple(range(1, system.N + 2)),
+                              config.quorum_weights)
+    for node in system.nodes.values():
+        for port in node.ports.values():
+            port.membership = view
+            port.hedge = config.hedge
+    return view
+
+
+def _build_reconfig(system: "DSMSystem") -> ReconfigManager:
+    from .reconfig import ReconfigManager
+    return ReconfigManager(system, system.config.reconfig)
+
+
+def _build_monitor(system: "DSMSystem") -> ConsistencyMonitor:
+    from .monitor import ConsistencyMonitor
+    return ConsistencyMonitor()
+
+
+def _wants_recovery(config: RunConfig, spec: ProtocolSpec) -> bool:
+    """The sequencer family's recovery: a partition plan quarantines
+    through it, and failover and amnesia crashes need it."""
+    return not spec.quorum_based and (
+        config.partitions is not None
+        or (config.faults is not None
+            and (config.failover or config.faults.has_amnesia)))
+
+
+def _build_recovery(system: "DSMSystem") -> RecoveryManager:
+    from .faults import FaultPlan
+    from .recovery import RecoveryManager
+    if system.partitions is not None:
+        # the transport absorbs traffic to quarantined nodes instead of
+        # retrying into a severed link forever
+        system.network.quarantined = system.cluster.quarantined
+    plan = system.faults if system.faults is not None else FaultPlan()
+    return RecoveryManager(system, plan, system.config.failover)
+
+
+def _wants_detector(config: RunConfig, spec: ProtocolSpec) -> bool:
+    """The sequencer-side heartbeat detector, unless the partition plan
+    sets ``detect=False``.
+
+    The star family needs it under a partition plan, to quarantine and
+    rejoin the cut-off nodes.  The quorum family needs no detector for
+    liveness (quorum re-selection gives that), but under gray failures
+    it gets a demote-only one (``recovery`` is ``None``, so it never
+    quarantines) whose latency scoring feeds the demotion-aware quorum
+    selection and hedge targeting.
+    """
+    needed = (config.gray_failure if spec.quorum_based
+              else config.partitions is not None)
+    return needed and (config.partitions is None or config.partitions.detect)
+
+
+def _build_detector(system: "DSMSystem") -> FailureDetector:
+    from .partition import FailureDetector, PartitionPlan
+    # without a partition plan a links-free local plan supplies the
+    # knobs' defaults; it is never stored as ``system.partitions`` (a
+    # plan without links is no partition plan, and the plan-equality
+    # fabric checks must keep seeing None)
+    plan = (system.partitions if system.partitions is not None
+            else PartitionPlan())
+    detector = FailureDetector(system, plan)
+    detector.start()
+    return detector
+
+
+def _always(config: RunConfig, spec: ProtocolSpec) -> bool:
+    return True
+
+
+class _Subsystem(NamedTuple):
+    """One part of a :class:`DSMSystem`, built when ``wanted(config,
+    spec)`` holds and stored as ``attr`` (``None`` when it is not built).
+
+    ``rules`` pairs each knob that needs the protocol ``family``
+    (``"quorum"`` or ``"sequencer"``) with the error a protocol of the
+    other family raises.  ``build(system)`` imports the subsystem's
+    module, so a run that does not build it never loads it.
+    """
+
+    attr: str
+    wanted: Callable[[RunConfig, ProtocolSpec], bool]
+    build: Callable[["DSMSystem"], object]
+    family: Optional[str] = None
+    rules: Tuple[Tuple[Callable[[RunConfig], bool], str], ...] = ()
+
+
+#: the parts of a system in build order, which is the order they
+#: schedule their first events in.  The membership entry states the
+#: rules of every quorum knob, since a reconfiguration plan, vote weights
+#: and hedging all act through the membership layer; the sequencer-
+#: anchored recovery does not apply to the quorum family, whose replicas
+#: must also be durable across crashes.
+_SUBSYSTEMS = (
+    _Subsystem("tracer", lambda c, s: c.tracing is not None, _build_tracer),
+    _Subsystem("network", _always, _build_network),
+    _Subsystem("nodes", _always, _build_nodes),
+    _Subsystem(
+        "membership",
+        lambda c, s: (c.reconfig is not None or c.quorum_weights is not None
+                      or c.hedge is not None),
+        _build_membership, "quorum", (
+            (lambda c: c.reconfig is not None,
+             "has a fixed star membership; online reconfiguration "
+             "(reconfig=) needs a quorum protocol"),
+            (lambda c: c.quorum_weights is not None,
+             "has no quorums to weight; quorum_weights= needs a quorum "
+             "protocol"),
+            (lambda c: c.hedge is not None,
+             "has no quorum phases to hedge; hedge= needs a quorum "
+             "protocol"),
+        )),
+    _Subsystem("reconfig", lambda c, s: c.reconfig is not None,
+               _build_reconfig),
+    _Subsystem("monitor", lambda c, s: c.monitor, _build_monitor),
+    _Subsystem(
+        "recovery", _wants_recovery, _build_recovery, "sequencer", (
+            (lambda c: c.failover,
+             "has no sequencer to fail over; drop failover=True (a "
+             "majority of replicas is sufficient for liveness)"),
+            (lambda c: c.faults is not None and c.faults.has_amnesia,
+             "requires durable replicas: amnesia crash semantics would "
+             "forget quorum-acknowledged state; use "
+             "crash_semantics='durable'"),
+        )),
+    _Subsystem("detector", _wants_detector, _build_detector),
+)
+
+
 class DSMSystem:
     """``N`` clients plus a sequencer running one coherence protocol.
 
@@ -218,7 +372,20 @@ class DSMSystem:
             system runs rewound copies of the plans
             (``dataclasses.replace(plan)``), so one config builds any
             number of identical systems.
+
+    The constructor checks the config against the protocol family, then
+    builds the parts ``_SUBSYSTEMS`` declares, in its order; a part the
+    config does not ask for is ``None``.
     """
+
+    tracer: Optional[Tracer]
+    network: Network
+    nodes: Dict[int, SimNode]
+    membership: Optional[MembershipView]
+    reconfig: Optional[ReconfigManager]
+    monitor: Optional[ConsistencyMonitor]
+    recovery: Optional[RecoveryManager]
+    detector: Optional[FailureDetector]
 
     def __init__(
         self,
@@ -244,10 +411,11 @@ class DSMSystem:
             raise ValueError("need at least one client")
         if M < 1:
             raise ValueError("need at least one shared object")
-        for family, is_set, error in _FAMILY_RULES.values():
-            if is_set(config) and self.spec.quorum_based != (
-                    family == "quorum"):
-                raise ValueError(f"{self.spec.name} {error}")
+        for sub in _SUBSYSTEMS:
+            for is_set, error in sub.rules:
+                if is_set(config) and self.spec.quorum_based != (
+                        sub.family == "quorum"):
+                    raise ValueError(f"{self.spec.name} {error}")
         # each system rewinds the config's plans to their seeds, so one
         # config builds any number of identical systems
         self.faults = (None if config.faults is None
@@ -269,189 +437,37 @@ class DSMSystem:
                     f"quorum_weights name unknown nodes {bad} "
                     f"(the node universe is 1..{universe})"
                 )
+        if self.faults is not None:
+            self.faults.validate_nodes(universe)
+        if self.partitions is not None:
+            self.partitions.validate_nodes(universe)
         self.N = N
         self.M = M
         self.S = float(S)
         self.P = float(P)
         self.scheduler = EventScheduler()
         self.metrics = Metrics()
-        #: structured tracer (pay-for-what-you-use: None keeps every hook
-        #: point a single attribute check)
-        self.tracer: Optional[Tracer] = None
-        if config.tracing is not None:
-            from ..obs.trace import Tracer
-            self.tracer = Tracer(config.tracing, clock=self.scheduler)
-        self.metrics.tracer = self.tracer
-        reliability = config.resolved_reliability
-        self.reliability = reliability
-        if reliability is not None:
-            from .reliable import ReliableNetwork
-            self.network = ReliableNetwork(
-                self.scheduler,
-                latency=_HOP_LATENCY,
-                metrics=self.metrics,
-                faults=self.faults,
-                partitions=self.partitions,
-                config=reliability,
-            )
-        else:
-            self.network = Network(
-                self.scheduler, latency=_HOP_LATENCY,
-                on_cost=self.metrics.record_message,
-            )
-            # delivery events for the plain fabric come from the channel
-            # itself; a ReliableNetwork reaches the tracer via metrics and
-            # traces protocol-level deliveries instead.
-            self.network.tracer = self.tracer
-        if self.faults is not None:
-            self.faults.validate_nodes(universe)
-            self._schedule_crash_markers()
-        if self.partitions is not None:
-            self.partitions.validate_nodes(universe)
+        self.reliability = config.resolved_reliability
         #: shared, mutable sequencer-role view (reassigned by failover)
         self.cluster = ClusterView(N + 1)
         self.all_nodes: Tuple[int, ...] = tuple(range(1, universe + 1))
         self._next_op_id = 0
-        self.nodes: Dict[int, SimNode] = {
-            node_id: SimNode(
-                node_id,
-                self.spec,
-                M,
-                self.scheduler,
-                self.network,
-                self.metrics,
-                self.S,
-                self.P,
-                self.all_nodes,
-                self.cluster,
-                new_op=self._make_internal_op,
-                cache=config.cache,
-                cache_overlay=self.spec.quorum_based,
-            )
-            for node_id in self.all_nodes
-        }
-        # membership view and reconfiguration driver (quorum family only;
-        # without a plan or weights the view stays None and every quorum
-        # phase takes the static fixed-majority fast path).
-        self.membership: Optional[MembershipView] = None
-        if config.reconfig is not None or config.quorum_weights is not None:
-            from .reconfig import MembershipView
-            self.membership = MembershipView(
-                tuple(range(1, N + 2)), config.quorum_weights
-            )
-            for node in self.nodes.values():
-                for port in node.ports.values():
-                    port.membership = self.membership
-        if config.hedge is not None:
-            for node in self.nodes.values():
-                for port in node.ports.values():
-                    port.hedge = config.hedge
-        self.reconfig: Optional[ReconfigManager] = None
-        if config.reconfig is not None:
-            from .reconfig import ReconfigManager
-            self.reconfig = ReconfigManager(
-                plan=config.reconfig,
-                view=self.membership,
-                nodes=self.nodes,
-                cluster=self.cluster,
-                scheduler=self.scheduler,
-                network=self.network,
-                metrics=self.metrics,
-                reliability=self.reliability,
-                S=self.S,
-                P=self.P,
-                latency=_HOP_LATENCY,
-            )
-        # crash recovery and consistency monitoring (both opt-in; without
-        # them the hooks stay None and runs are bit-identical to a system
-        # built before these subsystems existed).
-        self.monitor: Optional[ConsistencyMonitor] = None
-        if config.monitor:
-            from .monitor import ConsistencyMonitor
-            self.monitor = ConsistencyMonitor()
-        self.write_log: Optional[WriteLog] = None
-        self.recovery: Optional[RecoveryManager] = None
-        if (not self.spec.quorum_based
-                and (self.partitions is not None
-                     or (self.faults is not None
-                         and (config.failover
-                              or self.faults.has_amnesia)))):
-            from .faults import FaultPlan
-            from .recovery import RecoveryManager, WriteLog
-            self.write_log = WriteLog()
-            self.recovery = RecoveryManager(
-                nodes=self.nodes,
-                cluster=self.cluster,
-                scheduler=self.scheduler,
-                network=self.network,
-                metrics=self.metrics,
-                spec=self.spec,
-                plan=(self.faults if self.faults is not None
-                      else FaultPlan()),
-                log=self.write_log,
-                S=self.S,
-                P=self.P,
-                latency=_HOP_LATENCY,
-                failover=config.failover,
-            )
-        #: sequencer-side heartbeat failure detector (partition plans only;
-        #: the quorum family needs no detector or quarantine for *liveness*
-        #: — that comes from quorum re-selection, so partitions only act at
-        #: the link level and every node stays in the view.  Gray failures
-        #: are different: when slow windows or hedging are configured, the
-        #: quorum family gets a demote-only detector (recovery=None, so it
-        #: can never quarantine) whose latency scoring feeds the
-        #: demotion-aware quorum selection and hedge targeting)
-        self.detector: Optional[FailureDetector] = None
-        drop_rate = self.faults.drop_rate if self.faults is not None else 0.0
-        if self.partitions is not None and not self.spec.quorum_based:
-            # the transport absorbs traffic to quarantined nodes instead
-            # of retrying into a severed link forever.
-            self.network.quarantined = self.cluster.quarantined
-            if self.partitions.detect:
-                from .partition import FailureDetector
-                self.detector = FailureDetector(
-                    plan=self.partitions,
-                    cluster=self.cluster,
-                    scheduler=self.scheduler,
-                    metrics=self.metrics,
-                    recovery=self.recovery,
-                    timeline=self.network.timeline,
-                    drop_rate=drop_rate,
-                    all_nodes=self.all_nodes,
-                    latency=_HOP_LATENCY,
-                )
-                self.detector.start()
-        elif (self.spec.quorum_based
-                and (config.hedge is not None
-                     or (self.faults is not None
-                         and self.faults.has_slowdowns))):
-            # knobs come from the partition plan when one is present;
-            # otherwise a links-free local plan supplies the defaults
-            # (never stored as self.partitions — a plan without links is
-            # no partition plan, and the plan-equality fabric checks
-            # must keep seeing None).
-            from .partition import FailureDetector, PartitionPlan
-            knobs = (self.partitions if self.partitions is not None
-                     else PartitionPlan())
-            if knobs.detect:
-                self.detector = FailureDetector(
-                    plan=knobs,
-                    cluster=self.cluster,
-                    scheduler=self.scheduler,
-                    metrics=self.metrics,
-                    recovery=None,
-                    timeline=self.network.timeline,
-                    drop_rate=drop_rate,
-                    all_nodes=self.all_nodes,
-                    latency=_HOP_LATENCY,
-                )
-                self.detector.start()
-        if self.monitor is not None or self.write_log is not None:
+        # pay-for-what-you-use: an unbuilt subsystem's attribute is None,
+        # so each of its hook points is a single attribute check
+        for sub in _SUBSYSTEMS:
+            setattr(self, sub.attr, sub.build(self)
+                    if sub.wanted(config, self.spec) else None)
+        if self.monitor is not None or self.recovery is not None:
             observer = _Observer(self.write_log, self.monitor)
             for node in self.nodes.values():
                 node.observer = observer
                 node.recovery = self.recovery
+
+    @property
+    def write_log(self) -> Optional[WriteLog]:
+        """The recovery subsystem's durable write log (``None`` without
+        recovery)."""
+        return self.recovery.log if self.recovery is not None else None
 
     @property
     def sequencer_id(self) -> int:

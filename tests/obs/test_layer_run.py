@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.sim import DSMSystem, ReliabilityConfig, RunConfig
+from repro.sim import DSMSystem, FaultPlan, ReliabilityConfig, RunConfig
 
 LAYERS = Path(__file__).resolve().parents[2] / "benchmarks/perf/layers.py"
 
@@ -33,16 +33,9 @@ def test_every_wrapped_method_exists_on_its_class():
     assert missing == []
 
 
-@pytest.mark.parametrize("protocol", ["berkeley", "sc_abd"])
-@pytest.mark.parametrize("reliable", [False, True])
-def test_no_wrapped_method_is_shadowed_on_an_instance(protocol, reliable):
-    config = RunConfig(
-        reliability=ReliabilityConfig() if reliable else None)
-    system = DSMSystem(protocol, N=3, M=2, config=config)
+def _shadowed(system):
+    """The wrapped methods an instance of ``system`` shadows."""
     objects = [system.scheduler, system.network]
-    physical = getattr(system.network, "physical", None)
-    if physical is not None:
-        objects.append(physical)
     for node in system.nodes.values():
         objects.append(node)
         objects.extend(node.ports.values())
@@ -57,4 +50,21 @@ def test_no_wrapped_method_is_shadowed_on_an_instance(protocol, reliable):
     shadowed += [f"{type(proc).__name__}.{method}" for proc in processes
                  for method in ("on_request", "on_message")
                  if method in vars(proc)]
-    assert shadowed == []
+    return shadowed
+
+
+@pytest.mark.parametrize("protocol", ["berkeley", "sc_abd"])
+@pytest.mark.parametrize("reliable", [False, True])
+def test_no_wrapped_method_is_shadowed_on_an_instance(protocol, reliable):
+    config = RunConfig(
+        reliability=ReliabilityConfig() if reliable else None)
+    assert _shadowed(DSMSystem(protocol, N=3, M=2, config=config)) == []
+
+
+@pytest.mark.parametrize("protocol", ["berkeley", "sc_abd"])
+def test_no_wrapped_method_is_shadowed_on_a_faulty_transport(protocol):
+    """A faulty transport binds its fault timeline at construction."""
+    config = RunConfig(faults=FaultPlan(seed=1, drop_rate=0.1))
+    system = DSMSystem(protocol, N=3, M=2, config=config)
+    assert system.network.timeline is not None
+    assert _shadowed(system) == []

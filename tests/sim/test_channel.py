@@ -203,6 +203,18 @@ class TestFaultyFabric:
         assert net.messages_sent == 0  # nothing left the node
         assert net.metrics.reliability.sends_suppressed == 1
 
+    def test_crashed_source_is_charged_its_first_attempt(self):
+        """The send charges the first attempt before the wire screens
+        the crashed source, so the operation pays although nothing
+        leaves the node."""
+        from repro.sim.faults import CrashWindow, FaultPlan
+        net = fabric(FaultPlan(crashes=[CrashWindow(1, 0.0, 10.0)]))
+        net.metrics.register_op(1, 1, "read", 1, 0.0)
+        transmit(net, 1, 2, 0.0)
+        assert net.metrics.op(1).cost == 1.0
+        assert net.metrics.reliability.sends_suppressed == 1
+        assert net.messages_sent == 0
+
     def test_crashed_destination_loses_delivery(self):
         from repro.sim.faults import CrashWindow, FaultPlan
         from repro.sim.metrics import Metrics
