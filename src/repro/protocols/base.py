@@ -101,6 +101,9 @@ class ProcessContext(abc.ABC):
     all_nodes: Tuple[int, ...]
     #: the shared-object index this process controls
     obj: int
+    #: the shared :class:`~repro.sim.reconfig.MembershipView` of a quorum
+    #: protocol with reconfiguration or vote weights; ``None`` otherwise
+    membership = None
 
     @property
     def client_nodes(self) -> Tuple[int, ...]:

@@ -150,18 +150,14 @@ class SCABDProcess(ProtocolProcess):
     # quorum geometry
     # ------------------------------------------------------------------
 
-    def _view(self):
-        """The shared :class:`~repro.sim.reconfig.MembershipView`, if any.
-
-        ``None`` on static unweighted memberships (every context grows
-        the attribute only when reconfiguration or vote weights are
-        configured), which keeps the classic fixed-majority fast path
-        bit-identical.
-        """
-        return getattr(self.ctx, "membership", None)
+    # ``ctx.membership`` is the shared
+    # :class:`~repro.sim.reconfig.MembershipView`: ``None`` on static
+    # unweighted memberships (a view is attached only when reconfiguration
+    # or vote weights are configured), which keeps the classic
+    # fixed-majority fast path bit-identical.
 
     def _core(self) -> Tuple[int, ...]:
-        view = self._view()
+        view = self.ctx.membership
         if view is not None:
             return view.core()
         demoted = getattr(self.ctx, "demoted_nodes", None)
@@ -178,7 +174,7 @@ class SCABDProcess(ProtocolProcess):
 
     def _broadcast(self) -> Tuple[int, ...]:
         """Every node a re-selection re-broadcast may target."""
-        view = self._view()
+        view = self.ctx.membership
         if view is None:
             return self.ctx.all_nodes
         return view.broadcast()
@@ -191,7 +187,7 @@ class SCABDProcess(ProtocolProcess):
         during a joint-mode transition, of the old set too — replies
         from non-members can never complete a phase.
         """
-        view = self._view()
+        view = self.ctx.membership
         if view is None:
             return len(responders) >= self._m
         return view.satisfied(responders)
@@ -438,13 +434,10 @@ class SCABDProcess(ProtocolProcess):
     # initiator duties (collect replies, drive phases)
     # ------------------------------------------------------------------
 
-    def _live(self, phase: str, payload) -> bool:
-        return (self._op is not None and self._phase == phase
-                and payload["gen"] == self._gen)
-
     def _on_read_reply(self, msg: Message) -> None:
         payload = msg.payload
-        if not self._live("read", payload):
+        if (self._op is None or self._phase != "read"
+                or payload["gen"] != self._gen):
             return
         self._replies[msg.src] = (tuple(payload["ts"]), payload["value"])
         if not self._quorum_reached(self._replies):
@@ -468,7 +461,8 @@ class SCABDProcess(ProtocolProcess):
 
     def _on_ts_reply(self, msg: Message) -> None:
         payload = msg.payload
-        if not self._live("write_ts", payload):
+        if (self._op is None or self._phase != "write_ts"
+                or payload["gen"] != self._gen):
             return
         self._replies[msg.src] = tuple(payload["ts"])
         if not self._quorum_reached(self._replies):

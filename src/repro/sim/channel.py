@@ -6,34 +6,32 @@ behave like first-in/first-out queues.  Thus, every message sent is
 delivered and not corrupted."
 
 :class:`Network` models one logical FIFO channel per ordered node pair with
-a constant per-message latency.  Constant latency plus the scheduler's
-schedule-order tie-breaking yields exact FIFO delivery per channel; a
-per-channel sequence check enforces (and tests assert) the invariant.
-Each directed channel owns one mutable ``[sent, delivered]`` slot, found
-through two int-keyed dicts (source, then destination); a send numbers
-its message from the slot's ``sent`` count and a delivery checks its
-number against ``delivered``, so neither builds or hashes a channel
-tuple.
+a constant per-message latency.  FIFO needs no bookkeeping: every
+delivery is due ``latency`` after a send at the current time, simulated
+time never runs backwards, and the scheduler breaks time ties by the
+global sequence number it hands out in send order
+(:mod:`repro.sim.engine`), so each channel delivers in send order.
+``tests/sim/test_channel.py`` checks that over random interleavings of
+sends and broadcasts.
 
 A delivery is never cancelled, so :meth:`Network.send` posts it to the
-scheduler without a timer handle: one bound method
-(:meth:`Network._deliver`, bound once per fabric) plus a ``(msg, slot,
-seq)`` tuple, no closure per send.  Each delivery is due ``latency``
-after a send at the current time, and simulated time never runs
-backwards, so deliveries are posted in non-decreasing time order and
-ride the scheduler's FIFO lane (:mod:`repro.sim.engine`).  Ties break by
-the global sequence number, so FIFO holds per channel and the sequence
-check guards it.
+scheduler without a timer handle, straight to the destination's attached
+handler with the :class:`Message` itself as the argument: no wrapper
+call and no tuple per send.  The deliveries are posted in non-decreasing
+time order and ride the scheduler's FIFO lane.
 
-A broadcast is posted as one fan-out: the sending port passes a
-``fanout`` list through :meth:`Network.send`, which charges each message
-and appends its ``(msg, slot, seq)`` tuple instead of posting it, and
-:meth:`Network.post_fanout` then posts the list with one
-:meth:`~repro.sim.engine.EventScheduler.post_many` call.  The deliveries
-take the consecutive sequence numbers, and the one time, that one post
-each would have given them, and the scheduler fires them back to back in
-one step; each still passes the FIFO check in :meth:`Network._deliver`
-and reaches the attached node handler on its own.
+:meth:`Network.broadcast` sends one message to each of several nodes in
+one call: it charges the members in order (a self-send stays free),
+counts each in :attr:`Network.messages_sent`, and posts all their
+deliveries with one
+:meth:`~repro.sim.engine.EventScheduler.post_many` call.  The
+deliveries take the consecutive sequence numbers, and the one time, that
+one :meth:`~Network.send` each would have given them, and the scheduler
+fires them back to back in one step, each straight to its receiver.
+
+With a tracer attached, every delivery takes one traced route instead,
+which emits the per-operation ``deliver`` event and then calls the
+handler.
 
 Faults live one layer up: a run with a fault or partition plan rides the
 reliable transport (:mod:`repro.sim.reliable`), which owns the faulty
@@ -51,14 +49,22 @@ with the message (:class:`~repro.sim.node.ObjectPort`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..machines.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import EventScheduler
 
-__all__ = ["Network"]
+__all__ = ["Network", "unattached"]
+
+
+def unattached(msg: Message) -> RuntimeError:
+    """The error for a send to a node no handler was attached for."""
+    return RuntimeError(
+        f"cannot send {type(msg).__name__} from node {msg.src}: "
+        f"destination node {msg.dst} is not attached to the network"
+    )
 
 
 class Network:
@@ -86,19 +92,13 @@ class Network:
         self.scheduler = scheduler
         self.latency = latency
         self.on_cost = on_cost
-        #: optional :class:`repro.obs.Tracer`; the deliver hook emits
-        #: per-operation "deliver" events
+        #: optional :class:`repro.obs.Tracer`; while set, deliveries take
+        #: the traced route, which emits per-operation "deliver" events
         self.tracer = None
         self._deliver_to: Dict[int, Callable[[Message], None]] = {}
-        # FIFO bookkeeping: ``_slots[src][dst]`` is the directed channel's
-        # ``[sent, delivered]`` slot, made on the channel's first send.
-        # True per-channel counters (not a shared global) make the
-        # invariant check meaningful per channel.
-        self._slots: Dict[int, Dict[int, List[int]]] = {}
         # bound once: every send posts through them
         self._post = scheduler.post
         self._post_many = scheduler.post_many
-        self._deliver_cb = self._deliver
         #: total messages sent (all cost classes)
         self.messages_sent = 0
 
@@ -106,77 +106,58 @@ class Network:
         """Register the delivery handler for a node."""
         self._deliver_to[node_id] = handler
 
-    def send(self, msg: Message, cost: float,
-             fanout: Optional[List[Tuple[Message, List[int], int]]] = None
-             ) -> float:
+    def send(self, msg: Message, cost: float) -> float:
         """Send ``msg``; charge ``cost``; schedule delivery.
 
         ``cost`` is the sender's price for the message (0 for self-sends,
         which the paper counts as intra-node actions).  Returns ``cost``.
 
-        ``fanout`` collects a broadcast: the delivery is appended to it
-        instead of posted, and :meth:`post_fanout` posts the whole list
-        at once.
-
         Raises:
             RuntimeError: if ``msg.dst`` was never attached to the fabric.
         """
         try:
-            slot = self._slots[msg.src][msg.dst]
+            handler = self._deliver_to[msg.dst]
         except KeyError:
-            slot = self._open_channel(msg)
-        if self.on_cost is not None and cost > 0.0:
+            raise unattached(msg) from None
+        if cost > 0.0 and self.on_cost is not None:
             self.on_cost(msg, cost)
         self.messages_sent += 1
-        seq = slot[0] + 1
-        slot[0] = seq
-        if fanout is None:
-            self._post(self.latency, self._deliver_cb, (msg, slot, seq))
-        else:
-            fanout.append((msg, slot, seq))
+        if self.tracer is not None:
+            handler = self._traced
+        self._post(self.latency, handler, msg)
         return cost
 
-    def post_fanout(self,
-                    fanout: List[Tuple[Message, List[int], int]]) -> None:
-        """Post the deliveries :meth:`send` collected in ``fanout``.
+    def broadcast(self, msgs: List[Message], cost: float) -> None:
+        """Send each of ``msgs``, all from one node, at ``cost`` each.
 
-        One :meth:`~repro.sim.engine.EventScheduler.post_many` call: the
-        deliveries keep the consecutive sequence numbers and the time
-        their one-by-one posts would have had, so they fire in the same
-        order, back to back.
-        """
-        self._post_many(self.latency, self._deliver_cb, fanout)
-
-    def _open_channel(self, msg: Message) -> List[int]:
-        """Make the ``[sent, delivered]`` slot of ``msg``'s channel.
-
-        Called on the channel's first send; nodes are never detached, so
-        checking the destination here covers every later send too.
+        The members are charged in order, a self-send (``dst == src``)
+        for nothing, and their deliveries are posted with one
+        :meth:`~repro.sim.engine.EventScheduler.post_many` call: they
+        fire as one :meth:`send` each would have made them fire.
 
         Raises:
-            RuntimeError: if ``msg.dst`` was never attached to the fabric.
+            RuntimeError: if a member's ``dst`` was never attached to the
+                fabric; nothing is then charged or posted.
         """
-        src = msg.src
-        dst = msg.dst
-        if dst not in self._deliver_to:
-            raise RuntimeError(
-                f"cannot send {type(msg).__name__} from node {src}: "
-                f"destination node {dst} is not attached to the network"
-            )
-        slot = [0, 0]
-        self._slots.setdefault(src, {})[dst] = slot
-        return slot
+        deliver_to = self._deliver_to
+        try:
+            calls = [(deliver_to[msg.dst], msg) for msg in msgs]
+        except KeyError:
+            raise unattached(next(msg for msg in msgs
+                                  if msg.dst not in deliver_to)) from None
+        if self.tracer is not None:
+            traced = self._traced
+            calls = [(traced, msg) for msg in msgs]
+        on_cost = self.on_cost
+        if cost > 0.0 and on_cost is not None:
+            for msg in msgs:
+                if msg.dst != msg.src:
+                    on_cost(msg, cost)
+        self.messages_sent += len(calls)
+        self._post_many(self.latency, calls)
 
-    def _deliver(self, item: Tuple[Message, List[int], int]) -> None:
-        """Deliver one message posted by :meth:`send`."""
-        msg, slot, seq = item
-        # FIFO invariant: per channel, delivery follows send order.
-        if seq < slot[1]:  # pragma: no cover
-            raise RuntimeError(
-                f"FIFO violation on channel {(msg.src, msg.dst)}")
-        slot[1] = seq
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.op_event("deliver", msg.op_id, src=msg.src,
-                            dst=msg.dst, detail=msg.token.type.value)
+    def _traced(self, msg: Message) -> None:
+        """Deliver ``msg`` after emitting its "deliver" trace event."""
+        self.tracer.op_event("deliver", msg.op_id, src=msg.src,
+                             dst=msg.dst, detail=msg.token.type.value)
         self._deliver_to[msg.dst](msg)

@@ -30,15 +30,17 @@ instead of a handle plus a heap push and pop.  The reliable transport
 posts every transmission too; on a faulty wire a jittered one due
 before the lane's tail takes the heap instead.
 
-:meth:`EventScheduler.post_many` posts a whole broadcast: it behaves
-exactly like ``len(args)`` consecutive :meth:`~EventScheduler.post`
-calls and takes that many consecutive sequence numbers, but an in-order
-fan-out is stored as **one** lane entry, ``(time, first seq, None,
-(callback, args))``.  The plain fabric posts every broadcast this way
-(:meth:`~repro.sim.channel.Network.post_fanout`); the reliable
-transport posts each transmission on its own.  A fan-out
-out of lane order falls back to one heap entry per member.
-``len()`` counts every unfired member.
+:meth:`EventScheduler.post_many` posts a whole broadcast, a list of
+``(callback, arg)`` pairs: it behaves exactly like one
+:meth:`~EventScheduler.post` call per pair, in order, and takes that
+many consecutive sequence numbers, but an in-order fan-out is stored as
+**one** lane entry, ``(time, first seq, None, calls)``.  Each member
+names its own callback, so the plain fabric posts a broadcast's
+deliveries straight to their receivers in one call
+(:meth:`~repro.sim.channel.Network.broadcast`); the reliable transport
+posts each transmission on its own.  A fan-out out of lane order falls
+back to one heap entry per member.  ``len()`` counts every unfired
+member.
 
 Workload arrivals are handle-free too: an internal ``_post_at`` puts
 each one on the heap with a sequence number set aside up front by
@@ -75,8 +77,11 @@ _heappop = heapq.heappop
 _INF = float("inf")
 
 #: one pending event: ``(time, seq, callback, arg)``; a timer's entry has
-#: ``callback=None`` and its :class:`TimerHandle` as ``arg``
+#: ``callback=None`` and its :class:`TimerHandle` as ``arg``, and a
+#: fan-out's has ``callback=None`` and its list of calls as ``arg``
 _Entry = Tuple[float, int, Optional[Callable[[Any], None]], Any]
+#: one member of a fan-out: ``callback(arg)`` runs when it fires
+_Call = Tuple[Callable[[Any], None], Any]
 
 
 class TimerHandle:
@@ -174,20 +179,20 @@ class EventScheduler:
         else:
             _heappush(self._heap, (time, self._seq, callback, arg))
 
-    def post_many(self, delay: float, callback: Callable[[Any], None],
-                  args: List[Any]) -> None:
-        """Run ``callback(arg)`` for each of ``args``, ``delay`` from now.
+    def post_many(self, delay: float, calls: List[_Call]) -> None:
+        """Run ``callback(arg)`` for each ``(callback, arg)`` of ``calls``,
+        ``delay`` from now.
 
-        Behaves exactly like ``len(args)`` consecutive :meth:`post` calls
-        and takes that many consecutive sequence numbers, but an in-order
-        fan-out is stored as one lane entry, whose members :meth:`step`
-        fires back to back.  The list is kept, not copied: the caller
-        must not change it afterwards.  An out-of-order time falls back
-        to one heap entry per member, as :meth:`post` would.
+        Behaves exactly like one :meth:`post` call per pair, in order,
+        and takes that many consecutive sequence numbers, but an
+        in-order fan-out is stored as one lane entry, whose members
+        :meth:`step` fires back to back.  The list is kept, not copied:
+        the caller must not change it afterwards.  An out-of-order time
+        falls back to one heap entry per member, as :meth:`post` would.
         """
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        count = len(args)
+        count = len(calls)
         if not count:
             return
         time = self.now + delay
@@ -195,16 +200,17 @@ class EventScheduler:
         self._seq = seq + count
         if time >= self._lane_tail:
             if count == 1:
-                self._lane.append((time, seq + 1, callback, args[0]))
+                callback, arg = calls[0]
+                self._lane.append((time, seq + 1, callback, arg))
             else:
-                # a fan-out entry: ``callback`` None, ``(callback, args)``
-                # as the argument; its first member's number is the key
-                self._lane.append((time, seq + 1, None, (callback, args)))
+                # a fan-out entry: ``callback`` None, the pairs as the
+                # argument; its first member's number is the key
+                self._lane.append((time, seq + 1, None, calls))
                 self._fanned += count - 1
             self._lane_tail = time
         else:
             heap = self._heap
-            for arg in args:
+            for callback, arg in calls:
                 seq += 1
                 _heappush(heap, (time, seq, callback, arg))
 
@@ -294,8 +300,7 @@ class EventScheduler:
         callback(arg)
         return True
 
-    def _fire_many(self, time: float, seq: int,
-                   fanout: Tuple[Callable[[Any], None], List[Any]],
+    def _fire_many(self, time: float, seq: int, calls: List[_Call],
                    limit: float) -> None:
         """Fire the members of a fan-out entry taken off the lane head.
 
@@ -306,11 +311,10 @@ class EventScheduler:
         by such an event, or because a callback raised) go back to the
         lane head.
         """
-        callback, args = fanout
         heap = self._heap
         fired = 0
         try:
-            for arg in args:
+            for callback, arg in calls:
                 if fired and (self.executed >= limit
                               or (heap and heap[0][0] <= time
                                   and heap[0][1] < seq + fired)):
@@ -320,10 +324,10 @@ class EventScheduler:
                 self.executed += 1
                 callback(arg)
         finally:
-            if fired < len(args):
+            if fired < len(calls):
                 self._fanned -= fired
                 self._lane.appendleft((time, seq + fired, None,
-                                       (callback, args[fired:])))
+                                       calls[fired:]))
             else:
                 self._fanned -= fired - 1
 

@@ -328,21 +328,22 @@ class Metrics:
     def record_message(self, msg: Message, cost: float) -> None:
         """Charge one message's cost to its operation (Network cost hook)."""
         tracer = self.tracer
-        target = self._redirects.get(msg.op_id)
-        if target is not None:
-            # eviction traffic (write-back / departure notice): charge
-            # the triggering data operation's cache share, but keep its
-            # trace signature protocol-pure.
-            rec = self._ops[target]
-            rec.cost += cost
-            rec.cache_cost += cost
-            self.cache.cost += cost
-            if tracer is not None:
-                tracer.op_event("evict", target, cost=cost, src=msg.src,
-                                dst=msg.dst, detail=msg.token.type.value)
-            return
         rec = self._ops.get(msg.op_id)
         if rec is None:
+            # never registered: a cache eject (redirected) or no operation
+            target = self._redirects.get(msg.op_id)
+            if target is not None:
+                # eviction traffic (write-back / departure notice): charge
+                # the triggering data operation's cache share, but keep
+                # its trace signature protocol-pure.
+                rec = self._ops[target]
+                rec.cost += cost
+                rec.cache_cost += cost
+                self.cache.cost += cost
+                if tracer is not None:
+                    tracer.op_event("evict", target, cost=cost, src=msg.src,
+                                    dst=msg.dst, detail=msg.token.type.value)
+                return
             self.unattributed_cost += cost
             if tracer is not None:
                 tracer.op_event("send", None, cost=cost, src=msg.src, dst=msg.dst,

@@ -27,16 +27,16 @@ at the system's fixed ``S`` and ``P``), so a send builds one
 :class:`Message` and hands it, with its cost, to the bound method.  A
 self-send costs 0 (an intra-node action).  A broadcast
 (:meth:`ProcessContext.broadcast_except`) reaches the port's
-:meth:`ObjectPort.send_many` hook, which looks the token up once and
-calls the bound ``send`` once per target; a quorum phase's fan-out
-reaches :meth:`ObjectPort.send_many_unordered`.  On the plain fabric
-both hooks collect the deliveries in a list that the fabric's
-``post_fanout`` (bound once, ``None`` on the reliable transport, which
-has none) posts as one scheduler entry (:mod:`repro.sim.channel`);
-otherwise every message is posted on its own.  Every method the
-benchmark's layer run wraps
-stays a class attribute on that path (no instance attribute shadows
-one), so the layer run keeps attributing time to it.
+:meth:`ObjectPort.send_many` hook, which looks the token up once; a
+quorum phase's fan-out reaches :meth:`ObjectPort.send_many_unordered`.
+On the plain fabric
+both hooks build the list of messages and hand it to the fabric's
+``broadcast`` (bound once, ``None`` on the reliable transport, which
+has none), which charges them and posts their deliveries as one
+scheduler entry (:mod:`repro.sim.channel`); otherwise every message is
+sent on its own.  Every method the benchmark's layer run wraps stays a
+class attribute on that path (no instance attribute shadows one), so
+the layer run keeps attributing time to it.
 """
 
 from __future__ import annotations
@@ -109,9 +109,9 @@ class ObjectPort(ProcessContext):
         self._net_send = network.send
         self._net_send_unordered = getattr(network, "send_unordered", None)
         self._net_cancel_dgrams = getattr(network, "cancel_dgrams", None)
-        # the plain fabric posts a broadcast as one fan-out; the
-        # reliable transport posts per message
-        self._net_post_fanout = getattr(network, "post_fanout", None)
+        # the plain fabric sends a broadcast in one call; the reliable
+        # transport sends per message
+        self._net_broadcast = getattr(network, "broadcast", None)
         self._scheduler = node.scheduler
         # tokens are frozen, so one per (type, presence, initiator) is
         # shared, with its inter-node cost, by every message this port
@@ -187,18 +187,15 @@ class ObjectPort(ProcessContext):
         if entry is None:
             entry = self._token(key)
         token, cost = entry
-        net_send = self._net_send
-        post_fanout = self._net_post_fanout
-        if post_fanout is None:
-            for dst in targets:
-                net_send(Message(token, src, dst, payload, op_id),
-                         0.0 if dst == src else cost)
+        broadcast = self._net_broadcast
+        if broadcast is not None:
+            broadcast([Message(token, src, dst, payload, op_id)
+                       for dst in targets], cost)
             return
-        fanout: list = []
+        net_send = self._net_send
         for dst in targets:
             net_send(Message(token, src, dst, payload, op_id),
-                     0.0 if dst == src else cost, fanout)
-        post_fanout(fanout)
+                     0.0 if dst == src else cost)
 
     def _token(self, key: Tuple[MsgType, ParamPresence, int]
                ) -> Tuple[MessageToken, float]:
@@ -255,7 +252,7 @@ class ObjectPort(ProcessContext):
         quorum: bool = False,
         hedge: bool = False,
     ) -> None:
-        if self._net_post_fanout is None:
+        if self._net_broadcast is None:
             super().send_many_unordered(targets, msg_type, presence, op_id,
                                         payload, initiator, quorum, hedge)
         else:

@@ -82,6 +82,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..machines.message import Message
 from ..util import backoff_delay, field_kwargs
+from .channel import unattached
 from .engine import EventScheduler, TimerHandle
 from .faults import FaultPlan, FaultTimeline
 from .metrics import Metrics
@@ -330,7 +331,7 @@ class ReliableNetwork:
             RuntimeError: if ``msg.dst`` was never attached.
         """
         if msg.dst not in self._handlers:
-            raise self._unattached(msg)
+            raise unattached(msg)
         if msg.src == msg.dst:
             return self._loop(msg)
         if self.quarantined and msg.dst in self.quarantined:
@@ -372,7 +373,7 @@ class ReliableNetwork:
             RuntimeError: if ``msg.dst`` was never attached.
         """
         if msg.dst not in self._handlers:
-            raise self._unattached(msg)
+            raise unattached(msg)
         if msg.src == msg.dst:
             return self._loop(msg)
         if self.quarantined and msg.dst in self.quarantined:
@@ -418,13 +419,6 @@ class ReliableNetwork:
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _unattached(msg: Message) -> RuntimeError:
-        return RuntimeError(
-            f"cannot send {type(msg).__name__} from node {msg.src}: "
-            f"destination node {msg.dst} is not attached to the network"
-        )
 
     def _loop(self, msg: Message) -> float:
         """An intra-node send: free, never faulty, posted straight to the

@@ -11,10 +11,14 @@ from repro.exp import ResultCache, SweepSpec, run_sweep
 from repro.exp.runner import row_line
 from repro.scenarios import compare_to_baseline, load_scenario, run_scenario
 
-bench_table7 = pytest.importorskip(
-    "benchmarks.bench_table7",
-    reason="benchmarks package requires the repo root on sys.path",
-)
+@pytest.fixture(scope="module")
+def bench_table7():
+    """The hand-written table 7 benchmark; only its identity tests skip
+    when the ``benchmarks`` package is not importable."""
+    return pytest.importorskip(
+        "benchmarks.bench_table7",
+        reason="benchmarks package requires the repo root on sys.path",
+    )
 
 
 @pytest.fixture()
@@ -23,7 +27,8 @@ def table7():
 
 
 class TestTable7Identity:
-    def test_every_cell_payload_identical_to_the_benchmark(self, table7):
+    def test_every_cell_payload_identical_to_the_benchmark(
+            self, table7, bench_table7):
         scenario_cells = [c.to_payload() for c in table7.to_spec()]
         bench_cells = [
             c.to_payload()
@@ -32,7 +37,7 @@ class TestTable7Identity:
         ]
         assert scenario_cells == bench_cells
 
-    def test_subset_rows_byte_identical(self, table7):
+    def test_subset_rows_byte_identical(self, table7, bench_table7):
         spec = table7.to_spec()
         subset = SweepSpec.explicit(spec.cells[:2])
         bench_subset = SweepSpec.explicit(
@@ -43,8 +48,8 @@ class TestTable7Identity:
         assert [row_line(r) for r in ours.rows] == \
             [row_line(r) for r in theirs.rows]
 
-    def test_scenario_hits_the_benchmarks_cache_entries(self, table7,
-                                                        tmp_path):
+    def test_scenario_hits_the_benchmarks_cache_entries(
+            self, table7, bench_table7, tmp_path):
         cache = ResultCache(tmp_path)
         bench_subset = SweepSpec.explicit(
             tuple(bench_table7.build_spec("write_once"))[:2]

@@ -3,7 +3,7 @@ the fault decisions on the reliable transport's wire that replaces it in
 faulty runs."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.machines.message import (
     Message,
@@ -93,24 +93,68 @@ class TestSendErrors:
         assert net.messages_sent == 0
         assert len(sched) == 0
 
+    def test_a_broadcast_to_an_unattached_destination_charges_nothing(self):
+        charged = []
+        sched, net = make_network(on_cost=lambda m, c: charged.append(m))
+        net.attach(1, lambda m: None)
+        net.attach(2, lambda m: None)
+        with pytest.raises(RuntimeError, match="node 7 is not attached"):
+            net.broadcast([msg(1, 2), msg(1, 7), msg(1, 1)], 1.0)
+        assert charged == [] and net.messages_sent == 0
+        assert len(sched) == 0
+
+
+#: nodes of the interleaving property test, all attached
+_NODES = (1, 2, 3, 4)
+#: one program step: a send, a broadcast (a node may appear more than
+#: once, so one broadcast can carry several messages on one channel), or
+#: a slice of the run that may stop inside a broadcast
+_STEP = st.one_of(
+    st.tuples(st.just("send"), st.sampled_from(_NODES),
+              st.sampled_from(_NODES)),
+    st.tuples(st.just("broadcast"), st.sampled_from(_NODES),
+              st.lists(st.sampled_from(_NODES), min_size=1, max_size=6)),
+    st.tuples(st.just("run"), st.integers(0, 4)),
+)
+
 
 class TestPerChannelSequencing:
-    def test_counters_are_dense_per_channel(self):
-        """Regression: a single global counter made per-channel sequence
-        numbers sparse; they must count 1, 2, 3, ... per channel."""
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_STEP, max_size=40))
+    @example([("broadcast", 1, [2, 3, 2, 4, 2]), ("run", 2),
+              ("send", 1, 2), ("broadcast", 1, [2, 2]), ("run", 1),
+              ("send", 3, 2)])
+    def test_each_channel_delivers_in_send_order(self, program):
+        """FIFO per channel follows from constant latency and the
+        scheduler's order alone: over random interleavings of sends,
+        broadcasts and runs cut short by ``max_events`` (also inside a
+        broadcast), the attached handlers see every channel's messages
+        exactly in the order they were sent."""
         sched, net = make_network()
-        for node in (2, 3):
-            net.attach(node, lambda m: None)
-        net.attach(1, lambda m: None)
-        for _ in range(3):
-            net.send(msg(1, 2), 1.0)
-        for _ in range(2):
-            net.send(msg(1, 3), 1.0)
-        net.send(msg(2, 3), 1.0)
-        # one [sent, delivered] slot per directed channel
-        assert net._slots == {1: {2: [3, 0], 3: [2, 0]}, 2: {3: [1, 0]}}
+        sent = {}
+        delivered = {}
+        for node in _NODES:
+            net.attach(node, lambda m: delivered.setdefault(
+                (m.src, m.dst), []).append(m.payload))
+        number = 0
+        for kind, *args in program:
+            if kind == "run":
+                sched.run(max_events=args[0])
+            else:
+                src, targets = args
+                msgs = []
+                for dst in targets if kind == "broadcast" else [targets]:
+                    number += 1
+                    sent.setdefault((src, dst), []).append(number)
+                    msgs.append(msg(src, dst, payload=number))
+                if kind == "broadcast":
+                    net.broadcast(msgs, 1.0)
+                else:
+                    net.send(msgs[0], 1.0)
+            for channel, payloads in delivered.items():
+                assert payloads == sent[channel][:len(payloads)], channel
         sched.run()
-        assert net._slots == {1: {2: [3, 3], 3: [2, 2]}, 2: {3: [1, 1]}}
+        assert delivered == sent
 
     def test_faulty_high_water_mark_shares_the_slot(self):
         """Jitter reorders frames on the reliable transport's wire; the
@@ -275,6 +319,21 @@ class TestCostAccounting:
         cost = net.send(msg(1, 1), 0.0)
         assert cost == 0.0
         assert charged == []  # intra-node actions are not charged
+
+    def test_broadcast_charges_members_in_order_and_self_sends_free(self):
+        charged = []
+        sched, net = make_network(
+            on_cost=lambda m, c: charged.append((m.dst, c)))
+        got = []
+        for node in (1, 2, 3):
+            net.attach(node, lambda m, node=node: got.append(
+                (node, m.dst, sched.now)))
+        net.broadcast([msg(2, 3), msg(2, 2), msg(2, 1)], 31.0)
+        assert charged == [(3, 31.0), (1, 31.0)]
+        assert net.messages_sent == 3 and len(sched) == 3
+        sched.run()
+        # each member reached its own node's handler, in send order
+        assert got == [(3, 3, 1.0), (2, 2, 1.0), (1, 1, 1.0)]
 
     def test_message_counter(self):
         sched, net = make_network()

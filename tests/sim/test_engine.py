@@ -293,23 +293,37 @@ class TestPost:
         assert len(sched) == 7
 
 
+def _calls(callback, args):
+    """A fan-out whose every member runs ``callback`` on its own arg."""
+    return [(callback, arg) for arg in args]
+
+
 class TestPostMany:
     def test_members_fire_in_order_and_count_one_each(self):
         sched = EventScheduler()
         fired = []
-        sched.post_many(2.0, lambda a: fired.append((a, sched.now)),
-                        ["a", "b", "c"])
+        sched.post_many(2.0, _calls(lambda a: fired.append((a, sched.now)),
+                                    ["a", "b", "c"]))
         assert len(sched) == 3
         assert sched.step() is True
         assert fired == [("a", 2.0), ("b", 2.0), ("c", 2.0)]
         assert sched.executed == 3 and len(sched) == 0
         assert sched.step() is False
 
+    def test_each_member_runs_its_own_callback(self):
+        sched = EventScheduler()
+        fired = []
+        sched.post_many(1.0, [(fired.append, "a"),
+                              (lambda arg: fired.append(arg * 2), "b"),
+                              (fired.append, "c")])
+        assert sched.step() is True
+        assert fired == ["a", "bb", "c"] and sched.executed == 3
+
     def test_takes_consecutive_sequence_numbers(self):
         sched = EventScheduler()
         fired = []
         sched.post(1.0, fired.append, "before")
-        sched.post_many(1.0, fired.append, [1, 2])
+        sched.post_many(1.0, _calls(fired.append, [1, 2]))
         sched.schedule(1.0, lambda: fired.append("after"))
         sched.post(1.0, fired.append, "posted")
         sched.run()
@@ -323,24 +337,24 @@ class TestPostMany:
             fired.append(arg)
             sched.post(0.0, fired.append, arg + "'")
 
-        sched.post_many(1.0, member, ["a", "b"])
+        sched.post_many(1.0, _calls(member, ["a", "b"]))
         sched.run()
         assert fired == ["a", "b", "a'", "b'"]
 
     def test_empty_fan_out_posts_nothing(self):
         sched = EventScheduler()
-        sched.post_many(1.0, print, [])
+        sched.post_many(1.0, [])
         assert len(sched) == 0 and sched.run() == 0
 
     def test_rejects_the_past(self):
         with pytest.raises(ValueError):
-            EventScheduler().post_many(-1.0, print, [1])
+            EventScheduler().post_many(-1.0, [(print, 1)])
 
     def test_out_of_order_fan_out_falls_back_to_the_heap(self):
         sched = EventScheduler()
         fired = []
         sched.post(5.0, fired.append, "late")
-        sched.post_many(1.0, fired.append, ["e1", "e2"])
+        sched.post_many(1.0, _calls(fired.append, ["e1", "e2"]))
         assert len(sched._lane) == 1 and len(sched._heap) == 2
         sched.run()
         assert fired == ["e1", "e2", "late"]
@@ -348,7 +362,7 @@ class TestPostMany:
     def test_max_events_stops_inside_a_fan_out(self):
         sched = EventScheduler()
         fired = []
-        sched.post_many(1.0, fired.append, list(range(5)))
+        sched.post_many(1.0, _calls(fired.append, range(5)))
         sched.post(2.0, fired.append, "next")
         assert sched.run(max_events=2) == 2
         assert fired == [0, 1] and sched.executed == 2 and len(sched) == 4
@@ -360,7 +374,7 @@ class TestPostMany:
     def test_until_is_checked_between_members(self):
         sched = EventScheduler()
         fired = []
-        sched.post_many(1.0, fired.append, list(range(5)))
+        sched.post_many(1.0, _calls(fired.append, range(5)))
         sched.run(until=lambda: len(fired) >= 3)
         assert fired == [0, 1, 2] and sched.executed == 3
         assert len(sched) == 2
@@ -376,7 +390,7 @@ class TestPostMany:
                 sched._post_at(sched.now, fired.append, "reserved",
                                reserved)
 
-        sched.post_many(1.0, member, [0, 1, 2])
+        sched.post_many(1.0, _calls(member, [0, 1, 2]))
         sched.run()
         assert fired == [0, "reserved", 1, 2]
 
@@ -389,7 +403,7 @@ class TestPostMany:
                 raise KeyError(arg)
             fired.append(arg)
 
-        sched.post_many(1.0, member, [0, 1, 2, 3])
+        sched.post_many(1.0, _calls(member, [0, 1, 2, 3]))
         with pytest.raises(KeyError):
             sched.run()
         assert fired == [0] and sched.executed == 2 and len(sched) == 2
@@ -431,8 +445,8 @@ class _HeapOnly:
     def post(self, delay, callback, arg):
         self._push(self.now + delay, lambda: callback(arg))
 
-    def post_many(self, delay, callback, args):
-        for arg in args:
+    def post_many(self, delay, calls):
+        for callback, arg in calls:
             self.post(delay, callback, arg)
 
     def _post_at(self, time, callback, arg, seq):
@@ -534,7 +548,7 @@ class _ProgramRunner:
         elif kind == "post":
             sched.post(delay, fire, 0)
         elif kind == "post_many":
-            sched.post_many(delay, fire, list(range(width)))
+            sched.post_many(delay, _calls(fire, range(width)))
         elif kind == "post_at":
             sched._post_at(sched.now + delay, fire, 0,
                            sched._reserve(1) + 1)

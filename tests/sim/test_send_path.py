@@ -64,19 +64,28 @@ class RecordingContext(ProcessContext):
 
 @pytest.fixture
 def priced_sends(monkeypatch):
-    """Every ``(msg, cost)`` handed to :meth:`Network.send`, in order.
+    """Every ``(msg, cost)`` the plain fabric sent, in order.
 
-    Patched on the class before a system is built, so the bound send
-    each port holds is the recording one.
+    :meth:`Network.send` records its message and cost;
+    :meth:`Network.broadcast` records each member with the cost it
+    charges that member (nothing for a self-send).  Patched on the class
+    before a system is built, so the bound methods each port holds are
+    the recording ones.
     """
     sent = []
-    original = Network.send
+    send, broadcast = Network.send, Network.broadcast
 
-    def send(net, msg, cost, fanout=None):
+    def recording_send(net, msg, cost):
         sent.append((msg, cost))
-        return original(net, msg, cost, fanout)
+        return send(net, msg, cost)
 
-    monkeypatch.setattr(Network, "send", send)
+    def recording_broadcast(net, msgs, cost):
+        sent.extend((msg, 0.0 if msg.dst == msg.src else cost)
+                    for msg in msgs)
+        broadcast(net, msgs, cost)
+
+    monkeypatch.setattr(Network, "send", recording_send)
+    monkeypatch.setattr(Network, "broadcast", recording_broadcast)
     return sent
 
 

@@ -309,10 +309,10 @@ class TestEventAccounting:
             book["heap" if ahead else "lane"] += 1
             post(sched, delay, callback, arg)
 
-        def counting_post_many(sched, delay, callback, args):
+        def counting_post_many(sched, delay, calls):
             ahead = sched.now + delay < sched._lane_tail
-            book["heap" if ahead else "lane"] += len(args)
-            post_many(sched, delay, callback, args)
+            book["heap" if ahead else "lane"] += len(calls)
+            post_many(sched, delay, calls)
 
         def counting_post_at(sched, *args):
             book["heap"] += 1
@@ -384,22 +384,26 @@ class TestEventAccounting:
             self, ledger, monkeypatch):
         """sc_abd on the plain fabric mixes lane posts (deliveries), heap
         timers (quorum phases) and timers cancelled when a phase
-        completes.  Every counted message is one fabric delivery and one
-        ``on_message`` at the receiving port."""
+        completes.  Every counted message is one fabric delivery, to the
+        node handler attached to the fabric, and one ``on_message`` at
+        the receiving port."""
         fabric = []
         ports = []
-        deliver = Network._deliver
+        attach = Network.attach
         port_deliver = ObjectPort.deliver
 
-        def counting_deliver(net, item):
-            fabric.append(item[2])
-            deliver(net, item)
+        def counting_attach(net, node_id, handler):
+            def counting_handler(msg):
+                fabric.append(msg)
+                handler(msg)
+
+            attach(net, node_id, counting_handler)
 
         def counting_port_deliver(port, msg):
             ports.append(msg)
             port_deliver(port, msg)
 
-        monkeypatch.setattr(Network, "_deliver", counting_deliver)
+        monkeypatch.setattr(Network, "attach", counting_attach)
         monkeypatch.setattr(ObjectPort, "deliver", counting_port_deliver)
         system, result = self._run(RunConfig(ops=300, warmup=30, seed=2),
                                    protocol="sc_abd")

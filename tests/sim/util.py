@@ -25,8 +25,8 @@ class _Clock:
     def post(self, delay, callback, item) -> None:
         self.delays.append(delay)
 
-    def post_many(self, delay, callback, items) -> None:
-        self.delays.extend(delay for _ in items)
+    def post_many(self, delay, calls) -> None:
+        self.delays.extend(delay for _ in calls)
 
     def schedule(self, delay, callback) -> None:
         return None
