@@ -98,6 +98,22 @@ def _tie_rank(seed: int, obj: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+class _TieRanks(dict):
+    """``obj -> _tie_rank(seed, obj)``, hashed on an object's first
+    lookup and then remembered (a policy asks for every candidate's rank
+    on every eviction)."""
+
+    __slots__ = ("seed",)
+
+    def __init__(self, seed: int) -> None:
+        super().__init__()
+        self.seed = seed
+
+    def __missing__(self, obj: int) -> int:
+        rank = self[obj] = _tie_rank(self.seed, obj)
+        return rank
+
+
 @dataclass(frozen=True)
 class CacheConfig:
     """Configuration of bounded per-client replica caches.
@@ -152,7 +168,7 @@ class _LRUPolicy:
     """Least-recently-used with a monotone touch counter."""
 
     def __init__(self, seed: int) -> None:
-        self._seed = seed
+        self._ranks = _TieRanks(seed)
         self._clock = 0
         self._last_use: Dict[int, int] = {}
 
@@ -161,15 +177,16 @@ class _LRUPolicy:
         self._last_use[obj] = self._clock
 
     def pick_victim(self, candidates: Sequence[int]) -> int:
-        return min(candidates, key=lambda o: (self._last_use.get(o, 0),
-                                              _tie_rank(self._seed, o)))
+        last_use = self._last_use
+        ranks = self._ranks
+        return min(candidates, key=lambda o: (last_use.get(o, 0), ranks[o]))
 
 
 class _ClockPolicy:
     """Second-chance ring: one reference bit per copy, a sweeping hand."""
 
     def __init__(self, seed: int) -> None:
-        self._seed = seed
+        self._ranks = _TieRanks(seed)
         self._ring: List[int] = []
         self._known: Set[int] = set()
         self._ref: Set[int] = set()
@@ -188,7 +205,7 @@ class _ClockPolicy:
         live = set(candidates)
         # copies can be resident without ever having been touched (the
         # warm initial replicas): admit them in seeded-rank order.
-        for obj in sorted(live, key=lambda o: _tie_rank(self._seed, o)):
+        for obj in sorted(live, key=self._ranks.__getitem__):
             self._admit(obj)
         while True:
             obj = self._ring[self._hand % len(self._ring)]
@@ -205,7 +222,7 @@ class _CostAwarePolicy:
     """GreedyDual: retention credit = inflation level + refetch cost."""
 
     def __init__(self, seed: int) -> None:
-        self._seed = seed
+        self._ranks = _TieRanks(seed)
         self._level = 0.0
         self._credit: Dict[int, float] = {}
 
@@ -213,11 +230,11 @@ class _CostAwarePolicy:
         self._credit[obj] = self._level + refetch_hint
 
     def pick_victim(self, candidates: Sequence[int]) -> int:
-        victim = min(
-            candidates,
-            key=lambda o: (self._credit.get(o, self._level),
-                           _tie_rank(self._seed, o)),
-        )
+        credit = self._credit
+        level = self._level
+        ranks = self._ranks
+        victim = min(candidates,
+                     key=lambda o: (credit.get(o, level), ranks[o]))
         self._level = self._credit.get(victim, self._level)
         return victim
 

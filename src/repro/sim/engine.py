@@ -13,11 +13,14 @@ Pending events live in two structures:
   entry may stand for a whole broadcast (a *fan-out*).
 
 :meth:`EventScheduler.schedule` and :meth:`~EventScheduler.schedule_at`
-push onto the heap and return a :class:`TimerHandle`; the reliable-delivery
-layer (:mod:`repro.sim.reliable`), quorum phases, the failure detector and
-hedged requests cancel their timers through it.  Cancellation is lazy: the
-heap entry stays in place and is discarded, uncounted, when it reaches the
-front — cancelling is O(1).
+push onto the heap and return a :class:`TimerHandle`; quorum phases, the
+failure detector and hedged requests cancel their timers through it.  The
+reliable-delivery layer (:mod:`repro.sim.reliable`) builds its own
+handles: each pending send is a :class:`TimerHandle` subclass, pushed by
+the internal ``_arm`` with the next sequence number, exactly as
+:meth:`~EventScheduler.schedule` would push a handle of its own.
+Cancellation is lazy: the heap entry stays in place and is discarded,
+uncounted, when it reaches the front — cancelling is O(1).
 
 :meth:`EventScheduler.post` schedules a handle-free event, which can
 never be cancelled.  It joins the lane's tail whenever its time is
@@ -159,6 +162,21 @@ class EventScheduler:
         handle = TimerHandle(self, callback)
         _heappush(self._heap, (time, self._seq, None, handle))
         return handle
+
+    # Internal to the simulator: the reliable transport's pending sends
+    # (``repro.sim.reliable``) are the one caller.
+
+    def _arm(self, delay: float, handle: TimerHandle) -> None:
+        """Fire an active ``handle`` ``delay`` time units from now.
+
+        Like :meth:`schedule`, but the caller builds the handle: a
+        :class:`TimerHandle` subclass whose ``_callback`` is set and whose
+        ``_scheduler`` is this scheduler.  It takes the next sequence
+        number, as :meth:`schedule` would.  A handle may be armed again
+        once it has fired, never while it is pending.
+        """
+        self._seq += 1
+        _heappush(self._heap, (self.now + delay, self._seq, None, handle))
 
     # -- handle-free events (lane, heap fallback) --------------------------
 

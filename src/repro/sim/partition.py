@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..util import field_kwargs
-from .faults import decode_windows
+from .faults import Segment, decode_windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .system import DSMSystem
@@ -386,9 +386,10 @@ class FailureDetector:
     # probe rounds
     # ------------------------------------------------------------------
 
-    def _lost(self, src: int, dst: int, now: float) -> bool:
-        """Roll one heartbeat transmission against the combined loss rate."""
-        down, _slow, links = self.timeline.at(now)
+    def _lost(self, src: int, dst: int, segment: Segment) -> bool:
+        """Roll one heartbeat transmission against the combined loss rate
+        of the timeline ``segment`` at its time."""
+        down, _slow, links = segment
         if dst in down:
             return True
         p = self.drop_rate
@@ -400,9 +401,10 @@ class FailureDetector:
             return False
         return self._rng.random() < combined
 
-    def _healable(self, node: int, now: float) -> bool:
-        """Whether a probe round trip to ``node`` could ever succeed now."""
-        down, _slow, links = self.timeline.at(now)
+    def _healable(self, node: int, segment: Segment) -> bool:
+        """Whether a probe round trip to ``node`` could ever succeed in
+        the timeline ``segment``."""
+        down, _slow, links = segment
         if node in down:
             return False
         seq = self.cluster.sequencer_id
@@ -412,21 +414,24 @@ class FailureDetector:
     def _tick(self) -> None:
         now = self.scheduler.now
         seq = self.cluster.sequencer_id
-        if seq not in self.timeline.at(now)[0]:
-            self._probe_round(now, seq)
+        # one segment for the whole tick: the timeline is a function of
+        # the time alone, and a round changes no time
+        segment = self.timeline.at(now)
+        if seq not in segment[0]:
+            self._probe_round(segment, seq)
         # keep probing until the schedule's horizon, then only while a
         # quarantined node could still be driven through a rejoin.
         rejoining = self.recovery is not None and any(
             self.recovery.is_partition_quarantined(n)
-            and self._healable(n, now)
+            and self._healable(n, segment)
             for n in self.all_nodes
         )
         if now + self.plan.heartbeat_interval <= self._horizon or rejoining:
             self.scheduler.schedule(self.plan.heartbeat_interval, self._tick)
 
-    def _probe_round(self, now: float, seq: int) -> None:
+    def _probe_round(self, segment: Segment, seq: int) -> None:
         stats = self.metrics.partition
-        down = self.timeline.at(now)[0]
+        down = segment[0]
         for node in self.all_nodes:
             if node == seq:
                 continue
@@ -435,14 +440,14 @@ class FailureDetector:
             self.metrics.record_detector_cost(1.0, kind="probe",
                                               src=seq, dst=node)
             reachable = False
-            if not self._lost(seq, node, now) and node not in down:
+            if not self._lost(seq, node, segment) and node not in down:
                 # the probe arrived; the node replies (another bare token)
                 self.metrics.record_detector_cost(1.0, kind="probe_reply",
                                                   src=node, dst=seq)
-                reachable = not self._lost(node, seq, now)
+                reachable = not self._lost(node, seq, segment)
             if reachable:
                 self._missed[node] = 0
-                self._score_rtt(node, seq, now)
+                self._score_rtt(node, seq, segment[1])
                 if (self.recovery is not None
                         and self.recovery.is_partition_quarantined(node)):
                     self.recovery.rejoin_partitioned(node)
@@ -467,20 +472,22 @@ class FailureDetector:
     # latency-aware suspicion (phi-accrual over probe RTTs)
     # ------------------------------------------------------------------
 
-    def _probe_rtt(self, node: int, seq: int, now: float) -> float:
+    def _probe_rtt(self, node: int, seq: int,
+                   slow: Dict[int, float]) -> float:
         """The round trip's deterministic fabric delay.
 
         Two hops of base latency, stretched by the slower endpoint's
-        factor on the timeline.  Jitter is excluded on purpose: sampling
-        it would consume RNG and perturb the fabric's decision stream.
+        factor in ``slow``, the timeline segment's straggler factors.
+        Jitter is excluded on purpose: sampling it would consume RNG and
+        perturb the fabric's decision stream.
         """
-        slow = self.timeline.at(now)[1]
         factor = (max(slow.get(seq, 1.0), slow.get(node, 1.0)) if slow
                   else 1.0)
         return 2.0 * self.latency * factor
 
-    def _score_rtt(self, node: int, seq: int, now: float) -> None:
-        rtt = self._probe_rtt(node, seq, now)
+    def _score_rtt(self, node: int, seq: int,
+                   slow: Dict[int, float]) -> None:
+        rtt = self._probe_rtt(node, seq, slow)
         mean = self._rtt_mean.get(node)
         if mean is None:
             # first observation seeds the healthy baseline

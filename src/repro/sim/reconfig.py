@@ -273,6 +273,8 @@ class MembershipView:
 
     def ranked(self, members: Sequence[int]) -> List[int]:
         """Members by descending weight, index-ascending within ties."""
+        if self.weights is None:
+            return sorted(members)
         return sorted(members, key=lambda n: (-self.weight(n), n))
 
     def quorum_prefix(
@@ -280,6 +282,12 @@ class MembershipView:
     ) -> Tuple[int, ...]:
         """The cheapest ``candidates`` prefix holding a majority of
         ``of_members``'s total weight (empty when unreachable)."""
+        if self.weights is None:
+            # unit weights: the lowest ``n // 2 + 1`` candidates
+            need = len(of_members) // 2 + 1
+            if len(candidates) < need:
+                return ()
+            return tuple(sorted(candidates)[:need])
         total = sum(self.weight(n) for n in of_members)
         got = 0.0
         prefix: List[int] = []
@@ -313,6 +321,10 @@ class MembershipView:
 
     def majority_of(self, responders, members: Sequence[int]) -> bool:
         """Whether ``responders`` hold a weight majority of ``members``."""
+        if self.weights is None:
+            # unit weights: a sum of 1.0s is the exact count
+            return (len(set(responders) & set(members))
+                    > len(members) / 2.0)
         total = sum(self.weight(n) for n in members)
         got = sum(self.weight(n) for n in set(responders) & set(members))
         return got > total / 2.0

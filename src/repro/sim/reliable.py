@@ -10,13 +10,14 @@ transport:
 
 * every inter-node protocol message is wrapped in a :class:`Frame` carrying
   a dense per-channel sequence number;
-* the receiver acknowledges every data frame (acks are bare tokens, cost 1),
-  suppresses duplicates, and parks out-of-order frames in a reorder buffer
-  until the FIFO gap closes;
+* the receiver acknowledges every data frame (acks are bare tokens, cost
+  1) by posting the received frame back to the sender's ack receiver, so
+  an ack builds no frame; it suppresses duplicates and parks out-of-order
+  frames in a reorder buffer until the FIFO gap closes;
 * the sender retransmits on an acknowledgement timeout with exponential
-  backoff, up to a configurable retry budget; the retry timer is a
-  cancellable :class:`~repro.sim.engine.TimerHandle`, cancelled when the
-  ack arrives.
+  backoff, up to a configurable retry budget.  The pending send is its
+  own retry timer, a cancellable :class:`~repro.sim.engine.TimerHandle`
+  armed directly on the scheduler and cancelled when the ack arrives.
 
 When the retry budget runs out the send is abandoned — the run **degrades
 gracefully instead of hanging**: the failure is counted in
@@ -33,46 +34,45 @@ delivered to a crashed node.  The transport compiles the plans' windows
 into one :class:`~repro.sim.faults.FaultTimeline` at construction (a
 fault-free transport builds none) and binds the global plan's rates and
 RNG and the link plan's RNG.  Each transmission is one step,
-:meth:`ReliableNetwork._put`, which reads one timeline segment: its down
-set screens the source (a frame from a crashed node is not sent; its
-first attempt was already charged at :meth:`~ReliableNetwork.send`, but
-a suppressed retransmission costs nothing, and the retry timer tries
-again after recovery), and it gives the link's ``(drop, duplicate,
-jitter)`` rates and the straggler factor of the two endpoints.  The step then rolls every decision in a fixed
-order: global drop, then link drop (skipped after a global drop); for a
-delivered transmission global jitter, then link jitter; then global
-duplicate, then link duplicate (skipped after a global duplicate); and
-jitter again for the duplicate.  A jitter ``j`` is drawn as
-``j * rng.random()``, the same float ``rng.uniform(0.0, j)`` returns.
-Each delay is ``latency`` plus the two jitters, times the straggler
-factor (exactly 1.0 with no slow endpoint), so a straggler consumes no
-draw.  Without a timeline every frame is posted exactly ``latency``
-ahead.
+:meth:`ReliableNetwork._put`, on one timeline segment: its down set
+screens the source (a frame from a crashed node is not sent; its first
+attempt was already charged at :meth:`~ReliableNetwork.send`, but a
+suppressed retransmission costs nothing, and the retry timer tries again
+after recovery), and it gives the link's ``(drop, duplicate, jitter)``
+rates and the straggler factor of the two endpoints.  The step then
+rolls every decision in a fixed order: global drop, then link drop
+(skipped after a global drop); for a delivered transmission global
+jitter, then link jitter; then global duplicate, then link duplicate
+(skipped after a global duplicate); and jitter again for the duplicate.
+A jitter ``j`` is drawn as ``j * rng.random()``, the same float
+``rng.uniform(0.0, j)`` returns.  Each delay is ``latency`` plus the two
+jitters, times the straggler factor (exactly 1.0 with no slow endpoint),
+so a straggler consumes no draw.  Without a timeline every frame is
+posted exactly ``latency`` ahead.
 
 **The receivers.**  A transmission is posted handle-free
 (:meth:`~repro.sim.engine.EventScheduler.post`) straight to the
 receiver for its frame's kind — :meth:`~ReliableNetwork._on_data`,
 ``_on_ack``, ``_on_dgram`` or ``_on_dack`` — with the frame as the
-argument, so an arrival dispatches on nothing.  Each receiver first
-screens the destination against the timeline's down set at its own
-time (a crashed receiver loses the transmission) and then the frame's
-epoch (traffic voided by a view change is dropped).  Jitter can reorder
-transmissions; the data receiver's sequence numbers and reorder buffer
-restore FIFO order, and a jittered frame due before the scheduler lane's
-tail falls back to its heap by itself, so the firing order is the one a
-single heap would give.  An intra-node send is posted straight to the
-node's handler: it is never faulty and carries no frame.
+argument, so an arrival dispatches on nothing.  Each receiver reads one
+timeline segment and screens its node against the down set (a crashed
+receiver loses the transmission), then the frame's epoch (traffic voided
+by a view change is dropped), and acks on the same segment.  Untraced, it
+calls the node's handler itself.  Jitter can reorder transmissions; the
+data receiver's reorder buffer restores FIFO order, and a jittered frame
+due before the scheduler lane's tail falls back to its heap by itself,
+so the firing order is a single heap's.  An intra-node send is posted
+straight to the node's handler: it is never faulty and has no frame.
 
 Cost accounting: the *first* transmission of a protocol message is charged
 exactly as on the fault-free fabric, at the cost its sender priced (same
 cost class, same trace-signature entry).  Each retransmission charges that
 same cost again, and an ack costs 1 (a bare token).  Retransmissions and
-acks are charged through
-:meth:`Metrics.record_reliability_cost` — they inflate ``acc`` but are
-tracked separately, so the reliability overhead can be broken out
-(``Metrics.average_cost_breakdown``) and trace signatures stay comparable
-to the paper's trace sets.  Intra-node sends are free (the paper counts
-them as intra-node actions).
+acks are charged through :meth:`Metrics.record_reliability_cost` — they
+inflate ``acc`` but are tracked separately, so the reliability overhead
+can be broken out (``Metrics.average_cost_breakdown``) and trace
+signatures stay comparable to the paper's trace sets.  Intra-node sends
+are free (the paper counts them as intra-node actions).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ from ..machines.message import Message
 from ..util import backoff_delay, field_kwargs
 from .channel import unattached
 from .engine import EventScheduler, TimerHandle
-from .faults import FaultPlan, FaultTimeline
+from .faults import FaultPlan, FaultTimeline, Segment
 from .metrics import Metrics
 from .partition import PartitionPlan
 
@@ -176,20 +176,20 @@ class DeliveryViolation:
 class Frame:
     """Transport envelope carried on the transport's wire.
 
-    ``kind`` is ``"data"`` (wraps a protocol :class:`Message`), ``"ack"``
-    (bare acknowledgement token) or ``"dgram"`` / ``"dack"`` (the
-    unordered datagram mode used by quorum protocols); each kind has its
-    own receiver, which the wire posts with the frame, so the kind is a
-    label for traces and tests.  ``epoch`` is the sender's view-change
-    epoch (:meth:`ReliableNetwork.advance_epoch`); receivers drop frames
-    from earlier epochs so traffic voided by a crash recovery cannot be
-    delivered into the new view.
+    ``kind`` is ``"data"`` (FIFO) or ``"dgram"`` (the unordered
+    datagram mode used by quorum protocols); the frame wraps a protocol
+    :class:`Message`.  Each kind has its own receiver, and an ack is the
+    received frame posted back to the sender's ack receiver, so the kind
+    is a label for traces and tests.  ``epoch`` is the sender's
+    view-change epoch (:meth:`ReliableNetwork.advance_epoch`); receivers
+    drop frames from earlier epochs so traffic voided by a crash
+    recovery cannot be delivered into the new view.
 
-    A frame is never modified after construction: retransmissions and
-    injected duplicates deliver the same object again.  It is not a
-    frozen dataclass only because building one costs about five times
-    as much (1.7 against 0.35 µs on an x86-64 host); being unfrozen
-    with field equality, it is also unhashable.
+    A frame is never modified after construction: retransmissions,
+    injected duplicates and acks carry the same object again.  It is not
+    a frozen dataclass only because building one costs about five times
+    as much (1.7 against 0.35 µs on an x86-64 host); being unfrozen with
+    field equality, it is also unhashable.
     """
 
     kind: str
@@ -201,29 +201,33 @@ class Frame:
     epoch: int = 0
 
 
-class _PendingSend:
-    """Sender-side state for one unacknowledged data frame or datagram.
+class _PendingSend(TimerHandle):
+    """Sender-side state for one unacknowledged data frame or datagram,
+    and its own retry timer.
 
-    The pending send is its own retry-timer callback: calling it hands its
-    ``(channel, seq)`` key to the owner's timeout handler, so arming a
-    timer builds no closure.  It keeps the first attempt's cost, which
-    every retransmission charges again.
+    The transport arms it itself (``EventScheduler._arm``) and it is its
+    own callback: firing it hands it to the owner's timeout handler, so a
+    send builds no other handle and no closure.  Firing or cancelling it
+    (an ack, a hedge-loser cancellation, a view change) clears the
+    callback and with it the reference to itself; a retransmission sets
+    it again.  It keeps the first attempt's cost, which every
+    retransmission charges again.
     """
 
-    __slots__ = ("frame", "cost", "attempts", "timer", "key",
-                 "_on_timeout")
+    __slots__ = ("frame", "cost", "attempts", "_on_timeout")
 
-    def __init__(self, frame: Frame, cost: float,
-                 on_timeout: Callable[[Tuple[Tuple[int, int], int]], None]):
+    def __init__(self, scheduler: EventScheduler, frame: Frame, cost: float,
+                 on_timeout: Callable[["_PendingSend"], None]):
+        # the handle's own fields, set here without a super() call
+        self._scheduler = scheduler
+        self._callback = self
         self.frame = frame
         self.cost = cost
         self.attempts = 0
-        self.timer: Optional[TimerHandle] = None
-        self.key = ((frame.src, frame.dst), frame.seq)
         self._on_timeout = on_timeout
 
     def __call__(self) -> None:
-        self._on_timeout(self.key)
+        self._on_timeout(self)
 
 
 class ReliableNetwork:
@@ -283,9 +287,9 @@ class ReliableNetwork:
         self._rng = plan._rng if plan is not None else None
         self._link_rng = (self.partitions._rng
                           if self.partitions is not None else None)
-        # bound once: every transmission posts, every send arms a timer
+        # bound once: every transmission posts, every send arms its timer
         self._post = scheduler.post
-        self._schedule = scheduler.schedule
+        self._arm = scheduler._arm
         #: the first attempt's retry timeout (later ones back off)
         self._first_timeout = backoff_delay(self.config.timeout,
                                             self.config.backoff, 0)
@@ -306,7 +310,7 @@ class ReliableNetwork:
         self._pending: Dict[Tuple[Tuple[int, int], int], _PendingSend] = {}
         # receiver side: next expected sequence + reorder buffer per channel
         self._expected: Dict[Tuple[int, int], int] = {}
-        self._reorder: Dict[Tuple[int, int], Dict[int, Message]] = {}
+        self._reorder: Dict[Tuple[int, int], Dict[int, Frame]] = {}
         # unordered datagram mode (quorum protocols): its own sequence
         # space, pending map and receiver dedup sets — no FIFO gating, so
         # an abandoned datagram never wedges the channel behind it.
@@ -341,33 +345,31 @@ class ReliableNetwork:
         self._send_seq[channel] = seq
         frame = Frame("data", msg.src, msg.dst, seq, msg, msg.op_id,
                       self.epoch)
-        pending = _PendingSend(frame, cost, self._on_timeout)
-        self._pending[pending.key] = pending
+        pending = _PendingSend(self.scheduler, frame, cost, self._on_timeout)
+        self._pending[(channel, seq)] = pending
         if self.metrics is not None:
             # first attempt: charged exactly like the fault-free fabric
             # (cost class + trace-signature entry).
             self.metrics.record_message(msg, cost)
-        self._put(frame, self._on_data)
-        pending.timer = self._schedule(self._first_timeout, pending)
+        self._put(frame, self._on_data, msg.src, msg.dst)
+        self._arm(self._first_timeout, pending)
         return cost
 
     def send_unordered(self, msg: Message, cost: float,
                        quorum: bool = False, hedge: bool = False) -> float:
         """Send ``msg`` as an at-least-once *unordered* datagram.
 
-        Quorum-protocol transport: the datagram is retransmitted on a
-        dack timeout like a data frame, but the receiver delivers it
-        immediately (no FIFO gating, duplicates suppressed by sequence
-        set), and when the retry budget runs out the send is **silently
-        abandoned** — counted in ``ReliabilityStats.dgram_abandoned``,
-        never a :class:`DeliveryViolation`: liveness toward an
-        unreachable replica is owned by the protocol's quorum
-        re-selection, not by the transport.  ``quorum=True`` marks a
-        re-selection re-broadcast, charged to the ``quorum`` cost share
-        instead of the protocol share; ``hedge=True`` marks a hedge leg
-        (:mod:`repro.sim.hedge`), charged to the ``hedge`` share (in
-        both cases no trace-signature entry, so signatures stay
-        comparable to the fault-free runs).
+        Quorum-protocol transport: retransmitted on a dack timeout like a
+        data frame, but delivered at once (no FIFO gating, duplicates
+        suppressed by sequence set), and **silently abandoned** when the
+        retry budget runs out — counted in
+        ``ReliabilityStats.dgram_abandoned``, never a
+        :class:`DeliveryViolation`: the protocol's quorum re-selection
+        owns liveness toward an unreachable replica.  ``quorum=True``
+        marks a re-selection re-broadcast, charged to the ``quorum`` cost
+        share; ``hedge=True`` a hedge leg (:mod:`repro.sim.hedge`),
+        charged to the ``hedge`` share (neither adds a trace-signature
+        entry, so signatures stay comparable to fault-free runs).
 
         Raises:
             RuntimeError: if ``msg.dst`` was never attached.
@@ -383,8 +385,9 @@ class ReliableNetwork:
         self._dgram_seq[channel] = seq
         frame = Frame("dgram", msg.src, msg.dst, seq, msg, msg.op_id,
                       self.epoch)
-        pending = _PendingSend(frame, cost, self._on_dgram_timeout)
-        self._dgram_pending[pending.key] = pending
+        pending = _PendingSend(self.scheduler, frame, cost,
+                               self._on_dgram_timeout)
+        self._dgram_pending[(channel, seq)] = pending
         if self.metrics is not None:
             if hedge:
                 self.metrics.record_hedge_cost(msg.op_id, cost)
@@ -392,8 +395,8 @@ class ReliableNetwork:
                 self.metrics.record_quorum_cost(msg.op_id, cost)
             else:
                 self.metrics.record_message(msg, cost)
-        self._put(frame, self._on_dgram)
-        pending.timer = self._schedule(self._first_timeout, pending)
+        self._put(frame, self._on_dgram, msg.src, msg.dst)
+        self._arm(self._first_timeout, pending)
         return cost
 
     def cancel_dgrams(self, src: int, op_id: int) -> int:
@@ -411,9 +414,7 @@ class ReliableNetwork:
         stale = [key for key, pending in self._dgram_pending.items()
                  if key[0][0] == src and pending.frame.op_id == op_id]
         for key in stale:
-            pending = self._dgram_pending.pop(key)
-            if pending.timer is not None:
-                pending.timer.cancel()
+            self._dgram_pending.pop(key).cancel()
         return len(stale)
 
     # ------------------------------------------------------------------
@@ -440,17 +441,22 @@ class ReliableNetwork:
         return 0.0
 
     def _put(self, frame: Frame, receiver: Callable[[Frame], None],
+             src: int, dst: int, segment: Optional[Segment] = None,
              retransmit: Optional[float] = None) -> None:
-        """Put one transmission of ``frame`` on the wire for ``receiver``.
+        """Put one transmission of ``frame`` on the wire from ``src`` to
+        ``dst`` (an ack's path is its frame's reversed) for ``receiver``.
 
+        ``segment`` is the timeline segment at ``now`` when the caller has
+        read it already (a receiver acking); otherwise it is read here.
         ``retransmit`` is the cost a retransmission charges, once the
         frame has left a live source.  The fault decisions are rolled in
         the module docstring's order.
         """
         timeline = self.timeline
         if timeline is not None:
-            down, slow, links = timeline.at(self.scheduler.now)
-            if frame.src in down:
+            if segment is None:
+                segment = timeline.at(self.scheduler.now)
+            if src in segment[0]:
                 # the interface is dead: nothing leaves and a retransmission
                 # is not charged (a first attempt was, at the send); the
                 # retry timer tries again after recovery.
@@ -463,8 +469,7 @@ class ReliableNetwork:
         if timeline is None:
             self._post(self.latency, receiver, frame)
             return
-        src = frame.src
-        dst = frame.dst
+        _down, slow, links = segment
         # the link's (drop, duplicate, jitter) rates; None when no link
         # fault is active on src -> dst (every rate is then 0)
         link = links.get(src, _NO_LINKS).get(dst) if links else None
@@ -486,7 +491,14 @@ class ReliableNetwork:
         if dropped:
             self._fault("drop", "drops")
         else:
-            self._post(self._delay(link, factor), receiver, frame)
+            # latency plus global then link jitter, times the straggler
+            # factor (1.0 leaves it exact)
+            delay = self.latency
+            if self._jitter:
+                delay += self._jitter * rng.random()
+            if link is not None and link[2] > 0.0:
+                delay += link[2] * self._link_rng.random()
+            self._post(delay * factor, receiver, frame)
         rate = self._duplicate_rate
         if rate and rng.random() < rate:
             duplicated = True
@@ -495,18 +507,12 @@ class ReliableNetwork:
                           and self._link_rng.random() < link[1])
         if duplicated:
             self._fault("duplicate", "duplicates_injected")
-            self._post(self._delay(link, factor), receiver, frame)
-
-    def _delay(self, link: Optional[Tuple[float, float, float]],
-               factor: float) -> float:
-        """One faulty transmission's delay: latency plus global then link
-        jitter, times the straggler factor (1.0 leaves it exact)."""
-        delay = self.latency
-        if self._jitter:
-            delay += self._jitter * self._rng.random()
-        if link is not None and link[2] > 0.0:
-            delay += link[2] * self._link_rng.random()
-        return delay * factor
+            delay = self.latency
+            if self._jitter:
+                delay += self._jitter * rng.random()
+            if link is not None and link[2] > 0.0:
+                delay += link[2] * self._link_rng.random()
+            self._post(delay * factor, receiver, frame)
 
     def _fault(self, event: str, stat: str) -> None:
         """Count one injected fault in the ``stat`` field of the
@@ -522,160 +528,170 @@ class ReliableNetwork:
 
     def _retry(self, pending: _PendingSend,
                receiver: Callable[[Frame], None]) -> None:
-        """Retransmit ``pending`` and re-arm its timer, backed off."""
+        """Retransmit ``pending`` and re-arm it, backed off."""
         pending.attempts += 1
         if self.metrics is not None:
             self.metrics.reliability.retransmissions += 1
-        self._put(pending.frame, receiver, pending.cost)
+        frame = pending.frame
+        self._put(frame, receiver, frame.src, frame.dst,
+                  retransmit=pending.cost)
         config = self.config
-        pending.timer = self._schedule(
-            backoff_delay(config.timeout, config.backoff, pending.attempts),
-            pending)
+        pending._callback = pending  # fired: active again
+        self._arm(backoff_delay(config.timeout, config.backoff,
+                                pending.attempts), pending)
 
-    def _on_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
-        pending = self._pending.get(key)
-        if pending is None:  # pragma: no cover - acked timers are cancelled
+    def _on_timeout(self, pending: _PendingSend) -> None:
+        if pending.attempts < self.config.max_retries:
+            self._retry(pending, self._on_data)
             return
-        if pending.attempts >= self.config.max_retries:
-            # retry budget exhausted: abandon the send and surface it.
-            del self._pending[key]
-            frame = pending.frame
-            timeline = self.timeline
-            handled = (
-                # abandonment toward a crashed or quarantined node is the
-                # *intended* degradation — the recovery subsystem resyncs
-                # the node at rejoin — so only exhaustion toward a live,
-                # in-view destination is a reliability-contract violation.
-                (timeline is not None
-                 and frame.dst in timeline.at(self.scheduler.now)[0])
-                or (self.quarantined is not None
-                    and frame.dst in self.quarantined)
-            )
-            if not handled:
-                obj = (frame.msg.token.object_name
-                       if frame.msg is not None else None)
-                self.violations.append(DeliveryViolation(
-                    src=frame.src, dst=frame.dst, seq=frame.seq,
-                    op_id=frame.op_id, obj=obj, attempts=pending.attempts,
-                    time=self.scheduler.now,
-                ))
-            elif self.metrics is not None:
-                # expected unreachability (crashed or quarantined dst):
-                # the violation is suppressed, but visibly so.
-                self.metrics.partition.suppressed_violations += 1
-            if self.metrics is not None:
-                stats = self.metrics.reliability
-                stats.delivery_failures += 1
-                if frame.op_id is not None:
-                    stats.failed_op_ids.append(frame.op_id)
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    tracer.op_event(
-                        "delivery_abandoned", frame.op_id,
-                        src=frame.src, dst=frame.dst,
-                        detail="seq %d after %d retries"
-                        % (frame.seq, pending.attempts),
-                    )
-            return
-        self._retry(pending, self._on_data)
-
-    def _on_dgram_timeout(self, key: Tuple[Tuple[int, int], int]) -> None:
-        pending = self._dgram_pending.get(key)
-        if pending is None:  # pragma: no cover - dacked timers are cancelled
-            return
-        if pending.attempts >= self.config.max_retries:
-            # budget exhausted: abandon *silently* — the quorum layer
-            # re-selects around the unreachable replica; no violation,
-            # no delivery failure, no wedged channel.
-            del self._dgram_pending[key]
-            if self.metrics is not None:
-                self.metrics.reliability.dgram_abandoned += 1
-                tracer = self.metrics.tracer
-                if tracer is not None:
-                    frame = pending.frame
-                    tracer.op_event(
-                        "dgram_abandoned", frame.op_id,
-                        src=frame.src, dst=frame.dst,
-                        detail="seq %d after %d retries"
-                        % (frame.seq, pending.attempts),
-                    )
-            return
-        self._retry(pending, self._on_dgram)
-
-    # ------------------------------------------------------------------
-    # receiver side: one receiver per frame kind, posted with the frame
-    # ------------------------------------------------------------------
-
-    def _discard(self, frame: Frame) -> None:
-        """Lose an arriving ``frame``: its receiver is down, or the frame
-        is from an earlier epoch."""
+        # retry budget exhausted: abandon the send and surface it.
+        frame = pending.frame
+        del self._pending[((frame.src, frame.dst), frame.seq)]
         timeline = self.timeline
-        if (timeline is not None
-                and frame.dst in timeline.at(self.scheduler.now)[0]):
-            # the receiver is crashed: the transmission is lost.
-            self._fault("down_dst", "drops")
+        # abandonment toward a crashed or quarantined node is the
+        # *intended* degradation (recovery resyncs it at rejoin): only
+        # one toward a live, in-view node violates the contract.
+        handled = (
+            (timeline is not None
+             and frame.dst in timeline.at(self.scheduler.now)[0])
+            or (self.quarantined is not None
+                and frame.dst in self.quarantined)
+        )
+        if not handled:
+            self.violations.append(DeliveryViolation(
+                src=frame.src, dst=frame.dst, seq=frame.seq,
+                op_id=frame.op_id, obj=frame.msg.token.object_name,
+                attempts=pending.attempts, time=self.scheduler.now,
+            ))
+        elif self.metrics is not None:
+            # expected unreachability (crashed or quarantined dst):
+            # the violation is suppressed, but visibly so.
+            self.metrics.partition.suppressed_violations += 1
+        if self.metrics is not None:
+            stats = self.metrics.reliability
+            stats.delivery_failures += 1
+            if frame.op_id is not None:
+                stats.failed_op_ids.append(frame.op_id)
+            tracer = self.metrics.tracer
+            if tracer is not None:
+                tracer.op_event(
+                    "delivery_abandoned", frame.op_id,
+                    src=frame.src, dst=frame.dst,
+                    detail="seq %d after %d retries"
+                    % (frame.seq, pending.attempts),
+                )
+
+    def _on_dgram_timeout(self, pending: _PendingSend) -> None:
+        if pending.attempts < self.config.max_retries:
+            self._retry(pending, self._on_dgram)
             return
-        # voided traffic from a previous view: never deliver or ack it.
+        # budget exhausted: abandon *silently* — the quorum layer
+        # re-selects around the unreachable replica; no violation, no
+        # delivery failure, no wedged channel.
+        frame = pending.frame
+        del self._dgram_pending[((frame.src, frame.dst), frame.seq)]
+        if self.metrics is not None:
+            self.metrics.reliability.dgram_abandoned += 1
+            tracer = self.metrics.tracer
+            if tracer is not None:
+                tracer.op_event(
+                    "dgram_abandoned", frame.op_id,
+                    src=frame.src, dst=frame.dst,
+                    detail="seq %d after %d retries"
+                    % (frame.seq, pending.attempts),
+                )
+
+    # ------------------------------------------------------------------
+    # receiver side: one receiver per frame kind, posted with the frame.
+    # An ack is the received frame posted back, on the reversed path; its
+    # epoch is the frame's, as a receiver drops older epochs before acking.
+    # ------------------------------------------------------------------
+
+    def _stale(self, frame: Frame, src: int, dst: int) -> None:
+        """Drop ``frame``, arriving on ``src -> dst`` from an earlier
+        epoch: voided traffic from a previous view is never delivered
+        or acked."""
         if self.metrics is not None:
             self.metrics.recovery.stale_frames_dropped += 1
             tracer = self.metrics.tracer
             if tracer is not None:
                 tracer.op_event("stale_frame_dropped", frame.op_id,
-                                src=frame.src, dst=frame.dst,
+                                src=src, dst=dst,
                                 detail="epoch %d < %d"
                                 % (frame.epoch, self.epoch))
 
     def _on_ack(self, frame: Frame) -> None:
         timeline = self.timeline
-        if ((timeline is not None
-                and frame.dst in timeline.at(self.scheduler.now)[0])
-                or frame.epoch < self.epoch):
-            self._discard(frame)
-            return
-        # the acked data channel is the reverse of the ack's path.
-        pending = self._pending.pop(((frame.dst, frame.src), frame.seq),
-                                    None)
-        if pending is not None and pending.timer is not None:
-            pending.timer.cancel()
+        if (timeline is not None
+                and frame.src in timeline.at(self.scheduler.now)[0]):
+            # the receiver is crashed: the transmission is lost.
+            self._fault("down_dst", "drops")
+        elif frame.epoch < self.epoch:
+            self._stale(frame, frame.dst, frame.src)
+        else:
+            pending = self._pending.pop(((frame.src, frame.dst), frame.seq),
+                                        None)
+            if pending is not None:
+                pending.cancel()
 
     def _on_dack(self, frame: Frame) -> None:
         timeline = self.timeline
-        if ((timeline is not None
-                and frame.dst in timeline.at(self.scheduler.now)[0])
-                or frame.epoch < self.epoch):
-            self._discard(frame)
-            return
-        pending = self._dgram_pending.pop(
-            ((frame.dst, frame.src), frame.seq), None)
-        if pending is not None and pending.timer is not None:
-            pending.timer.cancel()
+        if (timeline is not None
+                and frame.src in timeline.at(self.scheduler.now)[0]):
+            self._fault("down_dst", "drops")
+        elif frame.epoch < self.epoch:
+            self._stale(frame, frame.dst, frame.src)
+        else:
+            pending = self._dgram_pending.pop(
+                ((frame.src, frame.dst), frame.seq), None)
+            if pending is not None:
+                pending.cancel()
 
     def _on_dgram(self, frame: Frame) -> None:
         timeline = self.timeline
-        if ((timeline is not None
-                and frame.dst in timeline.at(self.scheduler.now)[0])
-                or frame.epoch < self.epoch):
-            self._discard(frame)
+        segment = None
+        if timeline is not None:
+            segment = timeline.at(self.scheduler.now)
+            if frame.dst in segment[0]:
+                self._fault("down_dst", "drops")
+                return
+        if frame.epoch < self.epoch:
+            self._stale(frame, frame.src, frame.dst)
             return
         # always dack, even duplicates: the previous dack may be lost.
-        self._send_ack(frame, "dack", self._on_dack)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.reliability.acks += 1
+            metrics.record_reliability_cost(frame.op_id, 1.0, kind="ack")
+        self._put(frame, self._on_dack, frame.dst, frame.src, segment)
         seen = self._dgram_seen.setdefault((frame.src, frame.dst), set())
         if frame.seq in seen:
             self._suppress_duplicate(frame)
             return
         seen.add(frame.seq)
         # unordered: deliver immediately, no FIFO gating.
-        self._deliver(frame.dst, frame.msg)
+        (self._handlers[frame.dst] if metrics is None or metrics.tracer is None
+         else self._deliver)(frame.msg)
 
     def _on_data(self, frame: Frame) -> None:
         timeline = self.timeline
-        if ((timeline is not None
-                and frame.dst in timeline.at(self.scheduler.now)[0])
-                or frame.epoch < self.epoch):
-            self._discard(frame)
+        segment = None
+        if timeline is not None:
+            segment = timeline.at(self.scheduler.now)
+            if frame.dst in segment[0]:
+                # the receiver is crashed: the transmission is lost.
+                self._fault("down_dst", "drops")
+                return
+        if frame.epoch < self.epoch:
+            self._stale(frame, frame.src, frame.dst)
             return
-        # always ack, even duplicates: the previous ack may have been lost.
-        self._send_ack(frame, "ack", self._on_ack)
+        # always ack, even duplicates: the previous ack may have been
+        # lost.  The ack is a bare token: cost 1.
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.reliability.acks += 1
+            metrics.record_reliability_cost(frame.op_id, 1.0, kind="ack")
+        self._put(frame, self._on_ack, frame.dst, frame.src, segment)
         channel = (frame.src, frame.dst)
         expected = self._expected.get(channel, 1)
         buffer = self._reorder.get(channel)
@@ -683,21 +699,24 @@ class ReliableNetwork:
             self._suppress_duplicate(frame)
             return
         if frame.seq > expected:
-            if self.metrics is not None:
-                self.metrics.reliability.out_of_order_held += 1
-                tracer = self.metrics.tracer
+            if metrics is not None:
+                metrics.reliability.out_of_order_held += 1
+                tracer = metrics.tracer
                 if tracer is not None:
                     tracer.op_event("reorder_hold", frame.op_id,
                                     src=frame.src, dst=frame.dst,
                                     detail="seq %d expected %d"
                                     % (frame.seq, expected))
-            self._reorder.setdefault(channel, {})[frame.seq] = frame.msg
+            self._reorder.setdefault(channel, {})[frame.seq] = frame
             return
         # in order: deliver, then drain the reorder buffer behind it.
-        self._deliver(frame.dst, frame.msg)
+        deliver = (self._handlers[frame.dst]
+                   if metrics is None or metrics.tracer is None
+                   else self._deliver)
+        deliver(frame.msg)
         expected += 1
         while buffer and expected in buffer:
-            self._deliver(frame.dst, buffer.pop(expected))
+            deliver(buffer.pop(expected).msg)
             expected += 1
         self._expected[channel] = expected
 
@@ -709,23 +728,13 @@ class ReliableNetwork:
                 tracer.op_event("dup_suppressed", frame.op_id,
                                 src=frame.src, dst=frame.dst)
 
-    def _deliver(self, dst: int, msg: Message) -> None:
-        metrics = self.metrics
-        tracer = metrics.tracer if metrics is not None else None
-        if tracer is not None:
-            tracer.op_event("deliver", msg.op_id, src=msg.src, dst=dst,
-                            detail=msg.token.type.value)
-        self._handlers[dst](msg)
-
-    def _send_ack(self, data: Frame, kind: str,
-                  receiver: Callable[[Frame], None]) -> None:
-        ack = Frame(kind, data.dst, data.src, data.seq, None, data.op_id,
-                    self.epoch)
-        if self.metrics is not None:
-            self.metrics.reliability.acks += 1
-            self.metrics.record_reliability_cost(ack.op_id, 1.0, kind="ack")
-        # an ack is a bare token: cost 1
-        self._put(ack, receiver)
+    def _deliver(self, msg: Message) -> None:
+        """Deliver ``msg`` after emitting its "deliver" trace event: the
+        traced route (untraced, a receiver calls the handler itself)."""
+        self.metrics.tracer.op_event("deliver", msg.op_id, src=msg.src,
+                                     dst=msg.dst,
+                                     detail=msg.token.type.value)
+        self._handlers[msg.dst](msg)
 
     # ------------------------------------------------------------------
     # bookkeeping
@@ -752,31 +761,23 @@ class ReliableNetwork:
         though the transport forgets its history.
 
         Returns the voided undelivered data frames — the sender-side
-        unacknowledged ones *and* the frames already received, acked and
-        parked in a receiver's reorder buffer behind a FIFO gap (those
-        were never handed to a protocol process either, and clearing them
-        silently would lose a completed fire-and-forget write that was
-        acked but not yet delivered).  The caller inspects them for
-        completed writes whose payload must be absorbed into the recovery
-        write log (they were already reported complete to the
-        application, so they cannot be re-driven).  Frames are returned
-        per channel in sequence order, channels sorted — so absorption
-        order respects per-channel FIFO and is deterministic.
+        unacknowledged ones *and* the frames already acked and parked in a
+        reorder buffer behind a FIFO gap (never handed to a protocol
+        process either: dropping them would lose a completed
+        fire-and-forget write).  The caller absorbs the completed writes
+        among them into the recovery write log, since they cannot be
+        re-driven.  Frames are returned per channel in sequence order,
+        channels sorted, so absorption respects per-channel FIFO.
         """
         self.epoch += 1
         by_channel: Dict[Tuple[int, int], Dict[int, Frame]] = {}
         for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
+            pending.cancel()
             frame = pending.frame
             by_channel.setdefault((frame.src, frame.dst), {})[
                 frame.seq] = frame
-        for (src, dst), buffer in self._reorder.items():
-            for seq, msg in buffer.items():
-                by_channel.setdefault((src, dst), {})[seq] = Frame(
-                    "data", src, dst, seq, msg=msg, op_id=msg.op_id,
-                    epoch=self.epoch - 1,
-                )
+        for channel, buffer in self._reorder.items():
+            by_channel.setdefault(channel, {}).update(buffer)
         voided = [
             frame
             for channel in sorted(by_channel)
@@ -792,8 +793,7 @@ class ReliableNetwork:
                     % (self.epoch, len(voided)),
                 )
         for pending in self._dgram_pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
+            pending.cancel()
         self._pending.clear()
         self._send_seq.clear()
         self._expected.clear()

@@ -11,6 +11,7 @@ divergence — pay-for-what-you-use canonicalization, and the chaos
 generator's quorum-only reconfiguration draws.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -175,6 +176,25 @@ class TestMembershipViewGeometry:
         assert view.satisfied((1, 3, 4))      # majority of both
         view.joint_old = None
         assert view.satisfied((4, 5, 6))      # static mode: new only
+
+    def test_unit_weights_count_as_the_weighted_sums(self):
+        """Without weights the geometry counts members; every answer
+        equals the weighted path's with every vote 1.0."""
+        rng = random.Random(4)
+        for _ in range(300):
+            members = rng.sample(range(1, 12), rng.randint(0, 9))
+            counted = MembershipView(members)
+            summed = MembershipView(members, weights={0: 1.0})
+            assert counted.weights is None and summed.weights is not None
+            others = rng.sample(range(1, 12), rng.randint(0, 11))
+            responders = others + rng.sample(others, len(others) // 3)
+            for group in (members, others, responders):
+                assert counted.ranked(group) == summed.ranked(group)
+                assert (counted.majority_of(responders, group)
+                        == summed.majority_of(responders, group))
+                assert (counted.quorum_prefix(others, group)
+                        == summed.quorum_prefix(others, group))
+            assert counted.core() == summed.core()
 
     def test_broadcast_spans_both_sets_in_transition(self):
         view = MembershipView((1, 3, 4, 5, 6))

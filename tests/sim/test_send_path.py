@@ -8,6 +8,7 @@ must send exactly the same messages in the same order.
 """
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from repro.protocols.base import ProcessContext
 from repro.sim import DSMSystem, RunConfig
 from repro.sim.channel import Network
 from repro.sim.engine import EventScheduler
-from repro.sim.faults import FaultPlan
+from repro.sim.faults import CrashWindow, FaultPlan
 from repro.sim.metrics import Metrics
 from repro.sim.partition import LinkFault, PartitionPlan
 from repro.sim.reliable import ReliabilityConfig, ReliableNetwork
@@ -345,10 +346,109 @@ def test_a_data_arrival_is_one_receiver_call(monkeypatch):
     net.send(_msg(1, 2), 1.0)
     (receiver, frame), = posted
     assert calls == {}
-    receiver(dataclasses.replace(frame, kind=_NoDispatch("data")))
+    arrived = dataclasses.replace(frame, kind=_NoDispatch("data"))
+    receiver(arrived)
     assert calls == {"_on_data": 1}
     assert [m.dst for m in got] == [2]
-    # the arrival acked the frame: one post, to the ack receiver
+    # the arrival acked the frame: one post, of the received frame
+    # itself, to the ack receiver
     (ack_receiver, ack), = posted[1:]
-    assert ack.kind == "ack"
+    assert ack is arrived
     assert ack_receiver.__func__ is ReliableNetwork._on_ack
+
+
+def test_a_faulty_transmission_reads_the_timeline_once(monkeypatch):
+    """On a faulty, untraced wire each send and each retransmission
+    reads one timeline segment, and each arrival at a receiver reads one
+    and reuses it for its ack.  An ack is the received frame posted back,
+    so the only frames built are the sends' own, and an untraced arrival
+    calls the node's handler without the traced route."""
+    from repro.sim import reliable
+
+    calls = _count_timeline_calls(monkeypatch)
+    kinds = []
+    arrivals = {}
+    build = reliable.Frame.__init__
+
+    def counted_frame(self, kind, *args, **kwargs):
+        kinds.append(kind)
+        build(self, kind, *args, **kwargs)
+
+    monkeypatch.setattr(reliable.Frame, "__init__", counted_frame)
+    for name in ("_on_data", "_on_ack", "_on_dgram", "_on_dack",
+                 "_deliver"):
+        original = getattr(ReliableNetwork, name)
+
+        def counted(self, item, _original=original, _name=name):
+            arrivals[_name] = arrivals.get(_name, 0) + 1
+            return _original(self, item)
+
+        monkeypatch.setattr(ReliableNetwork, name, counted)
+
+    sched = EventScheduler()
+    plan = FaultPlan(seed=5, drop_rate=0.2, duplicate_rate=0.1, jitter=1.5,
+                     crashes=[CrashWindow(3, 20.0, 60.0)])
+    net = ReliableNetwork(sched, metrics=Metrics(), faults=plan,
+                          config=ReliabilityConfig(timeout=4.0,
+                                                   max_retries=20))
+    got = []
+    for node in (1, 2, 3):
+        net.attach(node, got.append)
+    rng = random.Random(2)
+    sends = 0
+    for step in range(200):
+        src, dst = rng.sample((1, 2, 3), 2)
+        send = net.send if step % 3 else net.send_unordered
+        # a crashed node issues nothing (the test's own reads)
+        calls["at"] -= 1
+        if src not in net.timeline.at(sched.now)[0]:
+            send(_msg(src, dst), 1.0)
+            sends += 1
+        sched.run(until=lambda t=sched.now + 0.5: sched.now >= t)
+    sched.run()
+    stats = net.metrics.reliability
+    assert stats.drops and stats.duplicates_injected and stats.acks
+    assert stats.retransmissions and stats.sends_suppressed
+    assert stats.delivery_failures == stats.dgram_abandoned == 0
+    # every message was delivered; no frame was built for an ack
+    assert len({id(m) for m in got}) == sends
+    assert kinds.count("data") + kinds.count("dgram") == len(kinds) == sends
+    assert "_deliver" not in arrivals
+    assert arrivals["_on_ack"] and arrivals["_on_dack"]
+    assert calls["at"] == (sends + stats.retransmissions
+                           + sum(arrivals.values()))
+
+
+def test_a_settled_pending_send_is_freed_by_reference_counting():
+    """A pending send is its own timer callback only while it is armed:
+    once it is acked, abandoned, cancelled as a hedge loser or voided by
+    a view change, no reference cycle keeps it alive."""
+    from repro.sim.reliable import _PendingSend
+
+    def pending_sends():
+        return sum(type(obj) is _PendingSend for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        sched, net, metrics = _reliable(
+            faults=FaultPlan(seed=3, drop_rate=0.5),
+            config=ReliabilityConfig(timeout=2.0, max_retries=2))
+        for step in range(40):
+            src, dst = (1, 2) if step % 2 else (2, 1)
+            net.send(_msg(src, dst), 1.0)
+            net.send_unordered(_msg(dst, src, op_id=step % 3), 1.0)
+            sched.run(until=lambda t=sched.now + 1.0: sched.now >= t)
+        assert net.cancel_dgrams(1, 0) and net.in_flight
+        net.advance_epoch()
+        for step in range(40):
+            net.send(_msg(1, 2), 1.0)
+            net.send_unordered(_msg(2, 1), 1.0)
+        sched.run()
+        stats = metrics.reliability
+        assert stats.acks and stats.delivery_failures
+        assert stats.dgram_abandoned
+        assert net.in_flight == 0 and not net._dgram_pending
+        assert pending_sends() == 0
+    finally:
+        gc.enable()

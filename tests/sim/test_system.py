@@ -302,6 +302,7 @@ class TestEventAccounting:
         post_many = EventScheduler.post_many
         post_at = EventScheduler._post_at
         push = EventScheduler._push
+        arm = EventScheduler._arm
         cancel = TimerHandle.cancel
 
         def counting_post(sched, delay, callback, arg):
@@ -322,6 +323,11 @@ class TestEventAccounting:
             book["timers"] += 1
             return push(sched, *args)
 
+        def counting_arm(sched, *args):
+            # a reliable transport's pending send, armed as its own timer
+            book["timers"] += 1
+            arm(sched, *args)
+
         def counting_cancel(handle):
             cancelled = cancel(handle)
             book["cancel_calls"] += 1
@@ -332,6 +338,7 @@ class TestEventAccounting:
         monkeypatch.setattr(EventScheduler, "post_many", counting_post_many)
         monkeypatch.setattr(EventScheduler, "_post_at", counting_post_at)
         monkeypatch.setattr(EventScheduler, "_push", counting_push)
+        monkeypatch.setattr(EventScheduler, "_arm", counting_arm)
         monkeypatch.setattr(TimerHandle, "cancel", counting_cancel)
         return book
 

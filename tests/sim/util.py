@@ -4,9 +4,9 @@
 rolls every fault decision itself, so the tests of those decisions send
 through it.  The clock below is the part of the scheduler the transport
 uses: a settable ``now``, the post, which only records each
-transmission's delay, and a retry timer that is never fired.  Time may
-be set in any order, so a test can also query the fault timeline out of
-order.
+transmission's delay, and the arming of a retry timer, which never
+fires.  Time may be set in any order, so a test can also query the fault
+timeline out of order.
 """
 
 from typing import NamedTuple, Tuple
@@ -28,8 +28,8 @@ class _Clock:
     def post_many(self, delay, calls) -> None:
         self.delays.extend(delay for _ in calls)
 
-    def schedule(self, delay, callback) -> None:
-        return None
+    def _arm(self, delay, handle) -> None:
+        pass
 
 
 class Transmission(NamedTuple):
