@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any, Callable, FrozenSet, Iterable, List, Optional, Tuple,
+)
 
 from ..machines.message import Message, MsgType, ParamPresence
 
@@ -253,12 +255,24 @@ class ProcessContext(abc.ABC):
     def value_installed(self, process: "ProtocolProcess", value: Any) -> None:
         """Hook: ``process`` installed ``value`` into its copy.
 
-        Fired on every assignment to :attr:`ProtocolProcess.value`.  The
-        default is a no-op; the simulator's port overrides it to feed the
-        recovery subsystem's ordered write log and the consistency
-        monitor's version vectors (:mod:`repro.sim.recovery`,
-        :mod:`repro.sim.monitor`).
+        Fired on every assignment to :attr:`ProtocolProcess.value`
+        through :attr:`install_hook`.  The default is a no-op; the
+        simulator's port overrides it to feed the recovery subsystem's
+        ordered write log and the consistency monitor's version vectors
+        (:mod:`repro.sim.recovery`, :mod:`repro.sim.monitor`).
         """
+
+    @property
+    def install_hook(self) -> Optional[Callable[["ProtocolProcess", Any],
+                                                 None]]:
+        """What an assignment to :attr:`ProtocolProcess.value` calls, or
+        ``None`` to call nothing.
+
+        Here it is :meth:`value_installed`; the simulator's port replaces
+        it with ``None`` unless an observer is attached, so an unobserved
+        install costs one attribute read.
+        """
+        return self.value_installed
 
     @abc.abstractmethod
     def disable_local_queue(self) -> None:
@@ -299,7 +313,9 @@ class ProtocolProcess(abc.ABC):
     @value.setter
     def value(self, new_value: Any) -> None:
         self._value = new_value
-        self.ctx.value_installed(self, new_value)
+        hook = self.ctx.install_hook
+        if hook is not None:
+            hook(self, new_value)
 
     @abc.abstractmethod
     def on_request(self, op: Operation) -> None:

@@ -52,19 +52,20 @@ stream; each arrival posts its successor before submitting its
 operation.  Arrival times are Python floats, so in a workload run
 ``now`` and every event key stay plain ``float`` values.
 
-:meth:`EventScheduler.step` fires whichever of the lane head and the heap
-head has the smaller ``(time, seq)``.  Every event therefore fires exactly
-when a single heap holding all of them would fire it.  ``step`` dispatches
-the event itself — it sets ``now``, counts the event and calls the
-callback, with no helper call in between.  A fan-out entry at the lane
-head fires its members back to back within one step, each one setting
-``now`` and counting in ``executed`` on its own.  The order is the single heap's:
-the members hold consecutive numbers at one time, and anything scheduled
-while they fire gets a larger number (an event posted at ``now`` with a
-number reserved earlier is the one exception, and it ends the fan-out's
-step).  Firing stops at the enclosing :meth:`~EventScheduler.run`'s
-``max_events`` cap, or after one member when ``until`` is given; the
-unfired members stay at the lane head.
+One dispatch loop fires every event: :meth:`EventScheduler.run` pops
+whichever of the lane head and the heap head has the smaller
+``(time, seq)``, sets ``now``, counts the event and calls the callback,
+all inline, with no call per event beyond the callback itself.  Every
+event therefore fires exactly when a single heap holding all of them
+would fire it.  :meth:`~EventScheduler.step` is the same loop bounded to
+one entry.  A fan-out entry at the lane head fires its members back to
+back, each one setting ``now`` and counting in ``executed`` on its own.
+The order is the single heap's: the members hold consecutive numbers at
+one time, and anything scheduled while they fire gets a larger number
+(an event posted at ``now`` with a number reserved earlier is the one
+exception, and it ends the fan-out's turn).  Firing stops at
+:meth:`~EventScheduler.run`'s ``max_events`` cap, or after one member
+when ``until`` is given; the unfired members stay at the lane head.
 """
 
 from __future__ import annotations
@@ -203,8 +204,8 @@ class EventScheduler:
 
         Behaves exactly like one :meth:`post` call per pair, in order,
         and takes that many consecutive sequence numbers, but an
-        in-order fan-out is stored as one lane entry, whose members
-        :meth:`step` fires back to back.  The list is kept, not copied:
+        in-order fan-out is stored as one lane entry, whose members the
+        dispatch loop fires back to back.  The list is kept, not copied:
         the caller must not change it afterwards.  An out-of-order time
         falls back to one heap entry per member, as :meth:`post` would.
         """
@@ -275,48 +276,18 @@ class EventScheduler:
         return (len(self._heap) + len(self._lane) + self._fanned
                 - self._cancelled)
 
-    def step(self, limit: float = _INF) -> bool:
-        """Execute the next live event; ``False`` when none remain.
+    def step(self) -> bool:
+        """Execute the next live entry; ``False`` when none remain.
 
+        This is :meth:`run`'s dispatch loop bounded to one entry.
         Cancelled entries reaching the front of the heap are discarded
-        without advancing time or counting as executed.
-
-        A fan-out entry (:meth:`post_many`) fires its members back to
-        back, each one setting ``now`` and counting in ``executed`` on
-        its own, until all have fired, ``executed`` reaches ``limit``, or
-        a heap event comes due first; the unfired members stay at the
-        lane head.  The first member always fires.
-        :meth:`run` passes its ``max_events`` cap as ``limit``, and one
-        more than ``executed`` when ``until`` is given.
+        without advancing time or counting as executed.  A fan-out entry
+        (:meth:`post_many`) fires its members back to back, each one
+        setting ``now`` and counting in ``executed`` on its own, until
+        all have fired or a heap event comes due first; the unfired
+        members stay at the lane head.  The first member always fires.
         """
-        lane = self._lane
-        heap = self._heap
-        # seq numbers are unique, so comparing two entries never reaches
-        # their callbacks
-        while heap and not (lane and lane[0] < heap[0]):
-            time, _seq, callback, arg = _heappop(heap)
-            if callback is not None:  # a posted event
-                break
-            callback = arg._callback
-            if callback is None:  # cancelled: discard silently
-                self._cancelled -= 1
-                continue
-            arg._callback = None  # fired: the handle goes inactive
-            self.now = time
-            self.executed += 1
-            callback()
-            return True
-        else:  # no heap entry is due first: the lane head fires, if any
-            if not lane:
-                return False
-            time, _seq, callback, arg = lane.popleft()
-            if callback is None:  # a fan-out
-                self._fire_many(time, _seq, arg, limit)
-                return True
-        self.now = time
-        self.executed += 1
-        callback(arg)
-        return True
+        return self._dispatch(_INF, None, True)
 
     def _fire_many(self, time: float, seq: int, calls: List[_Call],
                    limit: float) -> None:
@@ -362,22 +333,80 @@ class EventScheduler:
                 each, and firing stops at the cap even inside a fan-out.
             until: optional stop predicate evaluated between events —
                 between a fan-out's members too, so with ``until`` given
-                each step fires at most one member.
+                each loop turn fires at most one member.
 
         Returns:
             The number of events executed by this call.
         """
         start = self.executed
-        limit = _INF if max_events is None else start + max_events
-        step = self.step
-        if until is None:
-            while self.executed < limit:
-                if not step(limit):
-                    break
-        else:
-            while self.executed < limit:
-                if until():
-                    break
-                if not step(self.executed + 1):
-                    break
+        self._dispatch(_INF if max_events is None else start + max_events,
+                       until, False)
         return self.executed - start
+
+    def _dispatch(self, limit: float, until: Optional[Callable[[], bool]],
+                  single: bool) -> bool:
+        """The dispatch loop: fire entries in ``(time, seq)`` order.
+
+        Each turn fires whichever of the lane head and the heap head has
+        the smaller key, setting ``now``, counting the event and calling
+        its callback inline.  The loop stops before ``executed`` reaches
+        ``limit``, when ``until()`` holds, after one entry if ``single``,
+        or when no live entry remains (the one case that returns
+        ``False``).  A fan-out goes to :meth:`_fire_many`, capped at
+        ``limit``, or at one member when ``until`` is given.
+        """
+        heap = self._heap
+        lane = self._lane
+        popleft = lane.popleft
+        while self.executed < limit:
+            if until is not None and until():
+                break
+            # seq numbers are unique, so comparing two entries never
+            # reaches their callbacks
+            if heap and not (lane and lane[0] < heap[0]):
+                time, _seq, callback, arg = _heappop(heap)
+                if callback is None:  # a timer: its handle is the argument
+                    callback = arg._callback
+                    if callback is None:  # cancelled: discard silently
+                        self._cancelled -= 1
+                        continue
+                    arg._callback = None  # fired: the handle goes inactive
+                    self.now = time
+                    self.executed += 1
+                    callback()
+                else:  # a posted event that fell back to the heap
+                    self.now = time
+                    self.executed += 1
+                    callback(arg)
+            elif lane:
+                time, seq, callback, arg = popleft()
+                if callback is None:  # a fan-out
+                    self._fire_many(time, seq, arg, limit if until is None
+                                    else self.executed + 1)
+                else:
+                    self.now = time
+                    self.executed += 1
+                    callback(arg)
+            else:
+                return False
+            if single:
+                break
+        return True
+
+
+def _warm_dispatch() -> None:
+    """Call the dispatch loop idle, so CPython specializes its bytecode.
+
+    CPython 3.11 specializes a function's bytecode only after its eighth
+    call; the turns of a loop do not count.  The dispatch loop is entered
+    once per :meth:`EventScheduler.run`, so without these calls a run
+    would fire every event on generic bytecode, slower than the per-event
+    ``step`` call the loop replaces.  (3.12 specializes from the first
+    call, 3.10 never, and an empty scheduler fires nothing.)
+    """
+    idle = EventScheduler()
+    for _ in range(8):
+        idle._dispatch(_INF, None, False)
+
+
+_warm_dispatch()

@@ -480,7 +480,8 @@ class Metrics:
         if op_id in self._redirects:
             return  # cache ejects are bookkeeping, not operations
         rec = self._ops[op_id]
-        if rec.completed:  # pragma: no cover - protocol bug guard
+        # the field itself: the ``completed`` property would cost a frame
+        if rec.complete_time is not None:  # pragma: no cover - bug guard
             raise RuntimeError(f"operation {op_id} completed twice")
         rec.complete_time = time
         self._completed.append(op_id)

@@ -34,9 +34,24 @@ both hooks build the list of messages and hand it to the fabric's
 ``broadcast`` (bound once, ``None`` on the reliable transport, which
 has none), which charges them and posts their deliveries as one
 scheduler entry (:mod:`repro.sim.channel`); otherwise every message is
-sent on its own.  Every method the benchmark's layer run wraps stays a
-class attribute on that path (no instance attribute shadows one), so
-the layer run keeps attributing time to it.
+sent on its own.
+
+The fabric delivers to :meth:`SimNode._on_message`, which runs the
+receiving process's ``on_message`` and the local-queue pump itself, so
+a message reaches its protocol in one frame; :meth:`ObjectPort.deliver`
+is a delegate to it.  A :class:`ProtocolProcess` install calls
+:attr:`ObjectPort.install_hook`, which is ``None`` (no call) unless
+DSMSystem attached a run-history observer.  So three methods left the
+hot path: :meth:`~repro.sim.engine.EventScheduler.step` (``run`` fires
+events inline) and :meth:`ObjectPort.deliver`, both of which the
+benchmark's layer run wraps, and the :meth:`ObjectPort.value_installed`
+hook.  All three stay class attributes: the layer run patches the
+first two through their class ``__dict__`` and fails without them,
+``step`` is the engine's public single-entry driver, and observed runs
+(monitor or recovery) still install through ``value_installed``.  Every
+other method the layer run wraps stays a class attribute on the hot
+path (no instance attribute shadows one), so it keeps attributing time
+to it.
 """
 
 from __future__ import annotations
@@ -96,6 +111,10 @@ class ClusterView:
 class ObjectPort(ProcessContext):
     """The :class:`ProcessContext` a protocol process sees for one object."""
 
+    #: set to this port's :meth:`value_installed` by DSMSystem where it
+    #: attaches the run-history observer; ``None`` skips the call
+    install_hook: Optional[Callable[[ProtocolProcess, Any], None]] = None
+
     def __init__(self, node: "SimNode", obj: int):
         self._node = node
         self.node_id = node.node_id
@@ -147,7 +166,7 @@ class ObjectPort(ProcessContext):
     @property
     def sequencer_id(self) -> int:  # type: ignore[override]
         """The current sequencer (dynamic under failover)."""
-        return self._node.sequencer_id
+        return self._node.cluster.sequencer_id
 
     # -- ProcessContext ---------------------------------------------------
 
@@ -363,12 +382,9 @@ class ObjectPort(ProcessContext):
             self.complete(op, self.process.value)
 
     def deliver(self, msg: Message) -> None:
-        """A message arrives on the distributed queue."""
-        self.process.on_message(msg)
-        # a response may have re-enabled the local queue (pump has
-        # nothing to do while the queue is empty).
-        if self.local_queue:
-            self.pump()
+        """A message arrives on the distributed queue (see
+        :meth:`SimNode._on_message`, which the fabric calls directly)."""
+        self._node._on_message(msg)
 
 
 class SimNode:
@@ -460,7 +476,13 @@ class SimNode:
         self.ports[obj].enqueue_request(op)
 
     def _on_message(self, msg: Message) -> None:
-        self.ports[msg.token.object_name].deliver(msg)
+        """A message arrives on its object's distributed queue."""
+        port = self.ports[msg.token.object_name]
+        port.process.on_message(msg)
+        # a response may have re-enabled the local queue (pump has
+        # nothing to do while the queue is empty).
+        if port.local_queue:
+            port.pump()
 
     def process_for(self, obj: int) -> ProtocolProcess:
         """The protocol process controlling this node's copy of ``obj``."""

@@ -420,13 +420,13 @@ class FailureDetector:
         if seq not in segment[0]:
             self._probe_round(segment, seq)
         # keep probing until the schedule's horizon, then only while a
-        # quarantined node could still be driven through a rejoin.
-        rejoining = self.recovery is not None and any(
-            self.recovery.is_partition_quarantined(n)
-            and self._healable(n, segment)
-            for n in self.all_nodes
-        )
-        if now + self.plan.heartbeat_interval <= self._horizon or rejoining:
+        # quarantined node could still be driven through a rejoin (both
+        # tests are pure, so the second runs only past the horizon).
+        if (now + self.plan.heartbeat_interval <= self._horizon
+                or (self.recovery is not None and any(
+                    self.recovery.is_partition_quarantined(n)
+                    and self._healable(n, segment)
+                    for n in self.all_nodes))):
             self.scheduler.schedule(self.plan.heartbeat_interval, self._tick)
 
     def _probe_round(self, segment: Segment, seq: int) -> None:

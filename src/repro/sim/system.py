@@ -462,6 +462,8 @@ class DSMSystem:
             for node in self.nodes.values():
                 node.observer = observer
                 node.recovery = self.recovery
+                for port in node.ports.values():
+                    port.install_hook = port.value_installed
 
     @property
     def write_log(self) -> Optional[WriteLog]:

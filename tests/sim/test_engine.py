@@ -412,17 +412,26 @@ class TestPostMany:
 
 
 class _HeapOnly:
-    """Reference scheduler: one heap, every event keyed ``(time, seq)``."""
+    """Reference scheduler: one heap, every event keyed ``(time, seq)``.
+
+    ``step()`` fires one event, and then, while that event was a fan-out
+    member whose next member is the next live event, that member too.  A
+    fan-out is only one entry when it is posted in time order with every
+    earlier post (``post_many`` falls back to one event per member
+    otherwise), so only then are its members linked.
+    """
 
     def __init__(self):
         self._heap = []
         self._seq = 0
+        self._post_tail = float("-inf")  # latest time posted so far
         self.now = 0.0
         self.executed = 0
 
     class Handle:
         def __init__(self):
             self.live = True
+            self.next = None  # the next member of this handle's fan-out
 
         def cancel(self):
             was, self.live = self.live, False
@@ -443,11 +452,15 @@ class _HeapOnly:
         return self._push(time, callback)
 
     def post(self, delay, callback, arg):
-        self._push(self.now + delay, lambda: callback(arg))
+        self._post_tail = max(self._post_tail, self.now + delay)
+        return self._push(self.now + delay, lambda: callback(arg))
 
     def post_many(self, delay, calls):
-        for callback, arg in calls:
-            self.post(delay, callback, arg)
+        in_order = self.now + delay >= self._post_tail
+        handles = [self.post(delay, callback, arg) for callback, arg in calls]
+        if in_order:
+            for handle, after in zip(handles, handles[1:]):
+                handle.next = after
 
     def _post_at(self, time, callback, arg, seq):
         self._push(time, lambda: callback(arg), seq)
@@ -460,7 +473,8 @@ class _HeapOnly:
     def __len__(self):
         return sum(1 for entry in self._heap if entry[2].live)
 
-    def step(self):
+    def _fire(self):
+        """Fire the next live event; its handle, or ``None`` if none."""
         while self._heap:
             time, _seq, handle, fire = heapq.heappop(self._heap)
             if not handle.live:
@@ -469,15 +483,28 @@ class _HeapOnly:
             self.now = time
             self.executed += 1
             fire()
-            return True
-        return False
+            return handle
+        return None
+
+    def _next_live(self):
+        while self._heap and not self._heap[0][2].live:
+            heapq.heappop(self._heap)
+        return self._heap[0][2] if self._heap else None
+
+    def step(self):
+        handle = self._fire()
+        if handle is None:
+            return False
+        while handle.next is not None and self._next_live() is handle.next:
+            handle = self._fire()
+        return True
 
     def run(self, max_events=None, until=None):
         start = self.executed
         while max_events is None or self.executed - start < max_events:
             if until is not None and until():
                 break
-            if not self.step():
+            if self._fire() is None:
                 break
         return self.executed - start
 
@@ -572,7 +599,9 @@ class _ProgramRunner:
 
         Three sequence numbers are reserved up front, as the workload
         arrivals reserve theirs, so a ``post_reserved`` a fan-out member
-        makes can sort before the members still to fire.
+        makes can sort before the members still to fire.  A ``step`` cut
+        calls ``step()`` ``count`` times and records what each call
+        returned and ``executed`` after it.
         """
         sched = self.sched
         self.reserved = [sched._reserve(1) + 1 for _ in range(3)]
@@ -585,6 +614,8 @@ class _ProgramRunner:
             elif kind == "until":
                 mark = len(self.log) + count
                 ran = sched.run(until=lambda: len(self.log) >= mark)
+            elif kind == "step":
+                ran = [(sched.step(), sched.executed) for _ in range(count)]
             else:
                 ran = sched.run()
             trail.append((kind, ran, sched.now, sched.executed, len(sched),
@@ -592,7 +623,7 @@ class _ProgramRunner:
         return self.log, trail
 
 
-_CUTS = st.lists(st.tuples(st.sampled_from(["max", "until"]),
+_CUTS = st.lists(st.tuples(st.sampled_from(["max", "until", "step"]),
                            st.integers(0, 5)), max_size=6)
 
 
@@ -608,8 +639,9 @@ class TestOrderMatchesHeapOnlyReference:
     @settings(max_examples=400, deadline=None)
     @given(st.lists(_ACTION_MANY, min_size=1, max_size=12), _CUTS)
     def test_sliced_runs_match_at_every_cut(self, program, cuts):
-        """Fan-outs fire back to back, yet at every ``run(max_events=k)``
-        or ``run(until=...)`` cut the firing log, ``now``, ``executed``
-        and ``len()`` equal a single heap holding every member."""
+        """Fan-outs fire back to back, yet at every ``run(max_events=k)``,
+        ``run(until=...)`` or ``step()`` cut the firing log, ``now``,
+        ``executed`` and ``len()`` equal a single heap holding every
+        member."""
         assert (_ProgramRunner(EventScheduler()).run_sliced(program, cuts)
                 == _ProgramRunner(_HeapOnly()).run_sliced(program, cuts))

@@ -8,13 +8,13 @@ import pytest
 
 from repro.core.parameters import WorkloadParams
 from repro.obs.trace import TraceConfig
+from repro.protocols.sc_abd import SCABDProcess
 from repro.sim import (CacheConfig, CrashWindow, DSMSystem, FaultPlan,
                        HedgeConfig, LinkFault, MembershipChange,
                        PartitionPlan, ReconfigPlan, ReliabilityConfig,
                        RunConfig, SlowWindow)
 from repro.sim.channel import Network
 from repro.sim.engine import EventScheduler, TimerHandle
-from repro.sim.node import ObjectPort
 from repro.sim.system import _SUBSYSTEMS
 from repro.workloads import (read_disturbance_workload,
                              write_disturbance_workload)
@@ -397,7 +397,7 @@ class TestEventAccounting:
         fabric = []
         ports = []
         attach = Network.attach
-        port_deliver = ObjectPort.deliver
+        on_message = SCABDProcess.on_message
 
         def counting_attach(net, node_id, handler):
             def counting_handler(msg):
@@ -406,12 +406,12 @@ class TestEventAccounting:
 
             attach(net, node_id, counting_handler)
 
-        def counting_port_deliver(port, msg):
+        def counting_on_message(process, msg):
             ports.append(msg)
-            port_deliver(port, msg)
+            on_message(process, msg)
 
         monkeypatch.setattr(Network, "attach", counting_attach)
-        monkeypatch.setattr(ObjectPort, "deliver", counting_port_deliver)
+        monkeypatch.setattr(SCABDProcess, "on_message", counting_on_message)
         system, result = self._run(RunConfig(ops=300, warmup=30, seed=2),
                                    protocol="sc_abd")
         assert result.incomplete_ops == 0
