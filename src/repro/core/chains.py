@@ -199,14 +199,24 @@ def _run_moves(protocol: str, groups: Tuple[Tuple[int, Tuple[str, ...]], ...],
 
     def build():
         system = DSMSystem(spec, N=idle, S=_S_PROBE, P=_P_PROBE)
-        charge = system.network.on_cost
+        # the fabric looks both ledger entry points up at each charge
+        metrics = system.metrics
+        charge, charge_fan_out = metrics.record_message, metrics.record_fan_out
 
-        def on_cost(msg, cost):
+        def record_message(msg, cost):
             if msg.dst == idle or msg.src == idle:
                 idle_cost[0] += int(cost)
             charge(msg, cost)
 
-        system.network.on_cost = on_cost
+        def record_fan_out(token, src, dsts, op_id, cost):
+            # every charged member (a member sent to src is free)
+            members = (len(dsts) - dsts.count(src) if src == idle
+                       else dsts.count(idle))
+            idle_cost[0] += int(cost) * members
+            charge_fan_out(token, src, dsts, op_id, cost)
+
+        metrics.record_message = record_message
+        metrics.record_fan_out = record_fan_out
         # fault-free processes are never replaced: bind them once
         procs = [[system.nodes[n].process_for(1) for n in nodes]
                  for nodes in members]

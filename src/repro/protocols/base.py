@@ -32,7 +32,7 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, FrozenSet, Iterable, List, Optional, Tuple,
+    Any, Callable, Collection, FrozenSet, List, Optional, Sequence, Tuple,
 )
 
 from ..machines.message import Message, MsgType, ParamPresence
@@ -132,7 +132,7 @@ class ProcessContext(abc.ABC):
 
     def broadcast_except(
         self,
-        excluded: Iterable[int],
+        excluded: Collection[int],
         msg_type: MsgType,
         presence: ParamPresence,
         op_id: Optional[int],
@@ -144,14 +144,15 @@ class ProcessContext(abc.ABC):
         This is the one definition of who receives a broadcast; the sends
         themselves go through :meth:`send_many`.
         """
-        excluded_set = set(excluded) | {self.node_id}
-        targets = [n for n in self.all_nodes if n not in excluded_set]
+        me = self.node_id
+        targets = [n for n in self.all_nodes
+                   if n != me and n not in excluded]
         self.send_many(targets, msg_type, presence, op_id, payload, initiator)
         return len(targets)
 
     def send_many(
         self,
-        targets: Iterable[int],
+        targets: Sequence[int],
         msg_type: MsgType,
         presence: ParamPresence,
         op_id: Optional[int],
@@ -195,7 +196,7 @@ class ProcessContext(abc.ABC):
 
     def send_many_unordered(
         self,
-        targets: Iterable[int],
+        targets: Sequence[int],
         msg_type: MsgType,
         presence: ParamPresence,
         op_id: Optional[int],

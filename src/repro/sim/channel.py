@@ -20,10 +20,12 @@ handler with the :class:`Message` itself as the argument: no wrapper
 call and no tuple per send.  The deliveries are posted in non-decreasing
 time order and ride the scheduler's FIFO lane.
 
-:meth:`Network.broadcast` sends one message to each of several nodes in
-one call: it charges the members in order (a self-send stays free),
-counts each in :attr:`Network.messages_sent`, and posts all their
-deliveries with one
+:meth:`Network.fan_out` sends one token from one node to each of
+several nodes in one call: it builds every member's :class:`Message`
+and its delivery in one pass, charges the whole fan-out with one
+:meth:`~repro.sim.metrics.Metrics.record_fan_out` call (a self-send
+stays free), counts each member in :attr:`Network.messages_sent`, and
+posts all the deliveries with one
 :meth:`~repro.sim.engine.EventScheduler.post_many` call.  The
 deliveries take the consecutive sequence numbers, and the one time, that
 one :meth:`~Network.send` each would have given them, and the scheduler
@@ -39,7 +41,7 @@ wire and posts every frame itself, so this fabric never drops,
 duplicates or delays a message.
 
 Message costs (Section 4.1) are priced by the sender and charged at send
-time through the attached :class:`~repro.sim.metrics.Metrics` sink: 1 for
+time to the run's :class:`~repro.sim.metrics.Metrics` ledger: 1 for
 a bare token, ``S + 1`` with user information, ``P + 1`` with write
 parameters, and 0 for a self-send.  The fabric never prices a message
 itself: the sending port prices each token once, with
@@ -49,12 +51,13 @@ with the message (:class:`~repro.sim.node.ObjectPort`).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence
 
-from ..machines.message import Message
+from ..machines.message import Message, MessageToken
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import EventScheduler
+    from .metrics import Metrics
 
 __all__ = ["Network", "unattached"]
 
@@ -77,21 +80,25 @@ class Network:
     Args:
         scheduler: the discrete-event engine.
         latency: constant per-hop delay (must be positive).
-        on_cost: cost sink, called as ``on_cost(msg, cost)`` for every
-            charged (inter-node) send.
+        metrics: the ledger every charged (inter-node) send is charged
+            to, through :meth:`~repro.sim.metrics.Metrics.record_message`
+            or, for a fan-out,
+            :meth:`~repro.sim.metrics.Metrics.record_fan_out`; ``None``
+            charges nothing.  Both are looked up on the ledger at each
+            charge, so a wrapper set on the instance sees every charge.
     """
 
     def __init__(
         self,
         scheduler: EventScheduler,
         latency: float = 1.0,
-        on_cost: Optional[Callable[[Message, float], None]] = None,
+        metrics: Optional[Metrics] = None,
     ):
         if latency <= 0:
             raise ValueError("latency must be positive for causal delivery")
         self.scheduler = scheduler
         self.latency = latency
-        self.on_cost = on_cost
+        self.metrics = metrics
         #: optional :class:`repro.obs.Tracer`; while set, deliveries take
         #: the traced route, which emits per-operation "deliver" events
         self.tracer = None
@@ -119,40 +126,43 @@ class Network:
             handler = self._deliver_to[msg.dst]
         except KeyError:
             raise unattached(msg) from None
-        if cost > 0.0 and self.on_cost is not None:
-            self.on_cost(msg, cost)
+        if cost > 0.0 and self.metrics is not None:
+            self.metrics.record_message(msg, cost)
         self.messages_sent += 1
         if self.tracer is not None:
             handler = self._traced
         self._post(self.latency, handler, msg)
         return cost
 
-    def broadcast(self, msgs: List[Message], cost: float) -> None:
-        """Send each of ``msgs``, all from one node, at ``cost`` each.
+    def fan_out(self, token: MessageToken, src: int, dsts: Sequence[int],
+                payload: Any, op_id: Optional[int], cost: float) -> None:
+        """Send ``token`` from ``src`` to each of ``dsts``, in order, at
+        ``cost`` each.
 
-        The members are charged in order, a self-send (``dst == src``)
-        for nothing, and their deliveries are posted with one
+        Every member is one :class:`Message` sharing ``payload`` and
+        ``op_id``.  The whole fan-out is charged with one
+        :meth:`~repro.sim.metrics.Metrics.record_fan_out` call, which
+        leaves a self-send (``dst == src``) free, and the deliveries are
+        posted with one
         :meth:`~repro.sim.engine.EventScheduler.post_many` call: they
         fire as one :meth:`send` each would have made them fire.
 
         Raises:
-            RuntimeError: if a member's ``dst`` was never attached to the
-                fabric; nothing is then charged or posted.
+            RuntimeError: if a member of ``dsts`` was never attached to
+                the fabric; nothing is then charged or posted.
         """
         deliver_to = self._deliver_to
         try:
-            calls = [(deliver_to[msg.dst], msg) for msg in msgs]
+            calls = [(deliver_to[dst], Message(token, src, dst, payload, op_id))
+                     for dst in dsts]
         except KeyError:
-            raise unattached(next(msg for msg in msgs
-                                  if msg.dst not in deliver_to)) from None
+            dst = next(dst for dst in dsts if dst not in deliver_to)
+            raise unattached(Message(token, src, dst, payload, op_id)) from None
+        if cost > 0.0 and self.metrics is not None:
+            self.metrics.record_fan_out(token, src, dsts, op_id, cost)
         if self.tracer is not None:
             traced = self._traced
-            calls = [(traced, msg) for msg in msgs]
-        on_cost = self.on_cost
-        if cost > 0.0 and on_cost is not None:
-            for msg in msgs:
-                if msg.dst != msg.src:
-                    on_cost(msg, cost)
+            calls = [(traced, msg) for _, msg in calls]
         self.messages_sent += len(calls)
         self._post_many(self.latency, calls)
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..machines.message import Message, MsgType, ParamPresence
+from ..machines.message import Message, MessageToken, MsgType, ParamPresence
 
 __all__ = ["OpRecord", "PartitionStats", "ReconfigStats", "RecoveryStats",
            "ReliabilityStats", "ReplicaCacheStats", "Metrics"]
@@ -357,6 +358,56 @@ class Metrics:
         if tracer is not None:
             tracer.op_event("send", msg.op_id, cost=cost, src=msg.src, dst=msg.dst,
                             detail=msg.token.type.value)
+
+    def record_fan_out(self, token: MessageToken, src: int,
+                       dsts: Sequence[int], op_id: Optional[int],
+                       cost: float) -> None:
+        """Charge one fan-out of ``token`` from ``src`` to ``dsts``
+        (Network cost hook).
+
+        Exactly what one :meth:`record_message` per member would charge,
+        in member order, with a member sent to ``src`` itself free: the
+        operation is looked up once, its signature gains one entry per
+        charged member, and each total takes the charged members' costs
+        as that many sequential float additions.  The eviction and
+        unattributed cases, and the tracer's per-member events, are
+        branches of this one call.
+        """
+        charged = len(dsts) - dsts.count(src)
+        rec = self._ops.get(op_id)
+        if rec is not None:
+            total = rec.cost
+            for _ in repeat(None, charged):
+                total += cost
+            rec.cost = total
+            rec.signature += [
+                _SIGNATURE_ENTRY[token.type][token.parameter_presence]
+            ] * charged
+            kind, event_id = "send", op_id
+        else:
+            target = self._redirects.get(op_id)
+            if target is not None:
+                # eviction traffic, as in record_message
+                rec = self._ops[target]
+                stats = self.cache
+                for _ in repeat(None, charged):
+                    rec.cost += cost
+                    rec.cache_cost += cost
+                    stats.cost += cost
+                kind, event_id = "evict", target
+            else:
+                total = self.unattributed_cost
+                for _ in repeat(None, charged):
+                    total += cost
+                self.unattributed_cost = total
+                kind, event_id = "send", None
+        tracer = self.tracer
+        if tracer is not None:
+            detail = token.type.value
+            for dst in dsts:
+                if dst != src:
+                    tracer.op_event(kind, event_id, cost=cost, src=src,
+                                    dst=dst, detail=detail)
 
     def record_reliability_cost(self, op_id: Optional[int], cost: float,
                                 kind: str = "reliability") -> None:

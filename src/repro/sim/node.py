@@ -29,12 +29,12 @@ self-send costs 0 (an intra-node action).  A broadcast
 (:meth:`ProcessContext.broadcast_except`) reaches the port's
 :meth:`ObjectPort.send_many` hook, which looks the token up once; a
 quorum phase's fan-out reaches :meth:`ObjectPort.send_many_unordered`.
-On the plain fabric
-both hooks build the list of messages and hand it to the fabric's
-``broadcast`` (bound once, ``None`` on the reliable transport, which
-has none), which charges them and posts their deliveries as one
-scheduler entry (:mod:`repro.sim.channel`); otherwise every message is
-sent on its own.
+On the plain fabric both hooks hand the token, source, targets, payload,
+op id and cost to the fabric's ``fan_out`` (bound once, ``None`` on the
+reliable transport, which has none), which builds the messages, charges
+them with one ledger call and posts their deliveries as one scheduler
+entry (:mod:`repro.sim.channel`); otherwise every message is sent on
+its own.
 
 The fabric delivers to :meth:`SimNode._on_message`, which runs the
 receiving process's ``on_message`` and the local-queue pump itself, so
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from typing import (
-    TYPE_CHECKING, Any, Callable, Deque, Dict, Iterable, Optional, Tuple,
+    TYPE_CHECKING, Any, Callable, Deque, Dict, Optional, Sequence, Tuple,
 )
 
 from ..machines.message import (
@@ -128,9 +128,9 @@ class ObjectPort(ProcessContext):
         self._net_send = network.send
         self._net_send_unordered = getattr(network, "send_unordered", None)
         self._net_cancel_dgrams = getattr(network, "cancel_dgrams", None)
-        # the plain fabric sends a broadcast in one call; the reliable
+        # the plain fabric sends a fan-out in one call; the reliable
         # transport sends per message
-        self._net_broadcast = getattr(network, "broadcast", None)
+        self._net_fan_out = getattr(network, "fan_out", None)
         self._scheduler = node.scheduler
         # tokens are frozen, so one per (type, presence, initiator) is
         # shared, with its inter-node cost, by every message this port
@@ -190,7 +190,7 @@ class ObjectPort(ProcessContext):
 
     def send_many(
         self,
-        targets: Iterable[int],
+        targets: Sequence[int],
         msg_type: MsgType,
         presence: ParamPresence,
         op_id: Optional[int],
@@ -206,10 +206,9 @@ class ObjectPort(ProcessContext):
         if entry is None:
             entry = self._token(key)
         token, cost = entry
-        broadcast = self._net_broadcast
-        if broadcast is not None:
-            broadcast([Message(token, src, dst, payload, op_id)
-                       for dst in targets], cost)
+        fan_out = self._net_fan_out
+        if fan_out is not None:
+            fan_out(token, src, targets, payload, op_id, cost)
             return
         net_send = self._net_send
         for dst in targets:
@@ -262,7 +261,7 @@ class ObjectPort(ProcessContext):
 
     def send_many_unordered(
         self,
-        targets: Iterable[int],
+        targets: Sequence[int],
         msg_type: MsgType,
         presence: ParamPresence,
         op_id: Optional[int],
@@ -271,7 +270,7 @@ class ObjectPort(ProcessContext):
         quorum: bool = False,
         hedge: bool = False,
     ) -> None:
-        if self._net_broadcast is None:
+        if self._net_fan_out is None:
             super().send_many_unordered(targets, msg_type, presence, op_id,
                                         payload, initiator, quorum, hedge)
         else:

@@ -185,7 +185,7 @@ def _build_network(system: "DSMSystem") -> Network:
     the faulty wire) with the fault plan's crash markers."""
     if system.reliability is None:
         network = Network(system.scheduler, latency=_HOP_LATENCY,
-                          on_cost=system.metrics.record_message)
+                          metrics=system.metrics)
         # delivery events for the plain fabric come from the channel
         # itself; a ReliableNetwork reaches the tracer via metrics and
         # traces protocol-level deliveries instead.

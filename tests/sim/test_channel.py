@@ -18,15 +18,31 @@ from repro.sim.engine import EventScheduler
 from .util import fabric, transmit
 
 
+def token(src, presence=ParamPresence.NONE):
+    return MessageToken(MsgType.R_PER, src, 1, QueueTag.DISTRIBUTED, presence)
+
+
 def msg(src, dst, presence=ParamPresence.NONE, payload=None):
-    token = MessageToken(MsgType.R_PER, src, 1, QueueTag.DISTRIBUTED,
-                         presence)
-    return Message(token, src, dst, payload=payload, op_id=1)
+    return Message(token(src, presence), src, dst, payload=payload, op_id=1)
 
 
-def make_network(latency=1.0, on_cost=None):
+class Ledger:
+    """Records each charge the fabric makes: ``(dst, cost)`` for one
+    message, ``(src, dsts, cost)`` for a fan-out."""
+
+    def __init__(self):
+        self.charged = []
+
+    def record_message(self, msg, cost):
+        self.charged.append((msg.dst, cost))
+
+    def record_fan_out(self, token, src, dsts, op_id, cost):
+        self.charged.append((src, list(dsts), cost))
+
+
+def make_network(latency=1.0, ledger=None):
     sched = EventScheduler()
-    net = Network(sched, latency=latency, on_cost=on_cost)
+    net = Network(sched, latency=latency, metrics=ledger)
     return sched, net
 
 
@@ -94,13 +110,14 @@ class TestSendErrors:
         assert len(sched) == 0
 
     def test_a_broadcast_to_an_unattached_destination_charges_nothing(self):
-        charged = []
-        sched, net = make_network(on_cost=lambda m, c: charged.append(m))
+        ledger = Ledger()
+        sched, net = make_network(ledger=ledger)
         net.attach(1, lambda m: None)
         net.attach(2, lambda m: None)
-        with pytest.raises(RuntimeError, match="node 7 is not attached"):
-            net.broadcast([msg(1, 2), msg(1, 7), msg(1, 1)], 1.0)
-        assert charged == [] and net.messages_sent == 0
+        with pytest.raises(RuntimeError,
+                           match="from node 1: destination node 7 is not"):
+            net.fan_out(token(1), 1, [2, 7, 1], None, 1, 1.0)
+        assert ledger.charged == [] and net.messages_sent == 0
         assert len(sched) == 0
 
 
@@ -141,16 +158,16 @@ class TestPerChannelSequencing:
             if kind == "run":
                 sched.run(max_events=args[0])
             else:
+                # every member of a fan-out carries its one payload
                 src, targets = args
-                msgs = []
-                for dst in targets if kind == "broadcast" else [targets]:
-                    number += 1
+                number += 1
+                dsts = targets if kind == "broadcast" else [targets]
+                for dst in dsts:
                     sent.setdefault((src, dst), []).append(number)
-                    msgs.append(msg(src, dst, payload=number))
                 if kind == "broadcast":
-                    net.broadcast(msgs, 1.0)
+                    net.fan_out(token(src), src, dsts, number, 1, 1.0)
                 else:
-                    net.send(msgs[0], 1.0)
+                    net.send(msg(src, targets, payload=number), 1.0)
             for channel, payloads in delivered.items():
                 assert payloads == sent[channel][:len(payloads)], channel
         sched.run()
@@ -304,32 +321,41 @@ class TestCostAccounting:
     def test_costs_by_presence(self):
         """The fabric charges what the sender priced and returns it;
         pricing itself is the port's (tests/sim/test_send_path.py)."""
-        charged = []
-        sched, net = make_network(on_cost=lambda m, c: charged.append(c))
+        ledger = Ledger()
+        sched, net = make_network(ledger=ledger)
         net.attach(2, lambda m: None)
         assert net.send(msg(1, 2, ParamPresence.NONE), 1.0) == 1.0
         assert net.send(msg(1, 2, ParamPresence.USER_INFO), 101.0) == 101.0
         assert net.send(msg(1, 2, ParamPresence.WRITE), 31.0) == 31.0
-        assert charged == [1.0, 101.0, 31.0]
+        assert ledger.charged == [(2, 1.0), (2, 101.0), (2, 31.0)]
 
     def test_self_send_free(self):
-        charged = []
-        sched, net = make_network(on_cost=lambda m, c: charged.append(c))
+        ledger = Ledger()
+        sched, net = make_network(ledger=ledger)
         net.attach(1, lambda m: None)
         cost = net.send(msg(1, 1), 0.0)
         assert cost == 0.0
-        assert charged == []  # intra-node actions are not charged
+        assert ledger.charged == []  # intra-node actions are not charged
 
     def test_broadcast_charges_members_in_order_and_self_sends_free(self):
-        charged = []
-        sched, net = make_network(
-            on_cost=lambda m, c: charged.append((m.dst, c)))
+        """The run's ledger, handed the whole fan-out, charges its members
+        in order (as its tracer's send events show), the self-send for
+        nothing."""
+        from repro.obs.trace import Tracer
+        from repro.sim.metrics import Metrics
+        metrics = Metrics()
+        sched, net = make_network(ledger=metrics)
+        metrics.tracer = Tracer(clock=sched)
+        metrics.register_op(1, 2, "write", 1, 0.0)
         got = []
         for node in (1, 2, 3):
             net.attach(node, lambda m, node=node: got.append(
                 (node, m.dst, sched.now)))
-        net.broadcast([msg(2, 3), msg(2, 2), msg(2, 1)], 31.0)
-        assert charged == [(3, 31.0), (1, 31.0)]
+        net.fan_out(token(2, ParamPresence.WRITE), 2, [3, 2, 1], None, 1,
+                    31.0)
+        assert [(e.dst, e.cost) for e in metrics.tracer.span(1).events] == [
+            (3, 31.0), (1, 31.0)]
+        assert metrics.op(1).cost == 62.0
         assert net.messages_sent == 3 and len(sched) == 3
         sched.run()
         # each member reached its own node's handler, in send order

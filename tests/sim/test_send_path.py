@@ -68,25 +68,25 @@ def priced_sends(monkeypatch):
     """Every ``(msg, cost)`` the plain fabric sent, in order.
 
     :meth:`Network.send` records its message and cost;
-    :meth:`Network.broadcast` records each member with the cost it
-    charges that member (nothing for a self-send).  Patched on the class
-    before a system is built, so the bound methods each port holds are
-    the recording ones.
+    :meth:`Network.fan_out` records each member as the message it sends
+    and the cost it charges that member (nothing for a self-send).
+    Patched on the class before a system is built, so the bound methods
+    each port holds are the recording ones.
     """
     sent = []
-    send, broadcast = Network.send, Network.broadcast
+    send, fan_out = Network.send, Network.fan_out
 
     def recording_send(net, msg, cost):
         sent.append((msg, cost))
         return send(net, msg, cost)
 
-    def recording_broadcast(net, msgs, cost):
-        sent.extend((msg, 0.0 if msg.dst == msg.src else cost)
-                    for msg in msgs)
-        broadcast(net, msgs, cost)
+    def recording_fan_out(net, token, src, dsts, payload, op_id, cost):
+        sent.extend((Message(token, src, dst, payload, op_id),
+                     0.0 if dst == src else cost) for dst in dsts)
+        fan_out(net, token, src, dsts, payload, op_id, cost)
 
     monkeypatch.setattr(Network, "send", recording_send)
-    monkeypatch.setattr(Network, "broadcast", recording_broadcast)
+    monkeypatch.setattr(Network, "fan_out", recording_fan_out)
     return sent
 
 
@@ -116,6 +116,68 @@ def test_port_fan_out_matches_the_default_fan_out(priced_sends, node_id,
     assert [_record(msg) for msg, _ in priced_sends] == reference.sent
     assert width == len(reference.sent) > 0
     assert all(msg.token.object_name == 2 for msg, _ in priced_sends)
+
+
+#: at S = 0.1 a user-information token costs 1.1, and seven such members
+#: add up to 7.699999999999999 one at a time, but 1.1 * 7 is
+#: 7.700000000000001
+_TENTH = 0.1
+
+
+@pytest.mark.parametrize("dsts", [[1, 2, 3, 4, 5, 6, 7],
+                                  [3, 8, 2, 3, 1, 5, 6, 7, 8]],
+                         ids=["clients", "self-and-repeat"])
+@pytest.mark.parametrize("op_id", [1, 2, 3],
+                         ids=["registered", "unregistered", "redirected"])
+def test_a_fan_out_charges_the_ledger_as_its_members_would(op_id, dsts):
+    """One fan-out from node 8 leaves the ledger and the trace exactly as
+    one charge per member would: the same sequential float sums on the
+    operation (1), the unattributed total (2, never registered) or the
+    trigger's cache share (3, an eject redirected onto 1), the same
+    signature, and the same send events in member order, with the members
+    sent to node 8 itself free."""
+    from repro.obs.trace import Tracer
+
+    token = MessageToken(UPD, 8, 1, QueueTag.DISTRIBUTED, PP_USER_INFO)
+    cost = token_cost(PP_USER_INFO, _TENTH, P)
+    outcomes = []
+    for fan_out in (True, False):
+        sched = EventScheduler()
+        metrics = Metrics()
+        metrics.tracer = tracer = Tracer(clock=sched)
+        net = Network(sched, metrics=metrics)
+        net.tracer = tracer
+        for node in range(1, 9):
+            net.attach(node, lambda m: None)
+        metrics.register_op(1, 8, "write", 1, 0.0)
+        metrics.redirect_op(3, 1)
+        if fan_out:
+            net.fan_out(token, 8, dsts, None, op_id, cost)
+        else:
+            for dst in dsts:
+                net.send(Message(token, 8, dst, None, op_id),
+                         0.0 if dst == 8 else cost)
+        sched.run()
+        rec = metrics.op(1)
+        outcomes.append((
+            rec.cost, rec.cache_cost, rec.signature,
+            metrics.unattributed_cost, metrics.cache.cost,
+            [event.to_dict() for event in tracer.span(1).events],
+            [event.to_dict() for event in tracer.system_events],
+            tracer.dropped_events, net.messages_sent))
+    assert outcomes[0] == outcomes[1]
+    (op_cost, cache_cost, signature, unattributed, cache_total, events,
+     system_events, _dropped, sent) = outcomes[0]
+    assert sent == len(dsts)
+    charged = unattributed if op_id == 2 else op_cost
+    assert charged == 7.699999999999999 != cost * 7
+    assert cache_cost == cache_total == (charged if op_id == 3 else 0.0)
+    assert len(signature) == (7 if op_id == 1 else 0)
+    sends = events if op_id != 2 else system_events
+    assert [(e["kind"], e["dst"]) for e in sends
+            if e["kind"] != "deliver"] == [
+        ("send" if op_id != 3 else "evict", dst) for dst in dsts
+        if dst != 8]
 
 
 @pytest.mark.parametrize("retry, hedge", [(False, False), (True, False),
